@@ -127,6 +127,14 @@ def _build(args) -> CayleyGraph:
     return build_cayley(parse_spec(args.spec))
 
 
+def _workers(args) -> int:
+    """resolve_workers, with a bad UGCONN_WORKERS reported as a spec error."""
+    try:
+        return resolve_workers(args.workers)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
 def cmd_gen(args) -> int:
     G = _build(args)
     if args.format == "dot":
@@ -173,7 +181,7 @@ def cmd_connectivity(args) -> int:
 
 def cmd_cut_search(args) -> int:
     G = _build(args)
-    workers = resolve_workers(args.workers)
+    workers = _workers(args)
     kind = args.kind
     if kind == "cyclic":
         good = None
@@ -212,11 +220,12 @@ def cmd_verify(args) -> int:
         checks = []
         for tok in args.checks:
             checks.extend(c for c in tok.split(",") if c)
+    workers = _workers(args)
     t0 = time.perf_counter()
     try:
         report = verify_all(
             G,
-            workers=resolve_workers(args.workers),
+            workers=workers,
             seed=args.seed,
             budget=args.budget,
             checks=checks,

@@ -32,14 +32,25 @@ TRIAL_BLOCK = 4096
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else UGCONN_WORKERS, else CPU count."""
+    """Worker count: explicit argument, else UGCONN_WORKERS, else CPU count.
+
+    The count is capped at the CPU count, since pure-Python workers beyond
+    it only add fork and pickling cost.  A non-integer UGCONN_WORKERS
+    raises ValueError.
+    """
+    cpus = os.cpu_count() or 1
     if workers is None:
         env = os.environ.get("UGCONN_WORKERS", "").strip()
         if env:
-            workers = int(env)
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"UGCONN_WORKERS must be an integer, not {env!r}"
+                ) from None
         else:
-            workers = os.cpu_count() or 1
-    return max(1, int(workers))
+            workers = cpus
+    return max(1, min(int(workers), cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +150,10 @@ def render_witness(G: CayleyGraph, witness: CutWitness) -> str:
 
 def _make_witness(dense: DenseGraph, fault: tuple[int, ...], kind: str) -> CutWitness:
     analysis = component_analysis(dense, fault)
-    assert analysis.component_count >= 2, "witness must disconnect"
-    if kind == "cyclic-cut":
-        assert analysis.cyclic_component_count() >= 2, "witness must leave two cycles"
+    if analysis.component_count < 2:
+        raise ValueError(f"witness {fault} does not disconnect the graph")
+    if kind == "cyclic-cut" and analysis.cyclic_component_count() < 2:
+        raise ValueError(f"witness {fault} does not leave two cyclic components")
     return CutWitness(kind=kind, fault=fault, analysis=analysis)
 
 
@@ -157,13 +169,19 @@ class ConnectivityResult:
 
 
 class _FlowNet:
-    """Vertex-split unit-capacity network; node 2v = v_in, 2v+1 = v_out."""
+    """Vertex-split unit-capacity network; node 2v = v_in, 2v+1 = v_out.
+
+    Two more nodes, ``source`` and ``sink``, start without arcs; ``attach``
+    ties them to vertex sets for set-to-set flows.
+    """
 
     def __init__(self, dense: DenseGraph):
         self.order = dense.order
+        self.source = 2 * dense.order
+        self.sink = 2 * dense.order + 1
         self.to: list[int] = []
         self.base: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(2 * dense.order)]
+        self.adj: list[list[int]] = [[] for _ in range(2 * dense.order + 2)]
         for v in range(dense.order):
             self._arc(2 * v, 2 * v + 1, 1)
         for u in range(dense.order):
@@ -180,6 +198,27 @@ class _FlowNet:
         self.adj[v].append(len(self.to))
         self.to.append(u)
         self.base.append(0)
+
+    def attach(self, sources, sinks) -> int:
+        """Arcs source -> v_out for v in sources, v_in -> sink for v in sinks.
+
+        The vertices in both sets can then never be cut.  Returns the mark
+        that ``detach`` rolls the network back to.
+        """
+        mark = len(self.to)
+        for v in sources:
+            self._arc(self.source, 2 * v + 1, self.order)
+        for v in sinks:
+            self._arc(2 * v, self.sink, self.order)
+        return mark
+
+    def detach(self, mark: int) -> None:
+        """Remove the arcs added since mark, newest first."""
+        to, adj = self.to, self.adj
+        while len(to) > mark:
+            adj[to.pop()].pop()  # the forward arc, listed at its tail
+            adj[to.pop()].pop()  # the reverse arc, listed at the head
+            del self.base[-2:]
 
     def max_flow(self, s: int, t: int, cutoff: int) -> int:
         """Unit augmenting paths from s to t, stopping early at cutoff."""
@@ -272,6 +311,51 @@ def vertex_connectivity_detail(g, all_pairs: bool = False) -> ConnectivityResult
 
 def vertex_connectivity(g, all_pairs: bool = False) -> int:
     return vertex_connectivity_detail(g, all_pairs=all_pairs).value
+
+
+@dataclass(frozen=True)
+class EdgeSeparation:
+    value: int | None  # None when no two edges can be separated
+    edges: tuple[tuple[int, int], tuple[int, int]] | None  # a pair attaining it
+    cut: tuple[int, ...] | None  # a minimum cut separating that pair
+    flows: int
+
+
+def edge_separation_connectivity(g) -> EdgeSeparation:
+    """kappa_1(G): the fewest vertices whose removal separates two edges.
+
+    Separated edges keep both ends and land in different components; this
+    is the restricted connectivity of Esfahanian and Hakimi ("On computing
+    a conditional edge-connectivity of a graph", IPL 1988).  The network is
+    built once; each edge pair is one flow from the out-nodes of the first
+    edge's ends to the in-nodes of the second's, stopped at the best value
+    so far.  The first edge is fixed at vertex 0, which is justified on
+    vertex-transitive graphs, and the second ranges over the edges with no
+    end in N[first], the only ones a vertex set can separate from it.
+    """
+    dense = _as_dense(g)
+    edges = [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
+    net = _FlowNet(dense)
+    best = dense.order  # every flow path crosses a vertex outside both edges
+    arg = None
+    cut = None
+    flows = 0
+    for first in ((0, v) for v in dense.neighbors[0]):
+        closed = set(dense.neighbors[first[0]]) | set(dense.neighbors[first[1]])
+        for second in edges:
+            if second[0] in closed or second[1] in closed:
+                continue
+            mark = net.attach(first, second)
+            f = net.max_flow(net.source, net.sink, best)
+            flows += 1
+            if f < best:
+                # below the cutoff the flow ran to completion, so it is maximum
+                best, arg = f, (first, second)
+                cut = net.min_cut_vertices(net.source)
+            net.detach(mark)
+    return EdgeSeparation(
+        value=best if arg is not None else None, edges=arg, cut=cut, flows=flows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +514,10 @@ def min_good_neighbor_cut_exhaustive(
     )
     if witness is not None and good >= 2:
         # minimum degree 2 in every surviving component forces a cycle there
-        assert witness.analysis.cyclic_component_count() >= 2
+        if witness.analysis.cyclic_component_count() < 2:
+            raise RuntimeError(
+                f"{good}-good-neighbor cut {witness.fault} left an acyclic side"
+            )
     return witness
 
 

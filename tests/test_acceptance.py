@@ -180,13 +180,11 @@ def test_criterion_01_exact_cyclic_connectivity(payload):
     )
     expect(
         problems,
-        detail.get("cyclic_connectivity") == 8 == detail.get("expected"),
+        detail.get("cyclic_connectivity")
+        == detail.get("expected")
+        == len(detail.get("witness") or [])
+        == 8,
         f"value detail {detail}",
-    )
-    expect(
-        problems,
-        len(detail.get("witness") or []) == 8,
-        "no exhaustive witness of size 8",
     )
     upper = checks["cyclic-cut-upper"]
     expect(
@@ -327,8 +325,10 @@ def test_criterion_08_residual_bounds(payload):
     expect(
         problems,
         mb4["verdict"] == PROVED
-        and mb4["detail"]["bound"] == 1
-        and mb4["detail"]["max_residual"] <= 1,
+        and mb4["detail"]["bound"] == 5
+        and mb4["detail"]["edge_separation"] == 6
+        and mb4["detail"]["max_cn"] == 2
+        and "counterexample" not in mb4["detail"],
         f"mb4 p=2: {mb4['verdict']} {mb4['detail']}",
     )
     ug5 = by_id(payload["residual-bounds"]["ug5"])
@@ -344,9 +344,11 @@ def test_criterion_08_residual_bounds(payload):
     p2 = ug5["residue-bound-p2"]
     expect(
         problems,
-        p2["verdict"] == SAMPLED
-        and p2["detail"]["trials"] >= 1_000_000
-        and p2["detail"]["violations"] == 0
+        p2["verdict"] == PROVED
+        and p2["detail"]["bound"] == 7
+        and p2["detail"]["edge_separation"] == 8
+        and p2["detail"]["max_cn"] == 2
+        and len(p2["detail"]["minimum_cut"]) == 8
         and "counterexample" not in p2["detail"],
         f"ug5 p=2: {p2['verdict']} {p2['detail']}",
     )

@@ -201,6 +201,17 @@ def test_cut_search_usage_errors(capsys):
     assert code == 2 and "cyclic" in err
 
 
+def test_bad_worker_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("UGCONN_WORKERS", "abc")
+    for argv in (
+        ("verify", "--spec", "mb:4", "--checks", "cross-edge-count"),
+        ("cut-search", "--spec", "mb:4", "--max-size", "3"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "UGCONN_WORKERS" in err and "'abc'" in err
+
+
 # --- verify and report ---------------------------------------------------------
 
 

@@ -13,10 +13,18 @@ import networkx as nx
 import pytest
 
 from conftest import cycle_graph
-from ugconn.cayley import DenseGraph, canonical_four_cycle, component_analysis
+from ugconn import build_cayley
+from ugconn.cayley import (
+    DenseGraph,
+    canonical_four_cycle,
+    component_analysis,
+    max_common_neighbors,
+)
 from ugconn.cuts import (
+    _make_witness,
     build_cycle_neighborhood_cut,
     disconnection_census,
+    edge_separation_connectivity,
     is_cyclic_cut,
     is_good_neighbor_cut,
     is_vertex_cut,
@@ -34,6 +42,7 @@ from ugconn.cuts import (
     vertex_connectivity,
     vertex_connectivity_detail,
 )
+from ugconn.cli import parse_spec
 
 
 def _dense_of_nx(H: nx.Graph) -> DenseGraph:
@@ -132,6 +141,45 @@ def test_connectivity_matches_networkx_on_random_graphs():
         if det.cut is not None:
             assert len(det.cut) == det.value
             assert is_vertex_cut(dense, det.cut)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [("mb:4", 6), ("ug:4:c=4", 6), ("star:4", 4), ("bubble:4", 4)],
+)
+def test_edge_separation_against_the_census(spec, expected):
+    # the census is the oracle: the first fault size that strands two
+    # vertices is min(kappa_1, 2*degree - max_cn) on these regular graphs
+    g = build_cayley(parse_spec(spec))
+    sep = edge_separation_connectivity(g)
+    max_cn, _ = max_common_neighbors(g.dense)
+    first = next(r.size for r in disconnection_census(g, 7) if r.max_residual >= 2)
+    assert first == min(sep.value, 2 * g.degree - max_cn) == expected
+    assert len(sep.cut) == sep.value
+    assert sep.flows > 0
+    an = component_analysis(g.dense, sep.cut)
+    home = {}
+    for i, comp in enumerate(an.components):
+        for v in comp.members:
+            home[v] = i
+    (a, b), (c, d) = sep.edges
+    assert g.dense.adjacent(a, b) and g.dense.adjacent(c, d)
+    assert home[a] == home[b] != home[c] == home[d]
+
+
+def test_edge_separation_on_ug5(ug5):
+    sep = edge_separation_connectivity(ug5)
+    assert sep.value == 8 == len(sep.cut)
+    assert sep.edges[0][0] == 0  # the first edge is fixed at vertex 0
+    assert large_component_profile(ug5, sep.cut)[1] >= 2
+
+
+def test_edge_separation_needs_two_far_edges():
+    # in a 5-cycle every edge touches the closed neighborhood of every other
+    c5 = DenseGraph(tuple(((v - 1) % 5, (v + 1) % 5) for v in range(5)))
+    sep = edge_separation_connectivity(c5)
+    assert (sep.value, sep.edges, sep.cut) == (None, None, None)
+    assert sep.flows == 0
 
 
 def test_connectivity_complete_graph_convention():
@@ -341,9 +389,36 @@ def test_render_witness_format(mb4):
 
 
 def test_resolve_workers(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     monkeypatch.delenv("UGCONN_WORKERS", raising=False)
     assert resolve_workers(5) == 5
-    assert resolve_workers(None) >= 1
+    assert resolve_workers(None) == 8
     monkeypatch.setenv("UGCONN_WORKERS", "3")
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2  # explicit argument wins
+
+
+def test_resolve_workers_caps_at_cpu_count(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.delenv("UGCONN_WORKERS", raising=False)
+    assert resolve_workers(64) == 2
+    assert resolve_workers(0) == 1
+    monkeypatch.setenv("UGCONN_WORKERS", "64")
+    assert resolve_workers(None) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert resolve_workers(None) == 1
+
+
+def test_resolve_workers_rejects_a_non_integer_environment(monkeypatch):
+    monkeypatch.setenv("UGCONN_WORKERS", "abc")
+    with pytest.raises(ValueError, match="UGCONN_WORKERS"):
+        resolve_workers(None)
+
+
+def test_make_witness_rejects_a_fault_that_does_not_cut(mb4):
+    with pytest.raises(ValueError, match="does not disconnect"):
+        _make_witness(mb4.dense, (0, 1, 2), "vertex-cut")
+    isolating = tuple(mb4.neighbors(0))
+    assert _make_witness(mb4.dense, isolating, "vertex-cut").size == 4
+    with pytest.raises(ValueError, match="two cyclic components"):
+        _make_witness(mb4.dense, isolating, "cyclic-cut")

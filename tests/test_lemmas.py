@@ -175,3 +175,48 @@ def test_falsifier_check_skips_off_n5(mb4):
     (c,) = rep.checks
     assert c.verdict == SKIPPED
     assert "n=5" in c.scope or "5" in c.scope
+
+
+def test_residue_bound_p2_is_an_exact_flow_certificate(mb4):
+    rep = verify_all(mb4, workers=1, checks=["residue-bound-p2"])
+    (c,) = rep.checks
+    assert c.verdict == PROVED and c.gating
+    d = c.detail
+    assert (d["edge_separation"], d["max_cn"], d["degree"], d["bound"]) == (6, 2, 4, 5)
+    assert d["flows"] > 0 and len(d["minimum_cut"]) == 6
+    assert "counterexample" not in d
+
+
+def test_residue_bound_p2_names_the_separated_edges(mb4):
+    # the redirected edge lets five vertices split off a two-vertex side
+    bad = with_redirected_cross_edge(mb4)
+    rep = verify_all(bad, workers=1, checks=["residue-bound-p2"])
+    (c,) = rep.checks
+    assert c.verdict == FAIL and rep.failures() == ["residue-bound-p2"]
+    cx = c.detail["counterexample"]
+    assert len(cx["fault"]) == c.detail["edge_separation"] <= c.detail["bound"]
+    assert cx["residual"] >= 2
+    assert len(cx["separated_edges"]) == 2
+
+
+def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
+    # pretend a pair shares three neighbors: its union of neighborhoods
+    # then fits in the size bound and becomes the counterexample
+    import ugconn.lemmas as lemmas
+
+    real_cn, pair = lemmas.max_common_neighbors(mb4.dense)
+    assert real_cn == 2
+    monkeypatch.setattr(lemmas, "max_common_neighbors", lambda dense: (3, pair))
+    rep = verify_all(mb4, workers=1, checks=["residue-bound-p2"])
+    (c,) = rep.checks
+    assert c.verdict == FAIL
+    cx = c.detail["counterexample"]
+    assert cx["stranded_vertices"] == [mb4.perm_str(v) for v in pair]
+    assert cx["residual"] == 2 and len(cx["fault"]) == 6
+
+
+def test_residue_bound_p2_skips_beyond_n6(ug7):
+    rep = verify_all(ug7, workers=1, checks=["residue-bound-p2"])
+    (c,) = rep.checks
+    assert c.verdict == SKIPPED
+    assert "n=6" in c.scope
