@@ -1,7 +1,7 @@
 """Materialized Cayley graphs of Sym(n) over transposition generators.
 
-Vertices are lexicographic permutation ranks, adjacency lives in a flat
-degree-uniform table, and for orders up to 7! each vertex also gets a
+Vertices are lexicographic permutation ranks, adjacency lives in sorted
+neighbor tuples, and for orders up to 7! each vertex also gets a
 neighbor bitmask.  The exhaustive cut searches are dominated by set
 intersections, so the bitmask form is the one the hot paths use.
 """
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .genset import (
     CYCLE,
@@ -254,7 +252,12 @@ def girth(g, all_sources: bool = False) -> int | None:
 
 
 class CayleyGraph:
-    """Cay(Sym(n), T) with vertices indexed by lexicographic rank."""
+    """Cay(Sym(n), T) with vertices indexed by lexicographic rank.
+
+    ``transitive`` is True for graphs from ``build_cayley``, which are
+    vertex-transitive, so routines may fix a source at vertex 0; modified
+    copies set it False and get the full treatment of an arbitrary graph.
+    """
 
     def __init__(
         self,
@@ -262,7 +265,7 @@ class CayleyGraph:
         perms: tuple[Perm, ...],
         index: dict[Perm, int],
         dense: DenseGraph,
-        adj_table: np.ndarray | None,
+        transitive: bool,
         peel: PeelChoice | None,
         block_of: tuple[int, ...] | None,
     ):
@@ -270,7 +273,7 @@ class CayleyGraph:
         self.perms = perms
         self.index = index
         self.dense = dense
-        self.adj_table = adj_table
+        self.transitive = transitive
         self.peel = peel
         self.block_of = block_of
 
@@ -315,18 +318,16 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
     perms = tuple(itertools.permutations(range(1, n + 1)))
     index = {p: r for r, p in enumerate(perms)}
     gens = [(k - 1, l - 1) for k, l in g.edges]
-    degree = len(gens)
-    rows = np.empty((len(perms), degree), dtype=np.int32)
-    for r, p in enumerate(perms):
+    rows = []
+    for p in perms:
         row = []
         lst = list(p)
         for k, l in gens:
             lst[k], lst[l] = lst[l], lst[k]
             row.append(index[tuple(lst)])
             lst[k], lst[l] = lst[l], lst[k]
-        row.sort()
-        rows[r] = row
-    dense = DenseGraph([tuple(int(x) for x in row) for row in rows])
+        rows.append(row)
+    dense = DenseGraph(rows)
     peel: PeelChoice | None = None
     block_of: tuple[int, ...] | None = None
     if g.cls in PEELABLE:
@@ -338,7 +339,7 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
         perms=perms,
         index=index,
         dense=dense,
-        adj_table=rows,
+        transitive=True,
         peel=peel,
         block_of=block_of,
     )
@@ -464,7 +465,10 @@ def find_edge_cn_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
 
 
 def find_cn_triple_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
-    """First triple (u, v, w) with cn(u,v)=2, cn(v,w)=2 and cn(u,w) >= 1."""
+    """First triple (u, v, w) with cn(u,v)=2, cn(v,w)=2 and cn(u,w) >= 1.
+
+    v is the middle vertex shared by both cn=2 pairs, and u < w.
+    """
     masks = dense.masks
     order = dense.order
     partners: list[list[int]] = [[] for _ in range(order)]
@@ -480,7 +484,7 @@ def find_cn_triple_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
             for j in range(i + 1, len(ps)):
                 u, w = ps[i], ps[j]
                 if masks[u] & masks[w]:
-                    return tuple(sorted((u, v, w)))  # type: ignore[return-value]
+                    return (u, v, w)
     return None
 
 
@@ -524,7 +528,7 @@ def with_redirected_cross_edge(G: CayleyGraph) -> CayleyGraph:
         perms=G.perms,
         index=G.index,
         dense=DenseGraph(neighbors),
-        adj_table=None,
+        transitive=False,
         peel=G.peel,
         block_of=G.block_of,
     )

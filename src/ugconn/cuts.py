@@ -20,6 +20,7 @@ from .cayley import (
     CutAnalysis,
     DenseGraph,
     _as_dense,
+    _mask_members,
     component_analysis,
     enumerate_4cycles,
 )
@@ -270,12 +271,21 @@ class _FlowNet:
         )
 
 
+def _transitive(g) -> bool:
+    """True for graphs from ``build_cayley``, which are vertex-transitive."""
+    return isinstance(g, CayleyGraph) and g.transitive
+
+
 def vertex_connectivity_detail(g, all_pairs: bool = False) -> ConnectivityResult:
     """kappa(G) by Menger: minimum s-t disjoint paths over non-adjacent pairs.
 
-    The default fixes the source at vertex 0 and scans all non-neighbors,
-    which is justified on vertex-transitive graphs; all_pairs=True is the
-    debug mode that scans every non-adjacent pair.
+    On a graph from ``build_cayley`` the source is fixed at vertex 0, which
+    vertex-transitivity justifies.  Any other graph takes sources 0, 1, ...
+    while the source index is at most the best value so far, each against
+    the later non-neighbors (Even 1975): a minimum cut S misses one of the
+    first |S|+1 vertices, and the first one it misses is separated from
+    some later vertex.  all_pairs=True is the debug mode that scans every
+    non-adjacent pair.
     """
     dense = _as_dense(g)
     order = dense.order
@@ -284,23 +294,20 @@ def vertex_connectivity_detail(g, all_pairs: bool = False) -> ConnectivityResult
     if all(len(dense.neighbors[v]) == order - 1 for v in range(order)):
         return ConnectivityResult(value=order - 1, complete=True, cut=None)
     net = _FlowNet(dense)
-    if all_pairs:
-        pairs = [
-            (u, v)
-            for u in range(order)
-            for v in range(u + 1, order)
-            if not dense.adjacent(u, v)
-        ]
-    else:
-        nbrs = set(dense.neighbors[0])
-        pairs = [(0, t) for t in range(1, order) if t not in nbrs]
+    last_source = 0 if _transitive(g) and not all_pairs else order - 1
     best = order  # kappa < |V| once a non-adjacent pair exists
     arg = None
-    for s, t in pairs:
-        f = net.max_flow(2 * s + 1, 2 * t, best)
-        if f < best:
-            best = f
-            arg = (s, t)
+    for s in range(last_source + 1):
+        if s > best and not all_pairs:
+            break
+        nbrs = dense.neighbors[s]
+        for t in range(s + 1, order):
+            if t in nbrs:
+                continue
+            f = net.max_flow(2 * s + 1, 2 * t, best)
+            if f < best:
+                best = f
+                arg = (s, t)
     cut = None
     if arg is not None:
         s, t = arg
@@ -329,18 +336,39 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
     a conditional edge-connectivity of a graph", IPL 1988).  The network is
     built once; each edge pair is one flow from the out-nodes of the first
     edge's ends to the in-nodes of the second's, stopped at the best value
-    so far.  The first edge is fixed at vertex 0, which is justified on
-    vertex-transitive graphs, and the second ranges over the edges with no
-    end in N[first], the only ones a vertex set can separate from it.
+    so far.  The second edge ranges over the edges with no end in N[first],
+    the only ones a vertex set can separate from it.
+
+    On a graph from ``build_cayley`` the first edge is fixed at vertex 0,
+    which vertex-transitivity justifies.  Any other graph takes first
+    edges from a greedy matching, then every remaining edge, and stops once
+    more matching edges than the best value are done: a minimum cut S
+    misses one of |S|+1 disjoint edges, and that edge is separated by S
+    from one of the two edges S separates.
     """
     dense = _as_dense(g)
     edges = [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
+    if _transitive(g):
+        firsts = [(0, v) for v in dense.neighbors[0]]
+        matched = 0
+    else:
+        covered: set[int] = set()
+        matching = []
+        for e in edges:
+            if e[0] not in covered and e[1] not in covered:
+                covered.update(e)
+                matching.append(e)
+        chosen = set(matching)
+        firsts = matching + [e for e in edges if e not in chosen]
+        matched = len(matching)
     net = _FlowNet(dense)
     best = dense.order  # every flow path crosses a vertex outside both edges
     arg = None
     cut = None
     flows = 0
-    for first in ((0, v) for v in dense.neighbors[0]):
+    for i, first in enumerate(firsts):
+        if min(i, matched) > best:
+            break
         closed = set(dense.neighbors[first[0]]) | set(dense.neighbors[first[1]])
         for second in edges:
             if second[0] in closed or second[1] in closed:
@@ -374,13 +402,29 @@ def _pool_init(payload: dict) -> None:
 
 
 def _run_tasks(payload: dict, func, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         _pool_init(payload)
         return [func(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(tasks) // (workers * 8))
     with ctx.Pool(workers, initializer=_pool_init, initargs=(payload,)) as pool:
         return pool.map(func, tasks, chunksize=chunk)
+
+
+def _first_result(payload: dict, func, tasks: list, workers: int):
+    """The first non-None func(task) in task order, or None.
+
+    Tasks after the first hit may be skipped; every task before it has run,
+    so the answer does not depend on the worker count.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        _pool_init(payload)
+        return next((r for r in map(func, tasks) if r is not None), None)
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_pool_init, initargs=(payload,)) as pool:
+        return next((r for r in pool.imap(func, tasks) if r is not None), None)
 
 
 def _graph_payload(dense: DenseGraph) -> dict:
@@ -1042,64 +1086,152 @@ def sampled_min_neighborhood(
 
 # ---------------------------------------------------------------------------
 # randomized cyclic-cut falsifier
+#
+# A block first draws all of its fault sets from its own seeded stream,
+# then evaluates them together, bit-sliced: one int per vertex, whose bit j
+# stands for trial j.  One BFS over those ints finds every trial whose
+# fault disconnects the graph; only those get the exact cyclic test, in
+# trial order.  The strategies repeat fault sets often, so each worker
+# memoises that test by fault mask.
+
+
+def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
+    """Worker state for ``randomized_cut_falsifier`` (see ``_block_faults``)."""
+    dense = _as_dense(G)
+    cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
+    bound_lists = [vertex_boundary(dense, cycle) for cycle in cycles]
+    nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
+    payload = _graph_payload(dense)
+    payload.update(
+        target=target,
+        seed=seed,
+        cycle_cores=[_mask_of(cycle) for cycle in cycles],
+        cycle_bounds=[_mask_of(b) for b in bound_lists],
+        cycle_bound_lists=bound_lists,
+        block_trials=[
+            min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK) for b in range(nblocks)
+        ],
+        memo={},
+    )
+    return payload
+
+
+def _mask_of(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
+
+
+def _block_faults(shared: dict, block: int) -> list:
+    """The fault sets of one trial block, in trial order, as vertex sequences.
+
+    Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 a uniform
+    subset, 1 a 4-cycle's neighborhood, 2 the boundary of a cycle core grown
+    by one or two vertices, 3 the boundary of a random blob of two to four
+    vertices.  Boundaries are trimmed at random down to the target.  The
+    random stream depends on the seed and the block only.
+    """
+    masks = shared["masks"]
+    neighbors = shared["neighbors"]
+    order = shared["order"]
+    target = shared["target"]
+    cores = shared["cycle_cores"]
+    bounds = shared["cycle_bounds"]
+    bound_lists = shared["cycle_bound_lists"]
+    rng = random.Random((shared["seed"] << 20) | block)
+    randrange = rng.randrange
+    vertices = range(order)
+    ncycles = len(cores)
+    faults = []
+    for i in range(shared["block_trials"][block]):
+        strat = i & 3 if ncycles else 0
+        if strat == 0:
+            faults.append(rng.sample(vertices, target))
+            continue
+        if strat == 1:
+            fault = bound_lists[randrange(ncycles)]
+        else:
+            if strat == 2:
+                c = randrange(ncycles)
+                core, bound, fault = cores[c], bounds[c], bound_lists[c]
+                grow = randrange(1, 3)
+            else:
+                v = randrange(order)
+                core, bound, fault = 1 << v, masks[v], neighbors[v]
+                grow = randrange(1, 4)
+            for _ in range(grow):
+                # fault lists the boundary in increasing order
+                v = fault[randrange(len(fault))]
+                core |= 1 << v
+                bound = (bound | masks[v]) & ~core
+                fault = _mask_members(bound)
+        if len(fault) > target:
+            fault = list(fault)
+            while len(fault) > target:
+                del fault[randrange(len(fault))]
+        faults.append(fault)
+    return faults
 
 
 def _falsify_block(task: tuple[int, int]):
+    """(block, trial, fault) of the block's first cyclic cut, or None."""
     _, block = task
     masks = _SHARED["masks"]
     neighbors = _SHARED["neighbors"]
     order = _SHARED["order"]
     full = _SHARED["full"]
-    target = _SHARED["target"]
-    seed = _SHARED["seed"]
-    cycles = _SHARED["cycles"]
-    trials = _SHARED["block_trials"][block]
-    rng = random.Random((seed << 20) | block)
-    vertices = range(order)
-    for i in range(trials):
-        strat = i & 3 if cycles else 0
-        if strat == 0:
-            fault = set(rng.sample(vertices, target))
-        elif strat == 1:
-            # a 4-cycle's neighborhood, trimmed at random below the bound
-            core = cycles[rng.randrange(len(cycles))]
-            fault = _boundary_set(neighbors, core)
-        elif strat == 2:
-            # grow the cycle core a little before taking the boundary
-            core = set(cycles[rng.randrange(len(cycles))])
-            for _ in range(rng.randrange(1, 3)):
-                edge = sorted(_boundary_set(neighbors, core))
-                core.add(edge[rng.randrange(len(edge))])
-            fault = _boundary_set(neighbors, core)
-        else:
-            # boundary of a small random connected blob
-            core = {rng.randrange(order)}
-            for _ in range(rng.randrange(1, 4)):
-                edge = sorted(_boundary_set(neighbors, core))
-                core.add(edge[rng.randrange(len(edge))])
-            fault = _boundary_set(neighbors, core)
-        while len(fault) > target:
-            fault.remove(sorted(fault)[rng.randrange(len(fault))])
+    memo = _SHARED["memo"]
+    faults = _block_faults(_SHARED, block)
+    trials = len(faults)
+    # row v of grid spells dead[v] in binary, trial j at column trials-1-j
+    grid = bytearray(b"0") * (order * trials)
+    col = trials
+    for fault in faults:
+        col -= 1
+        for v in fault:
+            grid[v * trials + col] = 49  # "1"
+    every = (1 << trials) - 1
+    alive = [
+        every ^ int(grid[r : r + trials], 2) for r in range(0, order * trials, trials)
+    ]
+    # each trial's search starts at its lowest alive vertex
+    reach = []
+    seen = 0
+    for a in alive:
+        reach.append(a & ~seen)
+        seen |= a
+    changed = True
+    while changed:
+        changed = False
+        for v in range(order):
+            r = reach[v]
+            for u in neighbors[v]:
+                r |= reach[u]
+            r &= alive[v]
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    split = 0
+    for v in range(order):
+        split |= alive[v] & ~reach[v]
+    while split:
+        b = split & -split
+        split ^= b
+        j = b.bit_length() - 1
+        fault = faults[j]
         if not fault:
             continue
-        fmask = 0
-        for v in fault:
-            fmask |= 1 << v
-        alive = full ^ fmask
-        reach = _reach(masks, alive, alive & -alive)
-        if reach == alive:
-            continue
-        comps = [reach] + _component_masks(masks, alive & ~reach)
-        if _cyclic_component_count(masks, comps) >= 2:
-            return (block, i, tuple(sorted(fault)))
+        fmask = _mask_of(fault)
+        hit = memo.get(fmask)
+        if hit is None:
+            rest = full ^ fmask
+            comp = _reach(masks, rest, rest & -rest)
+            comps = [comp] + _component_masks(masks, rest & ~comp)
+            hit = memo[fmask] = _cyclic_component_count(masks, comps) >= 2
+        if hit:
+            return (block, j, tuple(sorted(fault)))
     return None
-
-
-def _boundary_set(neighbors, core) -> set[int]:
-    out = set()
-    for v in core:
-        out.update(neighbors[v])
-    return out - set(core)
 
 
 def randomized_cut_falsifier(
@@ -1121,21 +1253,9 @@ def randomized_cut_falsifier(
         raise ValueError("trials must be >= 1")
     dense = _as_dense(G)
     nworkers = resolve_workers(workers)
-    cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
-    nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    payload = _graph_payload(dense)
-    payload.update(
-        target=target_size,
-        seed=seed,
-        cycles=cycles,
-        block_trials=[
-            min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK) for b in range(nblocks)
-        ],
-    )
-    tasks = [(0, b) for b in range(nblocks)]
-    rows = _run_tasks(payload, _falsify_block, tasks, nworkers)
-    hits = [r for r in rows if r is not None]
-    if not hits:
+    payload = _falsifier_payload(G, target_size, trials, seed)
+    tasks = [(0, b) for b in range(len(payload["block_trials"]))]
+    hit = _first_result(payload, _falsify_block, tasks, nworkers)
+    if hit is None:
         return None
-    _, _, fault = min(hits)
-    return _make_witness(dense, fault, "cyclic-cut")
+    return _make_witness(dense, hit[2], "cyclic-cut")

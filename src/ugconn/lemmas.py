@@ -177,12 +177,17 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     }
     if res.cut is not None:
         detail["minimum_cut"] = ctx.perm_strs(res.cut)
+    sources = (
+        "source fixed by vertex-transitivity"
+        if G.transitive
+        else "sources up to kappa (not vertex-transitive)"
+    )
     return _done(
         cid,
         ok=res.value == expected,
         sampled=False,
         gating=True,
-        scope="Menger via unit-capacity flow, source fixed by vertex-transitivity",
+        scope=f"Menger via unit-capacity flow, {sources}",
         detail=detail,
     )
 
@@ -509,6 +514,11 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
         "minimum_cut": ctx.perm_strs(sep.cut),
     }
     ok = min(sep.value, stranding) > max_f
+    firsts = (
+        "first edge at vertex 0"
+        if G.transitive
+        else "first edges from a matching, not vertex-transitive"
+    )
     if not ok:
         if sep.value <= stranding:
             fault = sep.cut
@@ -527,8 +537,7 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
         sampled=False,
         gating=True,
         scope=f"all fault sets of size <= {max_f}, via kappa_1 from {sep.flows} "
-        "edge-separation flows (first edge at vertex 0) and the largest "
-        "common-neighbor count",
+        f"edge-separation flows ({firsts}) and the largest common-neighbor count",
         detail=detail,
     )
 
@@ -736,7 +745,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 80.0,
         "cyclic-cut-upper": 1.0,
-        "cyclic-cut-falsify": 120.0,
+        "cyclic-cut-falsify": 25.0,
     }
     return table[check_id]
 

@@ -97,12 +97,6 @@ def test_adjacency_matches_generator_action(mb4, ug5):
             assert list(G.neighbors(u)) == expected
 
 
-def test_adjacency_table_mirrors_neighbor_tuples(mb4):
-    assert mb4.adj_table.shape == (24, 4)
-    for u in range(24):
-        assert list(mb4.adj_table[u]) == list(mb4.neighbors(u))
-
-
 def test_bipartite_by_parity(mb4):
     # every generator is a transposition, so edges flip parity
     from ugconn.perms import parity
@@ -291,6 +285,8 @@ def test_structure_probes_pass_on_mb4_and_fire_on_q3(mb4, q3):
     triple = find_cn_triple_violation(q3)
     assert triple is not None
     u, v, w = triple
+    # v is the middle vertex of both cn=2 pairs, so the order is not sorted
+    assert triple == (3, 0, 5)
     assert common_neighbor_count(q3, u, v) == 2
     assert common_neighbor_count(q3, v, w) == 2
     assert common_neighbor_count(q3, u, w) >= 1
@@ -305,6 +301,8 @@ def test_q3_helper_is_the_hypercube(q3):
 def test_redirected_cross_edge_breaks_the_counts(mb4):
     bad = with_redirected_cross_edge(mb4)
     assert bad.order == mb4.order
+    # routines may fix a source at vertex 0 only on the built graph
+    assert mb4.transitive and not bad.transitive
     sizes = {
         (i, j): len(cross_edges(bad, i, j).edges)
         for i in range(1, 5)

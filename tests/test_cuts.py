@@ -8,6 +8,7 @@ for the flow-based connectivity values.
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import networkx as nx
 import pytest
@@ -19,9 +20,15 @@ from ugconn.cayley import (
     canonical_four_cycle,
     component_analysis,
     max_common_neighbors,
+    with_redirected_cross_edge,
 )
 from ugconn.cuts import (
+    TRIAL_BLOCK,
+    _block_faults,
+    _falsifier_payload,
+    _first_result,
     _make_witness,
+    _run_tasks,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
@@ -129,8 +136,8 @@ def test_connectivity_witness_is_a_real_cut(mb4):
 
 
 def test_connectivity_matches_networkx_on_random_graphs():
-    # the fixed-source shortcut assumes vertex transitivity, so arbitrary
-    # graphs go through the all-pairs debug mode
+    # a bare DenseGraph is not assumed vertex-transitive, so the default
+    # mode must agree with the all-pairs debug mode
     for seed in (1, 2, 3, 4):
         H = nx.gnp_random_graph(18, 0.28, seed=seed)
         if not nx.is_connected(H):
@@ -138,9 +145,20 @@ def test_connectivity_matches_networkx_on_random_graphs():
         dense = _dense_of_nx(H)
         det = vertex_connectivity_detail(dense, all_pairs=True)
         assert det.value == nx.node_connectivity(H)
+        assert vertex_connectivity_detail(dense).value == det.value
         if det.cut is not None:
             assert len(det.cut) == det.value
             assert is_vertex_cut(dense, det.cut)
+
+
+def test_connectivity_of_the_corrupted_graph_scans_past_vertex_0(mb4):
+    bad = with_redirected_cross_edge(mb4)
+    det = vertex_connectivity_detail(bad)
+    assert det.value == vertex_connectivity_detail(bad, all_pairs=True).value == 3
+    assert len(det.cut) == 3 and is_vertex_cut(bad, det.cut)
+    # a hub adjacent to everything hides every cut from a fixed source
+    hub = nx.wheel_graph(8)
+    assert vertex_connectivity_detail(_dense_of_nx(hub)).value == 3
 
 
 @pytest.mark.parametrize(
@@ -172,6 +190,35 @@ def test_edge_separation_on_ug5(ug5):
     assert sep.value == 8 == len(sep.cut)
     assert sep.edges[0][0] == 0  # the first edge is fixed at vertex 0
     assert large_component_profile(ug5, sep.cut)[1] >= 2
+
+
+def _edge_separation_by_all_pairs(H: nx.Graph):
+    """kappa_1 by brute force: contract each far edge pair, take the local cut."""
+    best = None
+    edges = list(H.edges)
+    for i, (a, b) in enumerate(edges):
+        closed = set(H[a]) | set(H[b])
+        for c, d in edges[i + 1 :]:
+            if c in closed or d in closed:
+                continue
+            K = nx.contracted_nodes(H, a, b, self_loops=False)
+            K = nx.contracted_nodes(K, c, d, self_loops=False)
+            k = nx.node_connectivity(K, a, c)
+            best = k if best is None else min(best, k)
+    return best
+
+
+def test_edge_separation_off_transitive_graphs_is_the_all_pairs_minimum(mb4):
+    bad = with_redirected_cross_edge(mb4)
+    H = nx.Graph((u, v) for u in range(bad.order) for v in bad.neighbors(u))
+    sep = edge_separation_connectivity(bad)
+    assert sep.value == _edge_separation_by_all_pairs(H) == 5
+    assert len(sep.cut) == 5
+    for seed in (1, 2, 3):
+        H = nx.gnp_random_graph(16, 0.3, seed=seed)
+        if nx.is_connected(H):
+            sep = edge_separation_connectivity(_dense_of_nx(H))
+            assert sep.value == _edge_separation_by_all_pairs(H)
 
 
 def test_edge_separation_needs_two_far_edges():
@@ -365,6 +412,52 @@ def test_falsifier_agrees_with_exhaustive_truth(mb4):
     assert is_cyclic_cut(mb4, w.fault)
 
 
+def _replay_first_hit(g, target, trials, seed):
+    """(block, trial, fault) of the first replayed fault that is a cyclic cut."""
+    payload = _falsifier_payload(g, target, trials, seed)
+    for block in range(len(payload["block_trials"])):
+        for i, fault in enumerate(_block_faults(payload, block)):
+            if fault and is_cyclic_cut(g, fault):
+                return block, i, tuple(sorted(fault))
+    return None
+
+
+@pytest.mark.parametrize(
+    "graph, target, trials, first",
+    [
+        ("ug5", 12, 2 * TRIAL_BLOCK, (0, 1)),
+        ("ug5", 11, 2 * TRIAL_BLOCK, None),
+        ("mb4", 7, 2 * TRIAL_BLOCK, None),
+        ("mb4", 8, 2 * TRIAL_BLOCK, (0, 1)),
+        ("ug5", 11, TRIAL_BLOCK + 1, None),
+        # uniform subsets only: the first hit sits in a later block
+        ("bare mb4", 8, 8 * TRIAL_BLOCK, (3, 3801)),
+    ],
+)
+def test_falsifier_witness_is_the_first_replayed_hit(
+    request, graph, target, trials, first
+):
+    g = request.getfixturevalue(graph.removeprefix("bare "))
+    if graph.startswith("bare "):
+        g = g.dense
+    replay = _replay_first_hit(g, target, trials, 0)
+    for workers in (1, 2):
+        w = randomized_cut_falsifier(g, target, trials, seed=0, workers=workers)
+        if first is None:
+            assert replay is None and w is None
+        else:
+            assert replay[:2] == first
+            assert w.fault == replay[2] and len(w.fault) == target
+
+
+def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
+    # the partial last block draws the prefix of the same block in a longer run
+    short = _falsifier_payload(ug5, 11, TRIAL_BLOCK + 1, 0)
+    assert short["block_trials"] == [TRIAL_BLOCK, 1]
+    longer = _falsifier_payload(ug5, 11, 2 * TRIAL_BLOCK, 0)
+    assert _block_faults(short, 1) == _block_faults(longer, 1)[:1]
+
+
 def test_falsifier_is_seed_deterministic_and_worker_invariant(mb4):
     a = randomized_cut_falsifier(mb4, 8, 8192, seed=5, workers=1)
     b = randomized_cut_falsifier(mb4, 8, 8192, seed=5, workers=3)
@@ -386,6 +479,22 @@ def test_render_witness_format(mb4):
     assert lines[3:] == [
         "1234", "1342", "2143", "2431", "3214", "3421", "4123", "4312",
     ]
+
+
+def test_pools_start_no_more_workers_than_tasks(monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    real = fork.Pool
+    sizes = []
+
+    def pool(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", pool)
+    assert _run_tasks({}, abs, [-1, -2], 8) == [1, 2]
+    assert _run_tasks({}, abs, [-3], 8) == [3]  # one task runs in-process
+    assert _first_result({}, {1: "a", 2: "b"}.get, [0, 2, 1], 8) == "b"
+    assert sizes == [2, 3]
 
 
 def test_resolve_workers(monkeypatch):

@@ -197,6 +197,17 @@ def test_residue_bound_p2_names_the_separated_edges(mb4):
     assert len(cx["fault"]) == c.detail["edge_separation"] <= c.detail["bound"]
     assert cx["residual"] >= 2
     assert len(cx["separated_edges"]) == 2
+    # every edge pair counts on a graph that is not vertex-transitive
+    assert c.detail["edge_separation"] == 5
+    assert "not vertex-transitive" in c.scope
+
+
+def test_connectivity_value_fails_on_the_corrupted_graph(mb4):
+    # a source fixed at vertex 0 would read an upper bound only
+    rep = verify_all(with_redirected_cross_edge(mb4), workers=1, checks=["connectivity-value"])
+    (c,) = rep.checks
+    assert c.verdict == FAIL and c.detail["kappa"] == 3 < c.detail["expected"]
+    assert "not vertex-transitive" in c.scope
 
 
 def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
