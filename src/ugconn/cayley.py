@@ -106,25 +106,46 @@ def _validate_fault(order: int, fault) -> list[int]:
     return fs
 
 
-def _mask_component_masks(masks: list[int], alive: int) -> list[int]:
+def _reach(masks, alive: int, start_bit: int) -> int:
+    """Bitmask of the component of alive containing start_bit."""
+    reach = start_bit
+    frontier = start_bit
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            nxt |= masks[b.bit_length() - 1]
+        frontier = nxt & alive & ~reach
+        reach |= frontier
+    return reach
+
+
+def _component_masks(masks, alive: int) -> list[int]:
     """All connected components of the alive set, as bitmasks, by least bit."""
     comps = []
     rem = alive
     while rem:
-        frontier = rem & -rem
-        reach = frontier
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1]
-            frontier = nxt & alive & ~reach
-            reach |= frontier
-        comps.append(reach)
-        rem &= ~reach
+        c = _reach(masks, rem, rem & -rem)
+        comps.append(c)
+        rem &= ~c
     return comps
+
+
+def _cyclic_component_count(masks, comps: list[int]) -> int:
+    """How many of the components carry a cycle (edges >= vertices)."""
+    count = 0
+    for c in comps:
+        edges = 0
+        m = c
+        while m:
+            b = m & -m
+            m ^= b
+            edges += (masks[b.bit_length() - 1] & c).bit_count()
+        if edges // 2 >= c.bit_count():
+            count += 1
+    return count
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -150,7 +171,7 @@ def component_analysis(dense: DenseGraph, fault) -> CutAnalysis:
             fmask |= 1 << v
         alive = dense.full_mask & ~fmask
         infos = []
-        for cmask in _mask_component_masks(masks, alive):
+        for cmask in _component_masks(masks, alive):
             members = _mask_members(cmask)
             edges = sum((masks[v] & cmask).bit_count() for v in members) // 2
             infos.append(
@@ -219,14 +240,38 @@ def common_neighbor_count(g, u: int, v: int) -> int:
 def girth(g, all_sources: bool = False) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 
-    Cayley graphs are vertex-transitive, so a single-source sweep from
-    vertex 0 suffices; ``all_sources=True`` is the debug mode that checks
-    every start vertex.
+    Only the 2-core can carry a cycle.  On a graph from ``build_cayley``
+    one BFS from vertex 0 suffices, by vertex-transitivity.  Any other
+    graph, and ``all_sources=True`` (the debug mode), takes every vertex of
+    the 2-core as a source in turn and then deletes it, peeling again: a
+    shortest cycle is still whole when the first of its vertices becomes
+    the source, and that BFS finds it.
     """
     dense = _as_dense(g)
-    sources = range(dense.order) if all_sources else (0,)
+    nbrs = dense.neighbors
+    alive = bytearray(b"\x01") * dense.order
+    degree = [len(ns) for ns in nbrs]
+
+    def delete(v: int) -> None:
+        # v goes, and so does every vertex left with fewer than two neighbors
+        alive[v] = 0
+        stack = [v]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] < 2:
+                        alive[w] = 0
+                        stack.append(w)
+
+    for v in range(dense.order):
+        if alive[v] and degree[v] < 2:
+            delete(v)
+    single = _transitive(g) and not all_sources
     best: int | None = None
-    for s in sources:
+    for s in (0,) if single else range(dense.order):
+        if not alive[s]:
+            continue
         dist = [-1] * dense.order
         parent = [-1] * dense.order
         dist[s] = 0
@@ -237,7 +282,9 @@ def girth(g, all_sources: bool = False) -> int | None:
                 dv = dist[v]
                 if best is not None and 2 * dv >= best:
                     continue
-                for w in dense.neighbors[v]:
+                for w in nbrs[v]:
+                    if not alive[w]:
+                        continue
                     if dist[w] < 0:
                         dist[w] = dv + 1
                         parent[w] = v
@@ -248,7 +295,13 @@ def girth(g, all_sources: bool = False) -> int | None:
                         if best is None or cand < best:
                             best = cand
             queue = nxt
+        delete(s)
     return best
+
+
+def _transitive(g) -> bool:
+    """True for graphs from ``build_cayley``, which are vertex-transitive."""
+    return isinstance(g, CayleyGraph) and g.transitive
 
 
 class CayleyGraph:

@@ -2,9 +2,10 @@
 
 Everything here is deterministic for a fixed seed: enumeration is by
 subset size ascending and lexicographic within a size, parallel runs
-partition the work by the smallest fault element (or by fixed-size trial
-blocks), and merges pick the lexicographically least candidate.  A run
-with 8 workers therefore returns byte-identical results to a run with 1.
+partition the work by (size, smallest fault element) or by fixed-size
+trial blocks, searches take the first hit in task order, and merges pick
+the lexicographically least candidate.  A run with 8 workers therefore
+returns byte-identical results to a run with 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from .cayley import (
     CutAnalysis,
     DenseGraph,
     _as_dense,
+    _component_masks,
+    _cyclic_component_count,
     _mask_members,
+    _reach,
+    _transitive,
     component_analysis,
     enumerate_4cycles,
 )
@@ -271,11 +276,6 @@ class _FlowNet:
         )
 
 
-def _transitive(g) -> bool:
-    """True for graphs from ``build_cayley``, which are vertex-transitive."""
-    return isinstance(g, CayleyGraph) and g.transitive
-
-
 def vertex_connectivity_detail(g, all_pairs: bool = False) -> ConnectivityResult:
     """kappa(G) by Menger: minimum s-t disjoint paths over non-adjacent pairs.
 
@@ -436,49 +436,6 @@ def _graph_payload(dense: DenseGraph) -> dict:
     }
 
 
-def _reach(masks, alive: int, start_bit: int) -> int:
-    """Bitmask of the component of alive containing start_bit."""
-    reach = start_bit
-    frontier = start_bit
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= masks[b.bit_length() - 1]
-        frontier = nxt & alive & ~reach
-        reach |= frontier
-    return reach
-
-
-def _component_masks(masks, alive: int) -> list[int]:
-    comps = []
-    rem = alive
-    while rem:
-        c = _reach(masks, rem, rem & -rem)
-        comps.append(c)
-        rem &= ~c
-    return comps
-
-
-def _cyclic_component_count(masks, comps: list[int], stop_at: int = 2) -> int:
-    count = 0
-    for c in comps:
-        verts = c.bit_count()
-        edges = 0
-        m = c
-        while m:
-            b = m & -m
-            m ^= b
-            edges += (masks[b.bit_length() - 1] & c).bit_count()
-        if edges // 2 >= verts:
-            count += 1
-            if count >= stop_at:
-                return count
-    return count
-
-
 # ---------------------------------------------------------------------------
 # exhaustive minimum-cut search
 
@@ -524,25 +481,26 @@ def _search_task(task: tuple[int, int]):
 def _min_cut_search(
     g, pred: str, good: int, max_size: int, workers: int | None, kind: str
 ) -> CutWitness | None:
+    """First hit over (size, first) tasks, sizes ascending: the least minimum cut."""
     dense = _as_dense(g)
-    nworkers = resolve_workers(workers)
     payload = _graph_payload(dense)
     payload["pred"] = pred
     payload["good"] = good
-    for size in range(1, min(max_size, dense.order - 1) + 1):
-        tasks = [(size, first) for first in range(dense.order - size + 1)]
-        results = _run_tasks(payload, _search_task, tasks, nworkers)
-        hits = [r for r in results if r is not None]
-        if hits:
-            return _make_witness(dense, min(hits), kind)
-    return None
+    tasks = [
+        (size, first)
+        for size in range(1, min(max_size, dense.order - 1) + 1)
+        for first in range(dense.order - size + 1)
+    ]
+    hit = _first_result(payload, _search_task, tasks, resolve_workers(workers))
+    return None if hit is None else _make_witness(dense, hit, kind)
 
 
 def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
-    Plain enumeration over all vertex subsets, sizes ascending.  Absence is
-    a valid (and for the lower bounds, the desired) result.
+    Plain enumeration over all vertex subsets, sizes ascending, in one pass
+    that stops at the first hit.  Absence is a valid (and for the lower
+    bounds, the desired) result.
     """
     return _min_cut_search(g, "cyclic", 0, max_size, workers, "cyclic-cut")
 
@@ -576,14 +534,10 @@ class SizeCensus:
     size: int
     subsets: int
     disconnecting: int
-    cyclic_cuts: int
-    good2_cuts: int
     isolating: int  # exactly two components, one of them a single vertex
     neighborhood_faults: int  # fault set equals N(v) of the isolated vertex
     max_residual: int  # max vertices outside the largest component
     worst_fault: tuple[int, ...] | None  # least fault attaining max_residual
-    first_cyclic: tuple[int, ...] | None
-    first_good2: tuple[int, ...] | None
 
 
 def _census_task(task: tuple[int, int]):
@@ -594,14 +548,10 @@ def _census_task(task: tuple[int, int]):
     base = 1 << first
     subsets = 0
     disconnecting = 0
-    cyclic = 0
-    good2 = 0
     isolating = 0
     nbhd = 0
     max_residual = 0
     worst = None
-    first_cyclic = None
-    first_good2 = None
     for rest in itertools.combinations(range(first + 1, order), size - 1):
         subsets += 1
         fmask = base
@@ -624,35 +574,7 @@ def _census_task(task: tuple[int, int]):
             single = comps[sizes.index(1)]
             if masks[single.bit_length() - 1] == fmask:
                 nbhd += 1
-        if _cyclic_component_count(masks, comps) >= 2:
-            cyclic += 1
-            if first_cyclic is None:
-                first_cyclic = (first, *rest)
-        m = alive
-        ok = True
-        while m:
-            b = m & -m
-            m ^= b
-            if (masks[b.bit_length() - 1] & alive).bit_count() < 2:
-                ok = False
-                break
-        if ok:
-            good2 += 1
-            if first_good2 is None:
-                first_good2 = (first, *rest)
-    return (
-        size,
-        subsets,
-        disconnecting,
-        cyclic,
-        good2,
-        isolating,
-        nbhd,
-        max_residual,
-        worst,
-        first_cyclic,
-        first_good2,
-    )
+    return size, subsets, disconnecting, isolating, nbhd, max_residual, worst
 
 
 def disconnection_census(
@@ -660,9 +582,9 @@ def disconnection_census(
 ) -> tuple[SizeCensus, ...]:
     """Exhaustive per-size census of all fault sets up to max_size.
 
-    Counts disconnecting sets, cyclic cuts, 2-good-neighbor cuts, and the
-    two-components-one-isolated pattern, and tracks the worst residual.
-    One sweep serves the isolation, large-component, and residue bounds.
+    Counts disconnecting sets and the two-components-one-isolated pattern,
+    and tracks the worst residual.  One sweep serves the isolation and
+    large-component bounds.
     """
     dense = _as_dense(g)
     nworkers = resolve_workers(workers)
@@ -677,29 +599,17 @@ def disconnection_census(
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
-        subsets = sum(r[1] for r in mine)
-        disconnecting = sum(r[2] for r in mine)
-        cyclic = sum(r[3] for r in mine)
-        good2 = sum(r[4] for r in mine)
-        isolating = sum(r[5] for r in mine)
-        nbhd = sum(r[6] for r in mine)
-        max_residual = max(r[7] for r in mine)
-        worsts = [r[8] for r in mine if r[7] == max_residual and r[8] is not None]
-        cyclics = [r[9] for r in mine if r[9] is not None]
-        good2s = [r[10] for r in mine if r[10] is not None]
+        max_residual = max(r[5] for r in mine)
+        worsts = [r[6] for r in mine if r[5] == max_residual and r[6] is not None]
         out.append(
             SizeCensus(
                 size=size,
-                subsets=subsets,
-                disconnecting=disconnecting,
-                cyclic_cuts=cyclic,
-                good2_cuts=good2,
-                isolating=isolating,
-                neighborhood_faults=nbhd,
+                subsets=sum(r[1] for r in mine),
+                disconnecting=sum(r[2] for r in mine),
+                isolating=sum(r[3] for r in mine),
+                neighborhood_faults=sum(r[4] for r in mine),
                 max_residual=max_residual,
                 worst_fault=min(worsts) if worsts else None,
-                first_cyclic=min(cyclics) if cyclics else None,
-                first_good2=min(good2s) if good2s else None,
             )
         )
     return tuple(out)
@@ -1225,9 +1135,7 @@ def _falsify_block(task: tuple[int, int]):
         fmask = _mask_of(fault)
         hit = memo.get(fmask)
         if hit is None:
-            rest = full ^ fmask
-            comp = _reach(masks, rest, rest & -rest)
-            comps = [comp] + _component_masks(masks, rest & ~comp)
+            comps = _component_masks(masks, full ^ fmask)
             hit = memo[fmask] = _cyclic_component_count(masks, comps) >= 2
         if hit:
             return (block, j, tuple(sorted(fault)))

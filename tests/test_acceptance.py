@@ -120,14 +120,16 @@ def build_payload(graphs: dict, workers: int) -> dict:
         if res.cut is None
         else [perm_string(mb3.perms[v]) for v in res.cut],
     }
-    below = min_good_neighbor_cut_exhaustive(mb4, 2, 7, workers=workers)
+    # one pass, sizes ascending: a cut of size <= 7 would be the witness
     witness = min_good_neighbor_cut_exhaustive(mb4, 2, 8, workers=workers)
 
     def strs(fault):
         return [perm_string(mb4.perms[v]) for v in fault]
 
     payload["two-good-neighbor"] = {
-        "cut_through_7": None if below is None else strs(below.fault),
+        "cut_through_7": strs(witness.fault)
+        if witness is not None and witness.size <= 7
+        else None,
         "witness": None if witness is None else strs(witness.fault),
         "witness_kind": None if witness is None else witness.kind,
         "witness_verified": witness is not None

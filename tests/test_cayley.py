@@ -8,11 +8,13 @@ imports it.
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
 
 from conftest import hypercube, path_graph
+import ugconn.cayley as cayley
 from ugconn.cayley import (
     MASK_ORDER_LIMIT,
     MEMBER_LIMIT,
@@ -214,6 +216,16 @@ def test_girth_matches_oracle(mb4, ug5, b3, b4, star4):
     assert girth(mb4, all_sources=True) == 4
 
 
+def test_girth_off_vertex_transitive_graphs(mb4):
+    # a pendant vertex 0 on the triangle 1-2-3: no cycle passes through 0
+    pendant = DenseGraph(((1,), (0, 2, 3), (1, 3), (1, 2)))
+    assert girth(pendant) == _girth_oracle(_nx_of(pendant)) == 3
+    bad = with_redirected_cross_edge(mb4)
+    assert not bad.transitive
+    assert girth(bad) == _girth_oracle(_nx_of(bad))
+    assert girth(bad) == girth(bad, all_sources=True)
+
+
 def test_girth_of_a_forest_is_none():
     k2 = build_cayley(build_generating_graph(2, [(1, 2)]))
     assert girth(k2) is None
@@ -274,6 +286,18 @@ def test_component_analysis_plain_fallback_beyond_mask_limit():
         )
     )
     assert girth(ring) == order
+
+
+def test_component_analysis_agrees_with_and_without_bitmasks(mb4, monkeypatch):
+    rng = random.Random(4)
+    faults = [rng.sample(range(24), rng.randrange(3, 12)) for _ in range(200)]
+    faults.append(build_cycle_neighborhood_cut(mb4, canonical_four_cycle(mb4)))
+    with_masks = [component_analysis(mb4.dense, f) for f in faults]
+    monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 0)
+    assert not mb4.dense.has_masks()
+    without = [component_analysis(mb4.dense, f) for f in faults]
+    assert without == with_masks
+    assert {a.component_count for a in with_masks} >= {1, 2, 3, 4}
 
 
 def test_structure_probes_pass_on_mb4_and_fire_on_q3(mb4, q3):

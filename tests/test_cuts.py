@@ -7,6 +7,7 @@ for the flow-based connectivity values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 
@@ -261,8 +262,6 @@ def test_disconnection_census_golden_values(mb4):
         assert r.neighborhood_faults == nbhd
         assert r.max_residual == res
         assert r.worst_fault == worst
-        assert r.cyclic_cuts == 0 and r.good2_cuts == 0
-        assert r.first_cyclic is None and r.first_good2 is None
 
 
 def test_census_worst_faults_actually_disconnect(mb4):
@@ -311,6 +310,60 @@ def test_searches_are_worker_count_invariant(mb4):
     ra = disconnection_census(mb4, 5, workers=1)
     rb = disconnection_census(mb4, 5, workers=3)
     assert ra == rb
+
+
+def _least_cut_by_brute_force(H: nx.Graph, kind: str, max_size: int):
+    """Sizes ascending, lexicographic within a size: the first fault of the kind."""
+    for size in range(1, max_size + 1):
+        for fault in itertools.combinations(sorted(H), size):
+            rest = H.subgraph(set(H) - set(fault))
+            sides = [rest.subgraph(c) for c in nx.connected_components(rest)]
+            if len(sides) < 2:
+                continue
+            if kind == "cyclic":
+                hit = sum(s.number_of_edges() >= len(s) for s in sides) >= 2
+            elif kind == "good2":
+                hit = min(d for _, d in rest.degree) >= 2
+            else:
+                hit = True
+            if hit:
+                return fault
+    return None
+
+
+@pytest.mark.parametrize("order, seed", [(12, 1), (14, 2), (14, 5)])
+def test_searches_return_the_least_cut_of_a_brute_force_scan(order, seed):
+    H = nx.random_regular_graph(3, order, seed=seed)
+    assert nx.is_connected(H)
+    dense = _dense_of_nx(H)
+    top = order - 6  # small enough to keep two cyclic sides possible
+    searches = {
+        "cyclic": lambda w: min_cyclic_cut_exhaustive(dense, top, workers=w),
+        "vertex": lambda w: min_good_neighbor_cut_exhaustive(dense, 0, top, workers=w),
+        "good2": lambda w: min_good_neighbor_cut_exhaustive(dense, 2, top, workers=w),
+    }
+    for kind, search in searches.items():
+        expected = _least_cut_by_brute_force(H, kind, top)
+        assert expected is not None
+        for workers in (1, 2):
+            assert search(workers).fault == expected
+
+
+def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    real = fork.Pool
+    starts = []
+
+    def pool(*args, **kwargs):
+        starts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert min_cyclic_cut_exhaustive(mb4, 8, workers=2).size == 8
+    assert len(starts) == 1
+    assert min_good_neighbor_cut_exhaustive(mb4, 2, 7, workers=2) is None
+    assert len(starts) == 2
 
 
 def test_min_neighborhood_over_4subsets(mb4):

@@ -107,6 +107,20 @@ def test_mb_scoped_checks_run_exploratory_on_ug5(ug5):
     assert rep.passed()  # exploratory failures never gate
 
 
+def test_common_neighbor_triple_gates_at_n4_only(mb4, mb5):
+    (c4,) = verify_all(mb4, workers=1, checks=["common-neighbor-triple"]).checks
+    assert c4.verdict == PROVED and c4.gating
+    assert "exploratory" not in c4.scope
+    rep = verify_all(mb5, workers=1, checks=["common-neighbor-triple"])
+    (c5,) = rep.checks
+    # two pairs of commuting generators share 45: 12345 has cn=2 with both
+    # 13254 and 21354, and those two share the neighbor 12354
+    assert c5.verdict == FAIL and not c5.gating
+    assert c5.detail["violation"] == ["13254", "12345", "21354"]
+    assert "{23,45} and {12,45}" in c5.scope
+    assert rep.passed() and rep.failures() == []
+
+
 def test_corrupted_adjacency_flips_gating_checks(mb4):
     bad = with_redirected_cross_edge(mb4)
     rep = verify_all(bad, workers=1, checks=["cross-edge-count", "out-neighbor-disjoint"])
