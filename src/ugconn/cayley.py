@@ -66,10 +66,6 @@ class DenseGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
 
-    def degree_range(self) -> tuple[int, int]:
-        degs = [len(ns) for ns in self.neighbors]
-        return min(degs), max(degs)
-
 
 @dataclass(frozen=True)
 class ComponentInfo:
@@ -237,15 +233,14 @@ def common_neighbor_count(g, u: int, v: int) -> int:
     return len(set(a) & set(b))
 
 
-def girth(g, all_sources: bool = False) -> int | None:
+def girth(g) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 
     Only the 2-core can carry a cycle.  On a graph from ``build_cayley``
     one BFS from vertex 0 suffices, by vertex-transitivity.  Any other
-    graph, and ``all_sources=True`` (the debug mode), takes every vertex of
-    the 2-core as a source in turn and then deletes it, peeling again: a
-    shortest cycle is still whole when the first of its vertices becomes
-    the source, and that BFS finds it.
+    graph takes every vertex of the 2-core as a source in turn and then
+    deletes it, peeling again: a shortest cycle is still whole when the
+    first of its vertices becomes the source, and that BFS finds it.
     """
     dense = _as_dense(g)
     nbrs = dense.neighbors
@@ -267,9 +262,8 @@ def girth(g, all_sources: bool = False) -> int | None:
     for v in range(dense.order):
         if alive[v] and degree[v] < 2:
             delete(v)
-    single = _transitive(g) and not all_sources
     best: int | None = None
-    for s in (0,) if single else range(dense.order):
+    for s in (0,) if _transitive(g) else range(dense.order):
         if not alive[s]:
             continue
         dist = [-1] * dense.order

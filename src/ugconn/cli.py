@@ -246,6 +246,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
+#: the fields ``report`` prints from each saved check
+_REPORT_FIELDS = ("id", "verdict", "scope")
+
+
 def cmd_report(args) -> int:
     try:
         data = json.loads(Path(args.file).read_text())
@@ -253,11 +257,21 @@ def cmd_report(args) -> int:
         raise SpecError(f"cannot read report file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"report file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "checks" not in data or "graph" not in data:
-        raise SpecError("report file lacks the expected graph/checks fields")
-    width = max((len(c["id"]) for c in data.get("checks", [])), default=10)
-    lines = [f"graph: {data['graph']['descriptor']}"]
-    for c in data.get("checks", []):
+    graph = data.get("graph") if isinstance(data, dict) else None
+    if not isinstance(graph, dict) or not isinstance(graph.get("descriptor"), str):
+        raise SpecError("report file lacks a graph with a descriptor")
+    checks = data.get("checks")
+    if not isinstance(checks, list) or not all(
+        isinstance(c, dict) and all(isinstance(c.get(k), str) for k in _REPORT_FIELDS)
+        for c in checks
+    ):
+        raise SpecError(
+            "report checks must be a list of objects with string "
+            + ", ".join(_REPORT_FIELDS)
+        )
+    width = max((len(c["id"]) for c in checks), default=10)
+    lines = [f"graph: {graph['descriptor']}"]
+    for c in checks:
         lines.append(f"{c['id']:<{width}}  {c['verdict']:<17}  {c['scope']}")
     ok = bool(data.get("passed"))
     lines.append("PASS" if ok else "FAIL")

@@ -11,6 +11,7 @@ returns byte-identical results to a run with 1.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -172,6 +173,7 @@ class ConnectivityResult:
     value: int
     complete: bool  # complete graphs get the |V|-1 convention
     cut: tuple[int, ...] | None  # a minimum vertex cut, when one exists
+    flows: int
 
 
 class _FlowNet:
@@ -226,31 +228,43 @@ class _FlowNet:
             adj[to.pop()].pop()  # the reverse arc, listed at the head
             del self.base[-2:]
 
-    def max_flow(self, s: int, t: int, cutoff: int) -> int:
-        """Unit augmenting paths from s to t, stopping early at cutoff."""
+    def max_flow(self, cutoff: int) -> int:
+        """Unit augmenting paths from source to sink, stopping early at cutoff.
+
+        A BFS ends as soon as it labels an in-node with an arc to the sink:
+        that arc has capacity ``order`` and carries less than cutoff <= order
+        units before the last augmentation, so it always has room.
+        """
         self.cap = self.base[:]
         cap, to, adj = self.cap, self.to, self.adj
-        flow = 0
+        s = self.source
         nnodes = len(adj)
+        # in-node -> its arc into the sink, else 0 (arc 0 is a splitter);
+        # adj[sink] lists the reverse arcs
+        into_sink = [0] * nnodes
+        for eid in adj[self.sink]:
+            into_sink[to[eid]] = eid ^ 1
+        flow = 0
         while flow < cutoff:
             pred = [-1] * nnodes
             pred[s] = -2
             queue = [s]
-            found = False
             for u in queue:
                 for eid in adj[u]:
                     w = to[eid]
                     if cap[eid] > 0 and pred[w] == -1:
                         pred[w] = eid
-                        if w == t:
-                            found = True
+                        if into_sink[w]:
                             break
                         queue.append(w)
-                if found:
-                    break
-            if not found:
-                break
-            v = t
+                else:
+                    continue
+                break  # w is an in-node of the sink
+            else:
+                break  # no augmenting path is left
+            cap[into_sink[w]] -= 1
+            cap[into_sink[w] ^ 1] += 1
+            v = w
             while v != s:
                 eid = pred[v]
                 cap[eid] -= 1
@@ -259,12 +273,12 @@ class _FlowNet:
             flow += 1
         return flow
 
-    def min_cut_vertices(self, s: int) -> tuple[int, ...]:
+    def min_cut_vertices(self) -> tuple[int, ...]:
         """Split vertices saturated by the last flow, via residual reachability."""
         cap, to, adj = self.cap, self.to, self.adj
         seen = [False] * len(adj)
-        seen[s] = True
-        queue = [s]
+        seen[self.source] = True
+        queue = [self.source]
         for u in queue:
             for eid in adj[u]:
                 w = to[eid]
@@ -276,56 +290,98 @@ class _FlowNet:
         )
 
 
-def vertex_connectivity_detail(g, all_pairs: bool = False) -> ConnectivityResult:
-    """kappa(G) by Menger: minimum s-t disjoint paths over non-adjacent pairs.
+@dataclass(frozen=True)
+class EdgeSeparation:
+    """A minimum separation of two units (edges, or single vertices for kappa)."""
 
-    On a graph from ``build_cayley`` the source is fixed at vertex 0, which
-    vertex-transitivity justifies.  Any other graph takes sources 0, 1, ...
-    while the source index is at most the best value so far, each against
-    the later non-neighbors (Even 1975): a minimum cut S misses one of the
-    first |S|+1 vertices, and the first one it misses is separated from
-    some later vertex.  all_pairs=True is the debug mode that scans every
-    non-adjacent pair.
+    value: int | None  # None when no two units can be separated
+    edges: tuple[tuple[int, ...], tuple[int, ...]] | None  # a pair attaining it
+    cut: tuple[int, ...] | None  # a minimum cut separating that pair
+    flows: int
+
+
+def _min_separation(g, units) -> EdgeSeparation:
+    """Fewest vertices whose removal leaves two units whole in different components.
+
+    A unit is a vertex tuple.  Two units can be separated only if neither
+    has a vertex in the other's closed neighborhood, and then, by Menger,
+    the fewest vertices separating them is the maximum flow from the
+    out-nodes of the first to the in-nodes of the second.  The network is
+    built once; each pair is one flow, stopped at the best value so far,
+    and a flow that stops below it ran to completion, so the cut is read
+    off right then.  The second unit ranges over the units after the first.
+
+    First units: on a graph from ``build_cayley``, the units that contain
+    vertex 0.  The units are all vertices or all edges, so an automorphism
+    maps any separated pair (A, B) onto a pair whose first unit contains 0;
+    its second unit misses N[0] and so comes after every unit through 0.
+    On any other graph, a greedy family of pairwise disjoint units comes
+    first, then the rest, and the loop stops once more family units than
+    the best value are done (Even 1975).  A minimum cut S misses one of
+    any |S|+1 disjoint units; let U be the first it misses.  S separates
+    two units, and one of them, W, lies in another component than U.
+    Every family unit before U meets S and W does not, so W comes after U
+    and the pair (U, W) is flowed.
+    """
+    dense = _as_dense(g)
+    if _transitive(g):
+        firsts = [u for u in units if 0 in u]
+        family = 0  # no family, no early stop
+    else:
+        covered: set[int] = set()
+        firsts = []
+        for u in units:
+            if covered.isdisjoint(u):
+                covered.update(u)
+                firsts.append(u)
+        family = len(firsts)
+    chosen = set(firsts)
+    ordered = firsts + [u for u in units if u not in chosen]
+    net = _FlowNet(dense)
+    best = dense.order  # every flow path crosses a vertex outside both units
+    arg = None
+    cut = None
+    flows = 0
+    for i, first in enumerate(ordered if family else firsts):
+        if min(i, family) > best:
+            break
+        closed = set(first)
+        for v in first:
+            closed.update(dense.neighbors[v])
+        for second in ordered[i + 1 :]:
+            if not closed.isdisjoint(second):
+                continue
+            mark = net.attach(first, second)
+            f = net.max_flow(best)
+            flows += 1
+            if f < best:
+                best, arg = f, (first, second)
+                cut = net.min_cut_vertices()
+            net.detach(mark)
+    return EdgeSeparation(
+        value=best if arg is not None else None, edges=arg, cut=cut, flows=flows
+    )
+
+
+def vertex_connectivity_detail(g) -> ConnectivityResult:
+    """kappa(G) by Menger: the fewest vertices separating two non-adjacent ones.
+
+    A complete graph has no such pair and gets the |V|-1 convention.
     """
     dense = _as_dense(g)
     order = dense.order
-    if order <= 1:
-        return ConnectivityResult(value=0, complete=True, cut=None)
     if all(len(dense.neighbors[v]) == order - 1 for v in range(order)):
-        return ConnectivityResult(value=order - 1, complete=True, cut=None)
-    net = _FlowNet(dense)
-    last_source = 0 if _transitive(g) and not all_pairs else order - 1
-    best = order  # kappa < |V| once a non-adjacent pair exists
-    arg = None
-    for s in range(last_source + 1):
-        if s > best and not all_pairs:
-            break
-        nbrs = dense.neighbors[s]
-        for t in range(s + 1, order):
-            if t in nbrs:
-                continue
-            f = net.max_flow(2 * s + 1, 2 * t, best)
-            if f < best:
-                best = f
-                arg = (s, t)
-    cut = None
-    if arg is not None:
-        s, t = arg
-        net.max_flow(2 * s + 1, 2 * t, best + 1)
-        cut = net.min_cut_vertices(2 * s + 1)
-    return ConnectivityResult(value=best, complete=False, cut=cut)
+        return ConnectivityResult(
+            value=max(order - 1, 0), complete=True, cut=None, flows=0
+        )
+    sep = _min_separation(g, [(v,) for v in range(order)])
+    return ConnectivityResult(
+        value=sep.value, complete=False, cut=sep.cut, flows=sep.flows
+    )
 
 
-def vertex_connectivity(g, all_pairs: bool = False) -> int:
-    return vertex_connectivity_detail(g, all_pairs=all_pairs).value
-
-
-@dataclass(frozen=True)
-class EdgeSeparation:
-    value: int | None  # None when no two edges can be separated
-    edges: tuple[tuple[int, int], tuple[int, int]] | None  # a pair attaining it
-    cut: tuple[int, ...] | None  # a minimum cut separating that pair
-    flows: int
+def vertex_connectivity(g) -> int:
+    return vertex_connectivity_detail(g).value
 
 
 def edge_separation_connectivity(g) -> EdgeSeparation:
@@ -333,56 +389,11 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
 
     Separated edges keep both ends and land in different components; this
     is the restricted connectivity of Esfahanian and Hakimi ("On computing
-    a conditional edge-connectivity of a graph", IPL 1988).  The network is
-    built once; each edge pair is one flow from the out-nodes of the first
-    edge's ends to the in-nodes of the second's, stopped at the best value
-    so far.  The second edge ranges over the edges with no end in N[first],
-    the only ones a vertex set can separate from it.
-
-    On a graph from ``build_cayley`` the first edge is fixed at vertex 0,
-    which vertex-transitivity justifies.  Any other graph takes first
-    edges from a greedy matching, then every remaining edge, and stops once
-    more matching edges than the best value are done: a minimum cut S
-    misses one of |S|+1 disjoint edges, and that edge is separated by S
-    from one of the two edges S separates.
+    a conditional edge-connectivity of a graph", IPL 1988).
     """
     dense = _as_dense(g)
-    edges = [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
-    if _transitive(g):
-        firsts = [(0, v) for v in dense.neighbors[0]]
-        matched = 0
-    else:
-        covered: set[int] = set()
-        matching = []
-        for e in edges:
-            if e[0] not in covered and e[1] not in covered:
-                covered.update(e)
-                matching.append(e)
-        chosen = set(matching)
-        firsts = matching + [e for e in edges if e not in chosen]
-        matched = len(matching)
-    net = _FlowNet(dense)
-    best = dense.order  # every flow path crosses a vertex outside both edges
-    arg = None
-    cut = None
-    flows = 0
-    for i, first in enumerate(firsts):
-        if min(i, matched) > best:
-            break
-        closed = set(dense.neighbors[first[0]]) | set(dense.neighbors[first[1]])
-        for second in edges:
-            if second[0] in closed or second[1] in closed:
-                continue
-            mark = net.attach(first, second)
-            f = net.max_flow(net.source, net.sink, best)
-            flows += 1
-            if f < best:
-                # below the cutoff the flow ran to completion, so it is maximum
-                best, arg = f, (first, second)
-                cut = net.min_cut_vertices(net.source)
-            net.detach(mark)
-    return EdgeSeparation(
-        value=best if arg is not None else None, edges=arg, cut=cut, flows=flows
+    return _min_separation(
+        g, [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
     )
 
 
@@ -918,80 +929,48 @@ def sampled_residual_check(
 
 
 def _four_subset_task(task: tuple[int, int]):
-    """Min |N(S)| over 4-subsets with smallest element a."""
-    _, a = task
+    """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b."""
+    a, b = task
     masks = _SHARED["masks"]
     order = _SHARED["order"]
     bits = _SHARED["bits"]
     best = order + 1
     arg = None
-    ma = masks[a]
-    sa = bits[a]
-    for b in range(a + 1, order - 2):
-        mab = ma | masks[b]
-        sab = sa | bits[b]
-        for c in range(b + 1, order - 1):
-            mabc = mab | masks[c]
-            sabc = sab | bits[c]
-            for d in range(c + 1, order):
-                cnt = ((mabc | masks[d]) & ~(sabc | bits[d])).bit_count()
-                if cnt < best:
-                    best = cnt
-                    arg = (a, b, c, d)
-    return best, arg
+    mab = masks[a] | masks[b]
+    sab = bits[a] | bits[b]
+    for c in range(b + 1, order - 1):
+        mabc = mab | masks[c]
+        sabc = sab | bits[c]
+        for d in range(c + 1, order):
+            cnt = ((mabc | masks[d]) & ~(sabc | bits[d])).bit_count()
+            if cnt < best:
+                best = cnt
+                arg = (a, b, c, d)
+    return best, arg, math.comb(order - 1 - b, 2)
 
 
 def min_neighborhood_over_4subsets(
     g, workers: int | None = None
-) -> tuple[int, tuple[int, int, int, int]]:
-    """Exhaustive min of |N(S) - S| over all 4-subsets, with least witness."""
-    dense = _as_dense(g)
-    nworkers = resolve_workers(workers)
-    payload = _graph_payload(dense)
-    payload["bits"] = [1 << v for v in range(dense.order)]
-    tasks = [(0, a) for a in range(dense.order - 3)]
-    rows = _run_tasks(payload, _four_subset_task, tasks, nworkers)
-    best = min(r[0] for r in rows)
-    args = [r[1] for r in rows if r[0] == best and r[1] is not None]
-    return best, min(args)
-
-
-def sampled_min_neighborhood(
-    g, trials: int, seed: int = 0
 ) -> tuple[int, tuple[int, int, int, int], int]:
-    """Best (smallest) |N(S)| found over templates plus random 4-subsets.
+    """Min of |N(S) - S| over all 4-subsets S: (value, least witness, sets scanned).
 
-    Templates take S = a vertex with three of its neighbors, which is
-    where the sharp small-neighborhood sets live.  Returns (best, witness,
-    evaluations); no exhaustion is claimed.
+    On a graph from ``build_cayley`` only the sets containing vertex 0 are
+    scanned.  That is exact: every 4-set has a translate through 0, so some
+    minimizer contains 0, and the lexicographically least minimizer, which
+    then starts with 0, is among the scanned sets.  The work is split into
+    (a, b) tasks over the two smallest elements.
     """
     dense = _as_dense(g)
-    masks = dense.masks
     order = dense.order
-    best = order + 1
-    arg = None
-    evals = 0
-
-    def probe(quad):
-        nonlocal best, arg, evals
-        evals += 1
-        smask = 0
-        umask = 0
-        for v in quad:
-            smask |= 1 << v
-            umask |= masks[v]
-        cnt = (umask & ~smask).bit_count()
-        if cnt < best:
-            best = cnt
-            arg = tuple(sorted(quad))
-
-    for u in range(order):
-        for triple in itertools.combinations(dense.neighbors[u], 3):
-            probe((u, *triple))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        probe(rng.sample(range(order), 4))
-    return best, arg, evals
+    if order < 4:
+        raise ValueError(f"a graph of order {order} has no 4-subsets")
+    payload = _graph_payload(dense)
+    payload["bits"] = [1 << v for v in range(order)]
+    firsts = (0,) if _transitive(g) else range(order - 3)
+    tasks = [(a, b) for a in firsts for b in range(a + 1, order - 2)]
+    rows = _run_tasks(payload, _four_subset_task, tasks, resolve_workers(workers))
+    best, arg = min(r[:2] for r in rows)
+    return best, arg, sum(r[2] for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -198,24 +198,3 @@ def relabel_to_canonical(g: GeneratingGraph) -> tuple[GeneratingGraph, dict[int,
     edges = [(mapping[a], mapping[b]) for a, b in g.edges]
     return build_generating_graph(g.n, edges), mapping
 
-
-def remove_position(g: GeneratingGraph, pos: int) -> GeneratingGraph:
-    """Delete a position and renumber the rest onto [n-1], preserving order.
-
-    When ``pos`` is n nothing else moves.  Used to relate each block of a
-    Cayley graph to the generating graph one decomposition step down; the
-    usual validation applies, so a removal that disconnects the rest is
-    rejected.
-    """
-    if not 1 <= pos <= g.n:
-        raise GeneratingGraphError(f"position {pos} out of range 1..{g.n}")
-    relabel = {}
-    nxt = 1
-    for k in range(1, g.n + 1):
-        if k != pos:
-            relabel[k] = nxt
-            nxt += 1
-    edges = [
-        (relabel[a], relabel[b]) for a, b in g.edges if pos not in (a, b)
-    ]
-    return build_generating_graph(g.n - 1, edges)

@@ -42,7 +42,6 @@ from .cuts import (
     min_neighborhood_over_4subsets,
     randomized_cut_falsifier,
     resolve_workers,
-    sampled_min_neighborhood,
     sampled_residual_check,
     verify_connected_under_removal,
     vertex_boundary,
@@ -174,6 +173,7 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
         "kappa": res.value,
         "expected": expected,
         "complete_graph_convention": res.complete,
+        "flows": res.flows,
     }
     if res.cut is not None:
         detail["minimum_cut"] = ctx.perm_strs(res.cut)
@@ -397,46 +397,36 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
 
 
 def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
-    """Minimum |N(S)| over 4-element S: 4n-8 at n=4,5; >= 4n-9 sampled at n=6."""
+    """Minimum |N(S)| over 4-element S: 4n-8 at n=4,5 and 4n-9 at n=6."""
     cid = "four-subset-neighborhood"
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    gating = G.gen.cls == CYCLE
     n = G.n
-    if n in (4, 5):
-        value, witness = min_neighborhood_over_4subsets(G, workers=ctx.workers)
-        expected = 4 * n - 8
-        ok = value == expected if gating else value >= 4 * n - 9
-        subsets = math.comb(G.order, 4)
-        scope = f"exhaustive over all {subsets} four-subsets"
-        if not gating:
-            scope += "; exploratory (sharp value stated for the cycle generator)"
-        return _done(
-            cid,
-            ok,
-            sampled=False,
-            gating=gating,
-            scope=scope,
-            detail={
-                "min": value,
-                "expected": expected,
-                "witness": ctx.perm_strs(witness),
-            },
-        )
-    if n == 6:
-        best, witness, evals = sampled_min_neighborhood(
-            G, trials=_sampled_trials(G.order), seed=ctx.seed
-        )
-        return _done(
-            cid,
-            ok=best >= 4 * n - 9,
-            sampled=True,
-            gating=gating,
-            scope=f"{evals} sampled four-subsets (templates + seed {ctx.seed})",
-            detail={"best_found": best, "floor": 4 * n - 9, "witness": ctx.perm_strs(witness)},
-        )
-    return _skip(cid, "four-subset scan defined for n in 4..6")
+    if not 4 <= n <= 6:
+        return _skip(cid, "four-subset scan defined for n in 4..6")
+    gating = G.gen.cls == CYCLE
+    value, witness, scanned = min_neighborhood_over_4subsets(G, workers=ctx.workers)
+    expected = 4 * n - 8 if n <= 5 else 4 * n - 9
+    ok = value == expected if gating else value >= 4 * n - 9
+    scope = f"exhaustive over all {math.comb(G.order, 4)} four-subsets"
+    if G.transitive:
+        scope += f", via the {scanned} that contain vertex 0 (vertex-transitive)"
+    if not gating:
+        scope += "; exploratory (sharp value stated for the cycle generator)"
+    return _done(
+        cid,
+        ok,
+        sampled=False,
+        gating=gating,
+        scope=scope,
+        detail={
+            "min": value,
+            "expected": expected,
+            "witness": ctx.perm_strs(witness),
+            "scanned": scanned,
+        },
+    )
 
 
 def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
@@ -749,7 +739,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "common-neighbor-triple": 2.0 if order <= 120 else 12.0,
         "small-cut-isolation": 40.0,
         "large-component-bound": 40.0,
-        "four-subset-neighborhood": 1.0 if n == 4 else (20.0 if n == 5 else 10.0),
+        "four-subset-neighborhood": 0.1 if n <= 5 else 30.0,
         "residue-bound-p1": 1.0 if n == 4 else (80.0 if n == 5 else 40.0),
         "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 120.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,

@@ -267,11 +267,15 @@ def test_criterion_05_four_subset_minimum(payload):
     for name, n, order in (("mb4", 4, 24), ("mb5", 5, 120)):
         rec = by_id(payload["four-subset-minimum"][name])["four-subset-neighborhood"]
         detail = rec["detail"]
+        through_0 = math.comb(order - 1, 3)
         ok = (
             rec["verdict"] == PROVED
-            and rec["scope"] == f"exhaustive over all {math.comb(order, 4)} four-subsets"
+            and rec["scope"]
+            == f"exhaustive over all {math.comb(order, 4)} four-subsets, via the "
+            f"{through_0} that contain vertex 0 (vertex-transitive)"
             and detail["min"] == 4 * n - 8 == detail["expected"]
             and len(detail["witness"]) == 4
+            and detail["scanned"] == through_0
         )
         expect(problems, ok, f"{name}: {rec['scope']!r} {detail}")
     finish(5, "four-subset-neighborhood-minimum", problems)

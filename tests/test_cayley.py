@@ -213,7 +213,6 @@ def test_girth_matches_oracle(mb4, ug5, b3, b4, star4):
     for G, expected in ((mb4, 4), (ug5, 4), (b3, 6), (b4, 4), (star4, 6)):
         assert girth(G) == expected
         assert _girth_oracle(_nx_of(G)) == expected
-    assert girth(mb4, all_sources=True) == 4
 
 
 def test_girth_off_vertex_transitive_graphs(mb4):
@@ -223,7 +222,6 @@ def test_girth_off_vertex_transitive_graphs(mb4):
     bad = with_redirected_cross_edge(mb4)
     assert not bad.transitive
     assert girth(bad) == _girth_oracle(_nx_of(bad))
-    assert girth(bad) == girth(bad, all_sources=True)
 
 
 def test_girth_of_a_forest_is_none():

@@ -291,6 +291,23 @@ def test_report_missing_or_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"graph": {}, "checks": []}, "descriptor"),
+        ({"graph": {"descriptor": "x"}, "checks": [{"verdict": "FAIL", "scope": ""}]}, "id"),
+        ({"graph": {"descriptor": "x"}, "checks": "abc"}, "list"),
+    ],
+    ids=["no-descriptor", "check-without-id", "checks-a-string"],
+)
+def test_report_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, report, message):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: report") and message in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -43,7 +43,6 @@ from ugconn.cuts import (
     randomized_cut_falsifier,
     render_witness,
     resolve_workers,
-    sampled_min_neighborhood,
     sampled_residual_check,
     verify_connected_under_removal,
     vertex_boundary,
@@ -57,6 +56,13 @@ def _dense_of_nx(H: nx.Graph) -> DenseGraph:
     order = H.number_of_nodes()
     assert sorted(H) == list(range(order))
     return DenseGraph(tuple(tuple(sorted(H[v])) for v in range(order)))
+
+
+def _nx_of(g) -> nx.Graph:
+    H = nx.Graph()
+    H.add_nodes_from(range(g.order))
+    H.add_edges_from((u, v) for u in range(g.order) for v in g.neighbors(u))
+    return H
 
 
 def _perms(G, fault):
@@ -133,20 +139,19 @@ def test_connectivity_witness_is_a_real_cut(mb4):
     assert det.value == 4 and not det.complete
     assert _perms(mb4, det.cut) == ["1243", "1324", "2134", "4231"]
     assert is_vertex_cut(mb4, det.cut)
-    assert vertex_connectivity_detail(mb4, all_pairs=True).value == 4
+    assert nx.node_connectivity(_nx_of(mb4)) == 4
+    assert det.flows == 24 - 1 - 4  # vertex 0 against each non-neighbor
 
 
 def test_connectivity_matches_networkx_on_random_graphs():
-    # a bare DenseGraph is not assumed vertex-transitive, so the default
-    # mode must agree with the all-pairs debug mode
+    # a bare DenseGraph is not assumed vertex-transitive
     for seed in (1, 2, 3, 4):
         H = nx.gnp_random_graph(18, 0.28, seed=seed)
         if not nx.is_connected(H):
             continue
         dense = _dense_of_nx(H)
-        det = vertex_connectivity_detail(dense, all_pairs=True)
+        det = vertex_connectivity_detail(dense)
         assert det.value == nx.node_connectivity(H)
-        assert vertex_connectivity_detail(dense).value == det.value
         if det.cut is not None:
             assert len(det.cut) == det.value
             assert is_vertex_cut(dense, det.cut)
@@ -155,7 +160,7 @@ def test_connectivity_matches_networkx_on_random_graphs():
 def test_connectivity_of_the_corrupted_graph_scans_past_vertex_0(mb4):
     bad = with_redirected_cross_edge(mb4)
     det = vertex_connectivity_detail(bad)
-    assert det.value == vertex_connectivity_detail(bad, all_pairs=True).value == 3
+    assert det.value == nx.node_connectivity(_nx_of(bad)) == 3
     assert len(det.cut) == 3 and is_vertex_cut(bad, det.cut)
     # a hub adjacent to everything hides every cut from a fixed source
     hub = nx.wheel_graph(8)
@@ -186,11 +191,14 @@ def test_edge_separation_against_the_census(spec, expected):
     assert home[a] == home[b] != home[c] == home[d]
 
 
-def test_edge_separation_on_ug5(ug5):
+def test_edge_separation_on_ug5(mb4, ug5):
     sep = edge_separation_connectivity(ug5)
     assert sep.value == 8 == len(sep.cut)
     assert sep.edges[0][0] == 0  # the first edge is fixed at vertex 0
     assert large_component_profile(ug5, sep.cut)[1] >= 2
+    # one flow per edge at vertex 0 and far edge after it
+    assert sep.flows == 1303
+    assert edge_separation_connectivity(mb4).flows == 96
 
 
 def _edge_separation_by_all_pairs(H: nx.Graph):
@@ -211,11 +219,13 @@ def _edge_separation_by_all_pairs(H: nx.Graph):
 
 def test_edge_separation_off_transitive_graphs_is_the_all_pairs_minimum(mb4):
     bad = with_redirected_cross_edge(mb4)
-    H = nx.Graph((u, v) for u in range(bad.order) for v in bad.neighbors(u))
+    H = _nx_of(bad)
     sep = edge_separation_connectivity(bad)
     assert sep.value == _edge_separation_by_all_pairs(H) == 5
     assert len(sep.cut) == 5
-    for seed in (1, 2, 3):
+    # at seed 23 the first edges by index share vertices: the stop after
+    # more disjoint edges than the best value needs the greedy family first
+    for seed in (1, 2, 3, 23):
         H = nx.gnp_random_graph(16, 0.3, seed=seed)
         if nx.is_connected(H):
             sep = edge_separation_connectivity(_dense_of_nx(H))
@@ -367,22 +377,41 @@ def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
 
 
 def test_min_neighborhood_over_4subsets(mb4):
-    best, arg = min_neighborhood_over_4subsets(mb4, workers=1)
+    best, arg, scanned = min_neighborhood_over_4subsets(mb4, workers=1)
     assert best == 8
     assert arg == (0, 1, 6, 7)  # the least 4-cycle wins
     assert len(vertex_boundary(mb4.dense, arg)) == 8
+    assert scanned == math.comb(23, 3)  # the sets through vertex 0
 
 
-def test_sampled_min_neighborhood_is_deterministic(mb4):
-    one = sampled_min_neighborhood(mb4, trials=500, seed=0)
-    two = sampled_min_neighborhood(mb4, trials=500, seed=0)
-    assert one == two
-    value, subset, evals = one
-    assert value == 8  # claw templates already reach the optimum here
-    assert len(vertex_boundary(mb4.dense, subset)) == value
-    assert evals >= 500
-    other = sampled_min_neighborhood(mb4, trials=500, seed=7)
-    assert other[0] == 8
+def _min_neighborhood_by_brute_force(g):
+    return min(
+        (len(vertex_boundary(g, quad)), quad)
+        for quad in itertools.combinations(range(g.order), 4)
+    )
+
+
+@pytest.mark.parametrize("graph", ["mb4", "ug5", "corrupted mb4"])
+def test_four_subset_scan_from_vertex_0_matches_the_full_scan(request, graph):
+    g = request.getfixturevalue(graph.split()[-1])
+    if graph.startswith("corrupted"):
+        g = with_redirected_cross_edge(g)
+    # the bare DenseGraph is not assumed vertex-transitive: every set is scanned
+    full = min_neighborhood_over_4subsets(g.dense, workers=2)
+    assert full[2] == math.comb(g.order, 4)
+    got = min_neighborhood_over_4subsets(g, workers=1)
+    assert got[:2] == full[:2]
+    if g.transitive:
+        assert got[2] == math.comb(g.order - 1, 3)
+    else:
+        assert got == full
+    if g.order <= 24:
+        assert got[:2] == _min_neighborhood_by_brute_force(g.dense)
+
+
+def test_four_subset_scan_needs_four_vertices():
+    with pytest.raises(ValueError, match="no 4-subsets"):
+        min_neighborhood_over_4subsets(DenseGraph(((1,), (0, 2), (1,))), workers=1)
 
 
 # --- removal sweeps -------------------------------------------------------

@@ -19,7 +19,6 @@ from ugconn.genset import (
     classify,
     describe,
     relabel_to_canonical,
-    remove_position,
 )
 
 
@@ -115,25 +114,6 @@ def test_peel_rejects_class_other():
     tri = build_generating_graph(3, [(1, 2), (2, 3), (1, 3)], allow_triangle=True)
     with pytest.raises(GeneratingGraphError):
         choose_peel(tri)
-
-
-def test_remove_position_peels_down_the_family():
-    tadpole = build_generating_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
-    smaller = remove_position(tadpole, choose_peel(tadpole).position)
-    assert smaller.n == 4
-    assert smaller.cls == CYCLE
-    # peeling the cycle leaves the 3-path 1-2-3, which the classifier
-    # reports as the star on three vertices (same graph, centered at 2)
-    last = remove_position(smaller, choose_peel(smaller).position)
-    assert last.n == 3
-    assert last.cls == STAR
-    assert last.edges == ((1, 2), (2, 3))
-
-
-def test_remove_position_refuses_a_cut_position():
-    tadpole = build_generating_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
-    with pytest.raises(GeneratingGraphError):
-        remove_position(tadpole, 4)  # removing the attachment disconnects
 
 
 def test_relabel_to_canonical_maps_edges_to_edges():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -151,14 +152,16 @@ def test_connectivity_detail_on_path(b4):
     assert c.verdict == PROVED
     assert c.detail["kappa"] == c.detail["expected"] == 3
     assert len(c.detail["minimum_cut"]) == 3
+    assert c.detail["flows"] == 24 - 1 - 3  # vertex 0 against each non-neighbor
 
 
-def test_sampled_branch_reports_supported_only(mb6):
-    rep = verify_all(mb6, workers=1, checks=["four-subset-neighborhood"])
+def test_four_subset_minimum_is_exact_at_n6(mb6):
+    rep = verify_all(mb6, workers=2, checks=["four-subset-neighborhood"])
     (c,) = rep.checks
-    assert c.verdict == SAMPLED
-    assert c.detail["best_found"] == 15
-    assert c.detail["floor"] == 15  # the 4n-9 floor is sharp at n=6
+    assert c.verdict == PROVED and c.gating
+    assert c.detail["min"] == c.detail["expected"] == 15  # 4n-9 is sharp at n=6
+    assert c.detail["witness"] == ["123456", "123465", "124356", "213456"]
+    assert c.detail["scanned"] == 61_690_919  # C(719, 3), the sets through vertex 0
     assert rep.passed()
 
 
@@ -222,6 +225,16 @@ def test_connectivity_value_fails_on_the_corrupted_graph(mb4):
     (c,) = rep.checks
     assert c.verdict == FAIL and c.detail["kappa"] == 3 < c.detail["expected"]
     assert "not vertex-transitive" in c.scope
+
+
+def test_four_subset_scans_every_set_on_the_corrupted_graph(mb4):
+    rep = verify_all(
+        with_redirected_cross_edge(mb4), workers=1, checks=["four-subset-neighborhood"]
+    )
+    (c,) = rep.checks
+    assert c.verdict == FAIL and c.detail["min"] == 7 < c.detail["expected"]
+    assert c.detail["scanned"] == math.comb(24, 4)
+    assert c.scope == "exhaustive over all 10626 four-subsets"
 
 
 def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
