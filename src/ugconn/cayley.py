@@ -18,6 +18,7 @@ from .genset import (
     GeneratingGraph,
     GeneratingGraphError,
     PeelChoice,
+    automorphisms,
     choose_peel,
 )
 from .perms import CapacityError, MAX_ARITY, Perm, perm_string
@@ -390,6 +391,41 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
         peel=peel,
         block_of=block_of,
     )
+
+
+def conjugation_maps(G: CayleyGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex maps p -> sigma^-1 p sigma, one per automorphism sigma of T.
+
+    Each map is an automorphism of G that fixes vertex 0: the neighbor
+    p (k l) goes to sigma^-1 p sigma (s(k) s(l)) with s = sigma^-1, and s
+    maps the edge k-l of T onto an edge of T.  The identity comes first.
+    Built on demand, never by ``build_cayley``.
+    """
+    out = []
+    for sigma in automorphisms(G.gen):
+        s = _inverse(sigma)
+        out.append(
+            tuple(
+                G.index[tuple(s[p[x - 1] - 1] for x in sigma)] for p in G.perms
+            )
+        )
+    return tuple(out)
+
+
+def inverse_map(G: CayleyGraph) -> tuple[int, ...]:
+    """Vertex map p -> p^-1.
+
+    Not an automorphism, but translating by w^-1 maps the pair (0, w) onto
+    the pair (w^-1, 0), so both pairs have the same separations.
+    """
+    return tuple(G.index[_inverse(p)] for p in G.perms)
+
+
+def _inverse(p: Perm) -> Perm:
+    q = [0] * len(p)
+    for i, x in enumerate(p):
+        q[x - 1] = i + 1
+    return tuple(q)
 
 
 def out_neighbors(G: CayleyGraph, u: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from .cayley import (
     with_redirected_cross_edge,
 )
 from .cuts import (
+    CONNECTIVITY_MAX_N,
     min_cyclic_cut_exhaustive,
     min_good_neighbor_cut_exhaustive,
     randomized_cut_falsifier,
@@ -40,10 +41,6 @@ from .perms import CapacityError
 
 #: trial count for every randomized CLI search; fixed so runs are reproducible
 RANDOM_TRIALS = 1_000_000
-
-#: flow-based connectivity is quadratic-ish in the order; n=6 is the last
-#: size that answers interactively
-CONNECTIVITY_MAX_N = 6
 
 
 class SpecError(ValueError):
@@ -166,9 +163,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    G = _build(args)
-    if G.n > CONNECTIVITY_MAX_N:
+    gen = parse_spec(args.spec)
+    if gen.n > CONNECTIVITY_MAX_N:
         raise CapacityError(f"connectivity computation capped at n={CONNECTIVITY_MAX_N}")
+    G = build_cayley(gen)
     res = vertex_connectivity_detail(G)
     line = f"kappa={res.value}"
     if res.complete:

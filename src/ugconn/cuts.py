@@ -28,7 +28,9 @@ from .cayley import (
     _reach,
     _transitive,
     component_analysis,
+    conjugation_maps,
     enumerate_4cycles,
+    inverse_map,
 )
 from .genset import describe
 from .perms import perm_string
@@ -80,24 +82,33 @@ def is_good_neighbor_cut(g, fault, good: int) -> bool:
     """True iff g - fault is disconnected and every survivor keeps >= good neighbors.
 
     Degrees are evaluated over all survivors on both sides of the cut.
-    With good=0 this is plain disconnection.
+    With good=0 this is plain disconnection.  Needs the neighbor bitmasks
+    (orders up to 7!).
     """
     if good < 0:
         raise ValueError("neighbor requirement must be >= 0")
     dense = _as_dense(g)
-    analysis = component_analysis(dense, fault)
-    if analysis.component_count < 2:
+    if component_analysis(dense, fault).component_count < 2:
         return False
-    if good == 0:
-        return True
-    fs = set(fault)
-    for v in range(dense.order):
-        if v in fs:
-            continue
-        deg = sum(1 for w in dense.neighbors[v] if w not in fs)
-        if deg < good:
+    return _keeps_degree(dense.masks, dense.full_mask ^ _mask_of(fault), good)
+
+
+def _keeps_degree(masks, alive: int, good: int) -> bool:
+    """True iff every vertex of alive has >= good neighbors in alive."""
+    m = alive
+    while m:
+        b = m & -m
+        m ^= b
+        if (masks[b.bit_length() - 1] & alive).bit_count() < good:
             return False
     return True
+
+
+def _mask_of(vertices) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << v
+    return out
 
 
 def large_component_profile(g, fault) -> tuple[int, int]:
@@ -165,7 +176,12 @@ def _make_witness(dense: DenseGraph, fault: tuple[int, ...], kind: str) -> CutWi
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity via unit-capacity max-flow (vertex splitting)
+# vertex connectivity via vertex-disjoint paths (Menger)
+
+
+#: kappa by flows answers at n <= 7: about 4 s on mb:7 and 27 s on ug:7:c=4
+#: (258 and 1,430 flows after the symmetry rule of _min_separation)
+CONNECTIVITY_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -176,118 +192,81 @@ class ConnectivityResult:
     flows: int
 
 
-class _FlowNet:
-    """Vertex-split unit-capacity network; node 2v = v_in, 2v+1 = v_out.
+def _unit_flow(into, first, second, cutoff):
+    """Vertex-disjoint paths from unit first to unit second, stopping at cutoff.
 
-    Two more nodes, ``source`` and ``sink``, start without arcs; ``attach``
-    ties them to vertex sets for set-to-set flows.
+    Every vertex outside the two units has capacity one.  Each vertex v
+    has an in-state 2v and an out-state 2v+1; ``into[v]`` lists the
+    in-states of v's neighbors.  The flow is kept per vertex: whether v
+    carries a path, and the out-state that feeds v.  Residual moves:
+
+    - an out-state reaches the in-state of every neighbor, and its own
+      in-state if the vertex carries a path;
+    - an in-state reaches its own out-state if the vertex is free, else
+      only the out-state that feeds it.
+
+    The out-states of the first unit are the source.  A search stops at
+    the first out-state next to the second unit, whose in-states are the
+    sink.  Returns (flow, cut).  The cut is None when the flow reached
+    cutoff; otherwise the last search failed, and the vertices whose
+    in-state it reached but whose out-state it did not form a minimum cut.
+    That set is the same for every maximum flow.
     """
-
-    def __init__(self, dense: DenseGraph):
-        self.order = dense.order
-        self.source = 2 * dense.order
-        self.sink = 2 * dense.order + 1
-        self.to: list[int] = []
-        self.base: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(2 * dense.order + 2)]
-        for v in range(dense.order):
-            self._arc(2 * v, 2 * v + 1, 1)
-        for u in range(dense.order):
-            for v in dense.neighbors[u]:
-                # edge arcs are effectively infinite so min cuts consist of
-                # splitter arcs only, which is what the witness reads off
-                self._arc(2 * u + 1, 2 * v, dense.order)
-        self.cap: list[int] = []
-
-    def _arc(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.base.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.base.append(0)
-
-    def attach(self, sources, sinks) -> int:
-        """Arcs source -> v_out for v in sources, v_in -> sink for v in sinks.
-
-        The vertices in both sets can then never be cut.  Returns the mark
-        that ``detach`` rolls the network back to.
-        """
-        mark = len(self.to)
-        for v in sources:
-            self._arc(self.source, 2 * v + 1, self.order)
-        for v in sinks:
-            self._arc(2 * v, self.sink, self.order)
-        return mark
-
-    def detach(self, mark: int) -> None:
-        """Remove the arcs added since mark, newest first."""
-        to, adj = self.to, self.adj
-        while len(to) > mark:
-            adj[to.pop()].pop()  # the forward arc, listed at its tail
-            adj[to.pop()].pop()  # the reverse arc, listed at the head
-            del self.base[-2:]
-
-    def max_flow(self, cutoff: int) -> int:
-        """Unit augmenting paths from source to sink, stopping early at cutoff.
-
-        A BFS ends as soon as it labels an in-node with an arc to the sink:
-        that arc has capacity ``order`` and carries less than cutoff <= order
-        units before the last augmentation, so it always has room.
-        """
-        self.cap = self.base[:]
-        cap, to, adj = self.cap, self.to, self.adj
-        s = self.source
-        nnodes = len(adj)
-        # in-node -> its arc into the sink, else 0 (arc 0 is a splitter);
-        # adj[sink] lists the reverse arcs
-        into_sink = [0] * nnodes
-        for eid in adj[self.sink]:
-            into_sink[to[eid]] = eid ^ 1
-        flow = 0
-        while flow < cutoff:
-            pred = [-1] * nnodes
-            pred[s] = -2
-            queue = [s]
-            for u in queue:
-                for eid in adj[u]:
-                    w = to[eid]
-                    if cap[eid] > 0 and pred[w] == -1:
-                        pred[w] = eid
-                        if into_sink[w]:
-                            break
+    order = len(into)
+    base = [-1] * (2 * order)  # label: the state a search reached this one from
+    for a in first:
+        base[2 * a] = base[2 * a + 1] = -2  # source: never relabeled
+    near = bytearray(2 * order)
+    for t in second:
+        base[2 * t] = -2
+        for w in into[t]:
+            near[w + 1] = 1
+    carry = bytearray(order)
+    exit_of = [2 * v + 1 for v in range(order)]  # the one move of each in-state
+    starts = [2 * a + 1 for a in first]
+    flow = 0
+    while flow < cutoff:
+        label = base[:]
+        queue = starts[:]
+        hit = -1
+        for st in queue:
+            if st & 1:
+                for w in into[st >> 1]:
+                    if label[w] == -1:
+                        label[w] = st
                         queue.append(w)
-                else:
-                    continue
-                break  # w is an in-node of the sink
+                if carry[st >> 1] and label[st - 1] == -1:
+                    label[st - 1] = st
+                    queue.append(st - 1)
             else:
-                break  # no augmenting path is left
-            cap[into_sink[w]] -= 1
-            cap[into_sink[w] ^ 1] += 1
-            v = w
-            while v != s:
-                eid = pred[v]
-                cap[eid] -= 1
-                cap[eid ^ 1] += 1
-                v = to[eid ^ 1]
-            flow += 1
-        return flow
-
-    def min_cut_vertices(self) -> tuple[int, ...]:
-        """Split vertices saturated by the last flow, via residual reachability."""
-        cap, to, adj = self.cap, self.to, self.adj
-        seen = [False] * len(adj)
-        seen[self.source] = True
-        queue = [self.source]
-        for u in queue:
-            for eid in adj[u]:
-                w = to[eid]
-                if cap[eid] > 0 and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        return tuple(
-            v for v in range(self.order) if seen[2 * v] and not seen[2 * v + 1]
-        )
+                u = exit_of[st >> 1]
+                if label[u] == -1:
+                    label[u] = st
+                    if near[u]:
+                        hit = u
+                        break
+                    queue.append(u)
+        if hit < 0:
+            return flow, tuple(
+                v
+                for v in range(order)
+                if label[2 * v] >= 0 and label[2 * v + 1] == -1
+            )
+        st = hit
+        while st >= 0:
+            prev = label[st]
+            v = st >> 1
+            if st & 1:
+                if prev == st - 1:  # v starts to carry a path
+                    carry[v] = 1
+            elif prev == st + 1:  # the path through v is cancelled
+                carry[v] = 0
+                exit_of[v] = st + 1
+            else:  # prev now feeds v
+                exit_of[v] = prev
+            st = prev
+        flow += 1
+    return flow, None
 
 
 @dataclass(frozen=True)
@@ -303,29 +282,54 @@ class EdgeSeparation:
 def _min_separation(g, units) -> EdgeSeparation:
     """Fewest vertices whose removal leaves two units whole in different components.
 
-    A unit is a vertex tuple.  Two units can be separated only if neither
-    has a vertex in the other's closed neighborhood, and then, by Menger,
-    the fewest vertices separating them is the maximum flow from the
-    out-nodes of the first to the in-nodes of the second.  The network is
-    built once; each pair is one flow, stopped at the best value so far,
-    and a flow that stops below it ran to completion, so the cut is read
-    off right then.  The second unit ranges over the units after the first.
+    A unit is a vertex tuple: all single vertices, or all edges.  Two units
+    can be separated only if neither has a vertex in the other's closed
+    neighborhood, and then, by Menger, the fewest vertices separating them
+    is the number of vertex-disjoint paths between them (``_unit_flow``).
+    Each pair is one flow, stopped at the best value so far, and a flow
+    that stops below it ran to completion, so its cut comes with it.  The
+    second unit ranges over the units after the first.
 
     First units: on a graph from ``build_cayley``, the units that contain
-    vertex 0.  The units are all vertices or all edges, so an automorphism
-    maps any separated pair (A, B) onto a pair whose first unit contains 0;
-    its second unit misses N[0] and so comes after every unit through 0.
-    On any other graph, a greedy family of pairwise disjoint units comes
-    first, then the rest, and the loop stops once more family units than
-    the best value are done (Even 1975).  A minimum cut S misses one of
-    any |S|+1 disjoint units; let U be the first it misses.  S separates
-    two units, and one of them, W, lies in another component than U.
-    Every family unit before U meets S and W does not, so W comes after U
-    and the pair (U, W) is flowed.
+    vertex 0.  An automorphism maps any separated pair (A, B) onto a pair
+    whose first unit contains 0; its second unit misses N[0] and so comes
+    after every unit through 0.  On any other graph, a greedy family of
+    pairwise disjoint units comes first, then the rest, and the loop stops
+    once more family units than the best value are done (Even 1975).  A
+    minimum cut S misses one of any |S|+1 disjoint units; let U be the
+    first it misses.  S separates two units, and one of them, W, lies in
+    another component than U.  Every family unit before U meets S and W
+    does not, so W comes after U and the pair (U, W) is flowed.
+
+    Symmetry, on a graph from ``build_cayley`` only.  Conjugation by an
+    automorphism of T fixes 0 and maps T to itself, so it is an
+    automorphism of the graph (``conjugation_maps``); translating by w^-1
+    maps the pair (0, w) onto (w^-1, 0).  Vertex units: (0, w) is flowed
+    only when w is the least vertex of its orbit under the conjugations
+    and w -> w^-1.  Edge units: the first edge (0, s) is used only when s is
+    the least image of s under the conjugations; every second edge stays.
+    This changes no value, pair or cut.  The flow value is constant on
+    orbits, and a pair that is skipped has an earlier orbit member that
+    was flowed: the least w, or the pair (0, m(s)) and the image of the
+    second edge under the same map m.  When the skipped pair comes up,
+    best is already at most its value, so it could not have improved
+    best.  The pairs that improve best are therefore all flowed, in the
+    same order and with the same cutoffs, and each cut is the minimum cut
+    next to the first unit, which every maximum flow shares.
     """
     dense = _as_dense(g)
     if _transitive(g):
+        maps = conjugation_maps(g)
         firsts = [u for u in units if 0 in u]
+        if len(firsts[0]) == 1:
+            inverse = inverse_map(g)
+            orbit_min = [
+                min(m[x] for m in maps for x in (w, inverse[w]))
+                for w in range(dense.order)
+            ]
+            units = [u for u in units if orbit_min[u[0]] == u[0]]
+        else:
+            firsts = [u for u in firsts if min(m[u[1]] for m in maps) == u[1]]
         family = 0  # no family, no early stop
     else:
         covered: set[int] = set()
@@ -337,7 +341,7 @@ def _min_separation(g, units) -> EdgeSeparation:
         family = len(firsts)
     chosen = set(firsts)
     ordered = firsts + [u for u in units if u not in chosen]
-    net = _FlowNet(dense)
+    into = [tuple(2 * w for w in ns) for ns in dense.neighbors]
     best = dense.order  # every flow path crosses a vertex outside both units
     arg = None
     cut = None
@@ -351,13 +355,10 @@ def _min_separation(g, units) -> EdgeSeparation:
         for second in ordered[i + 1 :]:
             if not closed.isdisjoint(second):
                 continue
-            mark = net.attach(first, second)
-            f = net.max_flow(best)
+            f, found = _unit_flow(into, first, second, best)
             flows += 1
             if f < best:
-                best, arg = f, (first, second)
-                cut = net.min_cut_vertices()
-            net.detach(mark)
+                best, arg, cut = f, (first, second), found
     return EdgeSeparation(
         value=best if arg is not None else None, edges=arg, cut=cut, flows=flows
     )
@@ -471,15 +472,7 @@ def _search_task(task: tuple[int, int]):
         if pred == "vertex":
             return (first, *rest)
         if pred == "good":
-            m = alive
-            ok = True
-            while m:
-                b = m & -m
-                m ^= b
-                if (masks[b.bit_length() - 1] & alive).bit_count() < good:
-                    ok = False
-                    break
-            if ok:
+            if _keeps_degree(masks, alive, good):
                 return (first, *rest)
             continue
         # cyclic: need two components that each carry a cycle
@@ -1003,13 +996,6 @@ def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
         memo={},
     )
     return payload
-
-
-def _mask_of(vertices) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
 
 
 def _block_faults(shared: dict, block: int) -> list:

@@ -8,6 +8,7 @@ for the hierarchical block decomposition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -164,6 +165,24 @@ def build_generating_graph(
 def classify(g: GeneratingGraph) -> str:
     """Recompute the class tag of an already-built graph."""
     return _classify(g.n, g.edges, _adjacency(g.n, g.edges))
+
+
+def automorphisms(g: GeneratingGraph) -> tuple[tuple[int, ...], ...]:
+    """Position permutations that map g's edge set onto itself, identity first.
+
+    sigma is given in one-line form, sigma[i - 1] being the image of
+    position i.  Found by brute force over all n! candidates, which is
+    cheap for the n <= 8 that any Cayley graph here is built at.
+    """
+    edges = set(g.edges)
+    out = []
+    for sigma in itertools.permutations(range(1, g.n + 1)):
+        if all(
+            (min(sigma[a - 1], sigma[b - 1]), max(sigma[a - 1], sigma[b - 1])) in edges
+            for a, b in g.edges
+        ):
+            out.append(sigma)
+    return tuple(out)
 
 
 def choose_peel(g: GeneratingGraph) -> PeelChoice:

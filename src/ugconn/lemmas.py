@@ -33,6 +33,7 @@ from .cayley import (
     out_neighbors,
 )
 from .cuts import (
+    CONNECTIVITY_MAX_N,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
@@ -166,8 +167,8 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     )
     if expected is None:
         return _skip(cid, "no stated connectivity value for this class")
-    if G.n > 5:
-        return _skip(cid, "flow computation capped at n=5")
+    if G.n > CONNECTIVITY_MAX_N:
+        return _skip(cid, f"flow computation capped at n={CONNECTIVITY_MAX_N}")
     res = vertex_connectivity_detail(G)
     detail = {
         "kappa": res.value,
@@ -178,7 +179,8 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     if res.cut is not None:
         detail["minimum_cut"] = ctx.perm_strs(res.cut)
     sources = (
-        "source fixed by vertex-transitivity"
+        "source fixed by vertex-transitivity, one sink per orbit of the "
+        "conjugations by Aut(T) and inversion"
         if G.transitive
         else "sources up to kappa (not vertex-transitive)"
     )
@@ -187,7 +189,7 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
         ok=res.value == expected,
         sampled=False,
         gating=True,
-        scope=f"Menger via unit-capacity flow, {sources}",
+        scope=f"Menger via vertex-disjoint paths, {sources}",
         detail=detail,
     )
 
@@ -496,8 +498,8 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     if G.n > 6:
         return _skip(
             cid,
-            "edge-separation flows capped at n=6; n=7 takes about 123k flows "
-            "on a 10k-node network",
+            "edge-separation flows capped at n=6; n=7 takes 87.8k flows on "
+            "ug:7:c=4 (5 first edges at vertex 0)",
         )
     max_f = 2 * G.n - 3
     sep = edge_separation_connectivity(G)
@@ -513,7 +515,7 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     }
     ok = min(sep.value, stranding) > max_f
     firsts = (
-        "first edge at vertex 0"
+        "first edges at vertex 0, one per Aut(T) conjugation orbit"
         if G.transitive
         else "first edges from a matching, not vertex-transitive"
     )
@@ -731,7 +733,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     n, order = G.n, G.order
     table = {
         "common-neighbor-bound": 0.3 if order <= 120 else 3.0,
-        "connectivity-value": 1.0,
+        "connectivity-value": max(1.0, order / 120),
         "cross-edge-count": 0.5 if order <= 720 else 4.0,
         "out-neighbor-disjoint": 0.5 if order <= 720 else 4.0,
         "out-neighbor-escape": 0.5 if order <= 720 else 4.0,

@@ -23,12 +23,14 @@ from ugconn.cayley import (
     canonical_four_cycle,
     common_neighbor_count,
     component_analysis,
+    conjugation_maps,
     cross_edges,
     edge_label,
     enumerate_4cycles,
     find_cn_triple_violation,
     find_edge_cn_violation,
     girth,
+    inverse_map,
     max_common_neighbors,
     out_neighbors,
     to_dot,
@@ -383,3 +385,23 @@ def test_hypercube_conftest_helper_sorted():
     q4 = hypercube(4)
     assert q4.order == 16
     assert all(list(t) == sorted(t) for t in q4.neighbors)
+
+
+@pytest.mark.parametrize("spec", ["mb:4", "mb:5", "ug:5:c=4", "star:4", "bubble:4"])
+def test_conjugations_are_automorphisms_fixing_0(spec):
+    from ugconn import build_cayley
+    from ugconn.cli import parse_spec
+
+    G = build_cayley(parse_spec(spec))
+    maps = conjugation_maps(G)
+    assert maps[0] == tuple(range(G.order))
+    for m in maps:
+        assert m[0] == 0 and sorted(m) == list(range(G.order))
+        for u in range(G.order):
+            assert sorted(m[w] for w in G.neighbors(u)) == list(G.neighbors(m[u]))
+    inv = inverse_map(G)
+    for u in range(G.order):
+        assert inv[inv[u]] == u
+        # translating by u^-1 takes u to 0, and 0 to u^-1
+        p = G.perms[u]
+        assert tuple(G.perms[inv[u]][x - 1] for x in p) == G.perms[0]

@@ -129,8 +129,16 @@ def test_connectivity_complete_graph_convention(capsys):
     assert out == "kappa=1 complete-graph-convention\n"
 
 
+def test_connectivity_at_n7(capsys):
+    code, out, _ = run(capsys, "connectivity", "--spec", "mb:7")
+    assert code == 0
+    kappa, cut = out.split()
+    assert kappa == "kappa=7"
+    assert len(cut.removeprefix("cut=").split(",")) == 7
+
+
 def test_connectivity_capacity_cap(capsys):
-    code, _, err = run(capsys, "connectivity", "--spec", "mb:7")
+    code, _, err = run(capsys, "connectivity", "--spec", "mb:8")
     assert code == 3
     assert "capped" in err
 

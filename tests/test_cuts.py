@@ -30,6 +30,7 @@ from ugconn.cuts import (
     _first_result,
     _make_witness,
     _run_tasks,
+    _unit_flow,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
@@ -140,7 +141,9 @@ def test_connectivity_witness_is_a_real_cut(mb4):
     assert _perms(mb4, det.cut) == ["1243", "1324", "2134", "4231"]
     assert is_vertex_cut(mb4, det.cut)
     assert nx.node_connectivity(_nx_of(mb4)) == 4
-    assert det.flows == 24 - 1 - 4  # vertex 0 against each non-neighbor
+    # vertex 0 against one non-neighbor per orbit of the conjugations by
+    # Aut(T) and w -> w^-1: 6 of the 24 - 1 - 4 non-neighbors
+    assert det.flows == 6
 
 
 def test_connectivity_matches_networkx_on_random_graphs():
@@ -196,9 +199,66 @@ def test_edge_separation_on_ug5(mb4, ug5):
     assert sep.value == 8 == len(sep.cut)
     assert sep.edges[0][0] == 0  # the first edge is fixed at vertex 0
     assert large_component_profile(ug5, sep.cut)[1] >= 2
-    # one flow per edge at vertex 0 and far edge after it
-    assert sep.flows == 1303
-    assert edge_separation_connectivity(mb4).flows == 96
+    # one flow per far edge after each edge at vertex 0 that is least in
+    # its Aut(T) orbit: 3 of the 5 first edges on ug:5:c=4, 1 of 4 on mb:4
+    assert sep.flows == 782
+    assert edge_separation_connectivity(mb4).flows == 24
+
+
+# (value, cut) of kappa and (value, pair, cut) of kappa_1, frozen from the
+# loop that flowed every non-neighbor of vertex 0 and every first edge at
+# 0; the symmetry rule must reproduce them.  The last number is the flow
+# count with the rule (713 for each n=6 kappa without it).
+PINNED_KAPPA = {
+    "mb:4": (4, (1, 2, 6, 21), 6),
+    "mb:5": (5, (1, 2, 6, 24, 105), 15),
+    "ug:4:c=4": (4, (1, 2, 6, 21), 6),
+    "ug:5:c=4": (5, (1, 2, 6, 24, 80), 42),
+    "star:4": (3, (6, 14, 21), 5),
+    "bubble:4": (3, (1, 2, 6), 10),
+    "mb:6": (6, (1, 2, 6, 24, 120, 633), 66),
+    "ug:6:c=4": (6, (1, 2, 6, 24, 120, 390), 225),
+    "ug:6:c=5": (6, (1, 2, 6, 24, 120, 512), 217),
+}
+PINNED_KAPPA_1 = {
+    "mb:4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 24),
+    "mb:5": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 81, 105), 261),
+    "ug:4:c=4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 24),
+    "ug:5:c=4": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 80, 104), 782),
+    "star:4": (4, ((0, 6), (1, 7)), (12, 14, 19, 21), 23),
+    "bubble:4": (4, ((0, 1), (3, 5)), (2, 4, 6, 7), 47),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_KAPPA))
+def test_kappa_matches_the_all_pairs_values(spec):
+    det = vertex_connectivity_detail(build_cayley(parse_spec(spec)))
+    assert (det.value, det.cut, det.flows) == PINNED_KAPPA[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_KAPPA_1))
+def test_kappa_1_matches_the_all_first_edges_values(spec):
+    sep = edge_separation_connectivity(build_cayley(parse_spec(spec)))
+    assert (sep.value, sep.edges, sep.cut, sep.flows) == PINNED_KAPPA_1[spec]
+
+
+# A trap for augmenting paths: 0 is the source, 5 the sink.  The first
+# search finds 0-1-3-5, which blocks 2, so the second path 0-2-3-1-4-5 must
+# enter 3 and cancel the arc 1 -> 3 of the first.  Units 6 and 7 hang off
+# the ends to make edge units (0, 6) and (5, 7) of the same trap.
+TRAP = ((1, 2, 6), (0, 3, 4), (0, 3), (1, 2, 5), (1, 5), (3, 4, 7), (0,), (5,))
+
+
+def test_unit_flow_cancels_an_arc_of_an_earlier_path():
+    into = [tuple(2 * w for w in ns) for ns in TRAP]
+    H = nx.Graph((v, w) for v, ns in enumerate(TRAP) for w in ns)
+    # without the cancellation the flow would stop at 1; the cut is N(0)
+    # minus the unit, the minimum cut next to the source
+    assert _unit_flow(into, (0,), (5,), 8) == (nx.node_connectivity(H, 0, 5), (1, 2))
+    assert _unit_flow(into, (0,), (5,), 1) == (1, None)  # stopped at the cutoff
+    K = nx.contracted_nodes(nx.contracted_nodes(H, 0, 6), 5, 7)
+    flow, cut = _unit_flow(into, (0, 6), (5, 7), 8)
+    assert (flow, cut) == (nx.node_connectivity(K, 0, 5), (1, 2)) == (2, (1, 2))
 
 
 def _edge_separation_by_all_pairs(H: nx.Graph):

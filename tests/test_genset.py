@@ -14,6 +14,7 @@ from ugconn.genset import (
     STAR,
     UNICYCLIC_TF,
     GeneratingGraphError,
+    automorphisms,
     build_generating_graph,
     choose_peel,
     classify,
@@ -138,3 +139,19 @@ def test_describe_is_one_line():
     text = describe(g)
     assert "\n" not in text
     assert "Cycle" in text and "n=4" in text
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [("mb:4", 8), ("mb:5", 10), ("mb:6", 12), ("ug:5:c=4", 2), ("star:4", 6)],
+)
+def test_automorphism_counts(spec, size):
+    from ugconn.cli import parse_spec
+
+    g = parse_spec(spec)
+    auts = automorphisms(g)
+    assert len(auts) == size  # 2n on the n-cycle, the reflection on ug, S_3 on star
+    assert auts[0] == tuple(range(1, g.n + 1))
+    edges = set(g.edges)
+    for sigma in auts:
+        assert {tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in edges} == edges

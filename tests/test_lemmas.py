@@ -152,7 +152,18 @@ def test_connectivity_detail_on_path(b4):
     assert c.verdict == PROVED
     assert c.detail["kappa"] == c.detail["expected"] == 3
     assert len(c.detail["minimum_cut"]) == 3
-    assert c.detail["flows"] == 24 - 1 - 3  # vertex 0 against each non-neighbor
+    # vertex 0 against one non-neighbor per orbit of the conjugations by
+    # Aut(T) and w -> w^-1: 10 of the 24 - 1 - 3 non-neighbors
+    assert c.detail["flows"] == 10
+
+
+def test_connectivity_value_is_proved_at_n6(mb6):
+    rep = verify_all(mb6, workers=1, checks=["connectivity-value"])
+    (c,) = rep.checks
+    assert c.verdict == PROVED and c.gating
+    assert c.detail["kappa"] == c.detail["expected"] == 6
+    assert len(c.detail["minimum_cut"]) == 6
+    assert c.detail["flows"] == 66  # 82 orbits under Aut(T) alone, 66 with inversion
 
 
 def test_four_subset_minimum_is_exact_at_n6(mb6):
