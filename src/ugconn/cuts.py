@@ -2,7 +2,7 @@
 
 Everything here is deterministic for a fixed seed: enumeration is by
 subset size ascending and lexicographic within a size, parallel runs
-partition the work by (size, smallest fault element) or by fixed-size
+partition the work by (size, two least fault elements) or by fixed-size
 trial blocks, searches take the first hit in task order, and merges pick
 the lexicographically least candidate.  A run with 8 workers therefore
 returns byte-identical results to a run with 1.
@@ -149,6 +149,7 @@ class CutWitness:
     kind: str  # "vertex-cut" | "good-neighbor-cut(g)" | "cyclic-cut"
     fault: tuple[int, ...]
     analysis: CutAnalysis
+    scanned: int | None = None  # sets an exhaustive search scanned, this one included
 
     @property
     def size(self) -> int:
@@ -166,13 +167,15 @@ def render_witness(G: CayleyGraph, witness: CutWitness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_witness(dense: DenseGraph, fault: tuple[int, ...], kind: str) -> CutWitness:
+def _make_witness(
+    dense: DenseGraph, fault: tuple[int, ...], kind: str, scanned: int | None = None
+) -> CutWitness:
     analysis = component_analysis(dense, fault)
     if analysis.component_count < 2:
         raise ValueError(f"witness {fault} does not disconnect the graph")
     if kind == "cyclic-cut" and analysis.cyclic_component_count() < 2:
         raise ValueError(f"witness {fault} does not leave two cyclic components")
-    return CutWitness(kind=kind, fault=fault, analysis=analysis)
+    return CutWitness(kind=kind, fault=fault, analysis=analysis, scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +428,29 @@ def _run_tasks(payload: dict, func, tasks: list, workers: int) -> list:
 
 
 def _first_result(payload: dict, func, tasks: list, workers: int):
-    """The first non-None func(task) in task order, or None.
+    """(work, hit): the first hit in task order, where func(task) is (work, hit).
 
-    Tasks after the first hit may be skipped; every task before it has run,
-    so the answer does not depend on the worker count.
+    A task misses with hit None.  work sums the work of the tasks up to
+    the one that hits, or of all tasks when none does.  Tasks after the
+    first hit may be skipped; every task before it has run, so neither
+    number depends on the worker count.
     """
+
+    def first_hit(results):
+        total = 0
+        for work, hit in results:
+            total += work
+            if hit is not None:
+                return total, hit
+        return total, None
+
     workers = min(workers, len(tasks))
     if workers <= 1:
         _pool_init(payload)
-        return next((r for r in map(func, tasks) if r is not None), None)
+        return first_hit(map(func, tasks))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_pool_init, initargs=(payload,)) as pool:
-        return next((r for r in pool.imap(func, tasks) if r is not None), None)
+        return first_hit(pool.imap(func, tasks))
 
 
 def _graph_payload(dense: DenseGraph) -> dict:
@@ -449,64 +463,101 @@ def _graph_payload(dense: DenseGraph) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimum-cut search
+# exhaustive subset scans
 
 
-def _search_task(task: tuple[int, int]):
-    """Earliest fault with the given (size, first element) hitting the predicate."""
-    size, first = task
-    masks = _SHARED["masks"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    pred = _SHARED["pred"]
-    good = _SHARED["good"]
-    base = 1 << first
-    for rest in itertools.combinations(range(first + 1, order), size - 1):
+def _subset_tasks(g, sizes) -> list[tuple[int, tuple[int, ...]]]:
+    """(size, prefix) tasks that split an exhaustive scan over the given sizes.
+
+    Each task covers the sets of one size whose least elements are the
+    prefix: the two least, or the one element of a size-1 set.  Sizes run
+    ascending and prefixes in lexicographic order, so the tasks meet the
+    sets in (size, lexicographic) order.
+
+    On a graph from ``build_cayley`` only sets containing vertex 0 are
+    scanned, so every prefix starts with 0.  That is exact for every scan
+    here.  Every property they test is invariant under translation, and
+    every set has a translate that contains 0.  Vertex 0 is the least
+    vertex, so the lexicographically least member of any non-empty
+    invariant family contains 0: a first-hit search and a least witness
+    are unchanged.  A count scales: each vertex lies in equally many of
+    the family's sets of size k, so the family has order/k times as many
+    sets as contain 0.
+    """
+    order = _as_dense(g).order
+    tasks: list[tuple[int, tuple[int, ...]]] = []
+    for size in sizes:
+        for a in (0,) if _transitive(g) else range(order - size + 1):
+            if size == 1:
+                tasks.append((1, (a,)))
+            else:
+                tasks.extend((size, (a, b)) for b in range(a + 1, order - size + 2))
+    return tasks
+
+
+def _task_masks(task, order: int):
+    """The fault mask of every set of a (size, prefix) task, in order."""
+    size, prefix = task
+    base = _mask_of(prefix)
+    after = range(prefix[-1] + 1, order)
+    for rest in itertools.combinations(after, size - len(prefix)):
         fmask = base
         for v in rest:
             fmask |= 1 << v
+        yield fmask
+
+
+def _search_task(task):
+    """(sets scanned, first fault of the task hitting the predicate or None)."""
+    masks = _SHARED["masks"]
+    full = _SHARED["full"]
+    pred = _SHARED["pred"]
+    good = _SHARED["good"]
+    scanned = 0
+    for fmask in _task_masks(task, _SHARED["order"]):
+        scanned += 1
         alive = full ^ fmask
         reach = _reach(masks, alive, alive & -alive)
         if reach == alive:
             continue
         if pred == "vertex":
-            return (first, *rest)
+            return scanned, _mask_members(fmask)
         if pred == "good":
             if _keeps_degree(masks, alive, good):
-                return (first, *rest)
+                return scanned, _mask_members(fmask)
             continue
         # cyclic: need two components that each carry a cycle
         comps = [reach] + _component_masks(masks, alive & ~reach)
         if _cyclic_component_count(masks, comps) >= 2:
-            return (first, *rest)
-    return None
+            return scanned, _mask_members(fmask)
+    return scanned, None
 
 
 def _min_cut_search(
-    g, pred: str, good: int, max_size: int, workers: int | None, kind: str
-) -> CutWitness | None:
-    """First hit over (size, first) tasks, sizes ascending: the least minimum cut."""
+    g, pred: str, good: int, max_size: int, workers: int | None
+) -> tuple[int, tuple[int, ...] | None]:
+    """(sets scanned, least minimum cut or None) in one first-hit pass."""
     dense = _as_dense(g)
     payload = _graph_payload(dense)
     payload["pred"] = pred
     payload["good"] = good
-    tasks = [
-        (size, first)
-        for size in range(1, min(max_size, dense.order - 1) + 1)
-        for first in range(dense.order - size + 1)
-    ]
-    hit = _first_result(payload, _search_task, tasks, resolve_workers(workers))
-    return None if hit is None else _make_witness(dense, hit, kind)
+    tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
+    return _first_result(payload, _search_task, tasks, resolve_workers(workers))
+
+
+def _cut_witness(g, pred, good, max_size, workers, kind) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, pred, good, max_size, workers)
+    return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
 def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
-    Plain enumeration over all vertex subsets, sizes ascending, in one pass
-    that stops at the first hit.  Absence is a valid (and for the lower
-    bounds, the desired) result.
+    Enumeration over the vertex subsets of ``_subset_tasks``, sizes
+    ascending, in one pass that stops at the first hit.  Absence is a valid
+    (and for the lower bounds, the desired) result.
     """
-    return _min_cut_search(g, "cyclic", 0, max_size, workers, "cyclic-cut")
+    return _cut_witness(g, "cyclic", 0, max_size, workers, "cyclic-cut")
 
 
 def min_good_neighbor_cut_exhaustive(
@@ -514,8 +565,8 @@ def min_good_neighbor_cut_exhaustive(
 ):
     """Least cut of size <= max_size after which all survivors keep >= good neighbors."""
     if good == 0:
-        return _min_cut_search(g, "vertex", 0, max_size, workers, "vertex-cut")
-    witness = _min_cut_search(
+        return _cut_witness(g, "vertex", 0, max_size, workers, "vertex-cut")
+    witness = _cut_witness(
         g, "good", good, max_size, workers, f"good-neighbor-cut({good})"
     )
     if witness is not None and good >= 2:
@@ -544,23 +595,17 @@ class SizeCensus:
     worst_fault: tuple[int, ...] | None  # least fault attaining max_residual
 
 
-def _census_task(task: tuple[int, int]):
-    size, first = task
+def _census_task(task):
     masks = _SHARED["masks"]
-    order = _SHARED["order"]
     full = _SHARED["full"]
-    base = 1 << first
     subsets = 0
     disconnecting = 0
     isolating = 0
     nbhd = 0
     max_residual = 0
     worst = None
-    for rest in itertools.combinations(range(first + 1, order), size - 1):
+    for fmask in _task_masks(task, _SHARED["order"]):
         subsets += 1
-        fmask = base
-        for v in rest:
-            fmask |= 1 << v
         alive = full ^ fmask
         reach = _reach(masks, alive, alive & -alive)
         if reach == alive:
@@ -572,13 +617,14 @@ def _census_task(task: tuple[int, int]):
         residual = sum(sizes) - largest
         if residual > max_residual:
             max_residual = residual
-            worst = (first, *rest)
+            worst = fmask
         if len(comps) == 2 and residual == 1:
             isolating += 1
             single = comps[sizes.index(1)]
             if masks[single.bit_length() - 1] == fmask:
                 nbhd += 1
-    return size, subsets, disconnecting, isolating, nbhd, max_residual, worst
+    worst = None if worst is None else _mask_members(worst)
+    return task[0], subsets, disconnecting, isolating, nbhd, max_residual, worst
 
 
 def disconnection_census(
@@ -588,30 +634,28 @@ def disconnection_census(
 
     Counts disconnecting sets and the two-components-one-isolated pattern,
     and tracks the worst residual.  One sweep serves the isolation and
-    large-component bounds.
+    large-component bounds.  On a graph from ``build_cayley`` it scans the
+    sets through vertex 0 and scales each count of size k by order/k; the
+    maximum residual and its least fault need no scaling (``_subset_tasks``).
     """
     dense = _as_dense(g)
     nworkers = resolve_workers(workers)
     payload = _graph_payload(dense)
     top = min(max_size, dense.order - 1)
-    tasks = [
-        (size, first)
-        for size in range(1, top + 1)
-        for first in range(dense.order - size + 1)
-    ]
+    tasks = _subset_tasks(g, range(1, top + 1))
     rows = _run_tasks(payload, _census_task, tasks, nworkers)
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
+        counts = [sum(r[i] for r in mine) for i in range(1, 5)]
+        if _transitive(g):
+            counts = [dense.order * c // size for c in counts]
         max_residual = max(r[5] for r in mine)
         worsts = [r[6] for r in mine if r[5] == max_residual and r[6] is not None]
         out.append(
             SizeCensus(
-                size=size,
-                subsets=sum(r[1] for r in mine),
-                disconnecting=sum(r[2] for r in mine),
-                isolating=sum(r[3] for r in mine),
-                neighborhood_faults=sum(r[4] for r in mine),
+                size,
+                *counts,
                 max_residual=max_residual,
                 worst_fault=min(worsts) if worsts else None,
             )
@@ -626,156 +670,21 @@ def disconnection_census(
 @dataclass(frozen=True)
 class RemovalSweep:
     ok: bool
-    counterexample: tuple[int, ...] | None  # a fault set that disconnects
-    removals: int  # subsets actually enumerated
-    mode: str  # "plain" or "articulation"
-
-
-def _plain_removal_task(task: tuple[int, int]):
-    size, first = task
-    masks = _SHARED["masks"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    base = 1 << first
-    count = 0
-    for rest in itertools.combinations(range(first + 1, order), size - 1):
-        count += 1
-        fmask = base
-        for v in rest:
-            fmask |= 1 << v
-        alive = full ^ fmask
-        if _reach(masks, alive, alive & -alive) != alive:
-            return count, (first, *rest)
-    return count, None
-
-
-def _articulation_task(task: tuple[int, int]):
-    """Scan removals of one (size, first) slice for disconnection or cut vertices.
-
-    A disconnected removal ends the slice early (it is the least candidate
-    of its size, and smaller sizes always win).  Articulation candidates
-    are one vertex larger, so the scan must finish the slice and keep the
-    lexicographic minimum to stay exact against the plain mode.
-    """
-    size, first = task
-    neighbors = _SHARED["neighbors"]
-    order = _SHARED["order"]
-    if size == 0:
-        removals: list[tuple[int, ...]] = [()]
-    else:
-        removals = [
-            (first, *rest)
-            for rest in itertools.combinations(range(first + 1, order), size - 1)
-        ]
-    count = 0
-    best: tuple[int, ...] | None = None
-    for removed in removals:
-        count += 1
-        bad = _disconnect_or_articulation(neighbors, order, removed)
-        if bad is None:
-            continue
-        if len(bad) == len(removed):
-            return count, bad  # the removal itself disconnects
-        if best is None or bad < best:
-            best = bad
-    return count, best
-
-
-def _disconnect_or_articulation(neighbors, order, removed):
-    """Least fault set (the removal, possibly plus one cut vertex) that disconnects.
-
-    Runs one iterative lowlink pass over the graph minus ``removed``.
-    Returns the removal itself when the remainder is already disconnected,
-    the removal plus its smallest cut vertex when one exists, and None
-    when the remainder is connected and 2-connected.
-    """
-    dead = bytearray(order)
-    for v in removed:
-        dead[v] = 1
-    start = 0
-    while dead[start]:
-        start += 1
-    disc = [0] * order
-    low = [0] * order
-    parent = [-1] * order
-    timer = 1
-    disc[start] = low[start] = 1
-    path = [start]
-    iters = [iter(neighbors[start])]
-    root_children = 0
-    cut_vertex = -1
-    while path:
-        v = path[-1]
-        advanced = False
-        for w in iters[-1]:
-            if dead[w]:
-                continue
-            if not disc[w]:
-                timer += 1
-                disc[w] = low[w] = timer
-                parent[w] = v
-                if v == start:
-                    root_children += 1
-                path.append(w)
-                iters.append(iter(neighbors[w]))
-                advanced = True
-                break
-            if w != parent[v] and disc[w] < low[v]:
-                low[v] = disc[w]
-        if not advanced:
-            path.pop()
-            iters.pop()
-            if path:
-                u = path[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if u != start and low[v] >= disc[u]:
-                    if cut_vertex < 0 or u < cut_vertex:
-                        cut_vertex = u
-    if timer != order - len(removed):
-        return tuple(removed)  # already disconnected
-    if root_children >= 2 and (cut_vertex < 0 or start < cut_vertex):
-        cut_vertex = start
-    if cut_vertex >= 0:
-        return tuple(sorted((*removed, cut_vertex)))
-    return None
+    counterexample: tuple[int, ...] | None  # the least fault set that disconnects
+    removals: int  # fault sets the search scanned
 
 
 def verify_connected_under_removal(
-    g, max_size: int, workers: int | None = None, accelerated: bool = True
+    g, max_size: int, workers: int | None = None
 ) -> RemovalSweep:
     """Certify that no fault set of size <= max_size disconnects g.
 
-    Plain mode enumerates every fault set and BFS-checks it.  Accelerated
-    mode enumerates only sets of size <= max_size-1 and additionally
-    requires the remainder to have no cut vertex, which is equivalent:
-    a disconnecting set F of size s factors as a removal of size s-1 whose
-    remainder is either disconnected or has the last element of F as a cut
-    vertex.  The accelerated mode is cross-checked against plain mode in
-    the test suite.
+    This is the first-hit vertex-cut search: the counterexample is the
+    least disconnecting set, sizes ascending, and it exists exactly when
+    kappa <= max_size.
     """
-    dense = _as_dense(g)
-    nworkers = resolve_workers(workers)
-    payload = _graph_payload(dense)
-    order = dense.order
-    if accelerated:
-        tasks: list[tuple[int, int]] = [(0, 0)]
-        for size in range(1, max_size):
-            tasks.extend((size, first) for first in range(order - size + 1))
-        rows = _run_tasks(payload, _articulation_task, tasks, nworkers)
-        mode = "articulation"
-    else:
-        tasks = [
-            (size, first)
-            for size in range(1, max_size + 1)
-            for first in range(order - size + 1)
-        ]
-        rows = _run_tasks(payload, _plain_removal_task, tasks, nworkers)
-        mode = "plain"
-    removals = sum(r[0] for r in rows)
-    bads = [r[1] for r in rows if r[1] is not None]
-    bad = min(bads, key=lambda f: (len(f), f)) if bads else None
-    return RemovalSweep(ok=bad is None, counterexample=bad, removals=removals, mode=mode)
+    removals, bad = _min_cut_search(g, "vertex", 0, max_size, workers)
+    return RemovalSweep(ok=bad is None, counterexample=bad, removals=removals)
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +830,9 @@ def sampled_residual_check(
 # minimum neighborhood over 4-element sets
 
 
-def _four_subset_task(task: tuple[int, int]):
+def _four_subset_task(task):
     """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b."""
-    a, b = task
+    _, (a, b) = task
     masks = _SHARED["masks"]
     order = _SHARED["order"]
     bits = _SHARED["bits"]
@@ -948,10 +857,7 @@ def min_neighborhood_over_4subsets(
     """Min of |N(S) - S| over all 4-subsets S: (value, least witness, sets scanned).
 
     On a graph from ``build_cayley`` only the sets containing vertex 0 are
-    scanned.  That is exact: every 4-set has a translate through 0, so some
-    minimizer contains 0, and the lexicographically least minimizer, which
-    then starts with 0, is among the scanned sets.  The work is split into
-    (a, b) tasks over the two smallest elements.
+    scanned, which is exact (``_subset_tasks``).
     """
     dense = _as_dense(g)
     order = dense.order
@@ -959,8 +865,7 @@ def min_neighborhood_over_4subsets(
         raise ValueError(f"a graph of order {order} has no 4-subsets")
     payload = _graph_payload(dense)
     payload["bits"] = [1 << v for v in range(order)]
-    firsts = (0,) if _transitive(g) else range(order - 3)
-    tasks = [(a, b) for a in firsts for b in range(a + 1, order - 2)]
+    tasks = _subset_tasks(g, (4,))
     rows = _run_tasks(payload, _four_subset_task, tasks, resolve_workers(workers))
     best, arg = min(r[:2] for r in rows)
     return best, arg, sum(r[2] for r in rows)
@@ -1050,7 +955,7 @@ def _block_faults(shared: dict, block: int) -> list:
 
 
 def _falsify_block(task: tuple[int, int]):
-    """(block, trial, fault) of the block's first cyclic cut, or None."""
+    """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None."""
     _, block = task
     masks = _SHARED["masks"]
     neighbors = _SHARED["neighbors"]
@@ -1103,8 +1008,8 @@ def _falsify_block(task: tuple[int, int]):
             comps = _component_masks(masks, full ^ fmask)
             hit = memo[fmask] = _cyclic_component_count(masks, comps) >= 2
         if hit:
-            return (block, j, tuple(sorted(fault)))
-    return None
+            return trials, (block, j, tuple(sorted(fault)))
+    return trials, None
 
 
 def randomized_cut_falsifier(
@@ -1128,7 +1033,7 @@ def randomized_cut_falsifier(
     nworkers = resolve_workers(workers)
     payload = _falsifier_payload(G, target_size, trials, seed)
     tasks = [(0, b) for b in range(len(payload["block_trials"]))]
-    hit = _first_result(payload, _falsify_block, tasks, nworkers)
+    _, hit = _first_result(payload, _falsify_block, tasks, nworkers)
     if hit is None:
         return None
     return _make_witness(dense, hit[2], "cyclic-cut")

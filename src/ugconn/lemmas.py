@@ -134,6 +134,14 @@ def _unicyclic(G: CayleyGraph) -> bool:
     return G.gen.cls in (CYCLE, UNICYCLIC_TF)
 
 
+def _via_vertex_0(G: CayleyGraph, top: int) -> str:
+    """Scope suffix of a scan that covers sizes <= top by the sets through 0."""
+    if not G.transitive:
+        return ""
+    through = sum(math.comb(G.order - 1, k - 1) for k in range(1, top + 1))
+    return f", via the {through} that contain vertex 0 (vertex-transitive)"
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -358,7 +366,8 @@ def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
         ok=ok,
         sampled=False,
         gating=True,
-        scope=f"exhaustive over all {total} fault sets of size <= 5",
+        scope=f"exhaustive over all {total} fault sets of size <= 5"
+        f"{_via_vertex_0(G, 5)}",
         detail={"per_size": rows},
     )
 
@@ -393,7 +402,8 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
         ok=ok,
         sampled=False,
         gating=True,
-        scope=f"exhaustive over all {total} fault sets of size <= 7",
+        scope=f"exhaustive over all {total} fault sets of size <= 7"
+        f"{_via_vertex_0(G, 7)}",
         detail={"per_size": rows},
     )
 
@@ -437,13 +447,13 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
+    if not G.dense.has_masks():
+        return _skip(cid, "fault-set scans need the neighbor bitmasks (orders <= 7!)")
     max_f = G.n - 1
     if G.order <= 120:
-        sweep = verify_connected_under_removal(
-            G, max_f, workers=ctx.workers, accelerated=G.order > 24
-        )
+        sweep = verify_connected_under_removal(G, max_f, workers=ctx.workers)
         covered = sum(math.comb(G.order, k) for k in range(1, max_f + 1))
-        detail = {"covered_fault_sets": covered, "mode": sweep.mode}
+        detail = {"covered_fault_sets": covered, "scanned": sweep.removals}
         if sweep.counterexample is not None:
             detail["counterexample"] = ctx.perm_strs(sweep.counterexample)
         return _done(
@@ -451,7 +461,8 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
             ok=sweep.ok,
             sampled=False,
             gating=True,
-            scope=f"all fault sets of size <= {max_f}, {sweep.mode} sweep",
+            scope=f"vertex-cut search over all {covered} fault sets of size "
+            f"<= {max_f}{_via_vertex_0(G, max_f)}",
             detail=detail,
         )
     res = sampled_residual_check(
@@ -618,6 +629,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
 
     One search up to size 8 decides both: it sweeps every size up to 7 in
     full and stops at the first cyclic cut, which is the least minimum one.
+    ``scanned`` counts the sets it scanned up to that cut.
     """
     cid = "cyclic-cut-exact"
     G = ctx.G
@@ -637,12 +649,14 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
         detail["witness_components"] = [
             c.vertices for c in witness.analysis.components
         ]
+        detail["scanned"] = witness.scanned
     return _done(
         cid,
         ok=ok,
         sampled=False,
         gating=True,
-        scope=f"exhaustive over all {covered} fault sets of size <= 7, then size 8",
+        scope=f"exhaustive over all {covered} fault sets of size <= 7"
+        f"{_via_vertex_0(G, 7)}, then size 8",
         detail=detail,
     )
 
@@ -739,11 +753,11 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "out-neighbor-escape": 0.5 if order <= 720 else 4.0,
         "adjacent-pair-common-neighbor": 1.0 if order <= 120 else 10.0,
         "common-neighbor-triple": 2.0 if order <= 120 else 12.0,
-        "small-cut-isolation": 40.0,
-        "large-component-bound": 40.0,
+        "small-cut-isolation": 2.0,
+        "large-component-bound": 2.0,
         "four-subset-neighborhood": 0.1 if n <= 5 else 30.0,
-        "residue-bound-p1": 1.0 if n == 4 else (80.0 if n == 5 else 40.0),
-        "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 120.0),
+        "residue-bound-p1": 1.0 if n == 4 else (10.0 if n == 5 else 40.0),
+        "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 30.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 10.0,

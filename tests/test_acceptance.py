@@ -169,11 +169,20 @@ def test_criterion_01_exact_cyclic_connectivity(payload):
     exact = checks["cyclic-cut-exact"]
     detail = exact["detail"]
     covered = sum(math.comb(24, k) for k in range(1, 8))
+    through_0 = sum(math.comb(23, k - 1) for k in range(1, 8))
     expect(problems, exact["verdict"] == PROVED, f"search verdict {exact['verdict']}")
     expect(
         problems,
-        exact["scope"] == f"exhaustive over all {covered} fault sets of size <= 7, then size 8",
+        (covered, through_0) == (536154, 145499)
+        and exact["scope"]
+        == f"exhaustive over all {covered} fault sets of size <= 7, via the "
+        f"{through_0} that contain vertex 0 (vertex-transitive), then size 8",
         f"search scope {exact['scope']!r}",
+    )
+    expect(
+        problems,
+        through_0 < detail.get("scanned", 0) <= through_0 + math.comb(23, 7),
+        f"sets scanned {detail.get('scanned')}",
     )
     expect(
         problems,
@@ -340,12 +349,18 @@ def test_criterion_08_residual_bounds(payload):
     ug5 = by_id(payload["residual-bounds"]["ug5"])
     p1 = ug5["residue-bound-p1"]
     covered = sum(math.comb(120, k) for k in range(1, 5))
+    through_0 = sum(math.comb(119, k - 1) for k in range(1, 5))
     expect(
         problems,
         p1["verdict"] == PROVED
         and p1["detail"]["covered_fault_sets"] == covered
+        and p1["detail"].get("scanned") == through_0 == 280960
+        and p1["scope"].endswith(
+            f", via the {through_0} that contain vertex 0 (vertex-transitive)"
+        )
+        and "mode" not in p1["detail"]
         and "counterexample" not in p1["detail"],
-        f"ug5 p=1: {p1['verdict']} {p1['detail']}",
+        f"ug5 p=1: {p1['verdict']} {p1['scope']!r} {p1['detail']}",
     )
     p2 = ug5["residue-bound-p2"]
     expect(

@@ -357,6 +357,8 @@ def test_min_cyclic_cut_witness_at_eight(mb4):
     assert [c.vertices for c in w.analysis.components] == [8, 8]
     assert all(c.contains_cycle for c in w.analysis.components)
     assert is_cyclic_cut(mb4, w.fault)
+    # the 145,499 sets of size <= 7 through vertex 0, then size 8 up to the hit
+    assert w.scanned == 304_179
 
 
 def test_min_good_neighbor_searches(mb4):
@@ -376,7 +378,7 @@ def test_min_good_neighbor_searches(mb4):
 def test_searches_are_worker_count_invariant(mb4):
     a = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
     b = min_cyclic_cut_exhaustive(mb4, 8, workers=3)
-    assert a.fault == b.fault
+    assert (a.fault, a.scanned) == (b.fault, b.scanned)
     ra = disconnection_census(mb4, 5, workers=1)
     rb = disconnection_census(mb4, 5, workers=3)
     assert ra == rb
@@ -451,9 +453,14 @@ def _min_neighborhood_by_brute_force(g):
     )
 
 
-@pytest.mark.parametrize("graph", ["mb4", "ug5", "corrupted mb4"])
+@pytest.mark.parametrize(
+    "graph", ["mb4", "ug5", "corrupted mb4", "ug:4:c=4", "star:4", "bubble:4"]
+)
 def test_four_subset_scan_from_vertex_0_matches_the_full_scan(request, graph):
-    g = request.getfixturevalue(graph.split()[-1])
+    if ":" in graph:
+        g = build_cayley(parse_spec(graph))
+    else:
+        g = request.getfixturevalue(graph.split()[-1])
     if graph.startswith("corrupted"):
         g = with_redirected_cross_edge(g)
     # the bare DenseGraph is not assumed vertex-transitive: every set is scanned
@@ -469,6 +476,30 @@ def test_four_subset_scan_from_vertex_0_matches_the_full_scan(request, graph):
         assert got[:2] == _min_neighborhood_by_brute_force(g.dense)
 
 
+@pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4", "star:4", "bubble:4"])
+def test_scans_from_vertex_0_match_the_full_scans(spec):
+    g = build_cayley(parse_spec(spec))
+
+    def fault(witness):
+        return None if witness is None else witness.fault
+
+    # each scan on the graph, then on its bare DenseGraph, which is not
+    # assumed vertex-transitive and so takes the full path
+    scans = {
+        "census": lambda h: disconnection_census(h, 7, workers=2),
+        "cyclic": lambda h: fault(min_cyclic_cut_exhaustive(h, 8, workers=2)),
+        "vertex": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 0, 5, workers=2)),
+        "good2": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 2, 8, workers=2)),
+    }
+    for name, scan in scans.items():
+        assert scan(g) == scan(g.dense), name
+    for bound in (3, 4):
+        got = verify_connected_under_removal(g, bound, workers=2)
+        full = verify_connected_under_removal(g.dense, bound, workers=2)
+        assert (got.ok, got.counterexample) == (full.ok, full.counterexample)
+        assert got.removals < full.removals
+
+
 def test_four_subset_scan_needs_four_vertices():
     with pytest.raises(ValueError, match="no 4-subsets"):
         min_neighborhood_over_4subsets(DenseGraph(((1,), (0, 2), (1,))), workers=1)
@@ -477,36 +508,26 @@ def test_four_subset_scan_needs_four_vertices():
 # --- removal sweeps -------------------------------------------------------
 
 
-def test_removal_sweep_modes_agree_on_mb4(mb4):
-    plain = verify_connected_under_removal(mb4, 3, workers=1, accelerated=False)
-    fast = verify_connected_under_removal(mb4, 3, workers=1, accelerated=True)
-    assert plain.ok and fast.ok
-    assert plain.counterexample is None and fast.counterexample is None
-    assert plain.mode == "plain" and fast.mode == "articulation"
-    assert plain.removals == 24 + 276 + 2024
-    assert fast.removals == 1 + 24 + 276
-
-    plain4 = verify_connected_under_removal(mb4, 4, workers=1, accelerated=False)
-    fast4 = verify_connected_under_removal(mb4, 4, workers=1, accelerated=True)
-    assert not plain4.ok and not fast4.ok
-    assert plain4.counterexample == fast4.counterexample == (0, 3, 12, 23)
+def test_removal_sweep_on_mb4(mb4):
+    sweep = verify_connected_under_removal(mb4, 3, workers=1)
+    assert sweep.ok and sweep.counterexample is None
+    assert sweep.removals == 1 + 23 + 253  # the sets through vertex 0
+    sweep4 = verify_connected_under_removal(mb4, 4, workers=1)
+    assert not sweep4.ok
+    assert sweep4.counterexample == (0, 3, 12, 23)  # N(1234)
 
 
-def test_removal_sweep_modes_agree_on_random_graphs():
+def test_removal_sweep_is_the_least_vertex_cut_on_random_graphs():
     for seed in (11, 12, 13):
         H = nx.random_regular_graph(3, 14, seed=seed)
-        if not nx.is_connected(H):
-            continue
+        assert nx.is_connected(H)
         dense = _dense_of_nx(H)
         for bound in (2, 3):
-            plain = verify_connected_under_removal(
-                dense, bound, workers=1, accelerated=False
-            )
-            fast = verify_connected_under_removal(
-                dense, bound, workers=1, accelerated=True
-            )
-            assert plain.ok == fast.ok
-            assert plain.counterexample == fast.counterexample
+            expected = _least_cut_by_brute_force(H, "vertex", bound)
+            for workers in (1, 2):
+                sweep = verify_connected_under_removal(dense, bound, workers=workers)
+                assert sweep.ok == (nx.node_connectivity(H) > bound)
+                assert sweep.counterexample == expected
 
 
 # --- sampled residual ------------------------------------------------------
@@ -635,7 +656,9 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(fork, "Pool", pool)
     assert _run_tasks({}, abs, [-1, -2], 8) == [1, 2]
     assert _run_tasks({}, abs, [-3], 8) == [3]  # one task runs in-process
-    assert _first_result({}, {1: "a", 2: "b"}.get, [0, 2, 1], 8) == "b"
+    # tasks return (work, hit); the work of tasks after the first hit is not summed
+    tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b")}
+    assert _first_result({}, tasks.get, [0, 2, 1], 8) == (8, "b")
     assert sizes == [2, 3]
 
 

@@ -264,6 +264,18 @@ def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
     assert cx["residual"] == 2 and len(cx["fault"]) == 6
 
 
+def test_residue_bound_p1_skips_without_bitmasks(ug5, monkeypatch):
+    # from n=8 on the bitmasks are not built, and the scans cannot run
+    import ugconn.cayley as cayley
+
+    monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 100)
+    assert not ug5.dense.has_masks()
+    rep = verify_all(ug5, workers=1, checks=["residue-bound-p1"])
+    (c,) = rep.checks
+    assert c.verdict == SKIPPED and "bitmasks" in c.scope
+    assert rep.passed()
+
+
 def test_residue_bound_p2_skips_beyond_n6(ug7):
     rep = verify_all(ug7, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
