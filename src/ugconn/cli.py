@@ -178,6 +178,8 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_cut_search(args) -> int:
+    if args.seed < 0:
+        raise SpecError("--seed must be >= 0")
     G = _build(args)
     workers = _workers(args)
     kind = args.kind
@@ -199,6 +201,8 @@ def cmd_cut_search(args) -> int:
     else:
         if good is not None:
             raise SpecError("random mode searches cyclic cuts only")
+        if not 0 <= args.max_size <= G.order:
+            raise SpecError(f"random mode needs --max-size in 0..{G.order}")
         witness = randomized_cut_falsifier(
             G, args.max_size, RANDOM_TRIALS, seed=args.seed, workers=workers
         )
@@ -228,7 +232,7 @@ def cmd_verify(args) -> int:
             budget=args.budget,
             checks=checks,
         )
-    except ValueError as exc:  # unknown check id
+    except ValueError as exc:  # unknown check id or negative seed
         raise SpecError(str(exc)) from None
     if args.format == "text":
         _emit(report.text_table(), args.out)

@@ -777,8 +777,12 @@ def sampled_residual_check(
     Adversarial templates are every N(v) plus two extra vertices (the
     near-misses for producing two small components); the random phase
     draws fault sets of the largest few sizes.  A pass supports the bound
-    on the sampled evidence only, it proves nothing.
+    on the sampled evidence only, it proves nothing.  The seed must be
+    >= 0: block seeds are (seed << 20) | block, and ``random.Random``
+    would draw seed -s as s.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     dense = _as_dense(g)
     nworkers = resolve_workers(workers)
     if min_size is None:
@@ -899,18 +903,48 @@ def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
             min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK) for b in range(nblocks)
         ],
         memo={},
+        grown={},
     )
     return payload
 
 
-def _block_faults(shared: dict, block: int) -> list:
-    """The fault sets of one trial block, in trial order, as vertex sequences.
+def _below(getrandbits, m: int) -> int:
+    """rng.randrange(m) for m >= 1, from the same getrandbits calls.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``.
+    """
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
+def _sample_by_rejection(order: int, k: int) -> bool:
+    """True iff ``rng.sample(range(order), k)`` takes its set branch.
+
+    That branch draws randrange(order) until the value is new, k times;
+    the other shuffles a pool.  The threshold is CPython's ``Random.sample``.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return order > setsize
+
+
+def _block_faults(shared: dict, block: int) -> list[int]:
+    """The fault sets of one trial block, in trial order, as vertex masks.
 
     Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 a uniform
     subset, 1 a 4-cycle's neighborhood, 2 the boundary of a cycle core grown
     by one or two vertices, 3 the boundary of a random blob of two to four
     vertices.  Boundaries are trimmed at random down to the target.  The
     random stream depends on the seed and the block only.
+
+    Each draw spends the getrandbits calls of ``rng.randrange`` and
+    ``rng.sample(range(order), target)`` on lists of vertices, so the sets
+    are those of that list-based draw, bit for bit.  A grown boundary
+    depends on its core alone; ``shared["grown"]`` keeps it per core.
     """
     masks = shared["masks"]
     neighbors = shared["neighbors"]
@@ -919,38 +953,54 @@ def _block_faults(shared: dict, block: int) -> list:
     cores = shared["cycle_cores"]
     bounds = shared["cycle_bounds"]
     bound_lists = shared["cycle_bound_lists"]
+    grown = shared["grown"]
     rng = random.Random((shared["seed"] << 20) | block)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     vertices = range(order)
+    by_rejection = _sample_by_rejection(order, target)
+    order_bits = order.bit_length()
     ncycles = len(cores)
     faults = []
     for i in range(shared["block_trials"][block]):
         strat = i & 3 if ncycles else 0
         if strat == 0:
-            faults.append(rng.sample(vertices, target))
+            if not by_rejection:
+                faults.append(_mask_of(rng.sample(vertices, target)))
+                continue
+            fmask = 0
+            for _ in range(target):
+                v = getrandbits(order_bits)
+                while v >= order or fmask >> v & 1:
+                    v = getrandbits(order_bits)
+                fmask |= 1 << v
+            faults.append(fmask)
             continue
         if strat == 1:
-            fault = bound_lists[randrange(ncycles)]
+            c = _below(getrandbits, ncycles)
+            fmask, fault = bounds[c], bound_lists[c]
         else:
             if strat == 2:
-                c = randrange(ncycles)
-                core, bound, fault = cores[c], bounds[c], bound_lists[c]
-                grow = randrange(1, 3)
+                c = _below(getrandbits, ncycles)
+                core, fmask, fault = cores[c], bounds[c], bound_lists[c]
+                grow = 1 + _below(getrandbits, 2)
             else:
-                v = randrange(order)
-                core, bound, fault = 1 << v, masks[v], neighbors[v]
-                grow = randrange(1, 4)
+                v = _below(getrandbits, order)
+                core, fmask, fault = 1 << v, masks[v], neighbors[v]
+                grow = 1 + _below(getrandbits, 3)
             for _ in range(grow):
-                # fault lists the boundary in increasing order
-                v = fault[randrange(len(fault))]
+                # fault lists the boundary fmask in increasing order
+                v = fault[_below(getrandbits, len(fault))]
                 core |= 1 << v
-                bound = (bound | masks[v]) & ~core
-                fault = _mask_members(bound)
+                known = grown.get(core)
+                if known is None:
+                    fmask = (fmask | masks[v]) & ~core
+                    known = grown[core] = (fmask, _mask_members(fmask))
+                fmask, fault = known
         if len(fault) > target:
             fault = list(fault)
             while len(fault) > target:
-                del fault[randrange(len(fault))]
-        faults.append(fault)
+                fmask ^= 1 << fault.pop(_below(getrandbits, len(fault)))
+        faults.append(fmask)
     return faults
 
 
@@ -964,17 +1014,12 @@ def _falsify_block(task: tuple[int, int]):
     memo = _SHARED["memo"]
     faults = _block_faults(_SHARED, block)
     trials = len(faults)
-    # row v of grid spells dead[v] in binary, trial j at column trials-1-j
-    grid = bytearray(b"0") * (order * trials)
-    col = trials
-    for fault in faults:
-        col -= 1
-        for v in fault:
-            grid[v * trials + col] = 49  # "1"
+    # one row per trial, last trial first, vertex v in column order-1-v:
+    # column order-1-v, read down, spells dead[v] with trial j at bit j
+    row = f"0{order}b"
+    rows = "".join([format(fmask, row) for fmask in reversed(faults)])
     every = (1 << trials) - 1
-    alive = [
-        every ^ int(grid[r : r + trials], 2) for r in range(0, order * trials, trials)
-    ]
+    alive = [every ^ int(rows[order - 1 - v :: order], 2) for v in range(order)]
     # each trial's search starts at its lowest alive vertex
     reach = []
     seen = 0
@@ -999,16 +1044,15 @@ def _falsify_block(task: tuple[int, int]):
         b = split & -split
         split ^= b
         j = b.bit_length() - 1
-        fault = faults[j]
-        if not fault:
+        fmask = faults[j]
+        if not fmask:
             continue
-        fmask = _mask_of(fault)
         hit = memo.get(fmask)
         if hit is None:
             comps = _component_masks(masks, full ^ fmask)
             hit = memo[fmask] = _cyclic_component_count(masks, comps) >= 2
         if hit:
-            return trials, (block, j, tuple(sorted(fault)))
+            return trials, (block, j, _mask_members(fmask))
     return trials, None
 
 
@@ -1025,11 +1069,17 @@ def randomized_cut_falsifier(
     construction size, boundaries of slightly grown cycle cores, and
     boundaries of random blobs.  Returns the witness from the earliest
     trial if any strategy succeeds, else None.  Deterministic given seed;
-    trial blocks make the result independent of the worker count.
+    trial blocks make the result independent of the worker count.  The
+    target must lie in 0..order and the seed must be >= 0, else
+    ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     dense = _as_dense(G)
+    if not 0 <= target_size <= dense.order:
+        raise ValueError(f"target size {target_size} must lie in 0..{dense.order}")
     nworkers = resolve_workers(workers)
     payload = _falsifier_payload(G, target_size, trials, seed)
     tasks = [(0, b) for b in range(len(payload["block_trials"]))]

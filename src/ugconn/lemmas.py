@@ -762,7 +762,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 10.0,
         "cyclic-cut-upper": 1.0,
-        "cyclic-cut-falsify": 25.0,
+        "cyclic-cut-falsify": 10.0,
     }
     return table[check_id]
 
@@ -833,8 +833,11 @@ def verify_all(
     """Run the selected checks (default: all) under a cost-model budget.
 
     Every check id appears exactly once in the result; inapplicable or
-    over-budget checks are reported as SKIPPED with the reason.
+    over-budget checks are reported as SKIPPED with the reason.  A
+    negative seed raises ValueError, as do the seeded checks.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     nworkers = resolve_workers(workers)
     if checks is None:
         selected = CHECKS

@@ -207,6 +207,22 @@ def test_cut_search_usage_errors(capsys):
         "--max-size", "6", "--mode", "random",
     )
     assert code == 2 and "cyclic" in err
+    for size in ("25", "-2"):
+        code, _, err = run(
+            capsys,
+            "cut-search", "--spec", "mb:4", "--mode", "random", "--max-size", size,
+        )
+        assert code == 2 and "0..24" in err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    # Random(-s) draws as Random(s), so seed -1 would replay seed 1
+    for argv in (
+        ("cut-search", "--spec", "mb:4", "--mode", "random", "--max-size", "8"),
+        ("verify", "--spec", "mb:4", "--checks", "cross-edge-count"),
+    ):
+        code, _, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and "seed" in err
 
 
 def test_bad_worker_environment_is_usage_error(capsys, monkeypatch):

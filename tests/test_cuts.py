@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import random
 
 import networkx as nx
 import pytest
@@ -18,6 +19,7 @@ from conftest import cycle_graph
 from ugconn import build_cayley
 from ugconn.cayley import (
     DenseGraph,
+    _mask_members,
     canonical_four_cycle,
     component_analysis,
     max_common_neighbors,
@@ -29,6 +31,7 @@ from ugconn.cuts import (
     _falsifier_payload,
     _first_result,
     _make_witness,
+    _mask_of,
     _run_tasks,
     _unit_flow,
     build_cycle_neighborhood_cut,
@@ -579,10 +582,94 @@ def _replay_first_hit(g, target, trials, seed):
     """(block, trial, fault) of the first replayed fault that is a cyclic cut."""
     payload = _falsifier_payload(g, target, trials, seed)
     for block in range(len(payload["block_trials"])):
-        for i, fault in enumerate(_block_faults(payload, block)):
+        for i, fmask in enumerate(_block_faults(payload, block)):
+            fault = _mask_members(fmask)
             if fault and is_cyclic_cut(g, fault):
-                return block, i, tuple(sorted(fault))
+                return block, i, fault
     return None
+
+
+def _reference_faults(shared, block):
+    """The list-based draw: rng.sample and rng.randrange on vertex lists.
+
+    ``_block_faults`` must spend the same random stream on the same sets;
+    this also catches a Python whose ``random`` draws differently.
+    """
+    masks = shared["masks"]
+    neighbors = shared["neighbors"]
+    order = shared["order"]
+    target = shared["target"]
+    cores = shared["cycle_cores"]
+    bounds = shared["cycle_bounds"]
+    bound_lists = shared["cycle_bound_lists"]
+    rng = random.Random((shared["seed"] << 20) | block)
+    randrange = rng.randrange
+    ncycles = len(cores)
+    faults = []
+    for i in range(shared["block_trials"][block]):
+        strat = i & 3 if ncycles else 0
+        if strat == 0:
+            faults.append(rng.sample(range(order), target))
+            continue
+        if strat == 1:
+            fault = bound_lists[randrange(ncycles)]
+        else:
+            if strat == 2:
+                c = randrange(ncycles)
+                core, bound, fault = cores[c], bounds[c], bound_lists[c]
+                grow = randrange(1, 3)
+            else:
+                v = randrange(order)
+                core, bound, fault = 1 << v, masks[v], neighbors[v]
+                grow = randrange(1, 4)
+            for _ in range(grow):
+                v = fault[randrange(len(fault))]
+                core |= 1 << v
+                bound = (bound | masks[v]) & ~core
+                fault = _mask_members(bound)
+        if len(fault) > target:
+            fault = list(fault)
+            while len(fault) > target:
+                del fault[randrange(len(fault))]
+        faults.append(fault)
+    return faults
+
+
+@pytest.mark.parametrize(
+    "graph, target",
+    [
+        ("ug5", 11),  # rng.sample's set branch
+        ("ug5", 12),
+        ("mb4", 7),  # its pool branch
+        ("mb4", 8),
+        ("bare mb4", 8),  # no 4-cycles: uniform subsets only
+        ("mb4", 0),
+        ("ug5", 0),
+        ("mb4", 24),
+        ("ug5", 120),
+        # rings on either side of the orders where sample switches branch
+        ("ring 21", 3),
+        ("ring 22", 3),
+        ("ring 85", 11),
+        ("ring 86", 11),
+    ],
+)
+def test_block_faults_replay_the_list_based_draw(request, graph, target):
+    if graph.startswith("ring "):
+        order = int(graph.removeprefix("ring "))
+        g = DenseGraph(
+            tuple(tuple(sorted({(v - 1) % order, (v + 1) % order})) for v in range(order))
+        )
+    else:
+        g = request.getfixturevalue(graph.removeprefix("bare "))
+        if graph.startswith("bare "):
+            g = g.dense
+    for seed in (0, 1, 7):
+        # two full blocks and a partial last block
+        payload = _falsifier_payload(g, target, 2 * TRIAL_BLOCK + 5, seed)
+        for block in range(3):
+            ref = [_mask_of(f) for f in _reference_faults(payload, block)]
+            assert _block_faults(payload, block) == ref, (seed, block)
 
 
 @pytest.mark.parametrize(
@@ -619,6 +706,16 @@ def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
     assert short["block_trials"] == [TRIAL_BLOCK, 1]
     longer = _falsifier_payload(ug5, 11, 2 * TRIAL_BLOCK, 0)
     assert _block_faults(short, 1) == _block_faults(longer, 1)[:1]
+
+
+def test_falsifier_rejects_bad_targets_and_seeds(mb4):
+    for target in (-2, 25):
+        with pytest.raises(ValueError, match="target size"):
+            randomized_cut_falsifier(mb4, target, 10, workers=1)
+    with pytest.raises(ValueError, match="seed"):
+        randomized_cut_falsifier(mb4, 8, 10, seed=-1, workers=1)
+    with pytest.raises(ValueError, match="seed"):
+        sampled_residual_check(mb4, max_size=4, bound=1, trials=10, seed=-1)
 
 
 def test_falsifier_is_seed_deterministic_and_worker_invariant(mb4):
