@@ -237,11 +237,10 @@ def common_neighbor_count(g, u: int, v: int) -> int:
 def girth(g) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 
-    Only the 2-core can carry a cycle.  On a graph from ``build_cayley``
-    one BFS from vertex 0 suffices, by vertex-transitivity.  Any other
-    graph takes every vertex of the 2-core as a source in turn and then
-    deletes it, peeling again: a shortest cycle is still whole when the
-    first of its vertices becomes the source, and that BFS finds it.
+    Only the 2-core can carry a cycle.  Each anchor of the 2-core
+    (``_anchors``) is a source in turn and is then deleted, peeling again:
+    some shortest cycle runs through an anchor, it is still whole when the
+    first of its anchors becomes the source, and that BFS finds it.
     """
     dense = _as_dense(g)
     nbrs = dense.neighbors
@@ -264,7 +263,7 @@ def girth(g) -> int | None:
         if alive[v] and degree[v] < 2:
             delete(v)
     best: int | None = None
-    for s in (0,) if _transitive(g) else range(dense.order):
+    for s in _anchors(g):
         if not alive[s]:
             continue
         dist = [-1] * dense.order
@@ -297,6 +296,19 @@ def girth(g) -> int | None:
 def _transitive(g) -> bool:
     """True for graphs from ``build_cayley``, which are vertex-transitive."""
     return isinstance(g, CayleyGraph) and g.transitive
+
+
+def _anchors(g) -> range:
+    """The starts of every translation-invariant scan and draw.
+
+    ``range(1)`` on a graph from ``build_cayley``, every vertex otherwise.
+    Fixing vertex 0 is exact: the property under test is invariant under
+    translation (left multiplication is an automorphism); every set, pair
+    or triple has a translate with 0 in any chosen position; and 0 is the
+    least vertex, so first hits and lexicographically least witnesses do
+    not change.  A count over k-sets scales by order/k.
+    """
+    return range(1) if _transitive(g) else range(_as_dense(g).order)
 
 
 class CayleyGraph:
@@ -526,14 +538,15 @@ def _swapped(p: Perm, k: int, l: int) -> Perm:
     return tuple(lst)
 
 
-def find_edge_cn_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
+def find_edge_cn_violation(g) -> tuple[int, int, int] | None:
     """First (p, q, s) with pq an edge and s sharing neighbors with both.
 
     Returns None when for every edge pq and outside vertex s at least one
-    of cn(s,p), cn(s,q) is zero.
+    of cn(s,p), cn(s,q) is zero.  p runs over ``_anchors``.
     """
+    dense = _as_dense(g)
     masks = dense.masks
-    for p in range(dense.order):
+    for p in _anchors(g):
         for q in dense.neighbors[p]:
             if q <= p:
                 continue
@@ -547,38 +560,30 @@ def find_edge_cn_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
     return None
 
 
-def find_cn_triple_violation(dense: DenseGraph) -> tuple[int, int, int] | None:
+def find_cn_triple_violation(g) -> tuple[int, int, int] | None:
     """First triple (u, v, w) with cn(u,v)=2, cn(v,w)=2 and cn(u,w) >= 1.
 
-    v is the middle vertex shared by both cn=2 pairs, and u < w.
+    v is the middle vertex of both cn=2 pairs, u < w, and v is an anchor.
     """
-    masks = dense.masks
-    order = dense.order
-    partners: list[list[int]] = [[] for _ in range(order)]
-    for u in range(order):
-        mu = masks[u]
-        for v in range(u + 1, order):
-            if (mu & masks[v]).bit_count() == 2:
-                partners[u].append(v)
-                partners[v].append(u)
-    for v in range(order):
-        ps = partners[v]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                u, w = ps[i], ps[j]
+    masks = _as_dense(g).masks
+    for v in _anchors(g):
+        mv = masks[v]
+        ps = [u for u, mu in enumerate(masks) if u != v and (mv & mu).bit_count() == 2]
+        for i, u in enumerate(ps):
+            for w in ps[i + 1 :]:
                 if masks[u] & masks[w]:
                     return (u, v, w)
     return None
 
 
-def max_common_neighbors(dense: DenseGraph) -> tuple[int, tuple[int, int]]:
-    """Maximum cn over unordered vertex pairs, with the first pair attaining it."""
-    masks = dense.masks
+def max_common_neighbors(g) -> tuple[int, tuple[int, int]]:
+    """Max cn over vertex pairs and the first pair attaining it, via ``_anchors``."""
+    masks = _as_dense(g).masks
     best = -1
     arg = (0, 1)
-    for u in range(dense.order):
+    for u in _anchors(g):
         mu = masks[u]
-        for v in range(u + 1, dense.order):
+        for v in range(u + 1, len(masks)):
             c = (mu & masks[v]).bit_count()
             if c > best:
                 best = c

@@ -191,6 +191,8 @@ def cmd_cut_search(args) -> int:
             raise SpecError("good-neighbor order must be >= 0")
     else:
         raise SpecError(f"cut kind '{kind}' (want cyclic or good-neighbor:<g>)")
+    if not 0 <= args.max_size <= G.order:
+        raise SpecError(f"--max-size must lie in 0..{G.order}")
     if args.mode == "exhaustive":
         if good is None:
             witness = min_cyclic_cut_exhaustive(G, args.max_size, workers=workers)
@@ -201,8 +203,6 @@ def cmd_cut_search(args) -> int:
     else:
         if good is not None:
             raise SpecError("random mode searches cyclic cuts only")
-        if not 0 <= args.max_size <= G.order:
-            raise SpecError(f"random mode needs --max-size in 0..{G.order}")
         witness = randomized_cut_falsifier(
             G, args.max_size, RANDOM_TRIALS, seed=args.seed, workers=workers
         )

@@ -21,6 +21,7 @@ from .cayley import (
     CayleyGraph,
     CutAnalysis,
     DenseGraph,
+    _anchors,
     _as_dense,
     _component_masks,
     _cyclic_component_count,
@@ -474,20 +475,14 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[int, ...]]]:
     ascending and prefixes in lexicographic order, so the tasks meet the
     sets in (size, lexicographic) order.
 
-    On a graph from ``build_cayley`` only sets containing vertex 0 are
-    scanned, so every prefix starts with 0.  That is exact for every scan
-    here.  Every property they test is invariant under translation, and
-    every set has a translate that contains 0.  Vertex 0 is the least
-    vertex, so the lexicographically least member of any non-empty
-    invariant family contains 0: a first-hit search and a least witness
-    are unchanged.  A count scales: each vertex lies in equally many of
-    the family's sets of size k, so the family has order/k times as many
-    sets as contain 0.
+    Every prefix starts with an anchor, so a graph from ``build_cayley``
+    scans only the sets through vertex 0; first hits, least witnesses and
+    counts scaled by order/k stay exact (``cayley._anchors``).
     """
     order = _as_dense(g).order
     tasks: list[tuple[int, tuple[int, ...]]] = []
     for size in sizes:
-        for a in (0,) if _transitive(g) else range(order - size + 1):
+        for a in _anchors(g):
             if size == 1:
                 tasks.append((1, (a,)))
             else:
@@ -889,13 +884,16 @@ def min_neighborhood_over_4subsets(
 def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
     """Worker state for ``randomized_cut_falsifier`` (see ``_block_faults``)."""
     dense = _as_dense(G)
+    anchors = _anchors(G)
     cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
+    cycles = [c for c in cycles if c[0] in anchors]
     bound_lists = [vertex_boundary(dense, cycle) for cycle in cycles]
     nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
     payload = _graph_payload(dense)
     payload.update(
         target=target,
         seed=seed,
+        anchors=anchors,
         cycle_cores=[_mask_of(cycle) for cycle in cycles],
         cycle_bounds=[_mask_of(b) for b in bound_lists],
         cycle_bound_lists=bound_lists,
@@ -920,55 +918,41 @@ def _below(getrandbits, m: int) -> int:
     return r
 
 
-def _sample_by_rejection(order: int, k: int) -> bool:
-    """True iff ``rng.sample(range(order), k)`` takes its set branch.
-
-    That branch draws randrange(order) until the value is new, k times;
-    the other shuffles a pool.  The threshold is CPython's ``Random.sample``.
-    """
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return order > setsize
-
-
 def _block_faults(shared: dict, block: int) -> list[int]:
     """The fault sets of one trial block, in trial order, as vertex masks.
 
-    Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 a uniform
-    subset, 1 a 4-cycle's neighborhood, 2 the boundary of a cycle core grown
-    by one or two vertices, 3 the boundary of a random blob of two to four
-    vertices.  Boundaries are trimmed at random down to the target.  The
-    random stream depends on the seed and the block only.
+    Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 an anchor
+    and target-1 more vertices, uniform without replacement, 1 a 4-cycle's
+    neighborhood, 2 the boundary of a cycle core grown by one or two
+    vertices, 3 the boundary of a blob of two to four vertices grown from
+    an anchor.  The 4-cycles are those whose least vertex is an anchor.
+    Boundaries are trimmed at random down to the target.  The random
+    stream depends on the seed and the block only.
 
-    Each draw spends the getrandbits calls of ``rng.randrange`` and
-    ``rng.sample(range(order), target)`` on lists of vertices, so the sets
-    are those of that list-based draw, bit for bit.  A grown boundary
-    depends on its core alone; ``shared["grown"]`` keeps it per core.
+    Each set, or the core it bounds, contains an anchor; that loses nothing
+    (``cayley._anchors``), and on a bare graph strategy 0 is uniform.  Each
+    ``randrange(m)`` is ``_below(getrandbits, m)``, and ``shared["grown"]``
+    keeps the grown boundary of each core.
     """
     masks = shared["masks"]
     neighbors = shared["neighbors"]
     order = shared["order"]
     target = shared["target"]
+    anchors = shared["anchors"]
     cores = shared["cycle_cores"]
     bounds = shared["cycle_bounds"]
     bound_lists = shared["cycle_bound_lists"]
     grown = shared["grown"]
-    rng = random.Random((shared["seed"] << 20) | block)
-    getrandbits = rng.getrandbits
-    vertices = range(order)
-    by_rejection = _sample_by_rejection(order, target)
+    getrandbits = random.Random((shared["seed"] << 20) | block).getrandbits
     order_bits = order.bit_length()
     ncycles = len(cores)
     faults = []
     for i in range(shared["block_trials"][block]):
         strat = i & 3 if ncycles else 0
         if strat == 0:
-            if not by_rejection:
-                faults.append(_mask_of(rng.sample(vertices, target)))
-                continue
-            fmask = 0
-            for _ in range(target):
+            fmask = 1 << anchors[_below(getrandbits, len(anchors))] if target else 0
+            for _ in range(target - 1):
+                # randrange(order) until the vertex is new
                 v = getrandbits(order_bits)
                 while v >= order or fmask >> v & 1:
                     v = getrandbits(order_bits)
@@ -984,7 +968,7 @@ def _block_faults(shared: dict, block: int) -> list[int]:
                 core, fmask, fault = cores[c], bounds[c], bound_lists[c]
                 grow = 1 + _below(getrandbits, 2)
             else:
-                v = _below(getrandbits, order)
+                v = anchors[_below(getrandbits, len(anchors))]
                 core, fmask, fault = 1 << v, masks[v], neighbors[v]
                 grow = 1 + _below(getrandbits, 3)
             for _ in range(grow):
@@ -1065,13 +1049,13 @@ def randomized_cut_falsifier(
 ) -> CutWitness | None:
     """Seeded stochastic hunt for a cyclic cut of size <= target_size.
 
-    Strategies: uniform subsets, 4-cycle neighborhoods trimmed below the
-    construction size, boundaries of slightly grown cycle cores, and
-    boundaries of random blobs.  Returns the witness from the earliest
-    trial if any strategy succeeds, else None.  Deterministic given seed;
-    trial blocks make the result independent of the worker count.  The
-    target must lie in 0..order and the seed must be >= 0, else
-    ValueError.
+    Strategies, each drawn through an anchor: random subsets, 4-cycle
+    neighborhoods trimmed below the construction size, boundaries of
+    slightly grown cycle cores, and boundaries of random blobs.  Returns
+    the witness from the earliest trial if any strategy succeeds, else
+    None.  Deterministic given seed; trial blocks make the result
+    independent of the worker count.  The target must lie in 0..order and
+    the seed must be >= 0, else ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

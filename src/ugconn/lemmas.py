@@ -130,16 +130,22 @@ def _done(
     )
 
 
+_NO_MASKS = "scans need the neighbor bitmasks (orders <= 7!)"
+
+
 def _unicyclic(G: CayleyGraph) -> bool:
     return G.gen.cls in (CYCLE, UNICYCLIC_TF)
 
 
-def _via_vertex_0(G: CayleyGraph, top: int) -> str:
-    """Scope suffix of a scan that covers sizes <= top by the sets through 0."""
+def _via_vertex_0(G: CayleyGraph, through: int) -> str:
+    """Scope suffix of a scan that covered its family by the members through 0."""
     if not G.transitive:
         return ""
-    through = sum(math.comb(G.order - 1, k - 1) for k in range(1, top + 1))
     return f", via the {through} that contain vertex 0 (vertex-transitive)"
+
+
+def _sets_through_0(G: CayleyGraph, top: int) -> int:
+    return sum(math.comb(G.order - 1, k - 1) for k in range(1, top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +158,17 @@ def check_cn_bound(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > 5:
-        return _skip(cid, "all-pairs exhaustion capped at n=5")
-    best, pair = max_common_neighbors(G.dense)
+    if not G.dense.has_masks():
+        return _skip(cid, _NO_MASKS)
+    best, pair = max_common_neighbors(G)
     pairs = G.order * (G.order - 1) // 2
     return _done(
         cid,
         ok=best <= 2,
         sampled=False,
         gating=True,
-        scope=f"exhaustive over all {pairs} vertex pairs",
+        scope=f"exhaustive over all {pairs} vertex pairs"
+        f"{_via_vertex_0(G, G.order - 1)}",
         detail={"max_cn": best, "attained_by": ctx.perm_strs(pair)},
     )
 
@@ -290,15 +297,15 @@ def check_adjacent_pair_cn(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > 6:
-        return _skip(cid, "edge-times-vertex scan capped at n=6")
+    if not G.dense.has_masks():
+        return _skip(cid, _NO_MASKS)
     gating = G.gen.cls == CYCLE
-    hit = find_edge_cn_violation(G.dense)
+    hit = find_edge_cn_violation(G)
     detail = {}
     if hit is not None:
         p, q, s = hit
         detail["violation"] = {"edge": ctx.perm_strs((p, q)), "third": G.perm_str(s)}
-    scope = f"all {G.size} edges against all other vertices"
+    scope = f"all {G.size} edges against all other vertices{_via_vertex_0(G, G.degree)}"
     if not gating:
         scope += "; exploratory (stated for the cycle generator)"
     return _done(cid, hit is None, False, gating, scope, detail)
@@ -317,14 +324,16 @@ def check_cn_triple(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > 6:
-        return _skip(cid, "pairwise cn table capped at n=6")
+    if not G.dense.has_masks():
+        return _skip(cid, _NO_MASKS)
     gating = G.gen.cls == CYCLE and G.n == 4
-    hit = find_cn_triple_violation(G.dense)
+    hit = find_cn_triple_violation(G)
     detail = {}
     if hit is not None:
         detail["violation"] = ctx.perm_strs(hit)
     scope = "all triples built from the pairwise cn=2 relation"
+    if G.transitive:
+        scope += ", via those whose middle vertex is 0 (vertex-transitive)"
     if G.gen.cls != CYCLE:
         scope += "; exploratory (stated for the cycle generator)"
     elif not gating:
@@ -367,7 +376,7 @@ def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
         sampled=False,
         gating=True,
         scope=f"exhaustive over all {total} fault sets of size <= 5"
-        f"{_via_vertex_0(G, 5)}",
+        f"{_via_vertex_0(G, _sets_through_0(G, 5))}",
         detail={"per_size": rows},
     )
 
@@ -403,7 +412,7 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
         sampled=False,
         gating=True,
         scope=f"exhaustive over all {total} fault sets of size <= 7"
-        f"{_via_vertex_0(G, 7)}",
+        f"{_via_vertex_0(G, _sets_through_0(G, 7))}",
         detail={"per_size": rows},
     )
 
@@ -422,8 +431,7 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
     expected = 4 * n - 8 if n <= 5 else 4 * n - 9
     ok = value == expected if gating else value >= 4 * n - 9
     scope = f"exhaustive over all {math.comb(G.order, 4)} four-subsets"
-    if G.transitive:
-        scope += f", via the {scanned} that contain vertex 0 (vertex-transitive)"
+    scope += _via_vertex_0(G, scanned)
     if not gating:
         scope += "; exploratory (sharp value stated for the cycle generator)"
     return _done(
@@ -448,7 +456,7 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
     if not G.dense.has_masks():
-        return _skip(cid, "fault-set scans need the neighbor bitmasks (orders <= 7!)")
+        return _skip(cid, _NO_MASKS)
     max_f = G.n - 1
     if G.order <= 120:
         sweep = verify_connected_under_removal(G, max_f, workers=ctx.workers)
@@ -462,7 +470,7 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
             sampled=False,
             gating=True,
             scope=f"vertex-cut search over all {covered} fault sets of size "
-            f"<= {max_f}{_via_vertex_0(G, max_f)}",
+            f"<= {max_f}{_via_vertex_0(G, _sets_through_0(G, max_f))}",
             detail=detail,
         )
     res = sampled_residual_check(
@@ -514,7 +522,7 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
         )
     max_f = 2 * G.n - 3
     sep = edge_separation_connectivity(G)
-    max_cn, pair = max_common_neighbors(G.dense)
+    max_cn, pair = max_common_neighbors(G)
     stranding = 2 * G.degree - max_cn
     detail = {
         "edge_separation": sep.value,
@@ -656,7 +664,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
         sampled=False,
         gating=True,
         scope=f"exhaustive over all {covered} fault sets of size <= 7"
-        f"{_via_vertex_0(G, 7)}, then size 8",
+        f"{_via_vertex_0(G, _sets_through_0(G, 7))}, then size 8",
         detail=detail,
     )
 
@@ -746,13 +754,13 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     """Fixed cost model for budget skipping; deliberately not wall time."""
     n, order = G.n, G.order
     table = {
-        "common-neighbor-bound": 0.3 if order <= 120 else 3.0,
+        "common-neighbor-bound": 0.1,
         "connectivity-value": max(1.0, order / 120),
         "cross-edge-count": 0.5 if order <= 720 else 4.0,
         "out-neighbor-disjoint": 0.5 if order <= 720 else 4.0,
         "out-neighbor-escape": 0.5 if order <= 720 else 4.0,
-        "adjacent-pair-common-neighbor": 1.0 if order <= 120 else 10.0,
-        "common-neighbor-triple": 2.0 if order <= 120 else 12.0,
+        "adjacent-pair-common-neighbor": 0.1,
+        "common-neighbor-triple": 0.1,
         "small-cut-isolation": 2.0,
         "large-component-bound": 2.0,
         "four-subset-neighborhood": 0.1 if n <= 5 else 30.0,
@@ -762,7 +770,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 10.0,
         "cyclic-cut-upper": 1.0,
-        "cyclic-cut-falsify": 10.0,
+        "cyclic-cut-falsify": 6.0,
     }
     return table[check_id]
 

@@ -7,6 +7,7 @@ imports it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -314,6 +315,57 @@ def test_structure_probes_pass_on_mb4_and_fire_on_q3(mb4, q3):
     assert common_neighbor_count(q3, u, v) == 2
     assert common_neighbor_count(q3, v, w) == 2
     assert common_neighbor_count(q3, u, w) >= 1
+
+
+def _cn_scans_by_brute_force(H: nx.Graph):
+    """(max cn with its first pair, first edge hit, first triple hit), brute force."""
+    vs = sorted(H)
+
+    def cn(a, b):
+        return len(set(H[a]) & set(H[b]))
+
+    pairs = list(itertools.combinations(vs, 2))
+    best = max(cn(u, v) for u, v in pairs)
+    first = next(p for p in pairs if cn(*p) == best)
+    edge = next(
+        (
+            (p, q, s)
+            for p, q in pairs
+            if H.has_edge(p, q)
+            for s in vs
+            if s not in (p, q) and cn(s, p) and cn(s, q)
+        ),
+        None,
+    )
+    partners = {v: [x for x in vs if x != v and cn(x, v) == 2] for v in vs}
+    triple = next(
+        (
+            (u, v, w)
+            for v in vs
+            for u, w in itertools.combinations(partners[v], 2)
+            if cn(u, w)
+        ),
+        None,
+    )
+    return (best, first), edge, triple
+
+
+def test_cn_scans_on_bare_graphs_match_a_brute_force():
+    # vertex 0 is isolated in half the graphs, so every hit lies elsewhere
+    for seed in range(6):
+        H = nx.gnp_random_graph(12, 0.35, seed=seed)
+        if seed % 2:
+            H.remove_edges_from(list(H.edges(0)))
+        g = DenseGraph(tuple(tuple(sorted(H[v])) for v in range(12)))
+        scans = (max_common_neighbors, find_edge_cn_violation, find_cn_triple_violation)
+        assert tuple(scan(g) for scan in scans) == _cn_scans_by_brute_force(H), seed
+
+
+def test_cn_triple_takes_no_vertex_as_its_own_partner():
+    # on the 4-cycle 0-1-2-3 each vertex has cn=2 with itself (degree 2) and
+    # with its opposite vertex only, so no triple of distinct vertices exists
+    square = DenseGraph(((1, 3), (0, 2), (1, 3), (0, 2)))
+    assert find_cn_triple_violation(square) is None
 
 
 def test_q3_helper_is_the_hypercube(q3):

@@ -207,12 +207,13 @@ def test_cut_search_usage_errors(capsys):
         "--max-size", "6", "--mode", "random",
     )
     assert code == 2 and "cyclic" in err
-    for size in ("25", "-2"):
-        code, _, err = run(
-            capsys,
-            "cut-search", "--spec", "mb:4", "--mode", "random", "--max-size", size,
-        )
-        assert code == 2 and "0..24" in err
+    for mode in ("random", "exhaustive"):
+        for size in ("25", "-2"):
+            code, _, err = run(
+                capsys,
+                "cut-search", "--spec", "mb:4", "--mode", mode, "--max-size", size,
+            )
+            assert code == 2 and "0..24" in err
 
 
 def test_negative_seed_is_usage_error(capsys):

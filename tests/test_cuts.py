@@ -18,10 +18,13 @@ import pytest
 from conftest import cycle_graph
 from ugconn import build_cayley
 from ugconn.cayley import (
+    CayleyGraph,
     DenseGraph,
     _mask_members,
     canonical_four_cycle,
     component_analysis,
+    find_cn_triple_violation,
+    find_edge_cn_violation,
     max_common_neighbors,
     with_redirected_cross_edge,
 )
@@ -493,6 +496,9 @@ def test_scans_from_vertex_0_match_the_full_scans(spec):
         "cyclic": lambda h: fault(min_cyclic_cut_exhaustive(h, 8, workers=2)),
         "vertex": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 0, 5, workers=2)),
         "good2": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 2, 8, workers=2)),
+        "max_cn": max_common_neighbors,
+        "edge_cn": find_edge_cn_violation,
+        "cn_triple": find_cn_triple_violation,
     }
     for name, scan in scans.items():
         assert scan(g) == scan(g.dense), name
@@ -501,6 +507,20 @@ def test_scans_from_vertex_0_match_the_full_scans(spec):
         full = verify_connected_under_removal(g.dense, bound, workers=2)
         assert (got.ok, got.counterexample) == (full.ok, full.counterexample)
         assert got.removals < full.removals
+
+
+@pytest.mark.parametrize("spec", ["mb:5", "ug:5:c=4", "mb:6"])
+def test_common_neighbor_scans_from_vertex_0_match_the_full_scans(spec):
+    g = build_cayley(parse_spec(spec))
+    scans = (max_common_neighbors, find_edge_cn_violation, find_cn_triple_violation)
+    for scan in scans:
+        assert scan(g) == scan(g.dense), scan.__name__
+    assert max_common_neighbors(g) == (2, (0, 7))
+    # the least triple hit, on mb:5: 13254 and 21354 each have cn=2 with
+    # 12345 and share the neighbor 12354
+    assert find_cn_triple_violation(g) == (7, 0, 25)
+    if g.n == 5:
+        assert _perms(g, (7, 0, 25)) == ["13254", "12345", "21354"]
 
 
 def test_four_subset_scan_needs_four_vertices():
@@ -590,7 +610,7 @@ def _replay_first_hit(g, target, trials, seed):
 
 
 def _reference_faults(shared, block):
-    """The list-based draw: rng.sample and rng.randrange on vertex lists.
+    """The list-based draw: rng.choice and rng.randrange on vertex lists.
 
     ``_block_faults`` must spend the same random stream on the same sets;
     this also catches a Python whose ``random`` draws differently.
@@ -599,6 +619,7 @@ def _reference_faults(shared, block):
     neighbors = shared["neighbors"]
     order = shared["order"]
     target = shared["target"]
+    anchors = shared["anchors"]
     cores = shared["cycle_cores"]
     bounds = shared["cycle_bounds"]
     bound_lists = shared["cycle_bound_lists"]
@@ -609,7 +630,13 @@ def _reference_faults(shared, block):
     for i in range(shared["block_trials"][block]):
         strat = i & 3 if ncycles else 0
         if strat == 0:
-            faults.append(rng.sample(range(order), target))
+            fault = [rng.choice(anchors)] if target else []
+            while len(fault) < target:
+                v = randrange(order)
+                while v in fault:
+                    v = randrange(order)
+                fault.append(v)
+            faults.append(fault)
             continue
         if strat == 1:
             fault = bound_lists[randrange(ncycles)]
@@ -619,7 +646,7 @@ def _reference_faults(shared, block):
                 core, bound, fault = cores[c], bounds[c], bound_lists[c]
                 grow = randrange(1, 3)
             else:
-                v = randrange(order)
+                v = rng.choice(anchors)
                 core, bound, fault = 1 << v, masks[v], neighbors[v]
                 grow = randrange(1, 4)
             for _ in range(grow):
@@ -638,16 +665,16 @@ def _reference_faults(shared, block):
 @pytest.mark.parametrize(
     "graph, target",
     [
-        ("ug5", 11),  # rng.sample's set branch
+        ("ug5", 11),
         ("ug5", 12),
-        ("mb4", 7),  # its pool branch
+        ("mb4", 7),
         ("mb4", 8),
         ("bare mb4", 8),  # no 4-cycles: uniform subsets only
         ("mb4", 0),
         ("ug5", 0),
         ("mb4", 24),
         ("ug5", 120),
-        # rings on either side of the orders where sample switches branch
+        # bare rings of several orders: every vertex an anchor
         ("ring 21", 3),
         ("ring 22", 3),
         ("ring 85", 11),
@@ -664,12 +691,24 @@ def test_block_faults_replay_the_list_based_draw(request, graph, target):
         g = request.getfixturevalue(graph.removeprefix("bare "))
         if graph.startswith("bare "):
             g = g.dense
+    built = isinstance(g, CayleyGraph)
     for seed in (0, 1, 7):
         # two full blocks and a partial last block
         payload = _falsifier_payload(g, target, 2 * TRIAL_BLOCK + 5, seed)
+        assert payload["anchors"] == range(1 if built else g.order)
+        # the 4-cycles are those through vertex 0, and strategy 0 draws
+        # target vertices with vertex 0 among them
+        cores = payload["cycle_cores"]
+        assert all(core & 1 for core in cores)
+        assert len(cores) == {"mb4": 2, "ug5": 4}.get(graph, 0)
         for block in range(3):
+            faults = _block_faults(payload, block)
             ref = [_mask_of(f) for f in _reference_faults(payload, block)]
-            assert _block_faults(payload, block) == ref, (seed, block)
+            assert faults == ref, (seed, block)
+            if built:
+                for fmask in faults[::4]:
+                    assert fmask.bit_count() == target
+                    assert fmask & 1 or not target
 
 
 @pytest.mark.parametrize(
@@ -681,7 +720,7 @@ def test_block_faults_replay_the_list_based_draw(request, graph, target):
         ("mb4", 8, 2 * TRIAL_BLOCK, (0, 1)),
         ("ug5", 11, TRIAL_BLOCK + 1, None),
         # uniform subsets only: the first hit sits in a later block
-        ("bare mb4", 8, 8 * TRIAL_BLOCK, (3, 3801)),
+        ("bare mb4", 8, 8 * TRIAL_BLOCK, (3, 300)),
     ],
 )
 def test_falsifier_witness_is_the_first_replayed_hit(

@@ -166,6 +166,17 @@ def test_connectivity_value_is_proved_at_n6(mb6):
     assert c.detail["flows"] == 66  # 82 orbits under Aut(T) alone, 66 with inversion
 
 
+def test_common_neighbor_checks_are_proved_at_n6(mb6):
+    checks = ["common-neighbor-bound", "adjacent-pair-common-neighbor"]
+    rep = verify_all(mb6, workers=1, checks=checks)
+    bound, pair = rep.checks
+    assert bound.verdict == pair.verdict == PROVED and bound.gating and pair.gating
+    assert bound.detail["max_cn"] == 2
+    assert bound.detail["attained_by"] == ["123456", "124365"]  # ranks 0 and 7
+    assert "via the 719 that contain vertex 0" in bound.scope
+    assert "via the 6 that contain vertex 0" in pair.scope
+
+
 def test_four_subset_minimum_is_exact_at_n6(mb6):
     rep = verify_all(mb6, workers=2, checks=["four-subset-neighborhood"])
     (c,) = rep.checks
@@ -270,9 +281,15 @@ def test_residue_bound_p1_skips_without_bitmasks(ug5, monkeypatch):
 
     monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 100)
     assert not ug5.dense.has_masks()
-    rep = verify_all(ug5, workers=1, checks=["residue-bound-p1"])
-    (c,) = rep.checks
-    assert c.verdict == SKIPPED and "bitmasks" in c.scope
+    checks = [
+        "common-neighbor-bound",
+        "adjacent-pair-common-neighbor",
+        "common-neighbor-triple",
+        "residue-bound-p1",
+    ]
+    rep = verify_all(ug5, workers=1, checks=checks)
+    for c in rep.checks:
+        assert c.verdict == SKIPPED and "bitmasks" in c.scope, c.check_id
     assert rep.passed()
 
 
