@@ -119,6 +119,46 @@ def _reach(masks, alive: int, start_bit: int) -> int:
     return reach
 
 
+def _disconnected(neighbors, order: int, faults: list[int]) -> int:
+    """Bit j is set when removing faults[j] leaves a non-empty, disconnected graph.
+
+    faults is a non-empty list of fault masks, evaluated together,
+    bit-sliced: vertex v gets one int whose bit j says that v survives
+    fault j.  These ints come from one string of the fault masks in binary,
+    last fault first, read down one column per vertex.  Each fault's search
+    starts at its lowest surviving vertex, and one BFS over the ints sweeps
+    the vertices until nothing changes; a survivor it never reaches lies in
+    another component.  Callers give only the flagged faults their exact
+    per-set tests.
+    """
+    # one row per fault, last fault first, vertex v in column order-1-v:
+    # column order-1-v, read down, spells dead[v] with fault j at bit j
+    row = f"0{order}b"
+    rows = "".join([format(fmask, row) for fmask in reversed(faults)])
+    every = (1 << len(faults)) - 1
+    alive = [every ^ int(rows[order - 1 - v :: order], 2) for v in range(order)]
+    reach = []
+    seen = 0
+    for a in alive:
+        reach.append(a & ~seen)
+        seen |= a
+    changed = True
+    while changed:
+        changed = False
+        for v in range(order):
+            r = reach[v]
+            for u in neighbors[v]:
+                r |= reach[u]
+            r &= alive[v]
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    split = 0
+    for v in range(order):
+        split |= alive[v] & ~reach[v]
+    return split
+
+
 def _component_masks(masks, alive: int) -> list[int]:
     """All connected components of the alive set, as bitmasks, by least bit."""
     comps = []

@@ -2,10 +2,10 @@
 
 Everything here is deterministic for a fixed seed: enumeration is by
 subset size ascending and lexicographic within a size, parallel runs
-partition the work by (size, two least fault elements) or by fixed-size
-trial blocks, searches take the first hit in task order, and merges pick
-the lexicographically least candidate.  A run with 8 workers therefore
-returns byte-identical results to a run with 1.
+partition the work by size and runs of the two least fault elements or
+by fixed-size trial blocks, searches take the first hit in task order,
+and merges pick the lexicographically least candidate.  A run with 8
+workers therefore returns byte-identical results to a run with 1.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .cayley import (
     _as_dense,
     _component_masks,
     _cyclic_component_count,
+    _disconnected,
     _mask_members,
     _reach,
     _transitive,
@@ -467,64 +468,93 @@ def _graph_payload(dense: DenseGraph) -> dict:
 # exhaustive subset scans
 
 
-def _subset_tasks(g, sizes) -> list[tuple[int, tuple[int, ...]]]:
-    """(size, prefix) tasks that split an exhaustive scan over the given sizes.
+def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(size, prefixes) tasks that split an exhaustive scan over the given sizes.
 
-    Each task covers the sets of one size whose least elements are the
+    A prefix stands for the sets of one size whose least elements are the
     prefix: the two least, or the one element of a size-1 set.  Sizes run
-    ascending and prefixes in lexicographic order, so the tasks meet the
-    sets in (size, lexicographic) order.
+    ascending and prefixes in lexicographic order, and a task takes
+    consecutive prefixes of one size until it holds TRIAL_BLOCK sets, so
+    the tasks meet the sets in (size, lexicographic) order and few blocks
+    of ``_task_masks`` are short.
 
     Every prefix starts with an anchor, so a graph from ``build_cayley``
     scans only the sets through vertex 0; first hits, least witnesses and
     counts scaled by order/k stay exact (``cayley._anchors``).
     """
     order = _as_dense(g).order
-    tasks: list[tuple[int, tuple[int, ...]]] = []
+    tasks: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     for size in sizes:
+        group: list[tuple[int, ...]] = []
+        held = 0
         for a in _anchors(g):
             if size == 1:
-                tasks.append((1, (a,)))
+                prefixes = [(a,)]
             else:
-                tasks.extend((size, (a, b)) for b in range(a + 1, order - size + 2))
+                prefixes = [(a, b) for b in range(a + 1, order - size + 2)]
+            for prefix in prefixes:
+                group.append(prefix)
+                held += math.comb(order - 1 - prefix[-1], size - len(prefix))
+                if held >= TRIAL_BLOCK:
+                    tasks.append((size, tuple(group)))
+                    group, held = [], 0
+        if group:
+            tasks.append((size, tuple(group)))
     return tasks
 
 
+def _prefix_masks(size: int, prefix: tuple[int, ...], order: int):
+    """The fault masks of the sets of one size with these least elements, in order."""
+    bits = [1 << v for v in range(prefix[-1] + 1, order)]
+    # the bits are distinct, so the sum of a combination is its mask
+    rests = map(sum, itertools.combinations(bits, size - len(prefix)))
+    return map(_mask_of(prefix).__or__, rests)
+
+
 def _task_masks(task, order: int):
-    """The fault mask of every set of a (size, prefix) task, in order."""
-    size, prefix = task
-    base = _mask_of(prefix)
-    after = range(prefix[-1] + 1, order)
-    for rest in itertools.combinations(after, size - len(prefix)):
-        fmask = base
-        for v in rest:
-            fmask |= 1 << v
-        yield fmask
+    """The fault masks of a (size, prefixes) task, in order, in lists of TRIAL_BLOCK.
+
+    The last list may be shorter.
+    """
+    size, prefixes = task
+    sets = itertools.chain.from_iterable(
+        _prefix_masks(size, prefix, order) for prefix in prefixes
+    )
+    while block := list(itertools.islice(sets, TRIAL_BLOCK)):
+        yield block
 
 
 def _search_task(task):
-    """(sets scanned, first fault of the task hitting the predicate or None)."""
+    """(sets scanned, first fault of the task hitting the predicate or None).
+
+    ``_disconnected`` flags the disconnecting sets of each block; only
+    those get the predicate's exact test, in task order.
+    """
     masks = _SHARED["masks"]
+    neighbors = _SHARED["neighbors"]
+    order = _SHARED["order"]
     full = _SHARED["full"]
     pred = _SHARED["pred"]
     good = _SHARED["good"]
     scanned = 0
-    for fmask in _task_masks(task, _SHARED["order"]):
-        scanned += 1
-        alive = full ^ fmask
-        reach = _reach(masks, alive, alive & -alive)
-        if reach == alive:
-            continue
-        if pred == "vertex":
-            return scanned, _mask_members(fmask)
-        if pred == "good":
-            if _keeps_degree(masks, alive, good):
-                return scanned, _mask_members(fmask)
-            continue
-        # cyclic: need two components that each carry a cycle
-        comps = [reach] + _component_masks(masks, alive & ~reach)
-        if _cyclic_component_count(masks, comps) >= 2:
-            return scanned, _mask_members(fmask)
+    for block in _task_masks(task, order):
+        split = _disconnected(neighbors, order, block)
+        while split:
+            b = split & -split
+            split ^= b
+            j = b.bit_length() - 1
+            alive = full ^ block[j]
+            if pred == "good":
+                hit = _keeps_degree(masks, alive, good)
+            elif pred == "cyclic":
+                # two components that each carry a cycle
+                comps = _component_masks(masks, alive)
+                hit = _cyclic_component_count(masks, comps) >= 2
+            else:
+                hit = True
+            if hit:
+                return scanned + j + 1, _mask_members(block[j])
+        scanned += len(block)
     return scanned, None
 
 
@@ -592,6 +622,8 @@ class SizeCensus:
 
 def _census_task(task):
     masks = _SHARED["masks"]
+    neighbors = _SHARED["neighbors"]
+    order = _SHARED["order"]
     full = _SHARED["full"]
     subsets = 0
     disconnecting = 0
@@ -599,25 +631,26 @@ def _census_task(task):
     nbhd = 0
     max_residual = 0
     worst = None
-    for fmask in _task_masks(task, _SHARED["order"]):
-        subsets += 1
-        alive = full ^ fmask
-        reach = _reach(masks, alive, alive & -alive)
-        if reach == alive:
-            continue
-        disconnecting += 1
-        comps = [reach] + _component_masks(masks, alive & ~reach)
-        sizes = [c.bit_count() for c in comps]
-        largest = max(sizes)
-        residual = sum(sizes) - largest
-        if residual > max_residual:
-            max_residual = residual
-            worst = fmask
-        if len(comps) == 2 and residual == 1:
-            isolating += 1
-            single = comps[sizes.index(1)]
-            if masks[single.bit_length() - 1] == fmask:
-                nbhd += 1
+    for block in _task_masks(task, order):
+        subsets += len(block)
+        split = _disconnected(neighbors, order, block)
+        disconnecting += split.bit_count()
+        while split:
+            b = split & -split
+            split ^= b
+            fmask = block[b.bit_length() - 1]
+            comps = _component_masks(masks, full ^ fmask)
+            sizes = [c.bit_count() for c in comps]
+            largest = max(sizes)
+            residual = sum(sizes) - largest
+            if residual > max_residual:
+                max_residual = residual
+                worst = fmask
+            if len(comps) == 2 and residual == 1:
+                isolating += 1
+                single = comps[sizes.index(1)]
+                if masks[single.bit_length() - 1] == fmask:
+                    nbhd += 1
     worst = None if worst is None else _mask_members(worst)
     return task[0], subsets, disconnecting, isolating, nbhd, max_residual, worst
 
@@ -830,24 +863,30 @@ def sampled_residual_check(
 
 
 def _four_subset_task(task):
-    """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b."""
-    _, (a, b) = task
+    """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b.
+
+    (a, b) runs over the prefixes of the task.
+    """
+    _, prefixes = task
     masks = _SHARED["masks"]
     order = _SHARED["order"]
     bits = _SHARED["bits"]
     best = order + 1
     arg = None
-    mab = masks[a] | masks[b]
-    sab = bits[a] | bits[b]
-    for c in range(b + 1, order - 1):
-        mabc = mab | masks[c]
-        sabc = sab | bits[c]
-        for d in range(c + 1, order):
-            cnt = ((mabc | masks[d]) & ~(sabc | bits[d])).bit_count()
-            if cnt < best:
-                best = cnt
-                arg = (a, b, c, d)
-    return best, arg, math.comb(order - 1 - b, 2)
+    scanned = 0
+    for a, b in prefixes:
+        mab = masks[a] | masks[b]
+        sab = bits[a] | bits[b]
+        for c in range(b + 1, order - 1):
+            mabc = mab | masks[c]
+            sabc = sab | bits[c]
+            for d in range(c + 1, order):
+                cnt = ((mabc | masks[d]) & ~(sabc | bits[d])).bit_count()
+                if cnt < best:
+                    best = cnt
+                    arg = (a, b, c, d)
+        scanned += math.comb(order - 1 - b, 2)
+    return best, arg, scanned
 
 
 def min_neighborhood_over_4subsets(
@@ -874,11 +913,9 @@ def min_neighborhood_over_4subsets(
 # randomized cyclic-cut falsifier
 #
 # A block first draws all of its fault sets from its own seeded stream,
-# then evaluates them together, bit-sliced: one int per vertex, whose bit j
-# stands for trial j.  One BFS over those ints finds every trial whose
-# fault disconnects the graph; only those get the exact cyclic test, in
-# trial order.  The strategies repeat fault sets often, so each worker
-# memoises that test by fault mask.
+# then ``_disconnected`` flags the sets that disconnect the graph; only
+# those get the exact cyclic test, in trial order.  The strategies repeat
+# fault sets often, so each worker memoises that test by fault mask.
 
 
 def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
@@ -998,32 +1035,7 @@ def _falsify_block(task: tuple[int, int]):
     memo = _SHARED["memo"]
     faults = _block_faults(_SHARED, block)
     trials = len(faults)
-    # one row per trial, last trial first, vertex v in column order-1-v:
-    # column order-1-v, read down, spells dead[v] with trial j at bit j
-    row = f"0{order}b"
-    rows = "".join([format(fmask, row) for fmask in reversed(faults)])
-    every = (1 << trials) - 1
-    alive = [every ^ int(rows[order - 1 - v :: order], 2) for v in range(order)]
-    # each trial's search starts at its lowest alive vertex
-    reach = []
-    seen = 0
-    for a in alive:
-        reach.append(a & ~seen)
-        seen |= a
-    changed = True
-    while changed:
-        changed = False
-        for v in range(order):
-            r = reach[v]
-            for u in neighbors[v]:
-                r |= reach[u]
-            r &= alive[v]
-            if r != reach[v]:
-                reach[v] = r
-                changed = True
-    split = 0
-    for v in range(order):
-        split |= alive[v] & ~reach[v]
+    split = _disconnected(neighbors, order, faults)
     while split:
         b = split & -split
         split ^= b

@@ -761,14 +761,14 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "out-neighbor-escape": 0.5 if order <= 720 else 4.0,
         "adjacent-pair-common-neighbor": 0.1,
         "common-neighbor-triple": 0.1,
-        "small-cut-isolation": 2.0,
-        "large-component-bound": 2.0,
+        "small-cut-isolation": 0.5,
+        "large-component-bound": 0.5,
         "four-subset-neighborhood": 0.1 if n <= 5 else 30.0,
-        "residue-bound-p1": 1.0 if n == 4 else (10.0 if n == 5 else 40.0),
+        "residue-bound-p1": 1.0 if n <= 5 else 40.0,
         "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 30.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,
         "block-boundary-degree": 0.5,
-        "cyclic-cut-exact": 10.0,
+        "cyclic-cut-exact": 2.0,
         "cyclic-cut-upper": 1.0,
         "cyclic-cut-falsify": 6.0,
     }

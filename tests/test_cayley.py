@@ -42,7 +42,7 @@ from ugconn.cayley import (
 from ugconn.genset import GeneratingGraphError
 from ugconn.perms import apply_swap, parse_perm_string, rank_perm
 from ugconn import build_cayley, build_generating_graph
-from ugconn.cuts import build_cycle_neighborhood_cut
+from ugconn.cuts import TRIAL_BLOCK, build_cycle_neighborhood_cut
 
 
 def _nx_of(g) -> nx.Graph:
@@ -287,6 +287,56 @@ def test_component_analysis_plain_fallback_beyond_mask_limit():
         )
     )
     assert girth(ring) == order
+
+
+def _disconnected_by_reach(dense: DenseGraph, faults) -> int:
+    """The reference for ``_disconnected``: one ``_reach`` per fault."""
+    out = 0
+    for j, fmask in enumerate(faults):
+        alive = dense.full_mask ^ fmask
+        if alive and cayley._reach(dense.masks, alive, alive & -alive) != alive:
+            out |= 1 << j
+    return out
+
+
+@pytest.mark.parametrize("graph", ["mb4", "ug5", "gnp split", "gnp isolated 0"])
+def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
+    if graph.startswith("gnp"):
+        seed = 0
+        while True:
+            H = nx.gnp_random_graph(30, 0.1 if graph == "gnp split" else 0.2, seed=seed)
+            if graph == "gnp isolated 0":
+                H.remove_edges_from(list(H.edges(0)))
+                # vertex 0 alone, the rest in one piece
+                if nx.is_connected(H.subgraph(range(1, 30))):
+                    break
+            elif nx.number_connected_components(H) >= 2 and H.degree(0):
+                break
+            seed += 1
+        dense = DenseGraph(tuple(tuple(sorted(H[v])) for v in range(30)))
+    else:
+        dense = request.getfixturevalue(graph).dense
+    order, full = dense.order, dense.full_mask
+    # the empty fault, faults that leave one vertex, and one that leaves none;
+    # the empty fault cuts exactly the disconnected graphs
+    edge = [0, full ^ 1, full ^ 1 << (order - 1), full]
+    split = graph.startswith("gnp")
+    assert cayley._disconnected(dense.neighbors, order, edge) == split
+    rng = random.Random(graph)
+    for width in (1, 5, TRIAL_BLOCK):
+        for _ in range(3):
+            faults = [
+                sum(1 << v for v in rng.sample(range(order), rng.randrange(order // 2)))
+                for _ in range(width)
+            ]
+            if width > 1:
+                # edge cases at the front, in the middle and last
+                for i, fmask in zip((0, width // 2, width - 1), rng.sample(edge, 3)):
+                    faults[i] = fmask
+            got = cayley._disconnected(dense.neighbors, order, faults)
+            assert got == _disconnected_by_reach(dense, faults), width
+        if width == TRIAL_BLOCK:
+            assert 0 < got.bit_count() < width
 
 
 def test_component_analysis_agrees_with_and_without_bitmasks(mb4, monkeypatch):

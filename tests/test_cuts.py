@@ -7,6 +7,7 @@ for the flow-based connectivity values.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -20,7 +21,11 @@ from ugconn import build_cayley
 from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
+    _component_masks,
+    _cyclic_component_count,
+    _as_dense,
     _mask_members,
+    _reach,
     canonical_four_cycle,
     component_analysis,
     find_cn_triple_violation,
@@ -33,6 +38,7 @@ from ugconn.cuts import (
     _block_faults,
     _falsifier_payload,
     _first_result,
+    _keeps_degree,
     _make_witness,
     _mask_of,
     _run_tasks,
@@ -425,6 +431,85 @@ def test_searches_return_the_least_cut_of_a_brute_force_scan(order, seed):
         assert expected is not None
         for workers in (1, 2):
             assert search(workers).fault == expected
+
+
+def _scans_by_reach(dense: DenseGraph, max_size: int):
+    """(census rows, {search: (scanned, first hit)}) from one ``_reach`` per set.
+
+    Every set of size <= max_size, sizes ascending and lexicographic within
+    a size: the reference for the scans, which test whole blocks of sets
+    with the bit-sliced ``_disconnected``.
+    """
+    masks, full = dense.masks, dense.full_mask
+    preds = {
+        "vertex": lambda alive, comps: True,
+        "good1": lambda alive, comps: _keeps_degree(masks, alive, 1),
+        "good2": lambda alive, comps: _keeps_degree(masks, alive, 2),
+        "cyclic": lambda alive, comps: _cyclic_component_count(masks, comps) >= 2,
+    }
+    hits = {}
+    census = []
+    scanned = 0
+    for size in range(1, max_size + 1):
+        row = [size, 0, 0, 0, 0, 0, None]
+        for fault in itertools.combinations(range(dense.order), size):
+            scanned += 1
+            row[1] += 1
+            fmask = _mask_of(fault)
+            alive = full ^ fmask
+            reach = _reach(masks, alive, alive & -alive)
+            if reach == alive:
+                continue
+            comps = [reach] + _component_masks(masks, alive & ~reach)
+            sizes = [c.bit_count() for c in comps]
+            residual = sum(sizes) - max(sizes)
+            row[2] += 1
+            if len(comps) == 2 and residual == 1:
+                row[3] += 1
+                row[4] += masks[comps[sizes.index(1)].bit_length() - 1] == fmask
+            if residual > row[5]:
+                row[5], row[6] = residual, fault
+            for name, pred in preds.items():
+                if name not in hits and pred(alive, comps):
+                    hits[name] = scanned, fault
+        census.append(tuple(row))
+    return census, hits
+
+
+@pytest.mark.parametrize("graph", ["corrupted mb4", "bare split"])
+def test_scans_match_a_per_set_reach_loop(mb4, graph):
+    if graph == "bare split":
+        # an edge on vertices 0 and 1 beside a 14-vertex cubic graph
+        H = nx.disjoint_union(nx.path_graph(2), nx.random_regular_graph(3, 14, seed=1))
+        g, workers = _dense_of_nx(H), (1, 2)
+    else:
+        g, workers = with_redirected_cross_edge(mb4), (2,)
+    top = 7
+    census, hits = _scans_by_reach(_as_dense(g), top)
+    assert set(hits) == {"vertex", "good1", "good2", "cyclic"}
+
+    def search(kind, w):
+        if kind == "cyclic":
+            return min_cyclic_cut_exhaustive(g, top, workers=w)
+        return min_good_neighbor_cut_exhaustive(
+            g, {"vertex": 0, "good1": 1, "good2": 2}[kind], top, workers=w
+        )
+
+    for w in workers:
+        rows = disconnection_census(g, top, workers=w)
+        assert [dataclasses.astuple(r) for r in rows] == census
+        for kind, (scanned, fault) in hits.items():
+            witness = search(kind, w)
+            assert (witness.scanned, witness.fault) == (scanned, fault), kind
+        # p1: clean below the least vertex cut, which it finds at its size
+        scanned, fault = hits["vertex"]
+        below = sum(row[1] for row in census[: len(fault) - 1])
+        for bound, expected in (
+            (len(fault) - 1, (True, None, below)),
+            (len(fault), (False, fault, scanned)),
+        ):
+            sweep = verify_connected_under_removal(g, bound, workers=w)
+            assert (sweep.ok, sweep.counterexample, sweep.removals) == expected
 
 
 def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
