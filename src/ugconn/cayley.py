@@ -170,19 +170,38 @@ def _component_masks(masks, alive: int) -> list[int]:
     return comps
 
 
-def _cyclic_component_count(masks, comps: list[int]) -> int:
-    """How many of the components carry a cycle (edges >= vertices)."""
-    count = 0
-    for c in comps:
-        edges = 0
-        m = c
-        while m:
-            b = m & -m
-            m ^= b
-            edges += (masks[b.bit_length() - 1] & c).bit_count()
-        if edges // 2 >= c.bit_count():
-            count += 1
-    return count
+def _two_cyclic_components(masks, alive: int) -> bool:
+    """True iff at least two components of alive carry a cycle.
+
+    A component carries a cycle when its degree sum is at least twice its
+    vertex count (edges >= vertices).  One BFS per component, by least
+    vertex, sums the degrees as it visits: a neighbour in alive lies in
+    the same component.  The walk returns at the second cyclic component,
+    and stops once the unvisited vertices are too few to hold the cyclic
+    components still missing, 3 vertices each.
+    """
+    cyclic = 0
+    rem = alive
+    while rem.bit_count() >= 3 * (2 - cyclic):
+        reach = frontier = rem & -rem
+        degrees = 0
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                m = masks[b.bit_length() - 1] & alive
+                nxt |= m
+                degrees += m.bit_count()
+            frontier = nxt & ~reach
+            reach |= frontier
+        rem ^= reach
+        if degrees >= 2 * reach.bit_count():
+            cyclic += 1
+            if cyclic == 2:
+                return True
+    return False
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:

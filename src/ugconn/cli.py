@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
             budget=args.budget,
             checks=checks,
         )
-    except ValueError as exc:  # unknown check id or negative seed
+    except ValueError as exc:  # bad check selection, seed or budget
         raise SpecError(str(exc)) from None
     if args.format == "text":
         _emit(report.text_table(), args.out)

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .cayley import (
     CayleyGraph,
@@ -24,11 +25,11 @@ from .cayley import (
     _anchors,
     _as_dense,
     _component_masks,
-    _cyclic_component_count,
     _disconnected,
     _mask_members,
     _reach,
     _transitive,
+    _two_cyclic_components,
     component_analysis,
     conjugation_maps,
     enumerate_4cycles,
@@ -407,8 +408,8 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
 # shared worker plumbing
 #
 # Workers receive the graph once through the pool initializer and read it
-# from module state; tasks are small tuples.  Merging never depends on
-# completion order, so results are worker-count independent.
+# from module state; tasks are small tuples.  Results come back in task
+# order, so merges never depend on the worker count.
 
 _SHARED: dict = {}
 
@@ -418,18 +419,65 @@ def _pool_init(payload: dict) -> None:
     _SHARED.update(payload)
 
 
-def _run_tasks(payload: dict, func, tasks: list, workers: int) -> list:
-    workers = min(workers, len(tasks))
+def _stopped() -> bool:
+    """True in a pool worker once the runner has its result (see ``_run``)."""
+    stop = _SHARED.get("stop")
+    return stop is not None and stop.is_set()
+
+
+def _unless_stopped(func, task):
+    """func(task), or None for a task taken after the runner's stop event is set."""
+    return None if _stopped() else func(task)
+
+
+def _run(payload: dict, func, tasks: list, workers: int | None, until=None) -> list:
+    """func(task) for the tasks in order, up to the first result until accepts.
+
+    Without until every task runs.  The worker count is ``resolve_workers``
+    of workers, at most one per task; one worker runs the tasks
+    in-process.  This is the only place a pool starts.  Every task before
+    the accepted result has run, so the results do not depend on the worker
+    count.
+
+    A pool ends with close() and join(), never by a signal to a busy
+    worker: after the accepted result the parent sets a stop event that
+    the workers share, each task taken after it returns at once
+    (``_unless_stopped``), and join() waits only for the tasks in flight.
+    Only a task that raises, or an interrupt in the parent, terminates
+    the pool; the exception reaches the caller.
+    """
+    workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
         _pool_init(payload)
-        return [func(t) for t in tasks]
+        out = []
+        for task in tasks:
+            out.append(func(task))
+            if until is not None and until(out[-1]):
+                break
+        return out
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(payload,)) as pool:
-        return pool.map(func, tasks, chunksize=chunk)
+    stop = ctx.Event()
+    # a chunk comes back whole, so an early exit sends one task at a time
+    chunk = 1 if until is not None else max(1, len(tasks) // (workers * 8))
+    pool = ctx.Pool(
+        workers, initializer=_pool_init, initargs=({**payload, "stop": stop},)
+    )
+    out = []
+    try:
+        for result in pool.imap(partial(_unless_stopped, func), tasks, chunk):
+            out.append(result)
+            if until is not None and until(result):
+                stop.set()
+                break
+    except BaseException:
+        pool.terminate()
+        raise
+    pool.close()
+    pool.join()
+    return out
 
 
-def _first_result(payload: dict, func, tasks: list, workers: int):
+def _first_result(payload: dict, func, tasks: list, workers: int | None):
     """(work, hit): the first hit in task order, where func(task) is (work, hit).
 
     A task misses with hit None.  work sums the work of the tasks up to
@@ -437,22 +485,8 @@ def _first_result(payload: dict, func, tasks: list, workers: int):
     first hit may be skipped; every task before it has run, so neither
     number depends on the worker count.
     """
-
-    def first_hit(results):
-        total = 0
-        for work, hit in results:
-            total += work
-            if hit is not None:
-                return total, hit
-        return total, None
-
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        _pool_init(payload)
-        return first_hit(map(func, tasks))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(payload,)) as pool:
-        return first_hit(pool.imap(func, tasks))
+    rows = _run(payload, func, tasks, workers, until=lambda row: row[1] is not None)
+    return sum(work for work, _ in rows), rows[-1][1] if rows else None
 
 
 def _graph_payload(dense: DenseGraph) -> dict:
@@ -528,7 +562,9 @@ def _search_task(task):
     """(sets scanned, first fault of the task hitting the predicate or None).
 
     ``_disconnected`` flags the disconnecting sets of each block; only
-    those get the predicate's exact test, in task order.
+    those get the predicate's exact test, in task order.  A task still
+    running when the search has its hit comes after the hit, so it stops
+    at its next block and its result is never read.
     """
     masks = _SHARED["masks"]
     neighbors = _SHARED["neighbors"]
@@ -538,6 +574,8 @@ def _search_task(task):
     good = _SHARED["good"]
     scanned = 0
     for block in _task_masks(task, order):
+        if _stopped():
+            break
         split = _disconnected(neighbors, order, block)
         while split:
             b = split & -split
@@ -547,9 +585,7 @@ def _search_task(task):
             if pred == "good":
                 hit = _keeps_degree(masks, alive, good)
             elif pred == "cyclic":
-                # two components that each carry a cycle
-                comps = _component_masks(masks, alive)
-                hit = _cyclic_component_count(masks, comps) >= 2
+                hit = _two_cyclic_components(masks, alive)
             else:
                 hit = True
             if hit:
@@ -567,7 +603,7 @@ def _min_cut_search(
     payload["pred"] = pred
     payload["good"] = good
     tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
-    return _first_result(payload, _search_task, tasks, resolve_workers(workers))
+    return _first_result(payload, _search_task, tasks, workers)
 
 
 def _cut_witness(g, pred, good, max_size, workers, kind) -> CutWitness | None:
@@ -667,11 +703,10 @@ def disconnection_census(
     maximum residual and its least fault need no scaling (``_subset_tasks``).
     """
     dense = _as_dense(g)
-    nworkers = resolve_workers(workers)
     payload = _graph_payload(dense)
     top = min(max_size, dense.order - 1)
     tasks = _subset_tasks(g, range(1, top + 1))
-    rows = _run_tasks(payload, _census_task, tasks, nworkers)
+    rows = _run(payload, _census_task, tasks, workers)
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
@@ -812,7 +847,6 @@ def sampled_residual_check(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dense = _as_dense(g)
-    nworkers = resolve_workers(workers)
     if min_size is None:
         min_size = max(1, max_size - 2)
     nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
@@ -827,13 +861,10 @@ def sampled_residual_check(
         seed=seed,
         block_trials=block_trials,
     )
-    tasks = [(0, v) for v in range(dense.order)] + [(1, b) for b in range(nblocks)]
-    template_rows = _run_tasks(
-        payload, _template_task, [t for t in tasks if t[0] == 0], nworkers
+    template_rows = _run(
+        payload, _template_task, [(0, v) for v in range(dense.order)], workers
     )
-    sample_rows = _run_tasks(
-        payload, _sample_task, [t for t in tasks if t[0] == 1], nworkers
-    )
+    sample_rows = _run(payload, _sample_task, [(1, b) for b in range(nblocks)], workers)
     templates = sum(r[0] for r in template_rows)
     done = sum(r[0] for r in sample_rows)
     bad: tuple[int, ...] | None = None
@@ -904,7 +935,7 @@ def min_neighborhood_over_4subsets(
     payload = _graph_payload(dense)
     payload["bits"] = [1 << v for v in range(order)]
     tasks = _subset_tasks(g, (4,))
-    rows = _run_tasks(payload, _four_subset_task, tasks, resolve_workers(workers))
+    rows = _run(payload, _four_subset_task, tasks, workers)
     best, arg = min(r[:2] for r in rows)
     return best, arg, sum(r[2] for r in rows)
 
@@ -1045,8 +1076,7 @@ def _falsify_block(task: tuple[int, int]):
             continue
         hit = memo.get(fmask)
         if hit is None:
-            comps = _component_masks(masks, full ^ fmask)
-            hit = memo[fmask] = _cyclic_component_count(masks, comps) >= 2
+            hit = memo[fmask] = _two_cyclic_components(masks, full ^ fmask)
         if hit:
             return trials, (block, j, _mask_members(fmask))
     return trials, None
@@ -1076,10 +1106,9 @@ def randomized_cut_falsifier(
     dense = _as_dense(G)
     if not 0 <= target_size <= dense.order:
         raise ValueError(f"target size {target_size} must lie in 0..{dense.order}")
-    nworkers = resolve_workers(workers)
     payload = _falsifier_payload(G, target_size, trials, seed)
     tasks = [(0, b) for b in range(len(payload["block_trials"]))]
-    _, hit = _first_result(payload, _falsify_block, tasks, nworkers)
+    _, hit = _first_result(payload, _falsify_block, tasks, workers)
     if hit is None:
         return None
     return _make_witness(dense, hit[2], "cyclic-cut")

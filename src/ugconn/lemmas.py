@@ -842,10 +842,13 @@ def verify_all(
 
     Every check id appears exactly once in the result; inapplicable or
     over-budget checks are reported as SKIPPED with the reason.  A
-    negative seed raises ValueError, as do the seeded checks.
+    negative seed, a negative or NaN budget and an empty check selection
+    raise ValueError, as do the seeded checks.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if not budget >= 0:
+        raise ValueError(f"budget must be a number >= 0, not {budget}")
     nworkers = resolve_workers(workers)
     if checks is None:
         selected = CHECKS
@@ -856,6 +859,8 @@ def verify_all(
             raise ValueError(
                 f"unknown checks {unknown}; valid ids: {', '.join(CHECK_IDS)}"
             )
+        if not wanted:
+            raise ValueError(f"no checks selected; valid ids: {', '.join(CHECK_IDS)}")
         selected = tuple((cid, fn) for cid, fn in CHECKS if cid in wanted)
     ctx = CheckContext(G=G, workers=nworkers, seed=seed)
     remaining = budget

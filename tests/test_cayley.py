@@ -339,6 +339,40 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
             assert 0 < got.bit_count() < width
 
 
+@pytest.mark.parametrize("graph", ["mb4", "ug5", "small pieces"])
+def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
+    if graph == "small pieces":
+        # triangles, a lone edge, a path, a 4-cycle with a tail, a lone vertex
+        H = nx.disjoint_union_all(
+            [
+                nx.cycle_graph(3),
+                nx.path_graph(2),
+                nx.cycle_graph(3),
+                nx.path_graph(4),
+                nx.lollipop_graph(4, 2),
+                nx.empty_graph(1),
+            ]
+        )
+        dense = DenseGraph(tuple(tuple(sorted(H[v])) for v in range(len(H))))
+        cut = []
+    else:
+        G = request.getfixturevalue(graph)
+        dense = G.dense
+        # a 4-cycle's neighbourhood cuts it off, and the rest carries cycles
+        cut = build_cycle_neighborhood_cut(G, canonical_four_cycle(G))
+    rng = random.Random(graph)
+    seen = set()
+    for i in range(400):
+        fault = rng.sample(range(dense.order), rng.randrange(dense.order // 2))
+        if i % 2:
+            fault = sorted({*cut, *fault[: len(fault) // 4]})
+        alive = dense.full_mask ^ sum(1 << v for v in fault)
+        expected = component_analysis(dense, fault).cyclic_component_count() >= 2
+        assert cayley._two_cyclic_components(dense.masks, alive) == expected, fault
+        seen.add(expected)
+    assert seen == {False, True}
+
+
 def test_component_analysis_agrees_with_and_without_bitmasks(mb4, monkeypatch):
     rng = random.Random(4)
     faults = [rng.sample(range(24), rng.randrange(3, 12)) for _ in range(200)]

@@ -296,6 +296,22 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--checks", ","), "no checks selected"),
+        (("--budget", "-1"), "budget"),
+        (("--budget", "nan"), "budget"),
+    ],
+    ids=["empty-checks", "negative-budget", "nan-budget"],
+)
+def test_verify_rejects_an_empty_selection_and_a_bad_budget(capsys, flags, message):
+    code, out, err = run(capsys, "verify", "--spec", "mb:4", *flags)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_verify_stdout_json_when_no_out(capsys):
     code, out, _ = run(capsys, "verify", "--spec", "mb:4", "--checks", "four-cycle-labels")
     assert code == 0

@@ -11,7 +11,9 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import multiprocessing.pool
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -22,7 +24,6 @@ from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
     _component_masks,
-    _cyclic_component_count,
     _as_dense,
     _mask_members,
     _reach,
@@ -35,13 +36,14 @@ from ugconn.cayley import (
 )
 from ugconn.cuts import (
     TRIAL_BLOCK,
+    _SHARED,
     _block_faults,
     _falsifier_payload,
     _first_result,
     _keeps_degree,
     _make_witness,
     _mask_of,
-    _run_tasks,
+    _run,
     _unit_flow,
     build_cycle_neighborhood_cut,
     disconnection_census,
@@ -441,11 +443,16 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
     with the bit-sliced ``_disconnected``.
     """
     masks, full = dense.masks, dense.full_mask
+
+    def two_cyclic(alive, comps):
+        analysis = component_analysis(dense, _mask_members(full ^ alive))
+        return analysis.cyclic_component_count() >= 2
+
     preds = {
         "vertex": lambda alive, comps: True,
         "good1": lambda alive, comps: _keeps_degree(masks, alive, 1),
         "good2": lambda alive, comps: _keeps_degree(masks, alive, 2),
-        "cyclic": lambda alive, comps: _cyclic_component_count(masks, comps) >= 2,
+        "cyclic": two_cyclic,
     }
     hits = {}
     census = []
@@ -875,12 +882,70 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
         return real(processes, *args, **kwargs)
 
     monkeypatch.setattr(fork, "Pool", pool)
-    assert _run_tasks({}, abs, [-1, -2], 8) == [1, 2]
-    assert _run_tasks({}, abs, [-3], 8) == [3]  # one task runs in-process
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert _run({}, abs, [-1, -2], 8) == [1, 2]
+    assert _run({}, abs, [-3], 8) == [3]  # one task runs in-process
     # tasks return (work, hit); the work of tasks after the first hit is not summed
     tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b")}
     assert _first_result({}, tasks.get, [0, 2, 1], 8) == (8, "b")
     assert sizes == [2, 3]
+
+
+def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
+    """Early exits and full scans end their pools by close and join."""
+    terminated = []
+    real = multiprocessing.pool.Pool.terminate
+
+    def terminate(self):
+        terminated.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    runs = {
+        "first-hit search": lambda: min_cyclic_cut_exhaustive(mb4, 8, workers=2),
+        "falsifier hit": lambda: randomized_cut_falsifier(
+            mb4, 8, 20000, seed=0, workers=2
+        ),
+        "census": lambda: disconnection_census(mb4, 5, workers=2),
+        # the bare graph has no vertex-0 rule, so its scan spans three tasks
+        "four-subset scan": lambda: min_neighborhood_over_4subsets(
+            mb4.dense, workers=2
+        ),
+    }
+    for name, run in runs.items():
+        assert run() is not None, name
+        assert terminated == [], name
+        assert multiprocessing.active_children() == [], name
+
+
+def _counted_task(task):
+    """(1, hit) after a short sleep; counts the tasks that run, in any process."""
+    with _SHARED["ran"].get_lock():
+        _SHARED["ran"].value += 1
+    time.sleep(0.02)
+    if task == "raise":
+        raise ArithmeticError("task failed")
+    return 1, task or None
+
+
+def test_tasks_after_the_first_hit_are_skipped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    ran = multiprocessing.get_context("fork").Value("i", 0)
+    tasks = [""] * 3 + ["hit"] + [""] * 100
+    assert _first_result({"ran": ran}, _counted_task, tasks, 2) == (4, "hit")
+    assert ran.value < 20  # the 100 tasks after the hit return before they run
+    assert multiprocessing.active_children() == []
+
+
+def test_a_task_that_raises_reraises_in_the_parent(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    ran = multiprocessing.get_context("fork").Value("i", 0)
+    tasks = [""] * 5 + ["raise"] + [""] * 10
+    for until in (None, lambda row: row[1] is not None):
+        with pytest.raises(ArithmeticError, match="task failed"):
+            _run({"ran": ran}, _counted_task, tasks, 2, until)
+        assert multiprocessing.active_children() == []
 
 
 def test_resolve_workers(monkeypatch):

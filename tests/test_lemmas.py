@@ -89,6 +89,15 @@ def test_unknown_check_id_is_rejected(mb4):
     assert "common-neighbor-bound" in str(err.value)
 
 
+def test_empty_selection_and_bad_budgets_are_rejected(mb4):
+    with pytest.raises(ValueError, match="no checks selected"):
+        verify_all(mb4, checks=[])
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="budget"):
+            verify_all(mb4, budget=budget)
+    assert len(verify_all(mb4, budget=0.0).checks) == len(CHECK_IDS)  # zero is a budget
+
+
 def test_mb_scoped_checks_run_exploratory_on_ug5(ug5):
     picks = [
         "out-neighbor-disjoint",
