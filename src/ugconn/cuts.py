@@ -152,7 +152,7 @@ class CutWitness:
     kind: str  # "vertex-cut" | "good-neighbor-cut(g)" | "cyclic-cut"
     fault: tuple[int, ...]
     analysis: CutAnalysis
-    scanned: int | None = None  # sets an exhaustive search scanned, this one included
+    scanned: int | None = None  # sets or trials a search scanned, this one included
 
     @property
     def size(self) -> int:
@@ -407,30 +407,33 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
 # ---------------------------------------------------------------------------
 # shared worker plumbing
 #
-# Workers receive the graph once through the pool initializer and read it
-# from module state; tasks are small tuples.  Results come back in task
+# A task function takes what it reads as arguments, bound with partial or
+# a closure; tasks are small tuples or ints.  Results come back in task
 # order, so merges never depend on the worker count.
 
-_SHARED: dict = {}
+#: a pool worker's task function and the runner's stop event (see ``_run``);
+#: None in the parent, which calls task functions directly
+_TASK = None
+_STOP = None
 
 
-def _pool_init(payload: dict) -> None:
-    _SHARED.clear()
-    _SHARED.update(payload)
+def _install(func, stop) -> None:
+    """Pool initializer: keep the task function and the stop event."""
+    global _TASK, _STOP
+    _TASK, _STOP = func, stop
 
 
 def _stopped() -> bool:
     """True in a pool worker once the runner has its result (see ``_run``)."""
-    stop = _SHARED.get("stop")
-    return stop is not None and stop.is_set()
+    return _STOP is not None and _STOP.is_set()
 
 
-def _unless_stopped(func, task):
-    """func(task), or None for a task taken after the runner's stop event is set."""
-    return None if _stopped() else func(task)
+def _call(task):
+    """_TASK(task), or None for a task taken after the runner's stop event is set."""
+    return None if _stopped() else _TASK(task)
 
 
-def _run(payload: dict, func, tasks: list, workers: int | None, until=None) -> list:
+def _run(func, tasks, workers: int | None, until=None) -> list:
     """func(task) for the tasks in order, up to the first result until accepts.
 
     Without until every task runs.  The worker count is ``resolve_workers``
@@ -439,16 +442,21 @@ def _run(payload: dict, func, tasks: list, workers: int | None, until=None) -> l
     the accepted result has run, so the results do not depend on the worker
     count.
 
+    func may be any callable, a partial or a closure with state of its
+    own: the pool forks, so each worker inherits func and the stop event
+    from the initializer arguments without pickling them, and only the
+    tasks and results are pickled.  A worker's copy of func keeps its own
+    state.
+
     A pool ends with close() and join(), never by a signal to a busy
     worker: after the accepted result the parent sets a stop event that
     the workers share, each task taken after it returns at once
-    (``_unless_stopped``), and join() waits only for the tasks in flight.
-    Only a task that raises, or an interrupt in the parent, terminates
-    the pool; the exception reaches the caller.
+    (``_call``), and join() waits only for the tasks in flight.  Only a
+    task that raises, or an interrupt in the parent, terminates the pool;
+    the exception reaches the caller.
     """
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
-        _pool_init(payload)
         out = []
         for task in tasks:
             out.append(func(task))
@@ -459,12 +467,10 @@ def _run(payload: dict, func, tasks: list, workers: int | None, until=None) -> l
     stop = ctx.Event()
     # a chunk comes back whole, so an early exit sends one task at a time
     chunk = 1 if until is not None else max(1, len(tasks) // (workers * 8))
-    pool = ctx.Pool(
-        workers, initializer=_pool_init, initargs=({**payload, "stop": stop},)
-    )
+    pool = ctx.Pool(workers, initializer=_install, initargs=(func, stop))
     out = []
     try:
-        for result in pool.imap(partial(_unless_stopped, func), tasks, chunk):
+        for result in pool.imap(_call, tasks, chunk):
             out.append(result)
             if until is not None and until(result):
                 stop.set()
@@ -477,7 +483,7 @@ def _run(payload: dict, func, tasks: list, workers: int | None, until=None) -> l
     return out
 
 
-def _first_result(payload: dict, func, tasks: list, workers: int | None):
+def _first_result(func, tasks, workers: int | None):
     """(work, hit): the first hit in task order, where func(task) is (work, hit).
 
     A task misses with hit None.  work sums the work of the tasks up to
@@ -485,17 +491,24 @@ def _first_result(payload: dict, func, tasks: list, workers: int | None):
     first hit may be skipped; every task before it has run, so neither
     number depends on the worker count.
     """
-    rows = _run(payload, func, tasks, workers, until=lambda row: row[1] is not None)
+    rows = _run(func, tasks, workers, until=lambda row: row[1] is not None)
     return sum(work for work, _ in rows), rows[-1][1] if rows else None
 
 
-def _graph_payload(dense: DenseGraph) -> dict:
-    return {
-        "masks": dense.masks,
-        "neighbors": dense.neighbors,
-        "order": dense.order,
-        "full": dense.full_mask,
-    }
+def _first_flagged(neighbors, order: int, faults: list[int], test) -> int | None:
+    """Index of the first fault that disconnects the graph and passes test, or None.
+
+    ``_disconnected`` flags the disconnecting faults of the list at once;
+    only those get test(fault mask), in list order.
+    """
+    split = _disconnected(neighbors, order, faults)
+    while split:
+        b = split & -split
+        split ^= b
+        j = b.bit_length() - 1
+        if test(faults[j]):
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -558,56 +571,43 @@ def _task_masks(task, order: int):
         yield block
 
 
-def _search_task(task):
-    """(sets scanned, first fault of the task hitting the predicate or None).
+def _search_task(masks, neighbors, order: int, full: int, test, task):
+    """(sets scanned, first fault of the task that is a cut passing test, or None).
 
-    ``_disconnected`` flags the disconnecting sets of each block; only
-    those get the predicate's exact test, in task order.  A task still
+    test(masks, alive) is the exact test of a set whose removal leaves
+    alive disconnected; None accepts every vertex cut.  A task still
     running when the search has its hit comes after the hit, so it stops
     at its next block and its result is never read.
     """
-    masks = _SHARED["masks"]
-    neighbors = _SHARED["neighbors"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    pred = _SHARED["pred"]
-    good = _SHARED["good"]
+
+    def passes(fmask):
+        return test is None or test(masks, full ^ fmask)
+
     scanned = 0
     for block in _task_masks(task, order):
         if _stopped():
             break
-        split = _disconnected(neighbors, order, block)
-        while split:
-            b = split & -split
-            split ^= b
-            j = b.bit_length() - 1
-            alive = full ^ block[j]
-            if pred == "good":
-                hit = _keeps_degree(masks, alive, good)
-            elif pred == "cyclic":
-                hit = _two_cyclic_components(masks, alive)
-            else:
-                hit = True
-            if hit:
-                return scanned + j + 1, _mask_members(block[j])
+        j = _first_flagged(neighbors, order, block, passes)
+        if j is not None:
+            return scanned + j + 1, _mask_members(block[j])
         scanned += len(block)
     return scanned, None
 
 
 def _min_cut_search(
-    g, pred: str, good: int, max_size: int, workers: int | None
+    g, test, max_size: int, workers: int | None
 ) -> tuple[int, tuple[int, ...] | None]:
-    """(sets scanned, least minimum cut or None) in one first-hit pass."""
+    """(sets scanned, least minimum cut passing test or None) in one first-hit pass."""
     dense = _as_dense(g)
-    payload = _graph_payload(dense)
-    payload["pred"] = pred
-    payload["good"] = good
+    func = partial(
+        _search_task, dense.masks, dense.neighbors, dense.order, dense.full_mask, test
+    )
     tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
-    return _first_result(payload, _search_task, tasks, workers)
+    return _first_result(func, tasks, workers)
 
 
-def _cut_witness(g, pred, good, max_size, workers, kind) -> CutWitness | None:
-    scanned, hit = _min_cut_search(g, pred, good, max_size, workers)
+def _cut_witness(g, test, max_size, workers, kind) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, test, max_size, workers)
     return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
@@ -618,7 +618,7 @@ def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
     ascending, in one pass that stops at the first hit.  Absence is a valid
     (and for the lower bounds, the desired) result.
     """
-    return _cut_witness(g, "cyclic", 0, max_size, workers, "cyclic-cut")
+    return _cut_witness(g, _two_cyclic_components, max_size, workers, "cyclic-cut")
 
 
 def min_good_neighbor_cut_exhaustive(
@@ -626,9 +626,13 @@ def min_good_neighbor_cut_exhaustive(
 ):
     """Least cut of size <= max_size after which all survivors keep >= good neighbors."""
     if good == 0:
-        return _cut_witness(g, "vertex", 0, max_size, workers, "vertex-cut")
+        return _cut_witness(g, None, max_size, workers, "vertex-cut")
     witness = _cut_witness(
-        g, "good", good, max_size, workers, f"good-neighbor-cut({good})"
+        g,
+        partial(_keeps_degree, good=good),
+        max_size,
+        workers,
+        f"good-neighbor-cut({good})",
     )
     if witness is not None and good >= 2:
         # minimum degree 2 in every surviving component forces a cycle there
@@ -656,11 +660,7 @@ class SizeCensus:
     worst_fault: tuple[int, ...] | None  # least fault attaining max_residual
 
 
-def _census_task(task):
-    masks = _SHARED["masks"]
-    neighbors = _SHARED["neighbors"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
+def _census_task(masks, neighbors, order: int, full: int, task):
     subsets = 0
     disconnecting = 0
     isolating = 0
@@ -703,10 +703,12 @@ def disconnection_census(
     maximum residual and its least fault need no scaling (``_subset_tasks``).
     """
     dense = _as_dense(g)
-    payload = _graph_payload(dense)
     top = min(max_size, dense.order - 1)
     tasks = _subset_tasks(g, range(1, top + 1))
-    rows = _run(payload, _census_task, tasks, workers)
+    func = partial(
+        _census_task, dense.masks, dense.neighbors, dense.order, dense.full_mask
+    )
+    rows = _run(func, tasks, workers)
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
@@ -746,7 +748,7 @@ def verify_connected_under_removal(
     least disconnecting set, sizes ascending, and it exists exactly when
     kappa <= max_size.
     """
-    removals, bad = _min_cut_search(g, "vertex", 0, max_size, workers)
+    removals, bad = _min_cut_search(g, None, max_size, workers)
     return RemovalSweep(ok=bad is None, counterexample=bad, removals=removals)
 
 
@@ -779,19 +781,13 @@ def _residual_of(masks, full, fault) -> int:
     return sum(sizes) - max(sizes)
 
 
-def _template_task(task: tuple[int, int]):
+def _template_task(masks, neighbors, order: int, full: int, bound, max_size, v):
     """All fault sets N(v) plus extra vertices for one v; first violation.
 
     The extra count is capped so templates never exceed the size scope of
     the surrounding check.
     """
-    _, v = task
-    masks = _SHARED["masks"]
-    neighbors = _SHARED["neighbors"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    bound = _SHARED["bound"]
-    extras = min(2, _SHARED["max_size"] - len(neighbors[v]))
+    extras = min(2, max_size - len(neighbors[v]))
     if extras < 0:
         return 0, None
     closed = set(neighbors[v]) | {v}
@@ -805,25 +801,20 @@ def _template_task(task: tuple[int, int]):
     return count, None
 
 
-def _sample_task(task: tuple[int, int]):
-    """One block of random fault sets; returns (trials, first violation)."""
-    _, block = task
-    masks = _SHARED["masks"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    bound = _SHARED["bound"]
-    max_size = _SHARED["max_size"]
-    min_size = _SHARED["min_size"]
-    seed = _SHARED["seed"]
-    trials = _SHARED["block_trials"][block]
-    rng = random.Random((seed << 20) | block)
+def _sample_task(masks, order: int, full: int, bound, max_size, seed, trials, block):
+    """One block of random fault sets; returns (trials, first violation).
+
+    The sizes cycle through max(1, max_size - 2)..max_size.
+    """
+    min_size = max(1, max_size - 2)
     span = max_size - min_size + 1
-    for i in range(trials):
-        size = min_size + (i % span)
-        fault = rng.sample(range(order), size)
+    rng = random.Random((seed << 20) | block)
+    count = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+    for i in range(count):
+        fault = rng.sample(range(order), min_size + (i % span))
         if _residual_of(masks, full, fault) > bound:
-            return trials, (i, tuple(sorted(fault)))
-    return trials, None
+            return count, tuple(sorted(fault))
+    return count, None
 
 
 def sampled_residual_check(
@@ -833,7 +824,6 @@ def sampled_residual_check(
     trials: int,
     seed: int = 0,
     workers: int | None = None,
-    min_size: int | None = None,
 ) -> SampledResidual:
     """Seeded random + adversarial probe that residual stays <= bound.
 
@@ -847,45 +837,22 @@ def sampled_residual_check(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dense = _as_dense(g)
-    if min_size is None:
-        min_size = max(1, max_size - 2)
+    masks, order, full = dense.masks, dense.order, dense.full_mask
+    template = partial(
+        _template_task, masks, dense.neighbors, order, full, bound, max_size
+    )
+    template_rows = _run(template, range(order), workers)
+    sample = partial(_sample_task, masks, order, full, bound, max_size, seed, trials)
     nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    block_trials = [
-        min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK) for b in range(nblocks)
-    ]
-    payload = _graph_payload(dense)
-    payload.update(
-        bound=bound,
-        max_size=max_size,
-        min_size=min_size,
-        seed=seed,
-        block_trials=block_trials,
-    )
-    template_rows = _run(
-        payload, _template_task, [(0, v) for v in range(dense.order)], workers
-    )
-    sample_rows = _run(payload, _sample_task, [(1, b) for b in range(nblocks)], workers)
-    templates = sum(r[0] for r in template_rows)
-    done = sum(r[0] for r in sample_rows)
-    bad: tuple[int, ...] | None = None
-    violations = 0
-    for _, hit in template_rows:
-        if hit is not None:
-            violations += 1
-            if bad is None:
-                bad = hit
-    for _, hit in sample_rows:
-        if hit is not None:
-            violations += 1
-            if bad is None:
-                bad = hit[1]
+    sample_rows = _run(sample, range(nblocks), workers)
+    hits = [hit for _, hit in template_rows + sample_rows if hit is not None]
     return SampledResidual(
-        ok=violations == 0,
-        trials=done,
-        templates=templates,
+        ok=not hits,
+        trials=sum(r[0] for r in sample_rows),
+        templates=sum(r[0] for r in template_rows),
         seed=seed,
-        violations=violations,
-        counterexample=bad,
+        violations=len(hits),
+        counterexample=hits[0] if hits else None,
     )
 
 
@@ -893,15 +860,12 @@ def sampled_residual_check(
 # minimum neighborhood over 4-element sets
 
 
-def _four_subset_task(task):
+def _four_subset_task(masks, bits, order: int, task):
     """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b.
 
-    (a, b) runs over the prefixes of the task.
+    (a, b) runs over the prefixes of the task; bits[v] is 1 << v.
     """
     _, prefixes = task
-    masks = _SHARED["masks"]
-    order = _SHARED["order"]
-    bits = _SHARED["bits"]
     best = order + 1
     arg = None
     scanned = 0
@@ -932,10 +896,9 @@ def min_neighborhood_over_4subsets(
     order = dense.order
     if order < 4:
         raise ValueError(f"a graph of order {order} has no 4-subsets")
-    payload = _graph_payload(dense)
-    payload["bits"] = [1 << v for v in range(order)]
-    tasks = _subset_tasks(g, (4,))
-    rows = _run(payload, _four_subset_task, tasks, workers)
+    bits = [1 << v for v in range(order)]
+    func = partial(_four_subset_task, dense.masks, bits, order)
+    rows = _run(func, _subset_tasks(g, (4,)), workers)
     best, arg = min(r[:2] for r in rows)
     return best, arg, sum(r[2] for r in rows)
 
@@ -957,8 +920,11 @@ def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
     cycles = [c for c in cycles if c[0] in anchors]
     bound_lists = [vertex_boundary(dense, cycle) for cycle in cycles]
     nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    payload = _graph_payload(dense)
-    payload.update(
+    return dict(
+        masks=dense.masks,
+        neighbors=dense.neighbors,
+        order=dense.order,
+        full=dense.full_mask,
         target=target,
         seed=seed,
         anchors=anchors,
@@ -971,7 +937,6 @@ def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
         memo={},
         grown={},
     )
-    return payload
 
 
 def _below(getrandbits, m: int) -> int:
@@ -1056,30 +1021,29 @@ def _block_faults(shared: dict, block: int) -> list[int]:
     return faults
 
 
-def _falsify_block(task: tuple[int, int]):
-    """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None."""
-    _, block = task
-    masks = _SHARED["masks"]
-    neighbors = _SHARED["neighbors"]
-    order = _SHARED["order"]
-    full = _SHARED["full"]
-    memo = _SHARED["memo"]
-    faults = _block_faults(_SHARED, block)
-    trials = len(faults)
-    split = _disconnected(neighbors, order, faults)
-    while split:
-        b = split & -split
-        split ^= b
-        j = b.bit_length() - 1
-        fmask = faults[j]
+def _falsify_block(shared: dict, block: int):
+    """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None.
+
+    A block drawn after the search has its hit skips the kernel: its
+    result is never read.
+    """
+    masks = shared["masks"]
+    full = shared["full"]
+    memo = shared["memo"]
+    faults = _block_faults(shared, block)
+    if _stopped():
+        return len(faults), None
+
+    def cyclic(fmask):
         if not fmask:
-            continue
+            return False
         hit = memo.get(fmask)
         if hit is None:
             hit = memo[fmask] = _two_cyclic_components(masks, full ^ fmask)
-        if hit:
-            return trials, (block, j, _mask_members(fmask))
-    return trials, None
+        return hit
+
+    j = _first_flagged(shared["neighbors"], shared["order"], faults, cyclic)
+    return len(faults), None if j is None else (block, j, _mask_members(faults[j]))
 
 
 def randomized_cut_falsifier(
@@ -1095,9 +1059,10 @@ def randomized_cut_falsifier(
     neighborhoods trimmed below the construction size, boundaries of
     slightly grown cycle cores, and boundaries of random blobs.  Returns
     the witness from the earliest trial if any strategy succeeds, else
-    None.  Deterministic given seed; trial blocks make the result
-    independent of the worker count.  The target must lie in 0..order and
-    the seed must be >= 0, else ValueError.
+    None; the witness's ``scanned`` counts the trials up to that one.
+    Deterministic given seed; trial blocks make the result independent of
+    the worker count.  The target must lie in 0..order and the seed must
+    be >= 0, else ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1107,8 +1072,9 @@ def randomized_cut_falsifier(
     if not 0 <= target_size <= dense.order:
         raise ValueError(f"target size {target_size} must lie in 0..{dense.order}")
     payload = _falsifier_payload(G, target_size, trials, seed)
-    tasks = [(0, b) for b in range(len(payload["block_trials"]))]
-    _, hit = _first_result(payload, _falsify_block, tasks, workers)
+    blocks = range(len(payload["block_trials"]))
+    _, hit = _first_result(partial(_falsify_block, payload), blocks, workers)
     if hit is None:
         return None
-    return _make_witness(dense, hit[2], "cyclic-cut")
+    block, j, fault = hit
+    return _make_witness(dense, fault, "cyclic-cut", block * TRIAL_BLOCK + j + 1)

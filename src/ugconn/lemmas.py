@@ -713,6 +713,7 @@ def check_cyclic_cut_falsify(ctx: CheckContext) -> CheckRecord:
     )
     detail = {"target": target, "trials": trials, "seed": ctx.seed}
     if witness is not None:
+        trials = detail["trials"] = witness.scanned  # the run ended at the hit
         detail["counterexample"] = ctx.perm_strs(witness.fault)
     return _done(
         cid,

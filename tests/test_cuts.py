@@ -13,13 +13,15 @@ import math
 import multiprocessing
 import multiprocessing.pool
 import random
+import threading
 import time
+from functools import partial
 
 import networkx as nx
 import pytest
 
 from conftest import cycle_graph
-from ugconn import build_cayley
+from ugconn import build_cayley, cuts
 from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
@@ -36,9 +38,9 @@ from ugconn.cayley import (
 )
 from ugconn.cuts import (
     TRIAL_BLOCK,
-    _SHARED,
     _block_faults,
     _falsifier_payload,
+    _falsify_block,
     _first_result,
     _keeps_degree,
     _make_witness,
@@ -829,6 +831,7 @@ def test_falsifier_witness_is_the_first_replayed_hit(
         else:
             assert replay[:2] == first
             assert w.fault == replay[2] and len(w.fault) == target
+            assert w.scanned == first[0] * TRIAL_BLOCK + first[1] + 1
 
 
 def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
@@ -883,11 +886,11 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    assert _run({}, abs, [-1, -2], 8) == [1, 2]
-    assert _run({}, abs, [-3], 8) == [3]  # one task runs in-process
+    assert _run(abs, [-1, -2], 8) == [1, 2]
+    assert _run(abs, [-3], 8) == [3]  # one task runs in-process
     # tasks return (work, hit); the work of tasks after the first hit is not summed
     tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b")}
-    assert _first_result({}, tasks.get, [0, 2, 1], 8) == (8, "b")
+    assert _first_result(tasks.get, [0, 2, 1], 8) == (8, "b")
     assert sizes == [2, 3]
 
 
@@ -919,10 +922,10 @@ def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
         assert multiprocessing.active_children() == [], name
 
 
-def _counted_task(task):
+def _counted_task(ran, task):
     """(1, hit) after a short sleep; counts the tasks that run, in any process."""
-    with _SHARED["ran"].get_lock():
-        _SHARED["ran"].value += 1
+    with ran.get_lock():
+        ran.value += 1
     time.sleep(0.02)
     if task == "raise":
         raise ArithmeticError("task failed")
@@ -933,7 +936,7 @@ def test_tasks_after_the_first_hit_are_skipped(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     ran = multiprocessing.get_context("fork").Value("i", 0)
     tasks = [""] * 3 + ["hit"] + [""] * 100
-    assert _first_result({"ran": ran}, _counted_task, tasks, 2) == (4, "hit")
+    assert _first_result(partial(_counted_task, ran), tasks, 2) == (4, "hit")
     assert ran.value < 20  # the 100 tasks after the hit return before they run
     assert multiprocessing.active_children() == []
 
@@ -944,8 +947,43 @@ def test_a_task_that_raises_reraises_in_the_parent(monkeypatch):
     tasks = [""] * 5 + ["raise"] + [""] * 10
     for until in (None, lambda row: row[1] is not None):
         with pytest.raises(ArithmeticError, match="task failed"):
-            _run({"ran": ran}, _counted_task, tasks, 2, until)
+            _run(partial(_counted_task, ran), tasks, 2, until)
         assert multiprocessing.active_children() == []
+
+
+def test_run_takes_a_closure_with_per_worker_state(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    memo = {}  # each worker fills its own copy
+
+    def square(x):
+        if x not in memo:
+            memo[x] = x * x
+        return x, memo[x]
+
+    tasks = [3, 1, 3, 2, 1, 0, 2, 3] * 4
+    pooled = _run(square, tasks, 2)
+    assert memo == {}  # the workers filled their copies only
+    alone = _run(square, tasks, 1)
+    assert alone == pooled == [(x, x * x) for x in tasks]
+    assert memo == {0: 0, 1: 1, 2: 4, 3: 9}
+    # the pool installed its task and stop event in the workers only, so an
+    # in-process run never reads a stale stop event
+    assert cuts._TASK is None and cuts._STOP is None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatch):
+    payload = _falsifier_payload(mb4, 8, TRIAL_BLOCK, 0)
+    assert _falsify_block(payload, 0)[1] is not None  # block 0 holds a cyclic cut
+
+    def kernel(*args):
+        raise AssertionError("the kernel ran after the stop")
+
+    monkeypatch.setattr(cuts, "_disconnected", kernel)
+    stop = threading.Event()
+    stop.set()
+    monkeypatch.setattr(cuts, "_STOP", stop)
+    assert _falsify_block(payload, 0) == (TRIAL_BLOCK, None)
 
 
 def test_resolve_workers(monkeypatch):

@@ -225,6 +225,17 @@ def test_falsifier_check_skips_off_n5(mb4):
     assert "n=5" in c.scope or "5" in c.scope
 
 
+def test_falsifier_check_counts_the_trials_up_to_a_hit(ug5):
+    # the redirected edge opens a cyclic cut below 12 that trial 10 draws
+    rep = verify_all(
+        with_redirected_cross_edge(ug5), workers=1, checks=["cyclic-cut-falsify"]
+    )
+    (c,) = rep.checks
+    assert c.verdict == FAIL and len(c.detail["counterexample"]) == 11
+    assert c.detail["trials"] == 10
+    assert c.scope == "10 seeded randomized trials at target 11"
+
+
 def test_residue_bound_p2_is_an_exact_flow_certificate(mb4):
     rep = verify_all(mb4, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
