@@ -12,9 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .genset import (
-    CYCLE,
     PEELABLE,
-    UNICYCLIC_TF,
     GeneratingGraph,
     GeneratingGraphError,
     PeelChoice,

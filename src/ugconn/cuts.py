@@ -36,7 +36,6 @@ from .cayley import (
     inverse_map,
 )
 from .genset import describe
-from .perms import perm_string
 
 #: randomized procedures consume randomness in fixed-size trial blocks so
 #: that results do not depend on how blocks land on workers
@@ -860,47 +859,41 @@ def sampled_residual_check(
 # minimum neighborhood over 4-element sets
 
 
-def _four_subset_task(masks, bits, order: int, task):
-    """(min |N(S) - S|, least witness, sets scanned) over S = {a, b, c, d}, c > b.
+def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], int]:
+    """Min of |N(S) - S| over all 4-subsets S: (value, least witness, sets covered).
 
-    (a, b) runs over the prefixes of the task; bits[v] is 1 << v.
-    """
-    _, prefixes = task
-    best = order + 1
-    arg = None
-    scanned = 0
-    for a, b in prefixes:
-        mab = masks[a] | masks[b]
-        sab = bits[a] | bits[b]
-        for c in range(b + 1, order - 1):
-            mabc = mab | masks[c]
-            sabc = sab | bits[c]
-            for d in range(c + 1, order):
-                cnt = ((mabc | masks[d]) & ~(sabc | bits[d])).bit_count()
-                if cnt < best:
-                    best = cnt
-                    arg = (a, b, c, d)
-        scanned += math.comb(order - 1 - b, 2)
-    return best, arg, scanned
-
-
-def min_neighborhood_over_4subsets(
-    g, workers: int | None = None
-) -> tuple[int, tuple[int, int, int, int], int]:
-    """Min of |N(S) - S| over all 4-subsets S: (value, least witness, sets scanned).
-
-    On a graph from ``build_cayley`` only the sets containing vertex 0 are
-    scanned, which is exact (``_subset_tasks``).
+    One loop in the calling process over a < b < c < d, a an anchor, so a
+    graph from ``build_cayley`` covers only the sets through vertex 0,
+    which is exact (``cayley._anchors``).  Adding a vertex takes at most
+    that vertex off the boundary, so the sets under a prefix whose boundary
+    minus the vertices still to add is at least best cannot beat it; they
+    are skipped but counted as covered.  best moves only on a strictly
+    smaller count, so skipping changes neither the value nor the least
+    witness.
     """
     dense = _as_dense(g)
     order = dense.order
     if order < 4:
         raise ValueError(f"a graph of order {order} has no 4-subsets")
-    bits = [1 << v for v in range(order)]
-    func = partial(_four_subset_task, dense.masks, bits, order)
-    rows = _run(func, _subset_tasks(g, (4,)), workers)
-    best, arg = min(r[:2] for r in rows)
-    return best, arg, sum(r[2] for r in rows)
+    masks = dense.masks
+    best, arg = order + 1, None
+    for a in _anchors(g):
+        for b in range(a + 1, order - 2):
+            sab = 1 << a | 1 << b
+            mab = masks[a] | masks[b]
+            if (mab & ~sab).bit_count() - 2 >= best:
+                continue
+            for c in range(b + 1, order - 1):
+                sabc = sab | 1 << c
+                mabc = mab | masks[c]
+                if (mabc & ~sabc).bit_count() - 1 >= best:
+                    continue
+                for d in range(c + 1, order):
+                    cnt = ((mabc | masks[d]) & ~(sabc | 1 << d)).bit_count()
+                    if cnt < best:
+                        best, arg = cnt, (a, b, c, d)
+    covered = sum(math.comb(order - 1 - a, 3) for a in _anchors(g))
+    return best, arg, covered
 
 
 # ---------------------------------------------------------------------------

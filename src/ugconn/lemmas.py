@@ -92,16 +92,11 @@ class CheckContext:
     seed: int
     cache: dict = field(default_factory=dict)
 
-    def census(self, max_size: int):
-        """Shared disconnection census; computed once at the largest size needed."""
-        have = self.cache.get("census")
-        if have is None or len(have) < max_size:
-            want = max_size
-            if self.G.gen.cls == CYCLE and self.G.n == 4:
-                want = max(want, 7)  # the isolation and component bounds share it
-            have = disconnection_census(self.G, want, workers=self.workers)
-            self.cache["census"] = have
-        return have[:max_size]
+    def census(self):
+        """Disconnection census up to size 7, computed once for the two n=4 checks."""
+        if "census" not in self.cache:
+            self.cache["census"] = disconnection_census(self.G, 7, workers=self.workers)
+        return self.cache["census"]
 
     def perm_strs(self, vertices) -> list[str]:
         return [self.G.perm_str(v) for v in vertices]
@@ -350,7 +345,7 @@ def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip(cid, "stated for the n=4 cycle generator only")
-    census = ctx.census(5)
+    census = ctx.census()[:5]
     ok = True
     rows = []
     for entry in census:
@@ -387,7 +382,7 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip(cid, "stated for the n=4 cycle generator only")
-    census = ctx.census(7)
+    census = ctx.census()
     ok = True
     rows = []
     for entry in census:
@@ -427,7 +422,7 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
     if not 4 <= n <= 6:
         return _skip(cid, "four-subset scan defined for n in 4..6")
     gating = G.gen.cls == CYCLE
-    value, witness, scanned = min_neighborhood_over_4subsets(G, workers=ctx.workers)
+    value, witness, scanned = min_neighborhood_over_4subsets(G)
     expected = 4 * n - 8 if n <= 5 else 4 * n - 9
     ok = value == expected if gating else value >= 4 * n - 9
     scope = f"exhaustive over all {math.comb(G.order, 4)} four-subsets"
@@ -678,8 +673,20 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
     if not 4 <= G.n <= 7:
         return _skip(cid, "materialized witness check covers n in 4..7")
     cyc = canonical_four_cycle(G)
-    fault = build_cycle_neighborhood_cut(G, cyc)
     expected = 4 * G.n - 8
+    scope = "constructed witness, exactly verified"
+    # the cycle comes from the permutations, so a corrupted copy can lack an edge
+    missing = [
+        (u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]) if not G.dense.adjacent(u, v)
+    ]
+    if missing:
+        detail = {
+            "expected": expected,
+            "cycle": ctx.perm_strs(cyc),
+            "missing_edges": [ctx.perm_strs(e) for e in missing],
+        }
+        return _done(cid, False, False, True, scope, detail)
+    fault = build_cycle_neighborhood_cut(G, cyc)
     cyclic = is_cyclic_cut(G.dense, fault)
     largest, residual = large_component_profile(G.dense, fault)
     return _done(
@@ -687,7 +694,7 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
         ok=len(fault) == expected and cyclic,
         sampled=False,
         gating=True,
-        scope="constructed witness, exactly verified",
+        scope=scope,
         detail={
             "size": len(fault),
             "expected": expected,
@@ -764,7 +771,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "common-neighbor-triple": 0.1,
         "small-cut-isolation": 0.5,
         "large-component-bound": 0.5,
-        "four-subset-neighborhood": 0.1 if n <= 5 else 30.0,
+        "four-subset-neighborhood": 0.1,
         "residue-bound-p1": 1.0 if n <= 5 else 40.0,
         "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 30.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,

@@ -21,10 +21,10 @@ from ugconn.cayley import with_redirected_cross_edge
 from ugconn.cuts import (
     is_good_neighbor_cut,
     min_good_neighbor_cut_exhaustive,
-    perm_string,
     vertex_connectivity_detail,
 )
 from ugconn.lemmas import verify_all
+from ugconn.perms import perm_string
 
 PROVED = "PROVED-EXHAUSTIVE"
 SAMPLED = "SUPPORTED-SAMPLED"

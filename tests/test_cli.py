@@ -290,6 +290,19 @@ def test_verify_corrupt_control_fails(capsys, tmp_path):
     assert out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4"])
+def test_verify_corrupt_runs_every_check_and_fails(capsys, spec):
+    # the corrupted copy lacks an edge of the constructed 4-cycle: a FAIL,
+    # not a usage error
+    code, out, err = run(capsys, "verify", "--spec", spec, "--corrupt")
+    assert code == 1
+    assert "cyclic-cut-upper" in err.split("failing: ")[1]
+    (upper,) = [c for c in json.loads(out)["checks"] if c["id"] == "cyclic-cut-upper"]
+    assert upper["verdict"] == "FAIL"
+    assert upper["detail"]["cycle"] == ["1234", "1243", "2143", "2134"]
+    assert upper["detail"]["missing_edges"] == [["1234", "1243"]]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--spec", "mb:4", "--checks", "nope")
     assert code == 2

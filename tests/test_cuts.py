@@ -20,7 +20,6 @@ from functools import partial
 import networkx as nx
 import pytest
 
-from conftest import cycle_graph
 from ugconn import build_cayley, cuts
 from ugconn.cayley import (
     CayleyGraph,
@@ -539,7 +538,7 @@ def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
 
 
 def test_min_neighborhood_over_4subsets(mb4):
-    best, arg, scanned = min_neighborhood_over_4subsets(mb4, workers=1)
+    best, arg, scanned = min_neighborhood_over_4subsets(mb4)
     assert best == 8
     assert arg == (0, 1, 6, 7)  # the least 4-cycle wins
     assert len(vertex_boundary(mb4.dense, arg)) == 8
@@ -564,9 +563,9 @@ def test_four_subset_scan_from_vertex_0_matches_the_full_scan(request, graph):
     if graph.startswith("corrupted"):
         g = with_redirected_cross_edge(g)
     # the bare DenseGraph is not assumed vertex-transitive: every set is scanned
-    full = min_neighborhood_over_4subsets(g.dense, workers=2)
+    full = min_neighborhood_over_4subsets(g.dense)
     assert full[2] == math.comb(g.order, 4)
-    got = min_neighborhood_over_4subsets(g, workers=1)
+    got = min_neighborhood_over_4subsets(g)
     assert got[:2] == full[:2]
     if g.transitive:
         assert got[2] == math.comb(g.order - 1, 3)
@@ -574,6 +573,44 @@ def test_four_subset_scan_from_vertex_0_matches_the_full_scan(request, graph):
         assert got == full
     if g.order <= 24:
         assert got[:2] == _min_neighborhood_by_brute_force(g.dense)
+
+
+def _four_subset_reference(g):
+    """(min, least witness, sets) by a loop that evaluates every set it covers.
+
+    A graph from ``build_cayley`` covers the 4-sets through vertex 0,
+    any other graph every 4-set.
+    """
+    dense = _as_dense(g)
+    built = isinstance(g, CayleyGraph) and g.transitive
+    firsts = range(1) if built else range(dense.order)
+    best, arg, sets = None, None, 0
+    for a in firsts:
+        for rest in itertools.combinations(range(a + 1, dense.order), 3):
+            quad = (a, *rest)
+            near = dense.masks[a] | dense.masks[rest[0]]
+            near |= dense.masks[rest[1]] | dense.masks[rest[2]]
+            count = (near & ~_mask_of(quad)).bit_count()
+            sets += 1
+            if best is None or count < best:
+                best, arg = count, quad
+    return best, arg, sets
+
+
+@pytest.mark.parametrize(
+    "graph", ["ug5", "mb5", "corrupted mb4", "gnp 2", "gnp 3", "gnp 7"]
+)
+def test_bounded_four_subset_scan_matches_an_unbounded_loop(request, graph):
+    if graph.startswith("gnp"):
+        # bare random graphs on which a bound one too tight changes the answer
+        h = nx.gnp_random_graph(10, 0.3, seed=int(graph.split()[1]))
+        g = DenseGraph(tuple(tuple(sorted(h[v])) for v in range(10)))
+    else:
+        g = request.getfixturevalue(graph.split()[-1])
+    if graph.startswith("corrupted"):
+        g = with_redirected_cross_edge(g)
+    # the skipped sets are still covered: value, witness and count agree
+    assert min_neighborhood_over_4subsets(g) == _four_subset_reference(g)
 
 
 @pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4", "star:4", "bubble:4"])
@@ -619,7 +656,7 @@ def test_common_neighbor_scans_from_vertex_0_match_the_full_scans(spec):
 
 def test_four_subset_scan_needs_four_vertices():
     with pytest.raises(ValueError, match="no 4-subsets"):
-        min_neighborhood_over_4subsets(DenseGraph(((1,), (0, 2), (1,))), workers=1)
+        min_neighborhood_over_4subsets(DenseGraph(((1,), (0, 2), (1,))))
 
 
 # --- removal sweeps -------------------------------------------------------
@@ -842,6 +879,14 @@ def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
     assert _block_faults(short, 1) == _block_faults(longer, 1)[:1]
 
 
+def test_searches_skip_the_empty_fault_on_a_disconnected_graph():
+    """Two disjoint 4-cycles: removing nothing leaves two cyclic components."""
+    square = ((1, 3), (0, 2), (1, 3), (0, 2))
+    g = DenseGraph(square + tuple(tuple(v + 4 for v in ns) for ns in square))
+    assert randomized_cut_falsifier(g, 0, 10, workers=1) is None
+    assert min_cyclic_cut_exhaustive(g, 2, workers=1) is None
+
+
 def test_falsifier_rejects_bad_targets_and_seeds(mb4):
     for target in (-2, 25):
         with pytest.raises(ValueError, match="target size"):
@@ -911,10 +956,6 @@ def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
             mb4, 8, 20000, seed=0, workers=2
         ),
         "census": lambda: disconnection_census(mb4, 5, workers=2),
-        # the bare graph has no vertex-0 rule, so its scan spans three tasks
-        "four-subset scan": lambda: min_neighborhood_over_4subsets(
-            mb4.dense, workers=2
-        ),
     }
     for name, run in runs.items():
         assert run() is not None, name

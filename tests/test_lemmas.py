@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -193,6 +194,18 @@ def test_four_subset_minimum_is_exact_at_n6(mb6):
     assert c.detail["min"] == c.detail["expected"] == 15  # 4n-9 is sharp at n=6
     assert c.detail["witness"] == ["123456", "123465", "124356", "213456"]
     assert c.detail["scanned"] == 61_690_919  # C(719, 3), the sets through vertex 0
+    assert rep.passed()
+
+
+def test_four_subset_check_starts_no_pool(ug5, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the four-subset scan started a pool")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    rep = verify_all(ug5, workers=2, checks=["four-subset-neighborhood"])
+    (c,) = rep.checks
+    assert c.verdict == PROVED and c.detail["min"] == 12
     assert rep.passed()
 
 
