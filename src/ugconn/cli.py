@@ -36,7 +36,7 @@ from .genset import (
     build_generating_graph,
     describe,
 )
-from .lemmas import CHECK_IDS, TOOL_VERSION, verify_all
+from .lemmas import CHECK_IDS, TOOL_VERSION, select_checks, verify_all
 from .perms import CapacityError
 
 #: trial count for every randomized CLI search; fixed so runs are reproducible
@@ -223,17 +223,14 @@ def cmd_verify(args) -> int:
         for tok in args.checks:
             checks.extend(c for c in tok.split(",") if c)
     workers = _workers(args)
-    t0 = time.perf_counter()
     try:
-        report = verify_all(
-            G,
-            workers=workers,
-            seed=args.seed,
-            budget=args.budget,
-            checks=checks,
-        )
+        select_checks(checks, args.seed, args.budget)
     except ValueError as exc:  # bad check selection, seed or budget
         raise SpecError(str(exc)) from None
+    t0 = time.perf_counter()
+    report = verify_all(
+        G, workers=workers, seed=args.seed, budget=args.budget, checks=checks
+    )
     if args.format == "text":
         _emit(report.text_table(), args.out)
     else:

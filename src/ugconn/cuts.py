@@ -27,7 +27,6 @@ from .cayley import (
     _component_masks,
     _disconnected,
     _mask_members,
-    _reach,
     _transitive,
     _two_cyclic_components,
     component_analysis,
@@ -765,92 +764,103 @@ class SampledResidual:
     counterexample: tuple[int, ...] | None
 
 
-def _residual_of(masks, full, fault) -> int:
-    fmask = 0
-    for v in fault:
+def _below(getrandbits, m: int) -> int:
+    """rng.randrange(m) for m >= 1, from the same getrandbits calls.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``.
+    """
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
+def _anchored_fault(getrandbits, anchors, order: int, size: int) -> int:
+    """A fault mask of size vertices: an anchor, then size-1 new vertices.
+
+    Each new vertex is uniform over the vertices not yet drawn.  The draw
+    spends the stream of ``rng.choice(anchors)``, then of
+    ``rng.randrange(order)`` until the vertex is new; size 0 spends
+    nothing.
+    """
+    if not size:
+        return 0
+    fmask = 1 << anchors[_below(getrandbits, len(anchors))]
+    order_bits = order.bit_length()
+    for _ in range(size - 1):
+        v = getrandbits(order_bits)
+        while v >= order or fmask >> v & 1:
+            v = getrandbits(order_bits)
         fmask |= 1 << v
-    alive = full ^ fmask
-    if not alive:
-        return 0
-    reach = _reach(masks, alive, alive & -alive)
-    if reach == alive:
-        return 0
-    comps = [reach] + _component_masks(masks, alive & ~reach)
-    sizes = [c.bit_count() for c in comps]
-    return sum(sizes) - max(sizes)
+    return fmask
 
 
-def _template_task(masks, neighbors, order: int, full: int, bound, max_size, v):
-    """All fault sets N(v) plus extra vertices for one v; first violation.
-
-    The extra count is capped so templates never exceed the size scope of
-    the surrounding check.
-    """
-    extras = min(2, max_size - len(neighbors[v]))
-    if extras < 0:
+def _flagged(neighbors, order: int, faults: list[int]):
+    """(number of faults that disconnect the graph, the first of them or None)."""
+    split = _disconnected(neighbors, order, faults) if faults else 0
+    if not split:
         return 0, None
-    closed = set(neighbors[v]) | {v}
-    rest = [x for x in range(order) if x not in closed]
-    count = 0
-    for extra in itertools.combinations(rest, extras):
-        count += 1
-        fault = (*neighbors[v], *extra)
-        if _residual_of(masks, full, fault) > bound:
-            return count, tuple(sorted(fault))
-    return count, None
+    return split.bit_count(), _mask_members(faults[(split & -split).bit_length() - 1])
 
 
-def _sample_task(masks, order: int, full: int, bound, max_size, seed, trials, block):
-    """One block of random fault sets; returns (trials, first violation).
+def _sample_block(neighbors, order: int, anchors, max_size, seed, trials, block):
+    """(trials, disconnecting sets, the first of them or None) for one block.
 
-    The sizes cycle through max(1, max_size - 2)..max_size.
+    Trial i draws an ``_anchored_fault`` of size max(1, max_size - 2) + i
+    mod the number of sizes up to max_size, from the block's own stream.
     """
-    min_size = max(1, max_size - 2)
-    span = max_size - min_size + 1
-    rng = random.Random((seed << 20) | block)
+    low = max(1, max_size - 2)
+    span = max_size - low + 1
+    getrandbits = random.Random((seed << 20) | block).getrandbits
     count = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-    for i in range(count):
-        fault = rng.sample(range(order), min_size + (i % span))
-        if _residual_of(masks, full, fault) > bound:
-            return count, tuple(sorted(fault))
-    return count, None
+    faults = [
+        _anchored_fault(getrandbits, anchors, order, low + i % span)
+        for i in range(count)
+    ]
+    return count, *_flagged(neighbors, order, faults)
 
 
 def sampled_residual_check(
     g,
     max_size: int,
-    bound: int,
     trials: int,
     seed: int = 0,
     workers: int | None = None,
 ) -> SampledResidual:
-    """Seeded random + adversarial probe that residual stays <= bound.
+    """Seeded probe that no fault set of size <= max_size disconnects g.
 
-    Adversarial templates are every N(v) plus two extra vertices (the
-    near-misses for producing two small components); the random phase
-    draws fault sets of the largest few sizes.  A pass supports the bound
-    on the sampled evidence only, it proves nothing.  The seed must be
-    >= 0: block seeds are (seed << 20) | block, and ``random.Random``
-    would draw seed -s as s.
+    The templates are the neighborhoods N(v) with |N(v)| <= max_size, in
+    vertex order, tested in the calling process; each one isolates v.
+    The random phase draws fault sets of the largest three sizes, each
+    through an anchor (``cayley._anchors``), in blocks of TRIAL_BLOCK.
+    ``_disconnected`` tests every set exactly: ``violations`` counts the
+    sets that disconnect g, and the counterexample is the first of them,
+    templates first.  A pass supports the bound on the sampled evidence
+    only, it proves nothing.  max_size must lie in 1..order and the seed
+    must be >= 0, else ValueError: block seeds are (seed << 20) | block,
+    and ``random.Random`` would draw seed -s as s.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dense = _as_dense(g)
-    masks, order, full = dense.masks, dense.order, dense.full_mask
-    template = partial(
-        _template_task, masks, dense.neighbors, order, full, bound, max_size
+    neighbors, order = dense.neighbors, dense.order
+    if not 1 <= max_size <= order:
+        raise ValueError(f"max size {max_size} must lie in 1..{order}")
+    templates = [dense.masks[v] for v in range(order) if len(neighbors[v]) <= max_size]
+    sample = partial(
+        _sample_block, neighbors, order, _anchors(g), max_size, seed, trials
     )
-    template_rows = _run(template, range(order), workers)
-    sample = partial(_sample_task, masks, order, full, bound, max_size, seed, trials)
     nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    sample_rows = _run(sample, range(nblocks), workers)
-    hits = [hit for _, hit in template_rows + sample_rows if hit is not None]
+    found, first = _flagged(neighbors, order, templates)
+    rows = _run(sample, range(nblocks), workers)
+    hits = [hit for hit in [first] + [r[2] for r in rows] if hit is not None]
     return SampledResidual(
         ok=not hits,
-        trials=sum(r[0] for r in sample_rows),
-        templates=sum(r[0] for r in template_rows),
+        trials=sum(r[0] for r in rows),
+        templates=len(templates),
         seed=seed,
-        violations=len(hits),
+        violations=found + sum(r[1] for r in rows),
         counterexample=hits[0] if hits else None,
     )
 
@@ -932,23 +942,11 @@ def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
     )
 
 
-def _below(getrandbits, m: int) -> int:
-    """rng.randrange(m) for m >= 1, from the same getrandbits calls.
-
-    This is CPython's ``Random._randbelow_with_getrandbits``.
-    """
-    k = m.bit_length()
-    r = getrandbits(k)
-    while r >= m:
-        r = getrandbits(k)
-    return r
-
-
 def _block_faults(shared: dict, block: int) -> list[int]:
     """The fault sets of one trial block, in trial order, as vertex masks.
 
     Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 an anchor
-    and target-1 more vertices, uniform without replacement, 1 a 4-cycle's
+    and target-1 more vertices (``_anchored_fault``), 1 a 4-cycle's
     neighborhood, 2 the boundary of a cycle core grown by one or two
     vertices, 3 the boundary of a blob of two to four vertices grown from
     an anchor.  The 4-cycles are those whose least vertex is an anchor.
@@ -970,20 +968,12 @@ def _block_faults(shared: dict, block: int) -> list[int]:
     bound_lists = shared["cycle_bound_lists"]
     grown = shared["grown"]
     getrandbits = random.Random((shared["seed"] << 20) | block).getrandbits
-    order_bits = order.bit_length()
     ncycles = len(cores)
     faults = []
     for i in range(shared["block_trials"][block]):
         strat = i & 3 if ncycles else 0
         if strat == 0:
-            fmask = 1 << anchors[_below(getrandbits, len(anchors))] if target else 0
-            for _ in range(target - 1):
-                # randrange(order) until the vertex is new
-                v = getrandbits(order_bits)
-                while v >= order or fmask >> v & 1:
-                    v = getrandbits(order_bits)
-                fmask |= 1 << v
-            faults.append(fmask)
+            faults.append(_anchored_fault(getrandbits, anchors, order, target))
             continue
         if strat == 1:
             c = _below(getrandbits, ncycles)

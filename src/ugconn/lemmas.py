@@ -64,11 +64,7 @@ SKIPPED = "SKIPPED"
 
 #: sampled probes size themselves by graph order so runs stay deterministic
 def _sampled_trials(order: int) -> int:
-    if order <= 120:
-        return 1_000_000
-    if order <= 720:
-        return 100_000
-    return 20_000
+    return 100_000 if order <= 720 else 20_000
 
 
 @dataclass(frozen=True)
@@ -471,7 +467,6 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     res = sampled_residual_check(
         G,
         max_size=max_f,
-        bound=0,
         trials=_sampled_trials(G.order),
         seed=ctx.seed,
         workers=ctx.workers,
@@ -772,7 +767,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "small-cut-isolation": 0.5,
         "large-component-bound": 0.5,
         "four-subset-neighborhood": 0.1,
-        "residue-bound-p1": 1.0 if n <= 5 else 40.0,
+        "residue-bound-p1": 1.0 if n <= 6 else 2.0,
         "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 30.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,
         "block-boundary-degree": 0.5,
@@ -839,6 +834,27 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def select_checks(checks=None, seed: int = 0, budget: float = 600.0) -> tuple:
+    """The (id, check) pairs that ``verify_all`` runs for these arguments.
+
+    checks None selects every check.  A negative seed, a negative or NaN
+    budget, an unknown check id and an empty selection raise ValueError.
+    """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if not budget >= 0:
+        raise ValueError(f"budget must be a number >= 0, not {budget}")
+    if checks is None:
+        return CHECKS
+    wanted = list(checks)
+    unknown = [c for c in wanted if c not in CHECK_IDS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; valid ids: {', '.join(CHECK_IDS)}")
+    if not wanted:
+        raise ValueError(f"no checks selected; valid ids: {', '.join(CHECK_IDS)}")
+    return tuple((cid, fn) for cid, fn in CHECKS if cid in wanted)
+
+
 def verify_all(
     G: CayleyGraph,
     workers: int | None = None,
@@ -849,28 +865,12 @@ def verify_all(
     """Run the selected checks (default: all) under a cost-model budget.
 
     Every check id appears exactly once in the result; inapplicable or
-    over-budget checks are reported as SKIPPED with the reason.  A
-    negative seed, a negative or NaN budget and an empty check selection
-    raise ValueError, as do the seeded checks.
+    over-budget checks are reported as SKIPPED with the reason.  Bad
+    arguments raise ValueError (``select_checks``), as does a bad
+    UGCONN_WORKERS (``resolve_workers``).
     """
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    if not budget >= 0:
-        raise ValueError(f"budget must be a number >= 0, not {budget}")
-    nworkers = resolve_workers(workers)
-    if checks is None:
-        selected = CHECKS
-    else:
-        wanted = list(checks)
-        unknown = [c for c in wanted if c not in CHECK_IDS]
-        if unknown:
-            raise ValueError(
-                f"unknown checks {unknown}; valid ids: {', '.join(CHECK_IDS)}"
-            )
-        if not wanted:
-            raise ValueError(f"no checks selected; valid ids: {', '.join(CHECK_IDS)}")
-        selected = tuple((cid, fn) for cid, fn in CHECKS if cid in wanted)
-    ctx = CheckContext(G=G, workers=nworkers, seed=seed)
+    selected = select_checks(checks, seed, budget)
+    ctx = CheckContext(G=G, workers=resolve_workers(workers), seed=seed)
     remaining = budget
     records = []
     for cid, fn in selected:

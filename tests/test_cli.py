@@ -325,6 +325,32 @@ def test_verify_rejects_an_empty_selection_and_a_bad_budget(capsys, flags, messa
     assert out == ""
 
 
+def test_a_value_error_inside_a_check_is_not_a_usage_error(monkeypatch):
+    import ugconn.lemmas as lemmas
+
+    def broken(ctx):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(
+        lemmas,
+        "CHECKS",
+        tuple(
+            (cid, broken if cid == "cross-edge-count" else fn)
+            for cid, fn in lemmas.CHECKS
+        ),
+    )
+    with pytest.raises(ValueError, match="broken check"):
+        main(["verify", "--spec", "mb:4", "--checks", "cross-edge-count"])
+
+
+def test_verify_budget_30_runs_p1_at_n6(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "ug:6:c=4", "--budget", "30")
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["residue-bound-p1"]["verdict"] == "SUPPORTED-SAMPLED"
+    assert "budget" in checks["residue-bound-p2"]["scope"]
+
+
 def test_verify_stdout_json_when_no_out(capsys):
     code, out, _ = run(capsys, "verify", "--spec", "mb:4", "--checks", "four-cycle-labels")
     assert code == 0

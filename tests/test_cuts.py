@@ -688,34 +688,99 @@ def test_removal_sweep_is_the_least_vertex_cut_on_random_graphs():
 
 
 def test_sampled_residual_check_passes_within_bound(mb4):
-    res = sampled_residual_check(mb4, max_size=5, bound=1, trials=2000, seed=0)
+    # kappa(mb4) = 4: no set of at most 3 vertices disconnects it
+    res = sampled_residual_check(mb4, max_size=3, trials=2000, seed=0)
     assert res.ok and res.violations == 0 and res.counterexample is None
-    assert res.templates > 0  # N(v) + one extra still fits the size scope
+    assert res.templates == 0  # every N(v) has 4 vertices
     assert res.trials == 2000
 
 
-def test_sampled_residual_templates_stay_within_scope(mb4):
-    res = sampled_residual_check(mb4, max_size=4, bound=1, trials=512, seed=0)
-    assert res.ok
-    assert res.templates == 24  # bare N(v) for every vertex, no extras
-
-
 def test_sampled_residual_check_finds_violations(mb4):
-    res = sampled_residual_check(mb4, max_size=6, bound=1, trials=4000, seed=0)
-    assert not res.ok
-    assert res.violations > 0
-    fault = res.counterexample
-    assert fault is not None and len(fault) <= 6
-    an = component_analysis(mb4.dense, fault)
-    assert an.residual() > 1
+    for max_size in (4, 5, 6):
+        res = sampled_residual_check(mb4, max_size=max_size, trials=4000, seed=0)
+        assert not res.ok
+        assert res.templates == 24  # every N(v) fits and isolates v
+        assert res.violations >= 24
+        # the templates come first, in vertex order
+        assert res.counterexample == mb4.dense.neighbors[0]
+        assert is_vertex_cut(mb4, res.counterexample)
 
 
-def test_sampled_residual_check_worker_invariant(mb4):
-    one = sampled_residual_check(mb4, max_size=6, bound=1, trials=4000, seed=3)
-    two = sampled_residual_check(
-        mb4, max_size=6, bound=1, trials=4000, seed=3, workers=3
-    )
+def test_sampled_residual_check_worker_invariant(mb4, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    one = sampled_residual_check(mb4, max_size=6, trials=4000, seed=3)
+    two = sampled_residual_check(mb4, max_size=6, trials=4000, seed=3, workers=2)
     assert one == two
+    assert one.violations > 24  # random draws disconnect too
+
+
+@pytest.mark.parametrize(
+    "graph, max_size",
+    [
+        ("mb4", 3),
+        ("mb4", 5),
+        ("ring 21", 2),
+        ("ring 86", 5),
+        ("barbell", 3),  # no templates: the counterexample is a drawn set
+    ],
+)
+def test_sampled_residual_check_matches_a_replayed_draw(request, graph, max_size):
+    if graph.startswith("ring "):
+        order = int(graph.removeprefix("ring "))
+        g = DenseGraph(
+            tuple(tuple(sorted({(v - 1) % order, (v + 1) % order})) for v in range(order))
+        )
+    elif graph == "barbell":
+        # two 5-cliques joined by one edge: degrees above 3, cut vertices 4 and 5
+        g = _dense_of_nx(nx.barbell_graph(5, 0))
+    else:
+        g = request.getfixturevalue(graph)
+    dense = _as_dense(g)
+    built = isinstance(g, CayleyGraph)
+    anchors = range(1) if built else range(dense.order)
+    trials = 2 * TRIAL_BLOCK + 5
+    low = max(1, max_size - 2)
+    for seed in (0, 1):
+        # the templates, then each block's draws: rng.choice of an anchor,
+        # then randrange(order) until the vertex is new
+        faults = [dense.neighbors[v] for v in range(dense.order)]
+        faults = [f for f in faults if len(f) <= max_size]
+        templates = len(faults)
+        for block in range(3):
+            rng = random.Random((seed << 20) | block)
+            for i in range(min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)):
+                fault = [rng.choice(anchors)]
+                while len(fault) < low + i % (max_size - low + 1):
+                    v = rng.randrange(dense.order)
+                    if v not in fault:
+                        fault.append(v)
+                if built:
+                    assert fault[0] == 0
+                faults.append(tuple(sorted(fault)))
+        cuts_ = [f for f in faults if is_vertex_cut(g, f)]
+        res = sampled_residual_check(g, max_size, trials, seed=seed, workers=1)
+        assert res.templates == templates and res.trials == trials
+        assert res.violations == len(cuts_), seed
+        assert res.counterexample == (cuts_[0] if cuts_ else None)
+        assert res.ok == (not cuts_)
+    if graph == "barbell":
+        assert templates == 0 and cuts_
+
+
+def test_sampled_residual_check_starts_one_pool(mb4, monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    real = fork.Pool
+    starts = []
+
+    def pool(*args, **kwargs):
+        starts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    res = sampled_residual_check(mb4, 4, 8192, workers=2)
+    assert res.trials == 8192 and res.templates == 24
+    assert len(starts) == 1  # the trial blocks; the templates run in-process
 
 
 # --- randomized falsifier ---------------------------------------------------
@@ -894,7 +959,10 @@ def test_falsifier_rejects_bad_targets_and_seeds(mb4):
     with pytest.raises(ValueError, match="seed"):
         randomized_cut_falsifier(mb4, 8, 10, seed=-1, workers=1)
     with pytest.raises(ValueError, match="seed"):
-        sampled_residual_check(mb4, max_size=4, bound=1, trials=10, seed=-1)
+        sampled_residual_check(mb4, max_size=4, trials=10, seed=-1)
+    for max_size in (0, 25):
+        with pytest.raises(ValueError, match="max size"):
+            sampled_residual_check(mb4, max_size=max_size, trials=10)
 
 
 def test_falsifier_is_seed_deterministic_and_worker_invariant(mb4):

@@ -326,6 +326,25 @@ def test_residue_bound_p1_skips_without_bitmasks(ug5, monkeypatch):
     assert rep.passed()
 
 
+def test_residue_bound_p1_samples_from_n6(ug6, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    rep = verify_all(ug6, workers=2, checks=["residue-bound-p1"])
+    (c,) = rep.checks
+    assert c.verdict == SAMPLED and c.scope == "sampled fault sets of size <= 5"
+    assert c.detail == {"trials": 100_000, "templates": 0, "seed": 0, "violations": 0}
+    # the corrupted copy has one vertex of degree n-1, whose neighborhood
+    # the templates find
+    bad = with_redirected_cross_edge(ug6)
+    (u_out,) = [v for v in range(bad.order) if len(bad.dense.neighbors[v]) == 5]
+    rep = verify_all(bad, workers=2, checks=["residue-bound-p1"])
+    (c,) = rep.checks
+    assert c.verdict == FAIL and not rep.passed()
+    assert c.detail["templates"] == 1 and c.detail["violations"] >= 1
+    assert c.detail["counterexample"] == [
+        bad.perm_str(v) for v in bad.dense.neighbors[u_out]
+    ]
+
+
 def test_residue_bound_p2_skips_beyond_n6(ug7):
     rep = verify_all(ug7, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
