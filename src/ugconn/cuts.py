@@ -183,8 +183,8 @@ def _make_witness(
 # vertex connectivity via vertex-disjoint paths (Menger)
 
 
-#: kappa by flows answers at n <= 7: about 4 s on mb:7 and 27 s on ug:7:c=4
-#: (258 and 1,430 flows after the symmetry rule of _min_separation)
+#: kappa by flows answers at n <= 7: about 0.2 s on mb:7 and 0.1 s on
+#: ug:7:c=4 (3 and 13 flows after the orbit and ring rules of _min_separation)
 CONNECTIVITY_MAX_N = 7
 
 
@@ -320,6 +320,25 @@ def _min_separation(g, units) -> EdgeSeparation:
     best.  The pairs that improve best are therefore all flowed, in the
     same order and with the same cutoffs, and each cut is the minimum cut
     next to the first unit, which every maximum flow shares.
+
+    Ring rule, on a graph from ``build_cayley`` only: a second unit is
+    flowed only if it has a vertex of the ring R = N(N(0)) - N[0], the
+    vertices at distance exactly 2 from 0 (Watkins, "Connectivity of
+    transitive graphs", JCT 1970).  Let a minimum cut S separate units
+    U and W, in components C1 and C2 of G - S.  S - s is too small to
+    separate any two units, so every s in S has a neighbor a in C1 and a
+    neighbor b in C2.  Each component is connected and holds a unit, so a
+    lies on a unit inside C1 and b on a unit inside C2, and S separates
+    those two units.  Translating a to 0 maps them onto a pair whose
+    first unit contains 0 and whose second unit contains the image of b,
+    at distance 2 from 0.  Conjugations and w -> w^-1 keep the distance
+    from 0, so R is a union of orbits and the orbit rule still applies.
+    The value is therefore exact; the pair and cut are those of the first
+    flowed pair that attains it, which may come later than the first of
+    all pairs (star:4's kappa_1 pair).  The rule needs two conditions:
+    every vertex of a component that holds a unit lies on a unit inside
+    that component (true of vertices and of edges, not of 4-cycles for
+    free), and G is connected (``genset`` rejects a disconnected T).
     """
     dense = _as_dense(g)
     if _transitive(g):
@@ -334,6 +353,9 @@ def _min_separation(g, units) -> EdgeSeparation:
             units = [u for u in units if orbit_min[u[0]] == u[0]]
         else:
             firsts = [u for u in firsts if min(m[u[1]] for m in maps) == u[1]]
+        near = {0, *dense.neighbors[0]}
+        ring = {w for v in near for w in dense.neighbors[v]} - near
+        units = [u for u in units if not ring.isdisjoint(u)]
         family = 0  # no family, no early stop
     else:
         covered: set[int] = set()

@@ -185,8 +185,8 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     if res.cut is not None:
         detail["minimum_cut"] = ctx.perm_strs(res.cut)
     sources = (
-        "source fixed by vertex-transitivity, one sink per orbit of the "
-        "conjugations by Aut(T) and inversion"
+        "source fixed by vertex-transitivity, sinks at distance 2 from it, "
+        "one per orbit of the conjugations by Aut(T) and inversion"
         if G.transitive
         else "sources up to kappa (not vertex-transitive)"
     )
@@ -504,11 +504,9 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > 6:
+    if G.n > CONNECTIVITY_MAX_N:
         return _skip(
-            cid,
-            "edge-separation flows capped at n=6; n=7 takes 87.8k flows on "
-            "ug:7:c=4 (5 first edges at vertex 0)",
+            cid, f"edge-separation flows capped at n={CONNECTIVITY_MAX_N}, as for kappa"
         )
     max_f = 2 * G.n - 3
     sep = edge_separation_connectivity(G)
@@ -524,7 +522,8 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     }
     ok = min(sep.value, stranding) > max_f
     firsts = (
-        "first edges at vertex 0, one per Aut(T) conjugation orbit"
+        "first edges at vertex 0, one per Aut(T) conjugation orbit; second edges "
+        "through a vertex at distance 2 from 0"
         if G.transitive
         else "first edges from a matching, not vertex-transitive"
     )
@@ -758,7 +757,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     n, order = G.n, G.order
     table = {
         "common-neighbor-bound": 0.1,
-        "connectivity-value": max(1.0, order / 120),
+        "connectivity-value": 0.5 if n <= 6 else 10.0,
         "cross-edge-count": 0.5 if order <= 720 else 4.0,
         "out-neighbor-disjoint": 0.5 if order <= 720 else 4.0,
         "out-neighbor-escape": 0.5 if order <= 720 else 4.0,
@@ -768,7 +767,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "large-component-bound": 0.5,
         "four-subset-neighborhood": 0.1,
         "residue-bound-p1": 1.0 if n <= 6 else 2.0,
-        "residue-bound-p2": 0.1 if n == 4 else (2.0 if n == 5 else 30.0),
+        "residue-bound-p2": 0.1 if n <= 5 else (1.0 if n == 6 else 5.0),
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 2.0,

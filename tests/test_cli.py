@@ -348,7 +348,7 @@ def test_verify_budget_30_runs_p1_at_n6(capsys):
     assert code == 0
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     assert checks["residue-bound-p1"]["verdict"] == "SUPPORTED-SAMPLED"
-    assert "budget" in checks["residue-bound-p2"]["scope"]
+    assert checks["residue-bound-p2"]["verdict"] == "PROVED-EXHAUSTIVE"
 
 
 def test_verify_stdout_json_when_no_out(capsys):

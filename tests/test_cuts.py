@@ -156,9 +156,9 @@ def test_connectivity_witness_is_a_real_cut(mb4):
     assert _perms(mb4, det.cut) == ["1243", "1324", "2134", "4231"]
     assert is_vertex_cut(mb4, det.cut)
     assert nx.node_connectivity(_nx_of(mb4)) == 4
-    # vertex 0 against one non-neighbor per orbit of the conjugations by
-    # Aut(T) and w -> w^-1: 6 of the 24 - 1 - 4 non-neighbors
-    assert det.flows == 6
+    # vertex 0 against one vertex at distance 2 per orbit of the
+    # conjugations by Aut(T) and w -> w^-1: 2 of the 24 - 1 - 4 non-neighbors
+    assert det.flows == 2
 
 
 def test_connectivity_matches_networkx_on_random_graphs():
@@ -214,34 +214,38 @@ def test_edge_separation_on_ug5(mb4, ug5):
     assert sep.value == 8 == len(sep.cut)
     assert sep.edges[0][0] == 0  # the first edge is fixed at vertex 0
     assert large_component_profile(ug5, sep.cut)[1] >= 2
-    # one flow per far edge after each edge at vertex 0 that is least in
-    # its Aut(T) orbit: 3 of the 5 first edges on ug:5:c=4, 1 of 4 on mb:4
-    assert sep.flows == 782
-    assert edge_separation_connectivity(mb4).flows == 24
+    # one flow per far edge through a vertex at distance 2 from 0, after
+    # each edge at vertex 0 that is least in its Aut(T) orbit: 3 of the 5
+    # first edges on ug:5:c=4, 1 of 4 on mb:4
+    assert sep.flows == 137
+    assert edge_separation_connectivity(mb4).flows == 20
 
 
 # (value, cut) of kappa and (value, pair, cut) of kappa_1, frozen from the
 # loop that flowed every non-neighbor of vertex 0 and every first edge at
-# 0; the symmetry rule must reproduce them.  The last number is the flow
-# count with the rule (713 for each n=6 kappa without it).
+# 0; the orbit and ring rules must reproduce them.  The one exception is
+# star:4's kappa_1 pair: its old second edge (1, 7) has no vertex at
+# distance 2 from 0, so the first flowed pair that attains 4 is the next
+# one, with the same cut.  The last number is the flow count with both
+# rules (713 for each n=6 kappa without them).
 PINNED_KAPPA = {
-    "mb:4": (4, (1, 2, 6, 21), 6),
-    "mb:5": (5, (1, 2, 6, 24, 105), 15),
-    "ug:4:c=4": (4, (1, 2, 6, 21), 6),
-    "ug:5:c=4": (5, (1, 2, 6, 24, 80), 42),
-    "star:4": (3, (6, 14, 21), 5),
-    "bubble:4": (3, (1, 2, 6), 10),
-    "mb:6": (6, (1, 2, 6, 24, 120, 633), 66),
-    "ug:6:c=4": (6, (1, 2, 6, 24, 120, 390), 225),
-    "ug:6:c=5": (6, (1, 2, 6, 24, 120, 512), 217),
+    "mb:4": (4, (1, 2, 6, 21), 2),
+    "mb:5": (5, (1, 2, 6, 24, 105), 2),
+    "ug:4:c=4": (4, (1, 2, 6, 21), 2),
+    "ug:5:c=4": (5, (1, 2, 6, 24, 80), 6),
+    "star:4": (3, (6, 14, 21), 1),
+    "bubble:4": (3, (1, 2, 6), 2),
+    "mb:6": (6, (1, 2, 6, 24, 120, 633), 3),
+    "ug:6:c=4": (6, (1, 2, 6, 24, 120, 390), 9),
+    "ug:6:c=5": (6, (1, 2, 6, 24, 120, 512), 9),
 }
 PINNED_KAPPA_1 = {
-    "mb:4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 24),
-    "mb:5": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 81, 105), 261),
-    "ug:4:c=4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 24),
-    "ug:5:c=4": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 80, 104), 782),
-    "star:4": (4, ((0, 6), (1, 7)), (12, 14, 19, 21), 23),
-    "bubble:4": (4, ((0, 1), (3, 5)), (2, 4, 6, 7), 47),
+    "mb:4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 20),
+    "mb:5": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 81, 105), 41),
+    "ug:4:c=4": (6, ((0, 1), (3, 5)), (2, 4, 6, 7, 15, 21), 20),
+    "ug:5:c=4": (8, ((0, 1), (3, 5)), (2, 4, 6, 7, 24, 25, 80, 104), 137),
+    "star:4": (4, ((0, 6), (1, 15)), (12, 14, 19, 21), 8),
+    "bubble:4": (4, ((0, 1), (3, 5)), (2, 4, 6, 7), 11),
 }
 
 
@@ -255,6 +259,75 @@ def test_kappa_matches_the_all_pairs_values(spec):
 def test_kappa_1_matches_the_all_first_edges_values(spec):
     sep = edge_separation_connectivity(build_cayley(parse_spec(spec)))
     assert (sep.value, sep.edges, sep.cut, sep.flows) == PINNED_KAPPA_1[spec]
+
+
+def _separation_by_every_pair(g, units):
+    """(value, cut) from every unit through 0 against every unit after it.
+
+    The loop of ``_min_separation`` without the orbit and ring rules: the
+    same unit order, the same cutoffs, and a pair is flowed whenever its
+    second unit misses the first unit's closed neighborhood.
+    """
+    dense = _as_dense(g)
+    firsts = [u for u in units if 0 in u]
+    ordered = firsts + [u for u in units if 0 not in u]
+    into = [tuple(2 * w for w in ns) for ns in dense.neighbors]
+    best, cut = dense.order, None
+    for i, first in enumerate(firsts):
+        closed = set(first).union(*(dense.neighbors[v] for v in first))
+        for second in ordered[i + 1 :]:
+            if closed.isdisjoint(second):
+                f, found = _unit_flow(into, first, second, best)
+                if f < best:
+                    best, cut = f, found
+    return best, cut
+
+
+@pytest.mark.parametrize(
+    "spec", ["mb:4", "ug:4:c=4", "ug:5:c=4", "mb:5", "bubble:4", "star:4"]
+)
+def test_ring_rule_matches_the_loop_over_every_pair(spec):
+    g = build_cayley(parse_spec(spec))
+    dense = g.dense
+    near = {0, *dense.neighbors[0]}
+    ring = {w for v in near for w in dense.neighbors[v]} - near
+    det = vertex_connectivity_detail(g)
+    vertices = [(v,) for v in range(g.order)]
+    assert _separation_by_every_pair(g, vertices) == (det.value, det.cut)
+    edges = [(u, v) for u in range(g.order) for v in dense.neighbors[u] if u < v]
+    sep = edge_separation_connectivity(g)
+    assert _separation_by_every_pair(g, edges) == (sep.value, sep.cut)
+    assert 0 in sep.edges[0] and not ring.isdisjoint(sep.edges[1])
+
+
+# kappa as (value, cut, flows) and kappa_1 as (value, pair, cut, flows) on
+# graphs that are not vertex-transitive, where neither rule applies; frozen
+# from the driver without the ring rule, which must not change them
+PINNED_OFF_TRANSITIVE = {
+    "corrupted mb:4": (
+        (3, (4, 7, 15), 73),
+        (5, ((0, 2), (1, 4)), (3, 6, 12, 21, 23), 141),
+    ),
+    "gnp seed 1": ((1, (0,), 18), (3, ((0, 1), (5, 12)), (2, 7, 13), 27)),
+    "gnp seed 2": ((2, (0, 13), 32), (3, ((1, 6), (0, 4)), (3, 12, 13), 43)),
+    "gnp seed 3": ((0, (), 10), (2, ((2, 11), (10, 14)), (0, 15), 17)),
+    "gnp seed 23": ((1, (6,), 22), (2, ((1, 6), (8, 9)), (0, 5), 19)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OFF_TRANSITIVE))
+def test_off_transitive_graphs_flow_every_pair_as_before(mb4, name):
+    if name == "corrupted mb:4":
+        g = with_redirected_cross_edge(mb4)
+    else:
+        seed = int(name.rsplit(" ", 1)[1])
+        g = _dense_of_nx(nx.gnp_random_graph(16, 0.3, seed=seed))
+    det = vertex_connectivity_detail(g)
+    sep = edge_separation_connectivity(g)
+    assert (
+        (det.value, det.cut, det.flows),
+        (sep.value, sep.edges, sep.cut, sep.flows),
+    ) == PINNED_OFF_TRANSITIVE[name]
 
 
 # A trap for augmenting paths: 0 is the source, 5 the sink.  The first

@@ -8,7 +8,9 @@ import multiprocessing
 
 import pytest
 
+from ugconn import build_cayley
 from ugconn.cayley import with_redirected_cross_edge
+from ugconn.cli import parse_spec
 from ugconn.lemmas import (
     CHECK_IDS,
     FAIL,
@@ -162,9 +164,9 @@ def test_connectivity_detail_on_path(b4):
     assert c.verdict == PROVED
     assert c.detail["kappa"] == c.detail["expected"] == 3
     assert len(c.detail["minimum_cut"]) == 3
-    # vertex 0 against one non-neighbor per orbit of the conjugations by
-    # Aut(T) and w -> w^-1: 10 of the 24 - 1 - 3 non-neighbors
-    assert c.detail["flows"] == 10
+    # vertex 0 against one vertex at distance 2 per orbit of the
+    # conjugations by Aut(T) and w -> w^-1: 2 of the 24 - 1 - 3 non-neighbors
+    assert c.detail["flows"] == 2
 
 
 def test_connectivity_value_is_proved_at_n6(mb6):
@@ -173,7 +175,8 @@ def test_connectivity_value_is_proved_at_n6(mb6):
     assert c.verdict == PROVED and c.gating
     assert c.detail["kappa"] == c.detail["expected"] == 6
     assert len(c.detail["minimum_cut"]) == 6
-    assert c.detail["flows"] == 66  # 82 orbits under Aut(T) alone, 66 with inversion
+    # 82 orbits under Aut(T) alone, 66 with inversion, 3 of them at distance 2
+    assert c.detail["flows"] == 3
 
 
 def test_common_neighbor_checks_are_proved_at_n6(mb6):
@@ -345,8 +348,19 @@ def test_residue_bound_p1_samples_from_n6(ug6, monkeypatch):
     ]
 
 
-def test_residue_bound_p2_skips_beyond_n6(ug7):
-    rep = verify_all(ug7, workers=1, checks=["residue-bound-p2"])
+def test_residue_bound_p2_is_proved_at_n7():
+    mb7 = build_cayley(parse_spec("mb:7"))
+    rep = verify_all(mb7, workers=1, checks=["residue-bound-p2"])
+    (c,) = rep.checks
+    assert c.verdict == PROVED and c.gating
+    d = c.detail
+    assert (d["edge_separation"], d["max_cn"], d["degree"], d["bound"]) == (12, 2, 7, 11)
+    assert d["flows"] == 122 and len(d["minimum_cut"]) == 12
+
+
+def test_residue_bound_p2_skips_beyond_n7():
+    mb8 = build_cayley(parse_spec("mb:8"))
+    rep = verify_all(mb8, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
     assert c.verdict == SKIPPED
-    assert "n=6" in c.scope
+    assert "n=7" in c.scope
