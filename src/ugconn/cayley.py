@@ -117,24 +117,36 @@ def _reach(masks, alive: int, start_bit: int) -> int:
     return reach
 
 
+#: _SURVIVES[b][x] is ASCII "1" when bit b of the byte x is clear, else "0"
+_SURVIVES = [bytes(48 + (not x >> b & 1) for x in range(256)) for b in range(8)]
+
+
 def _disconnected(neighbors, order: int, faults: list[int]) -> int:
     """Bit j is set when removing faults[j] leaves a non-empty, disconnected graph.
 
     faults is a non-empty list of fault masks, evaluated together,
     bit-sliced: vertex v gets one int whose bit j says that v survives
-    fault j.  These ints come from one string of the fault masks in binary,
-    last fault first, read down one column per vertex.  Each fault's search
-    starts at its lowest surviving vertex, and one BFS over the ints sweeps
-    the vertices until nothing changes; a survivor it never reaches lies in
+    fault j.  These ints come from one byte string of the fault masks,
+    last fault first, read down one byte column per 8 vertices and
+    translated to binary digits per vertex.  Each fault's search starts at
+    its lowest surviving vertex, and one BFS over the ints sweeps the
+    vertices until nothing changes; a survivor it never reaches lies in
     another component.  Callers give only the flagged faults their exact
     per-set tests.
     """
-    # one row per fault, last fault first, vertex v in column order-1-v:
-    # column order-1-v, read down, spells dead[v] with fault j at bit j
-    row = f"0{order}b"
-    rows = "".join([format(fmask, row) for fmask in reversed(faults)])
-    every = (1 << len(faults)) - 1
-    alive = [every ^ int(rows[order - 1 - v :: order], 2) for v in range(order)]
+    # one little-endian row of width bytes per fault, last fault first:
+    # byte column k, read down, holds vertices 8k..8k+7, and its digits
+    # for vertex 8k+b, read as binary, spell alive[8k+b] with fault j at bit j
+    width = (order + 7) // 8
+    repeat = itertools.repeat
+    rows = b"".join(
+        map(int.to_bytes, reversed(faults), repeat(width), repeat("little"))
+    )
+    alive = []
+    for k in range(width):
+        column = rows[k::width]
+        for b in range(min(8, order - 8 * k)):
+            alive.append(int(column.translate(_SURVIVES[b]), 2))
     reach = []
     seen = 0
     for a in alive:

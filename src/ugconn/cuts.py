@@ -786,29 +786,22 @@ class SampledResidual:
     counterexample: tuple[int, ...] | None
 
 
-def _below(getrandbits, m: int) -> int:
-    """rng.randrange(m) for m >= 1, from the same getrandbits calls.
-
-    This is CPython's ``Random._randbelow_with_getrandbits``.
-    """
-    k = m.bit_length()
-    r = getrandbits(k)
-    while r >= m:
-        r = getrandbits(k)
-    return r
-
-
 def _anchored_fault(getrandbits, anchors, order: int, size: int) -> int:
     """A fault mask of size vertices: an anchor, then size-1 new vertices.
 
     Each new vertex is uniform over the vertices not yet drawn.  The draw
     spends the stream of ``rng.choice(anchors)``, then of
     ``rng.randrange(order)`` until the vertex is new; size 0 spends
-    nothing.
+    nothing.  Each choice is CPython's ``Random._randbelow_with_getrandbits``
+    written out: ``getrandbits(m.bit_length())`` until the value is below m.
     """
     if not size:
         return 0
-    fmask = 1 << anchors[_below(getrandbits, len(anchors))]
+    m = len(anchors)
+    a = getrandbits(m.bit_length())
+    while a >= m:
+        a = getrandbits(m.bit_length())
+    fmask = 1 << anchors[a]
     order_bits = order.bit_length()
     for _ in range(size - 1):
         v = getrandbits(order_bits)
@@ -931,10 +924,12 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
 # ---------------------------------------------------------------------------
 # randomized cyclic-cut falsifier
 #
-# A block first draws all of its fault sets from its own seeded stream,
-# then ``_disconnected`` flags the sets that disconnect the graph; only
-# those get the exact cyclic test, in trial order.  The strategies repeat
-# fault sets often, so each worker memoises that test by fault mask.
+# A block first draws all of its fault sets from its own seeded stream.
+# The strategies repeat fault sets often, so ``_disconnected`` takes each
+# distinct set of the block once and flags those that disconnect the
+# graph; only they get the exact cyclic test, in order of first
+# occurrence, and each worker memoises that test by fault mask, since
+# blocks repeat sets too.
 
 
 def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
@@ -977,8 +972,9 @@ def _block_faults(shared: dict, block: int) -> list[int]:
 
     Each set, or the core it bounds, contains an anchor; that loses nothing
     (``cayley._anchors``), and on a bare graph strategy 0 is uniform.  Each
-    ``randrange(m)`` is ``_below(getrandbits, m)``, and ``shared["grown"]``
-    keeps the grown boundary of each core.
+    ``randrange(m)`` is written out as in ``_anchored_fault``, with no call
+    per drawn index, and ``shared["grown"]`` keeps the grown boundary of
+    each core.
     """
     masks = shared["masks"]
     neighbors = shared["neighbors"]
@@ -990,38 +986,56 @@ def _block_faults(shared: dict, block: int) -> list[int]:
     bound_lists = shared["cycle_bound_lists"]
     grown = shared["grown"]
     getrandbits = random.Random((shared["seed"] << 20) | block).getrandbits
-    ncycles = len(cores)
+    ncycles, nanchors = len(cores), len(anchors)
     faults = []
     for i in range(shared["block_trials"][block]):
         strat = i & 3 if ncycles else 0
         if strat == 0:
             faults.append(_anchored_fault(getrandbits, anchors, order, target))
             continue
-        if strat == 1:
-            c = _below(getrandbits, ncycles)
-            fmask, fault = bounds[c], bound_lists[c]
+        if strat == 3:
+            k = nanchors.bit_length()
+            r = getrandbits(k)
+            while r >= nanchors:
+                r = getrandbits(k)
+            v = anchors[r]
+            core, fmask, fault = 1 << v, masks[v], neighbors[v]
         else:
-            if strat == 2:
-                c = _below(getrandbits, ncycles)
-                core, fmask, fault = cores[c], bounds[c], bound_lists[c]
-                grow = 1 + _below(getrandbits, 2)
-            else:
-                v = anchors[_below(getrandbits, len(anchors))]
-                core, fmask, fault = 1 << v, masks[v], neighbors[v]
-                grow = 1 + _below(getrandbits, 3)
-            for _ in range(grow):
+            k = ncycles.bit_length()
+            c = getrandbits(k)
+            while c >= ncycles:
+                c = getrandbits(k)
+            core, fmask, fault = cores[c], bounds[c], bound_lists[c]
+        if strat > 1:
+            # randrange(1, strat + 1) more vertices: one or two on a cycle
+            # core, one to three on an anchor
+            grow = getrandbits(2)
+            while grow >= strat:
+                grow = getrandbits(2)
+            for _ in range(grow + 1):
                 # fault lists the boundary fmask in increasing order
-                v = fault[_below(getrandbits, len(fault))]
+                m = len(fault)
+                k = m.bit_length()
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                v = fault[r]
                 core |= 1 << v
                 known = grown.get(core)
                 if known is None:
                     fmask = (fmask | masks[v]) & ~core
                     known = grown[core] = (fmask, _mask_members(fmask))
                 fmask, fault = known
-        if len(fault) > target:
+        m = len(fault)
+        if m > target:
             fault = list(fault)
-            while len(fault) > target:
-                fmask ^= 1 << fault.pop(_below(getrandbits, len(fault)))
+            while m > target:
+                k = m.bit_length()
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                fmask ^= 1 << fault.pop(r)
+                m -= 1
         faults.append(fmask)
     return faults
 
@@ -1029,8 +1043,10 @@ def _block_faults(shared: dict, block: int) -> list[int]:
 def _falsify_block(shared: dict, block: int):
     """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None.
 
-    A block drawn after the search has its hit skips the kernel: its
-    result is never read.
+    The kernel takes each distinct fault set of the block once, in order
+    of first occurrence; the first trial that holds a hit is that set's
+    first occurrence.  A block drawn after the search has its hit skips
+    the kernel: its result is never read.
     """
     masks = shared["masks"]
     full = shared["full"]
@@ -1047,8 +1063,11 @@ def _falsify_block(shared: dict, block: int):
             hit = memo[fmask] = _two_cyclic_components(masks, full ^ fmask)
         return hit
 
-    j = _first_flagged(shared["neighbors"], shared["order"], faults, cyclic)
-    return len(faults), None if j is None else (block, j, _mask_members(faults[j]))
+    distinct = list(dict.fromkeys(faults))
+    j = _first_flagged(shared["neighbors"], shared["order"], distinct, cyclic)
+    if j is None:
+        return len(faults), None
+    return len(faults), (block, faults.index(distinct[j]), _mask_members(distinct[j]))
 
 
 def randomized_cut_falsifier(

@@ -772,7 +772,7 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "block-boundary-degree": 0.5,
         "cyclic-cut-exact": 2.0,
         "cyclic-cut-upper": 1.0,
-        "cyclic-cut-falsify": 6.0,
+        "cyclic-cut-falsify": 5.0,
     }
     return table[check_id]
 

@@ -379,10 +379,14 @@ def test_criterion_08_residual_bounds(payload):
 def test_criterion_09_falsifier(ug5):
     start = time.perf_counter()
     report = verify_all(ug5, workers=1, checks=["cyclic-cut-falsify"])
-    record_acceptance(f"[falsifier, workers=1: {time.perf_counter() - start:.1f}s]")
+    seconds = time.perf_counter() - start
     problems: list[str] = []
     rec = by_id(report.to_jsonable(with_timing=False))["cyclic-cut-falsify"]
     detail = rec["detail"]
+    record_acceptance(
+        f"[falsifier, workers=1: {seconds:.1f}s, "
+        f"{detail.get('trials', 0) / seconds:,.0f} trials/s]"
+    )
     expect(
         problems,
         rec["verdict"] == SAMPLED

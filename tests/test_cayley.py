@@ -299,9 +299,29 @@ def _disconnected_by_reach(dense: DenseGraph, faults) -> int:
     return out
 
 
-@pytest.mark.parametrize("graph", ["mb4", "ug5", "gnp split", "gnp isolated 0"])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        "mb4",
+        "ug5",
+        "gnp split",
+        "gnp isolated 0",
+        # orders at and around a byte edge of the kernel's fault rows
+        "ring 7",
+        "ring 8",
+        "ring 9",
+        "ring 16",
+        "ring 17",
+        "ug6",  # order 720, 90 bytes per fault
+    ],
+)
 def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
-    if graph.startswith("gnp"):
+    if graph.startswith("ring "):
+        order = int(graph.removeprefix("ring "))
+        dense = DenseGraph(
+            tuple(tuple(sorted({(v - 1) % order, (v + 1) % order})) for v in range(order))
+        )
+    elif graph.startswith("gnp"):
         seed = 0
         while True:
             H = nx.gnp_random_graph(30, 0.1 if graph == "gnp split" else 0.2, seed=seed)

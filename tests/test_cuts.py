@@ -1017,6 +1017,35 @@ def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
     assert _block_faults(short, 1) == _block_faults(longer, 1)[:1]
 
 
+def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypatch):
+    seen = []
+    real = cuts._disconnected
+
+    def kernel(neighbors, order, faults):
+        seen.append(list(faults))
+        return real(neighbors, order, faults)
+
+    monkeypatch.setattr(cuts, "_disconnected", kernel)
+    payload = _falsifier_payload(ug5, 11, TRIAL_BLOCK, 0)
+    assert _falsify_block(payload, 0) == (TRIAL_BLOCK, None)
+    distinct = list(dict.fromkeys(_block_faults(payload, 0)))
+    assert seen == [distinct] and len(distinct) < TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("trials", ["miss hit miss hit", "miss miss hit miss hit"])
+def test_falsifier_hit_maps_to_its_first_trial(mb4, monkeypatch, trials):
+    hit = _mask_of(build_cycle_neighborhood_cut(mb4, canonical_four_cycle(mb4)))
+    miss = mb4.dense.masks[0]  # N(0) cuts off vertex 0 alone: no cyclic cut
+    assert is_cyclic_cut(mb4, _mask_members(hit))
+    faults = [{"miss": miss, "hit": hit}[t] for t in trials.split()]
+    first = faults.index(hit)
+    monkeypatch.setattr(cuts, "_block_faults", lambda shared, block: faults)
+    payload = _falsifier_payload(mb4, 8, len(faults), 0)
+    assert _falsify_block(payload, 0) == (len(faults), (0, first, _mask_members(hit)))
+    w = randomized_cut_falsifier(mb4, 8, len(faults), seed=0, workers=1)
+    assert w.scanned == first + 1 and w.fault == _mask_members(hit)
+
+
 def test_searches_skip_the_empty_fault_on_a_disconnected_graph():
     """Two disjoint 4-cycles: removing nothing leaves two cyclic components."""
     square = ((1, 3), (0, 2), (1, 3), (0, 2))
