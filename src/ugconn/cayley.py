@@ -121,18 +121,29 @@ def _reach(masks, alive: int, start_bit: int) -> int:
 _SURVIVES = [bytes(48 + (not x >> b & 1) for x in range(256)) for b in range(8)]
 
 
-def _disconnected(neighbors, order: int, faults: list[int]) -> int:
-    """Bit j is set when removing faults[j] leaves a non-empty, disconnected graph.
+def _disconnected(neighbors, order: int, faults: list[int], apart: int = 1) -> int:
+    """Bit j is set when removing faults[j] leaves at least apart survivors unreached.
 
     faults is a non-empty list of fault masks, evaluated together,
     bit-sliced: vertex v gets one int whose bit j says that v survives
     fault j.  These ints come from one byte string of the fault masks,
     last fault first, read down one byte column per 8 vertices and
     translated to binary digits per vertex.  Each fault's search starts at
-    its lowest surviving vertex, and one BFS over the ints sweeps the
-    vertices until nothing changes; a survivor it never reaches lies in
-    another component.  Callers give only the flagged faults their exact
-    per-set tests.
+    its highest surviving vertex, and one BFS over the ints sweeps the
+    vertices downward until nothing changes; a survivor it never reaches
+    lies in another component.  apart saturating bit-sliced counters
+    count the unreached survivors: bit j of counter i is set once more
+    than i survivors of fault j are unreached, and the last counter is the
+    result, so apart=1 flags exactly the faults that leave a disconnected
+    graph.
+
+    A caller passes as apart the least size of a component its exact test
+    needs on each of two sides: two such components cannot both hold the
+    start, so one of them is unreached, and no fault that passes the test
+    goes unflagged.  Scans and draws go through vertex 0 (``_anchors``),
+    so the small pieces a fault cuts off sit near 0; starting high puts
+    them on the unreached side, where a larger apart skips them.  Callers
+    give only the flagged faults their exact per-set tests.
     """
     # one little-endian row of width bytes per fault, last fault first:
     # byte column k, read down, holds vertices 8k..8k+7, and its digits
@@ -147,15 +158,16 @@ def _disconnected(neighbors, order: int, faults: list[int]) -> int:
         column = rows[k::width]
         for b in range(min(8, order - 8 * k)):
             alive.append(int(column.translate(_SURVIVES[b]), 2))
-    reach = []
+    down = range(order - 1, -1, -1)
+    reach = [0] * order
     seen = 0
-    for a in alive:
-        reach.append(a & ~seen)
-        seen |= a
+    for v in down:
+        reach[v] = alive[v] & ~seen
+        seen |= alive[v]
     changed = True
     while changed:
         changed = False
-        for v in range(order):
+        for v in down:
             r = reach[v]
             for u in neighbors[v]:
                 r |= reach[u]
@@ -163,10 +175,14 @@ def _disconnected(neighbors, order: int, faults: list[int]) -> int:
             if r != reach[v]:
                 reach[v] = r
                 changed = True
-    split = 0
-    for v in range(order):
-        split |= alive[v] & ~reach[v]
-    return split
+    counts = [0] * apart
+    carries = range(apart - 1, 0, -1)
+    for a, r in zip(alive, reach):
+        x = a & ~r
+        for i in carries:
+            counts[i] |= counts[i - 1] & x
+        counts[0] |= x
+    return counts[-1]
 
 
 def _component_masks(masks, alive: int) -> list[int]:
@@ -178,6 +194,10 @@ def _component_masks(masks, alive: int) -> list[int]:
         comps.append(c)
         rem &= ~c
     return comps
+
+
+#: the fewest vertices of a cycle in a simple graph
+CYCLE_VERTICES = 3
 
 
 def _two_cyclic_components(masks, alive: int) -> bool:
@@ -192,7 +212,7 @@ def _two_cyclic_components(masks, alive: int) -> bool:
     """
     cyclic = 0
     rem = alive
-    while rem.bit_count() >= 3 * (2 - cyclic):
+    while rem.bit_count() >= CYCLE_VERTICES * (2 - cyclic):
         reach = frontier = rem & -rem
         degrees = 0
         while frontier:
@@ -474,32 +494,33 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
     )
 
 
-def conjugation_maps(G: CayleyGraph) -> tuple[tuple[int, ...], ...]:
+def conjugation_maps(G: CayleyGraph, vertices=None) -> tuple[tuple[int, ...], ...]:
     """Vertex maps p -> sigma^-1 p sigma, one per automorphism sigma of T.
 
     Each map is an automorphism of G that fixes vertex 0: the neighbor
     p (k l) goes to sigma^-1 p sigma (s(k) s(l)) with s = sigma^-1, and s
     maps the edge k-l of T onto an edge of T.  The identity comes first.
-    Built on demand, never by ``build_cayley``.
+    Map i lists the images of vertices in their order, every vertex by
+    default.  Built on demand, never by ``build_cayley``.
     """
+    perms = G.perms if vertices is None else [G.perms[v] for v in vertices]
     out = []
     for sigma in automorphisms(G.gen):
         s = _inverse(sigma)
         out.append(
-            tuple(
-                G.index[tuple(s[p[x - 1] - 1] for x in sigma)] for p in G.perms
-            )
+            tuple(G.index[tuple(s[p[x - 1] - 1] for x in sigma)] for p in perms)
         )
     return tuple(out)
 
 
-def inverse_map(G: CayleyGraph) -> tuple[int, ...]:
-    """Vertex map p -> p^-1.
+def inverse_map(G: CayleyGraph, vertices=None) -> tuple[int, ...]:
+    """Vertex map p -> p^-1, on vertices in their order (every vertex by default).
 
     Not an automorphism, but translating by w^-1 maps the pair (0, w) onto
     the pair (w^-1, 0), so both pairs have the same separations.
     """
-    return tuple(G.index[_inverse(p)] for p in G.perms)
+    perms = G.perms if vertices is None else [G.perms[v] for v in vertices]
+    return tuple(G.index[_inverse(p)] for p in perms)
 
 
 def _inverse(p: Perm) -> Perm:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .cayley import (
+    CYCLE_VERTICES,
     CayleyGraph,
     CutAnalysis,
     DenseGraph,
@@ -283,6 +284,21 @@ class EdgeSeparation:
     flows: int
 
 
+def _least_images(g, vertices, inverted: bool) -> dict[int, int]:
+    """{w: the least image of w under the conjugations} for w in vertices.
+
+    With inverted, the least image of w or of w^-1: the least vertex of
+    w's orbit under the conjugations and w -> w^-1, which commute.  Only
+    vertices and their inverses are mapped, so the tables grow with
+    |Aut(T)| times their number, not times the order.
+    """
+    vertices = list(vertices)
+    partner = dict(zip(vertices, inverse_map(g, vertices) if inverted else vertices))
+    mapped = list(set(vertices).union(partner.values()))
+    least = dict(zip(mapped, map(min, zip(*conjugation_maps(g, mapped)))))
+    return {w: min(least[w], least[partner[w]]) for w in vertices}
+
+
 def _min_separation(g, units) -> EdgeSeparation:
     """Fewest vertices whose removal leaves two units whole in different components.
 
@@ -332,7 +348,9 @@ def _min_separation(g, units) -> EdgeSeparation:
     those two units.  Translating a to 0 maps them onto a pair whose
     first unit contains 0 and whose second unit contains the image of b,
     at distance 2 from 0.  Conjugations and w -> w^-1 keep the distance
-    from 0, so R is a union of orbits and the orbit rule still applies.
+    from 0, so R is a union of orbits and the orbit rule still applies;
+    the least images are computed only where the rules read them
+    (``_least_images``): on R for vertex units, on N(0) for edge units.
     The value is therefore exact; the pair and cut are those of the first
     flowed pair that attains it, which may come later than the first of
     all pairs (star:4's kappa_1 pair).  The rule needs two conditions:
@@ -342,20 +360,17 @@ def _min_separation(g, units) -> EdgeSeparation:
     """
     dense = _as_dense(g)
     if _transitive(g):
-        maps = conjugation_maps(g)
         firsts = [u for u in units if 0 in u]
-        if len(firsts[0]) == 1:
-            inverse = inverse_map(g)
-            orbit_min = [
-                min(m[x] for m in maps for x in (w, inverse[w]))
-                for w in range(dense.order)
-            ]
-            units = [u for u in units if orbit_min[u[0]] == u[0]]
-        else:
-            firsts = [u for u in firsts if min(m[u[1]] for m in maps) == u[1]]
         near = {0, *dense.neighbors[0]}
         ring = {w for v in near for w in dense.neighbors[v]} - near
-        units = [u for u in units if not ring.isdisjoint(u)]
+        if len(firsts[0]) == 1:
+            least = _least_images(g, ring, inverted=True)
+            # least has only ring keys: the ring vertices least in their orbits
+            units = [u for u in units if least.get(u[0]) == u[0]]
+        else:
+            least = _least_images(g, dense.neighbors[0], inverted=False)
+            firsts = [u for u in firsts if least[u[1]] == u[1]]
+            units = [u for u in units if not ring.isdisjoint(u)]
         family = 0  # no family, no early stop
     else:
         covered: set[int] = set()
@@ -515,13 +530,18 @@ def _first_result(func, tasks, workers: int | None):
     return sum(work for work, _ in rows), rows[-1][1] if rows else None
 
 
-def _first_flagged(neighbors, order: int, faults: list[int], test) -> int | None:
+def _first_flagged(
+    neighbors, order: int, faults: list[int], test, apart: int
+) -> int | None:
     """Index of the first fault that disconnects the graph and passes test, or None.
 
-    ``_disconnected`` flags the disconnecting faults of the list at once;
-    only those get test(fault mask), in list order.
+    ``_disconnected`` flags at once the faults of the list that leave at
+    least apart survivors outside the component of its start; only those
+    get test(fault mask), in list order.  apart is the least size of a
+    component that test accepts on each of two sides, so no fault that
+    passes test goes unflagged.
     """
-    split = _disconnected(neighbors, order, faults)
+    split = _disconnected(neighbors, order, faults, apart)
     while split:
         b = split & -split
         split ^= b
@@ -591,11 +611,14 @@ def _task_masks(task, order: int):
         yield block
 
 
-def _search_task(masks, neighbors, order: int, full: int, test, task):
+def _search_task(masks, neighbors, order: int, full: int, test, apart: int, task):
     """(sets scanned, first fault of the task that is a cut passing test, or None).
 
     test(masks, alive) is the exact test of a set whose removal leaves
-    alive disconnected; None accepts every vertex cut.  A task still
+    alive disconnected; None accepts every vertex cut.  test accepts only
+    splits with at least apart survivors in each of two components, and
+    only the sets that leave that many survivors outside the kernel's
+    start get it (``_first_flagged``).  A task still
     running when the search has its hit comes after the hit, so it stops
     at its next block and its result is never read.
     """
@@ -607,7 +630,7 @@ def _search_task(masks, neighbors, order: int, full: int, test, task):
     for block in _task_masks(task, order):
         if _stopped():
             break
-        j = _first_flagged(neighbors, order, block, passes)
+        j = _first_flagged(neighbors, order, block, passes, apart)
         if j is not None:
             return scanned + j + 1, _mask_members(block[j])
         scanned += len(block)
@@ -615,19 +638,29 @@ def _search_task(masks, neighbors, order: int, full: int, test, task):
 
 
 def _min_cut_search(
-    g, test, max_size: int, workers: int | None
+    g, test, max_size: int, workers: int | None, apart: int
 ) -> tuple[int, tuple[int, ...] | None]:
-    """(sets scanned, least minimum cut passing test or None) in one first-hit pass."""
+    """(sets scanned, least minimum cut passing test or None) in one first-hit pass.
+
+    apart is the least size of a component that test accepts on each side
+    (``_search_task``).
+    """
     dense = _as_dense(g)
     func = partial(
-        _search_task, dense.masks, dense.neighbors, dense.order, dense.full_mask, test
+        _search_task,
+        dense.masks,
+        dense.neighbors,
+        dense.order,
+        dense.full_mask,
+        test,
+        apart,
     )
     tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
     return _first_result(func, tasks, workers)
 
 
-def _cut_witness(g, test, max_size, workers, kind) -> CutWitness | None:
-    scanned, hit = _min_cut_search(g, test, max_size, workers)
+def _cut_witness(g, test, max_size, workers, kind, apart) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, test, max_size, workers, apart)
     return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
@@ -636,23 +669,33 @@ def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
 
     Enumeration over the vertex subsets of ``_subset_tasks``, sizes
     ascending, in one pass that stops at the first hit.  Absence is a valid
-    (and for the lower bounds, the desired) result.
+    (and for the lower bounds, the desired) result.  A cyclic component
+    holds at least 3 vertices, so only the sets that leave 3 survivors
+    outside the kernel's start get the exact test.
     """
-    return _cut_witness(g, _two_cyclic_components, max_size, workers, "cyclic-cut")
+    return _cut_witness(
+        g, _two_cyclic_components, max_size, workers, "cyclic-cut", CYCLE_VERTICES
+    )
 
 
 def min_good_neighbor_cut_exhaustive(
     g, good: int, max_size: int, workers: int | None = None
 ):
-    """Least cut of size <= max_size after which all survivors keep >= good neighbors."""
+    """Least cut of size <= max_size after which all survivors keep >= good neighbors.
+
+    Every component of such a cut holds a vertex and its good neighbors,
+    so only the sets that leave good + 1 survivors outside the kernel's
+    start get the exact test.
+    """
     if good == 0:
-        return _cut_witness(g, None, max_size, workers, "vertex-cut")
+        return _cut_witness(g, None, max_size, workers, "vertex-cut", 1)
     witness = _cut_witness(
         g,
         partial(_keeps_degree, good=good),
         max_size,
         workers,
         f"good-neighbor-cut({good})",
+        good + 1,
     )
     if witness is not None and good >= 2:
         # minimum degree 2 in every surviving component forces a cycle there
@@ -768,7 +811,7 @@ def verify_connected_under_removal(
     least disconnecting set, sizes ascending, and it exists exactly when
     kappa <= max_size.
     """
-    removals, bad = _min_cut_search(g, None, max_size, workers)
+    removals, bad = _min_cut_search(g, None, max_size, workers, 1)
     return RemovalSweep(ok=bad is None, counterexample=bad, removals=removals)
 
 
@@ -926,10 +969,10 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
 #
 # A block first draws all of its fault sets from its own seeded stream.
 # The strategies repeat fault sets often, so ``_disconnected`` takes each
-# distinct set of the block once and flags those that disconnect the
-# graph; only they get the exact cyclic test, in order of first
-# occurrence, and each worker memoises that test by fault mask, since
-# blocks repeat sets too.
+# distinct set of the block once and flags those that leave at least
+# CYCLE_VERTICES survivors outside the component of its start; only they
+# get the exact cyclic test, in order of first occurrence, and each
+# worker memoises that test by fault mask, since blocks repeat sets too.
 
 
 def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
@@ -1044,9 +1087,10 @@ def _falsify_block(shared: dict, block: int):
     """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None.
 
     The kernel takes each distinct fault set of the block once, in order
-    of first occurrence; the first trial that holds a hit is that set's
-    first occurrence.  A block drawn after the search has its hit skips
-    the kernel: its result is never read.
+    of first occurrence, and flags those that leave CYCLE_VERTICES
+    survivors outside its start; the first trial that holds a hit is that
+    set's first occurrence.  A block drawn after the search has its hit
+    skips the kernel: its result is never read.
     """
     masks = shared["masks"]
     full = shared["full"]
@@ -1064,7 +1108,9 @@ def _falsify_block(shared: dict, block: int):
         return hit
 
     distinct = list(dict.fromkeys(faults))
-    j = _first_flagged(shared["neighbors"], shared["order"], distinct, cyclic)
+    j = _first_flagged(
+        shared["neighbors"], shared["order"], distinct, cyclic, CYCLE_VERTICES
+    )
     if j is None:
         return len(faults), None
     return len(faults), (block, faults.index(distinct[j]), _mask_members(distinct[j]))

@@ -289,14 +289,23 @@ def test_component_analysis_plain_fallback_beyond_mask_limit():
     assert girth(ring) == order
 
 
-def _disconnected_by_reach(dense: DenseGraph, faults) -> int:
-    """The reference for ``_disconnected``: one ``_reach`` per fault."""
-    out = 0
-    for j, fmask in enumerate(faults):
+def _unreached_by_reach(dense: DenseGraph, faults) -> list[int]:
+    """The reference for ``_disconnected``: one ``_reach`` per fault.
+
+    Entry j counts the survivors of faults[j] outside the component of
+    its highest survivor; ``_disconnected(..., apart)`` sets bit j exactly
+    when the count is at least apart.
+    """
+    out = []
+    for fmask in faults:
         alive = dense.full_mask ^ fmask
-        if alive and cayley._reach(dense.masks, alive, alive & -alive) != alive:
-            out |= 1 << j
+        top = 1 << alive.bit_length() >> 1
+        out.append((alive & ~cayley._reach(dense.masks, alive, top)).bit_count())
     return out
+
+
+def _at_least(counts: list[int], apart: int) -> int:
+    return sum(1 << j for j, count in enumerate(counts) if count >= apart)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +363,11 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
                 for i, fmask in zip((0, width // 2, width - 1), rng.sample(edge, 3)):
                     faults[i] = fmask
             got = cayley._disconnected(dense.neighbors, order, faults)
-            assert got == _disconnected_by_reach(dense, faults), width
+            unreached = _unreached_by_reach(dense, faults)
+            assert got == _at_least(unreached, 1), width
+            for apart in (1, 2, 3):
+                counted = cayley._disconnected(dense.neighbors, order, faults, apart)
+                assert counted == _at_least(unreached, apart), (width, apart)
         if width == TRIAL_BLOCK:
             assert 0 < got.bit_count() < width
 

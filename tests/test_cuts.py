@@ -30,8 +30,10 @@ from ugconn.cayley import (
     _reach,
     canonical_four_cycle,
     component_analysis,
+    conjugation_maps,
     find_cn_triple_violation,
     find_edge_cn_violation,
+    inverse_map,
     max_common_neighbors,
     with_redirected_cross_edge,
 )
@@ -42,6 +44,7 @@ from ugconn.cuts import (
     _falsify_block,
     _first_result,
     _keeps_degree,
+    _least_images,
     _make_witness,
     _mask_of,
     _run,
@@ -298,6 +301,23 @@ def test_ring_rule_matches_the_loop_over_every_pair(spec):
     sep = edge_separation_connectivity(g)
     assert _separation_by_every_pair(g, edges) == (sep.value, sep.cut)
     assert 0 in sep.edges[0] and not ring.isdisjoint(sep.edges[1])
+
+
+@pytest.mark.parametrize("spec", ["mb:5", "ug:5:c=4", "star:5"])
+def test_least_images_match_the_maps_over_every_vertex(spec):
+    """The orbit minima ``_min_separation`` reads, against full maps."""
+    g = build_cayley(parse_spec(spec))
+    dense = g.dense
+    near = {0, *dense.neighbors[0]}
+    ring = sorted({w for v in near for w in dense.neighbors[v]} - near)
+    maps, inverse = conjugation_maps(g), inverse_map(g)
+    assert len(maps) > 1 and {inverse[w] for w in ring} == set(ring)
+    assert _least_images(g, ring, inverted=True) == {
+        w: min(m[x] for m in maps for x in (w, inverse[w])) for w in ring
+    }
+    assert _least_images(g, dense.neighbors[0], inverted=False) == {
+        s: min(m[s] for m in maps) for s in dense.neighbors[0]
+    }
 
 
 # kappa as (value, cut, flows) and kappa_1 as (value, pair, cut, flows) on
@@ -1021,9 +1041,9 @@ def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypat
     seen = []
     real = cuts._disconnected
 
-    def kernel(neighbors, order, faults):
+    def kernel(neighbors, order, faults, *apart):
         seen.append(list(faults))
-        return real(neighbors, order, faults)
+        return real(neighbors, order, faults, *apart)
 
     monkeypatch.setattr(cuts, "_disconnected", kernel)
     payload = _falsifier_payload(ug5, 11, TRIAL_BLOCK, 0)
@@ -1052,6 +1072,20 @@ def test_searches_skip_the_empty_fault_on_a_disconnected_graph():
     g = DenseGraph(square + tuple(tuple(v + 4 for v in ns) for ns in square))
     assert randomized_cut_falsifier(g, 0, 10, workers=1) is None
     assert min_cyclic_cut_exhaustive(g, 2, workers=1) is None
+
+
+def test_searches_find_a_cyclic_cut_whose_sides_are_triangles():
+    """Triangles 0-1-2 and 4-5-6 joined through the cut vertex 3.
+
+    Removing 3 leaves two cyclic components of exactly 3 vertices each, so
+    a kernel that asks for more survivors outside its start misses it.
+    """
+    g = DenseGraph(((1, 2), (0, 2), (0, 1, 3), (2, 4), (3, 5, 6), (4, 6), (4, 5)))
+    assert is_cyclic_cut(g, (3,))
+    w = min_cyclic_cut_exhaustive(g, 3, workers=1)
+    assert (w.fault, w.scanned) == ((3,), 4)
+    w = randomized_cut_falsifier(g, 1, 100, seed=0, workers=1)
+    assert w is not None and w.fault == (3,)
 
 
 def test_falsifier_rejects_bad_targets_and_seeds(mb4):
