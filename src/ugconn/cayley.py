@@ -121,8 +121,10 @@ def _reach(masks, alive: int, start_bit: int) -> int:
 _SURVIVES = [bytes(48 + (not x >> b & 1) for x in range(256)) for b in range(8)]
 
 
-def _disconnected(neighbors, order: int, faults: list[int], apart: int = 1) -> int:
-    """Bit j is set when removing faults[j] leaves at least apart survivors unreached.
+def _disconnected(
+    neighbors, order: int, faults: list[int], apart: int = 1
+) -> list[int]:
+    """counts[i], i < apart: bit j set when faults[j] leaves > i survivors unreached.
 
     faults is a non-empty list of fault masks, evaluated together,
     bit-sliced: vertex v gets one int whose bit j says that v survives
@@ -133,17 +135,19 @@ def _disconnected(neighbors, order: int, faults: list[int], apart: int = 1) -> i
     vertices downward until nothing changes; a survivor it never reaches
     lies in another component.  apart saturating bit-sliced counters
     count the unreached survivors: bit j of counter i is set once more
-    than i survivors of fault j are unreached, and the last counter is the
-    result, so apart=1 flags exactly the faults that leave a disconnected
-    graph.
+    than i survivors of fault j are unreached.  The first counter flags
+    exactly the faults that leave a disconnected graph; a fault in the
+    first but not the second leaves one survivor unreached, an isolated
+    vertex beside one component of the rest.
 
     A caller passes as apart the least size of a component its exact test
     needs on each of two sides: two such components cannot both hold the
     start, so one of them is unreached, and no fault that passes the test
-    goes unflagged.  Scans and draws go through vertex 0 (``_anchors``),
-    so the small pieces a fault cuts off sit near 0; starting high puts
-    them on the unreached side, where a larger apart skips them.  Callers
-    give only the flagged faults their exact per-set tests.
+    goes unflagged by the last counter.  Scans and draws go through vertex
+    0 (``_anchors``), so the small pieces a fault cuts off sit near 0;
+    starting high puts them on the unreached side, where a larger apart
+    skips them.  Callers give only the flagged faults their exact per-set
+    tests.
     """
     # one little-endian row of width bytes per fault, last fault first:
     # byte column k, read down, holds vertices 8k..8k+7, and its digits
@@ -182,7 +186,7 @@ def _disconnected(neighbors, order: int, faults: list[int], apart: int = 1) -> i
         for i in carries:
             counts[i] |= counts[i - 1] & x
         counts[0] |= x
-    return counts[-1]
+    return counts
 
 
 def _component_masks(masks, alive: int) -> list[int]:

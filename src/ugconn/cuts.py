@@ -541,7 +541,7 @@ def _first_flagged(
     component that test accepts on each of two sides, so no fault that
     passes test goes unflagged.
     """
-    split = _disconnected(neighbors, order, faults, apart)
+    split = _disconnected(neighbors, order, faults, apart)[-1]
     while split:
         b = split & -split
         split ^= b
@@ -638,14 +638,22 @@ def _search_task(masks, neighbors, order: int, full: int, test, apart: int, task
 
 
 def _min_cut_search(
-    g, test, max_size: int, workers: int | None, apart: int
+    g, test, max_size: int, workers: int | None, apart: int, first_size: int = 1
 ) -> tuple[int, tuple[int, ...] | None]:
     """(sets scanned, least minimum cut passing test or None) in one first-hit pass.
 
     apart is the least size of a component that test accepts on each side
-    (``_search_task``).
+    (``_search_task``).  The pass starts at first_size, for a caller that
+    knows no smaller set passes; scanned still counts the sets of the
+    smaller sizes that ``_subset_tasks`` holds, as a pass from size 1 does.
     """
     dense = _as_dense(g)
+    order = dense.order
+    cleared = sum(
+        math.comb(order - 1 - a, size - 1)
+        for size in range(1, first_size)
+        for a in _anchors(g)
+    )
     func = partial(
         _search_task,
         dense.masks,
@@ -655,26 +663,42 @@ def _min_cut_search(
         test,
         apart,
     )
-    tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
-    return _first_result(func, tasks, workers)
+    tasks = _subset_tasks(g, range(first_size, min(max_size, order - 1) + 1))
+    scanned, hit = _first_result(func, tasks, workers)
+    return cleared + scanned, hit
 
 
-def _cut_witness(g, test, max_size, workers, kind, apart) -> CutWitness | None:
-    scanned, hit = _min_cut_search(g, test, max_size, workers, apart)
+def _cut_witness(
+    g, test, max_size, workers, kind, apart, first_size=1
+) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, test, max_size, workers, apart, first_size)
     return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
-def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
+def min_cyclic_cut_exhaustive(
+    g, max_size: int, workers: int | None = None, *, first_size: int = 1
+):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
     Enumeration over the vertex subsets of ``_subset_tasks``, sizes
-    ascending, in one pass that stops at the first hit.  Absence is a valid
-    (and for the lower bounds, the desired) result.  A cyclic component
-    holds at least 3 vertices, so only the sets that leave 3 survivors
-    outside the kernel's start get the exact test.
+    ascending from first_size, in one pass that stops at the first hit.
+    Absence is a valid (and for the lower bounds, the desired) result.  A
+    cyclic component holds at least 3 vertices, so only the sets that
+    leave 3 survivors outside the kernel's start get the exact test.
+
+    A caller whose ``disconnection_census`` found no cyclic cut below some
+    size passes it as first_size: the census ran the same tasks in the
+    same order, so the first hit, the least cut, does not change, and the
+    witness's ``scanned`` counts the cleared sets too.
     """
     return _cut_witness(
-        g, _two_cyclic_components, max_size, workers, "cyclic-cut", CYCLE_VERTICES
+        g,
+        _two_cyclic_components,
+        max_size,
+        workers,
+        "cyclic-cut",
+        CYCLE_VERTICES,
+        first_size,
     )
 
 
@@ -712,7 +736,7 @@ def min_good_neighbor_cut_exhaustive(
 
 @dataclass(frozen=True)
 class SizeCensus:
-    """Aggregates over every fault set of one size."""
+    """Aggregates over every fault set of one size, and its least cyclic cut."""
 
     size: int
     subsets: int
@@ -721,37 +745,65 @@ class SizeCensus:
     neighborhood_faults: int  # fault set equals N(v) of the isolated vertex
     max_residual: int  # max vertices outside the largest component
     worst_fault: tuple[int, ...] | None  # least fault attaining max_residual
+    cyclic_cut: tuple[int, ...] | None  # least cyclic cut of this size
 
 
 def _census_task(masks, neighbors, order: int, full: int, task):
+    """The census row of one (size, prefixes) task, ending with its first cyclic cut.
+
+    One kernel call per block counts up to CYCLE_VERTICES unreached
+    survivors per set, and the disconnecting sets are walked in scan order.
+    A set that leaves exactly one survivor unreached, of at least 3, cuts
+    off that vertex beside one larger component: it isolates with residual
+    1, and it is a neighborhood fault iff it equals some N(v), since N(v)
+    isolates v and there is one singleton.  With 2 survivors both may be
+    singletons, so those sets, and the sets that leave more unreached, get
+    their components.  The sets that leave CYCLE_VERTICES unreached get the
+    exact cyclic test until the task has its first cyclic cut, as in the
+    cut search (``_first_flagged``).
+    """
+    size = task[0]
+    neighborhoods = set(masks)
+    lone = order - size >= 3
     subsets = 0
     disconnecting = 0
     isolating = 0
     nbhd = 0
     max_residual = 0
     worst = None
+    cyclic = None
     for block in _task_masks(task, order):
         subsets += len(block)
-        split = _disconnected(neighbors, order, block)
+        counts = _disconnected(neighbors, order, block, CYCLE_VERTICES)
+        split = counts[0]
+        single = split & ~counts[1] if lone else 0
+        untested = 0 if cyclic is not None else counts[-1]
         disconnecting += split.bit_count()
         while split:
             b = split & -split
             split ^= b
             fmask = block[b.bit_length() - 1]
-            comps = _component_masks(masks, full ^ fmask)
-            sizes = [c.bit_count() for c in comps]
-            largest = max(sizes)
-            residual = sum(sizes) - largest
+            if b & single:
+                residual = 1
+                isolating += 1
+                nbhd += fmask in neighborhoods
+            else:
+                alive = full ^ fmask
+                comps = _component_masks(masks, alive)
+                sizes = [c.bit_count() for c in comps]
+                residual = sum(sizes) - max(sizes)
+                if len(comps) == 2 and residual == 1:
+                    isolating += 1
+                    lonely = comps[sizes.index(1)]
+                    nbhd += masks[lonely.bit_length() - 1] == fmask
+                if b & untested and _two_cyclic_components(masks, alive):
+                    cyclic, untested = fmask, 0
             if residual > max_residual:
                 max_residual = residual
                 worst = fmask
-            if len(comps) == 2 and residual == 1:
-                isolating += 1
-                single = comps[sizes.index(1)]
-                if masks[single.bit_length() - 1] == fmask:
-                    nbhd += 1
     worst = None if worst is None else _mask_members(worst)
-    return task[0], subsets, disconnecting, isolating, nbhd, max_residual, worst
+    cyclic = None if cyclic is None else _mask_members(cyclic)
+    return size, subsets, disconnecting, isolating, nbhd, max_residual, worst, cyclic
 
 
 def disconnection_census(
@@ -760,10 +812,13 @@ def disconnection_census(
     """Exhaustive per-size census of all fault sets up to max_size.
 
     Counts disconnecting sets and the two-components-one-isolated pattern,
-    and tracks the worst residual.  One sweep serves the isolation and
-    large-component bounds.  On a graph from ``build_cayley`` it scans the
-    sets through vertex 0 and scales each count of size k by order/k; the
-    maximum residual and its least fault need no scaling (``_subset_tasks``).
+    tracks the worst residual and finds the least cyclic cut of each size.
+    One sweep serves the isolation and large-component bounds and clears
+    the sizes below the first cyclic cut for ``min_cyclic_cut_exhaustive``:
+    its tasks over these sizes are the census's, in the same order.  On a
+    graph from ``build_cayley`` it scans the sets through vertex 0 and
+    scales each count of size k by order/k; the maximum residual, the least
+    faults and the least cyclic cut need no scaling (``_subset_tasks``).
     """
     dense = _as_dense(g)
     top = min(max_size, dense.order - 1)
@@ -786,6 +841,7 @@ def disconnection_census(
                 *counts,
                 max_residual=max_residual,
                 worst_fault=min(worsts) if worsts else None,
+                cyclic_cut=next((r[7] for r in mine if r[7] is not None), None),
             )
         )
     return tuple(out)
@@ -856,7 +912,7 @@ def _anchored_fault(getrandbits, anchors, order: int, size: int) -> int:
 
 def _flagged(neighbors, order: int, faults: list[int]):
     """(number of faults that disconnect the graph, the first of them or None)."""
-    split = _disconnected(neighbors, order, faults) if faults else 0
+    split = _disconnected(neighbors, order, faults)[0] if faults else 0
     if not split:
         return 0, None
     return split.bit_count(), _mask_members(faults[(split & -split).bit_length() - 1])

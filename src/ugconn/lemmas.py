@@ -89,7 +89,7 @@ class CheckContext:
     cache: dict = field(default_factory=dict)
 
     def census(self):
-        """Disconnection census up to size 7, computed once for the two n=4 checks."""
+        """Disconnection census up to size 7, computed once for the three n=4 checks."""
         if "census" not in self.cache:
             self.cache["census"] = disconnection_census(self.G, 7, workers=self.workers)
         return self.cache["census"]
@@ -624,15 +624,21 @@ def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
 def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
     """n=4: no cyclic cut of size 7, one of size 8 found exhaustively.
 
-    One search up to size 8 decides both: it sweeps every size up to 7 in
-    full and stops at the first cyclic cut, which is the least minimum one.
-    ``scanned`` counts the sets it scanned up to that cut.
+    The census (``ctx.census``) sweeps every size up to 7 and records the
+    least cyclic cut of each size.  The search runs up to size 8 from the
+    least size the census did not clear, 8 on a healthy graph, and stops at
+    the first cyclic cut, which is the least minimum one.  ``scanned``
+    counts the sets of a search from size 1 up to that cut.
     """
     cid = "cyclic-cut-exact"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip(cid, "exhaustive cut search feasible at n=4 only")
-    witness = min_cyclic_cut_exhaustive(G, 8, workers=ctx.workers)
+    census = ctx.census()
+    first = next(
+        (e.size for e in census if e.cyclic_cut is not None), census[-1].size + 1
+    )
+    witness = min_cyclic_cut_exhaustive(G, 8, workers=ctx.workers, first_size=first)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
     ok = witness is not None and witness.size == 8
     detail = {

@@ -293,8 +293,8 @@ def _unreached_by_reach(dense: DenseGraph, faults) -> list[int]:
     """The reference for ``_disconnected``: one ``_reach`` per fault.
 
     Entry j counts the survivors of faults[j] outside the component of
-    its highest survivor; ``_disconnected(..., apart)`` sets bit j exactly
-    when the count is at least apart.
+    its highest survivor; ``_disconnected(..., apart)`` sets bit j of its
+    counter i < apart exactly when the count is at least i + 1.
     """
     out = []
     for fmask in faults:
@@ -350,7 +350,7 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
     # the empty fault cuts exactly the disconnected graphs
     edge = [0, full ^ 1, full ^ 1 << (order - 1), full]
     split = graph.startswith("gnp")
-    assert cayley._disconnected(dense.neighbors, order, edge) == split
+    assert cayley._disconnected(dense.neighbors, order, edge) == [split]
     rng = random.Random(graph)
     for width in (1, 5, TRIAL_BLOCK):
         for _ in range(3):
@@ -364,12 +364,14 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
                     faults[i] = fmask
             got = cayley._disconnected(dense.neighbors, order, faults)
             unreached = _unreached_by_reach(dense, faults)
-            assert got == _at_least(unreached, 1), width
+            assert got == [_at_least(unreached, 1)], width
             for apart in (1, 2, 3):
                 counted = cayley._disconnected(dense.neighbors, order, faults, apart)
-                assert counted == _at_least(unreached, apart), (width, apart)
+                assert len(counted) == apart
+                for i, count in enumerate(counted):
+                    assert count == _at_least(unreached, i + 1), (width, apart, i)
         if width == TRIAL_BLOCK:
-            assert 0 < got.bit_count() < width
+            assert 0 < got[0].bit_count() < width
 
 
 @pytest.mark.parametrize("graph", ["mb4", "ug5", "small pieces"])

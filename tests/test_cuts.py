@@ -469,6 +469,20 @@ def test_min_cyclic_cut_witness_at_eight(mb4):
     assert w.scanned == 304_179
 
 
+@pytest.mark.parametrize("graph", ["mb4", "corrupted mb4"])
+def test_min_cyclic_cut_from_the_first_size_the_census_did_not_clear(mb4, graph):
+    g = mb4 if graph == "mb4" else with_redirected_cross_edge(mb4)
+    census = disconnection_census(g, 7, workers=1)
+    first = next((r.size for r in census if r.cyclic_cut is not None), 8)
+    assert first == (8 if graph == "mb4" else 7)
+    full = min_cyclic_cut_exhaustive(g, 8, workers=1)
+    for w in (1, 2):
+        short = min_cyclic_cut_exhaustive(g, 8, workers=w, first_size=first)
+        assert (short.fault, short.scanned) == (full.fault, full.scanned)
+    if first < 8:
+        assert census[first - 1].cyclic_cut == full.fault
+
+
 def test_min_good_neighbor_searches(mb4):
     w0 = min_good_neighbor_cut_exhaustive(mb4, 0, 4, workers=1)
     assert w0.kind == "vertex-cut"
@@ -534,13 +548,17 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
 
     Every set of size <= max_size, sizes ascending and lexicographic within
     a size: the reference for the scans, which test whole blocks of sets
-    with the bit-sliced ``_disconnected``.
+    with the bit-sliced ``_disconnected``.  A census row ends with the
+    first cyclic cut of its size.
     """
     masks, full = dense.masks, dense.full_mask
 
     def two_cyclic(alive, comps):
-        analysis = component_analysis(dense, _mask_members(full ^ alive))
-        return analysis.cyclic_component_count() >= 2
+        # a component carries a cycle when it has as many edges as vertices
+        def degrees(c):
+            return sum((masks[v] & c).bit_count() for v in _mask_members(c))
+
+        return sum(degrees(c) >= 2 * c.bit_count() for c in comps) >= 2
 
     preds = {
         "vertex": lambda alive, comps: True,
@@ -552,7 +570,7 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
     census = []
     scanned = 0
     for size in range(1, max_size + 1):
-        row = [size, 0, 0, 0, 0, 0, None]
+        row = [size, 0, 0, 0, 0, 0, None, None]
         for fault in itertools.combinations(range(dense.order), size):
             scanned += 1
             row[1] += 1
@@ -570,6 +588,8 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
                 row[4] += masks[comps[sizes.index(1)].bit_length() - 1] == fmask
             if residual > row[5]:
                 row[5], row[6] = residual, fault
+            if row[7] is None and two_cyclic(alive, comps):
+                row[7] = fault
             for name, pred in preds.items():
                 if name not in hits and pred(alive, comps):
                     hits[name] = scanned, fault
@@ -577,15 +597,24 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
     return census, hits
 
 
-@pytest.mark.parametrize("graph", ["corrupted mb4", "bare split"])
+@pytest.mark.parametrize("graph", ["corrupted mb4", "bare split", "bare hub"])
 def test_scans_match_a_per_set_reach_loop(mb4, graph):
+    top = 7
     if graph == "bare split":
         # an edge on vertices 0 and 1 beside a 14-vertex cubic graph
         H = nx.disjoint_union(nx.path_graph(2), nx.random_regular_graph(3, 14, seed=1))
         g, workers = _dense_of_nx(H), (1, 2)
+    elif graph == "bare hub":
+        # triangles 1-2-3 and 4-5-6, a hub 7 on all six and a leaf 0 on 1:
+        # top = order - 1 reaches N(7), which leaves the singletons 0 and 7,
+        # so the census sees sets with 2 survivors, one of them unreached
+        H = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(3))
+        H = nx.relabel_nodes(H, {v: v + 1 for v in H})
+        H.add_edges_from([(0, 1)] + [(7, v) for v in range(1, 7)])
+        g, workers = _dense_of_nx(H), (1, 2)
+        assert g.order == top + 1
     else:
-        g, workers = with_redirected_cross_edge(mb4), (2,)
-    top = 7
+        g, workers = with_redirected_cross_edge(mb4), (1, 2)
     census, hits = _scans_by_reach(_as_dense(g), top)
     assert set(hits) == {"vertex", "good1", "good2", "cyclic"}
 

@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from ugconn import build_cayley
+from ugconn import build_cayley, cuts
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.cli import parse_spec
 from ugconn.lemmas import (
@@ -42,6 +42,46 @@ def test_full_mb4_report_passes(mb4):
     assert [c.check_id for c in skipped] == ["cyclic-cut-falsify"]
     # n=4 is small enough that nothing needs sampling
     assert all(c.verdict == PROVED for c in ran)
+
+
+def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
+    sets = []
+    real = cuts._disconnected
+
+    def kernel(neighbors, order, faults, *apart):
+        sets.append(len(faults))
+        return real(neighbors, order, faults, *apart)
+
+    monkeypatch.setattr(cuts, "_disconnected", kernel)
+    rep = verify_all(mb4, workers=1, seed=0)
+    assert rep.passed()
+    # the census's 145,499 sets of size <= 7 through vertex 0 and
+    # cyclic-cut-exact's size 8 up to the block of its hit, plus the rest
+    assert sum(sets) == 307_421
+    detail = {c.check_id: c.detail for c in rep.checks}["cyclic-cut-exact"]
+    assert detail == {
+        "cyclic_connectivity": 8,
+        "expected": 8,
+        "witness": ["1234", "1342", "2143", "2431", "3214", "3421", "4123", "4312"],
+        "witness_components": [8, 8],
+        "scanned": 304_179,
+    }
+
+
+def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4):
+    bad = with_redirected_cross_edge(mb4)
+    (c,) = verify_all(bad, workers=1, checks=["cyclic-cut-exact"]).checks
+    cut = ["1342", "2134", "2431", "3124", "3421", "4213", "4312"]
+    assert c.verdict == FAIL
+    assert c.detail == {
+        "cyclic_connectivity": 7,
+        "expected": 8,
+        "unexpected_small_cut": cut,
+        "witness": cut,
+        "witness_components": [4, 13],
+        # every set of size <= 6, then size 7 up to the cut
+        "scanned": 445_112,
+    }
 
 
 def test_report_serialization_shape(mb4):
