@@ -22,7 +22,6 @@ from .cayley import (
     with_redirected_cross_edge,
 )
 from .cuts import (
-    CONNECTIVITY_MAX_N,
     min_cyclic_cut_exhaustive,
     min_good_neighbor_cut_exhaustive,
     randomized_cut_falsifier,
@@ -155,18 +154,14 @@ def cmd_info(args) -> int:
     if G.peel is not None:
         anchors = ",".join(str(a) for a in G.peel.anchors)
         lines.append(f"peel={G.peel.position} anchors={anchors}")
-    if G.dense.has_masks():
-        g = girth(G)
-        lines.append(f"girth={g if g is not None else 'none'}")
+    g = girth(G)
+    lines.append(f"girth={g if g is not None else 'none'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_connectivity(args) -> int:
-    gen = parse_spec(args.spec)
-    if gen.n > CONNECTIVITY_MAX_N:
-        raise CapacityError(f"connectivity computation capped at n={CONNECTIVITY_MAX_N}")
-    G = build_cayley(gen)
+    G = _build(args)
     res = vertex_connectivity_detail(G)
     line = f"kappa={res.value}"
     if res.complete:

@@ -36,6 +36,7 @@ from .cayley import (
     inverse_map,
 )
 from .genset import describe
+from .perms import CapacityError
 
 #: randomized procedures consume randomness in fixed-size trial blocks so
 #: that results do not depend on how blocks land on workers
@@ -184,9 +185,10 @@ def _make_witness(
 # vertex connectivity via vertex-disjoint paths (Menger)
 
 
-#: kappa by flows answers at n <= 7: about 0.2 s on mb:7 and 0.1 s on
-#: ug:7:c=4 (3 and 13 flows after the orbit and ring rules of _min_separation)
-CONNECTIVITY_MAX_N = 7
+#: without the vertex-0 symmetry, _min_separation runs the Even family,
+#: about (kappa+1)*order flows: 35,210 flows and 386 s for kappa on a
+#: corrupted mb:7 (one process, 2-CPU host), so it refuses orders above 7!
+FLOW_ORDER_LIMIT = 5040
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,8 @@ def _min_separation(g, units) -> EdgeSeparation:
     minimum cut S misses one of any |S|+1 disjoint units; let U be the
     first it misses.  S separates two units, and one of them, W, lies in
     another component than U.  Every family unit before U meets S and W
-    does not, so W comes after U and the pair (U, W) is flowed.
+    does not, so W comes after U and the pair (U, W) is flowed.  That
+    path raises CapacityError above order FLOW_ORDER_LIMIT.
 
     Symmetry, on a graph from ``build_cayley`` only.  Conjugation by an
     automorphism of T fixes 0 and maps T to itself, so it is an
@@ -373,6 +376,11 @@ def _min_separation(g, units) -> EdgeSeparation:
             units = [u for u in units if not ring.isdisjoint(u)]
         family = 0  # no family, no early stop
     else:
+        if dense.order > FLOW_ORDER_LIMIT:
+            raise CapacityError(
+                f"separation flows without vertex-transitivity capped at order "
+                f"{FLOW_ORDER_LIMIT}"
+            )
         covered: set[int] = set()
         firsts = []
         for u in units:

@@ -33,7 +33,6 @@ from .cayley import (
     out_neighbors,
 )
 from .cuts import (
-    CONNECTIVITY_MAX_N,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
@@ -49,6 +48,7 @@ from .cuts import (
     vertex_connectivity_detail,
 )
 from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, describe
+from .perms import CapacityError
 
 try:
     TOOL_VERSION = metadata.version("ugconn")
@@ -121,9 +121,6 @@ def _done(
     )
 
 
-_NO_MASKS = "scans need the neighbor bitmasks (orders <= 7!)"
-
-
 def _unicyclic(G: CayleyGraph) -> bool:
     return G.gen.cls in (CYCLE, UNICYCLIC_TF)
 
@@ -149,8 +146,6 @@ def check_cn_bound(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if not G.dense.has_masks():
-        return _skip(cid, _NO_MASKS)
     best, pair = max_common_neighbors(G)
     pairs = G.order * (G.order - 1) // 2
     return _done(
@@ -173,8 +168,6 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     )
     if expected is None:
         return _skip(cid, "no stated connectivity value for this class")
-    if G.n > CONNECTIVITY_MAX_N:
-        return _skip(cid, f"flow computation capped at n={CONNECTIVITY_MAX_N}")
     res = vertex_connectivity_detail(G)
     detail = {
         "kappa": res.value,
@@ -288,8 +281,6 @@ def check_adjacent_pair_cn(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if not G.dense.has_masks():
-        return _skip(cid, _NO_MASKS)
     gating = G.gen.cls == CYCLE
     hit = find_edge_cn_violation(G)
     detail = {}
@@ -315,8 +306,6 @@ def check_cn_triple(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if not G.dense.has_masks():
-        return _skip(cid, _NO_MASKS)
     gating = G.gen.cls == CYCLE and G.n == 4
     hit = find_cn_triple_violation(G)
     detail = {}
@@ -446,8 +435,6 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if not G.dense.has_masks():
-        return _skip(cid, _NO_MASKS)
     max_f = G.n - 1
     if G.order <= 120:
         sweep = verify_connected_under_removal(G, max_f, workers=ctx.workers)
@@ -504,13 +491,9 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > CONNECTIVITY_MAX_N:
-        return _skip(
-            cid, f"edge-separation flows capped at n={CONNECTIVITY_MAX_N}, as for kappa"
-        )
     max_f = 2 * G.n - 3
+    max_cn, pair = max_common_neighbors(G)  # before the flows: it reads the masks
     sep = edge_separation_connectivity(G)
-    max_cn, pair = max_common_neighbors(G)
     stranding = 2 * G.degree - max_cn
     detail = {
         "edge_separation": sep.value,
@@ -556,8 +539,6 @@ def check_four_cycle_labels(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
-    if G.n > 7:
-        return _skip(cid, "cycle census capped at n=7")
     cycles = enumerate_4cycles(G)
     bad = None
     for cyc in cycles:
@@ -670,8 +651,6 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "construction defined for the unicyclic family")
-    if not 4 <= G.n <= 7:
-        return _skip(cid, "materialized witness check covers n in 4..7")
     cyc = canonical_four_cycle(G)
     expected = 4 * G.n - 8
     scope = "constructed witness, exactly verified"
@@ -871,7 +850,9 @@ def verify_all(
     """Run the selected checks (default: all) under a cost-model budget.
 
     Every check id appears exactly once in the result; inapplicable or
-    over-budget checks are reported as SKIPPED with the reason.  Bad
+    over-budget checks are reported as SKIPPED with the reason, and so is a
+    check that raises CapacityError where it meets a resource limit (the
+    scope is the error message; it spends no budget).  Bad
     arguments raise ValueError (``select_checks``), as does a bad
     UGCONN_WORKERS (``resolve_workers``).
     """
@@ -887,7 +868,10 @@ def verify_all(
             )
             continue
         t0 = time.perf_counter()
-        rec = fn(ctx)
+        try:
+            rec = fn(ctx)
+        except CapacityError as exc:
+            rec = _skip(cid, str(exc))
         elapsed = (time.perf_counter() - t0) * 1000.0
         if rec.verdict != SKIPPED:
             remaining -= est

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from ugconn import cuts
 from ugconn.cli import SpecError, main, parse_spec
 from ugconn.genset import CYCLE, OTHER, PATH, STAR, UNICYCLIC_TF
 
@@ -37,6 +40,21 @@ def test_parse_spec_presets():
 def test_parse_spec_edge_lists():
     g = parse_spec(["edges:1-2,2-3", "n=3"])
     assert g.n == 3 and g.edges == ((1, 2), (2, 3))
+
+
+def _readme_specs() -> list[list[str]]:
+    """The spec tokens of each line of the README's spec list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Every subcommand takes `--spec`", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.strip()]
+    return [re.split(r"\s{2,}", ln)[0].split() for ln in lines]
+
+
+def test_readme_specs_parse():
+    specs = _readme_specs()
+    assert len(specs) == 5
+    for tokens in specs:
+        parse_spec(tokens)
 
 
 @pytest.mark.parametrize(
@@ -137,10 +155,18 @@ def test_connectivity_at_n7(capsys):
     assert len(cut.removeprefix("cut=").split(",")) == 7
 
 
-def test_connectivity_capacity_cap(capsys):
-    code, _, err = run(capsys, "connectivity", "--spec", "mb:8")
-    assert code == 3
-    assert "capped" in err
+def test_connectivity_at_n8(capsys):
+    code, out, _ = run(capsys, "connectivity", "--spec", "mb:8")
+    assert code == 0
+    kappa, cut = out.split()
+    assert kappa == "kappa=8"
+    assert len(cut.removeprefix("cut=").split(",")) == 8
+
+
+def test_info_prints_girth_at_n8(capsys):
+    code, out, _ = run(capsys, "info", "--spec", "mb:8")
+    assert code == 0
+    assert "order=40320" in out.splitlines() and "girth=4" in out.splitlines()
 
 
 def test_materialization_cap_is_exit_three(capsys):
@@ -288,6 +314,40 @@ def test_verify_corrupt_control_fails(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(path))
     assert code == 1
     assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_proves_kappa_and_the_upper_bound_at_n8(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify", "--spec", "mb:8", "--checks", "connectivity-value",
+        "cyclic-cut-upper",
+    )
+    assert code == 0
+    value, upper = json.loads(out)["checks"]
+    assert value["verdict"] == upper["verdict"] == "PROVED-EXHAUSTIVE"
+    assert value["detail"]["kappa"] == 8 and len(value["detail"]["minimum_cut"]) == 8
+    assert upper["detail"]["size"] == 24 and upper["detail"]["is_cyclic_cut"]
+
+
+def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
+    # the corrupted copy has no vertex-0 symmetry, so kappa would need the
+    # Even-family flows at order 40,320; p2 stops first at the bitmasks
+    def no_flows(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(cuts, "_unit_flow", no_flows)
+    code, out, _ = run(
+        capsys,
+        "verify", "--spec", "mb:8", "--corrupt", "--checks", "connectivity-value",
+        "residue-bound-p2",
+    )
+    assert code == 0
+    value, p2 = json.loads(out)["checks"]
+    assert value["verdict"] == p2["verdict"] == "SKIPPED"
+    assert value["scope"] == (
+        "separation flows without vertex-transitivity capped at order 5040"
+    )
+    assert p2["scope"] == "bitmasks unavailable beyond order 5040"
 
 
 @pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4"])

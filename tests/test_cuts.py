@@ -69,6 +69,7 @@ from ugconn.cuts import (
     vertex_connectivity_detail,
 )
 from ugconn.cli import parse_spec
+from ugconn.perms import CapacityError
 
 
 def _dense_of_nx(H: nx.Graph) -> DenseGraph:
@@ -186,6 +187,18 @@ def test_connectivity_of_the_corrupted_graph_scans_past_vertex_0(mb4):
     # a hub adjacent to everything hides every cut from a fixed source
     hub = nx.wheel_graph(8)
     assert vertex_connectivity_detail(_dense_of_nx(hub)).value == 3
+
+
+def test_flow_order_limit_binds_only_without_vertex_transitivity(mb4, monkeypatch):
+    bad = with_redirected_cross_edge(mb4)
+    monkeypatch.setattr(cuts, "FLOW_ORDER_LIMIT", mb4.order)
+    assert vertex_connectivity_detail(bad).value == 3
+    monkeypatch.setattr(cuts, "FLOW_ORDER_LIMIT", mb4.order - 1)
+    for units in (vertex_connectivity_detail, edge_separation_connectivity):
+        with pytest.raises(CapacityError, match="capped at order 23"):
+            units(bad)
+    # the flows from vertex 0 of a graph from build_cayley have no cap
+    assert vertex_connectivity_detail(mb4).value == 4
 
 
 @pytest.mark.parametrize(

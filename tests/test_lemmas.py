@@ -351,21 +351,48 @@ def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
     assert cx["residual"] == 2 and len(cx["fault"]) == 6
 
 
-def test_residue_bound_p1_skips_without_bitmasks(ug5, monkeypatch):
-    # from n=8 on the bitmasks are not built, and the scans cannot run
+#: the checks that read the neighbor bitmasks on ug:5:c=4
+MASK_CHECKS = [
+    "common-neighbor-bound",
+    "adjacent-pair-common-neighbor",
+    "common-neighbor-triple",
+    "four-subset-neighborhood",
+    "residue-bound-p1",
+    "residue-bound-p2",
+    "four-cycle-labels",
+    "cyclic-cut-falsify",
+]
+
+
+def _no_flows(*args):
+    raise AssertionError("a flow ran")
+
+
+def test_residue_bound_p1_skips_without_bitmasks(monkeypatch):
+    # beyond MASK_ORDER_LIMIT the bitmasks are not built; a check that reads
+    # them raises CapacityError, and verify_all reports it as SKIPPED
     import ugconn.cayley as cayley
 
     monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 100)
+    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    ug5 = build_cayley(parse_spec("ug:5:c=4"))  # a fresh graph: masks not built yet
     assert not ug5.dense.has_masks()
-    checks = [
-        "common-neighbor-bound",
-        "adjacent-pair-common-neighbor",
-        "common-neighbor-triple",
-        "residue-bound-p1",
-    ]
-    rep = verify_all(ug5, workers=1, checks=checks)
+    # the falsifier's estimate is the whole budget: a skip must spend none
+    rep = verify_all(ug5, workers=1, checks=MASK_CHECKS, budget=5.0)
+    assert [c.check_id for c in rep.checks] == MASK_CHECKS
     for c in rep.checks:
-        assert c.verdict == SKIPPED and "bitmasks" in c.scope, c.check_id
+        assert c.verdict == SKIPPED, c.check_id
+        assert c.scope == "bitmasks unavailable beyond order 100", c.check_id
+    assert rep.passed()
+
+
+def test_mask_checks_run_at_the_mask_limit(monkeypatch):
+    import ugconn.cayley as cayley
+
+    ug5 = build_cayley(parse_spec("ug:5:c=4"))
+    monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", ug5.order)
+    rep = verify_all(ug5, workers=2, checks=MASK_CHECKS)
+    assert [c.verdict for c in rep.checks if c.verdict == SKIPPED] == []
     assert rep.passed()
 
 
@@ -398,9 +425,11 @@ def test_residue_bound_p2_is_proved_at_n7():
     assert d["flows"] == 122 and len(d["minimum_cut"]) == 12
 
 
-def test_residue_bound_p2_skips_beyond_n7():
+def test_residue_bound_p2_skips_beyond_n7(monkeypatch):
+    # max_cn reads the bitmasks, which n=8 does not build; no flow runs first
+    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
     mb8 = build_cayley(parse_spec("mb:8"))
     rep = verify_all(mb8, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
     assert c.verdict == SKIPPED
-    assert "n=7" in c.scope
+    assert c.scope == "bitmasks unavailable beyond order 5040"
