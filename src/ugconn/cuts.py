@@ -821,9 +821,11 @@ def disconnection_census(
 
     Counts disconnecting sets and the two-components-one-isolated pattern,
     tracks the worst residual and finds the least cyclic cut of each size.
-    One sweep serves the isolation and large-component bounds and clears
-    the sizes below the first cyclic cut for ``min_cyclic_cut_exhaustive``:
-    its tasks over these sizes are the census's, in the same order.  On a
+    One sweep serves the isolation and large-component bounds and the
+    lower bound of ``lemmas.check_cyclic_cut_exact``: no cyclic cut below
+    the first one it records.  Where that check still searches,
+    ``min_cyclic_cut_exhaustive`` starts at the first cut's size, since its
+    tasks over the cleared sizes are the census's, in the same order.  On a
     graph from ``build_cayley`` it scans the sets through vertex 0 and
     scales each count of size k by order/k; the maximum residual, the least
     faults and the least cyclic cut need no scaling (``_subset_tasks``).

@@ -33,6 +33,8 @@ from .cayley import (
     out_neighbors,
 )
 from .cuts import (
+    FLOW_ORDER_LIMIT,
+    _make_witness,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
@@ -602,14 +604,39 @@ def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
-    """n=4: no cyclic cut of size 7, one of size 8 found exhaustively.
+def _four_cycle_cut(G: CayleyGraph, scanned: int):
+    """N(C4) of the canonical 4-cycle as a verified 8-vertex cyclic cut, or None.
 
-    The census (``ctx.census``) sweeps every size up to 7 and records the
-    least cyclic cut of each size.  The search runs up to size 8 from the
-    least size the census did not clear, 8 on a healthy graph, and stops at
-    the first cyclic cut, which is the least minimum one.  ``scanned``
-    counts the sets of a search from size 1 up to that cut.
+    None when the cycle lacks an edge (``build_cycle_neighborhood_cut``
+    raises), when the component analysis of ``_make_witness`` finds fewer
+    than two cyclic components, or when the cut does not hold 8 vertices.
+    """
+    try:
+        fault = build_cycle_neighborhood_cut(G, canonical_four_cycle(G))
+        witness = _make_witness(G.dense, fault, "cyclic-cut", scanned)
+    except ValueError:
+        return None
+    return witness if witness.size == 8 else None
+
+
+def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
+    """n=4: no cyclic cut of size 7, and one of size 8.
+
+    The census (``ctx.census``) sweeps every set of size up to 7 and
+    records the least cyclic cut of each size.  When it finds none,
+    kappa_c >= 8: on a graph from ``build_cayley`` it sweeps the sets
+    through vertex 0, and since left translations are automorphisms, every
+    set translates to one through vertex 0 and every cyclic cut to a cyclic
+    cut of the same size; on any other graph it sweeps every set.  The
+    4-cycle neighborhood N(C4), verified as a cyclic cut of 8 vertices
+    (``_four_cycle_cut``), then gives kappa_c <= 8.  So the check reports 8
+    with N(C4) as the witness, and ``scanned`` counts the census's sets.
+
+    Where that certificate fails (the census found a smaller cut, the
+    cycle lacks an edge, or N(C4) is no cyclic cut of size 8), the search
+    runs up to size 8 from the least size the census did not clear and
+    stops at the first cyclic cut, which is the least minimum one.  Its
+    ``scanned`` counts the sets of a search from size 1 up to that cut.
     """
     cid = "cyclic-cut-exact"
     G = ctx.G
@@ -619,8 +646,21 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
     first = next(
         (e.size for e in census if e.cyclic_cut is not None), census[-1].size + 1
     )
-    witness = min_cyclic_cut_exhaustive(G, 8, workers=ctx.workers, first_size=first)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
+    through_0 = _sets_through_0(G, 7)
+    scope = (
+        f"exhaustive over all {covered} fault sets of size <= 7"
+        f"{_via_vertex_0(G, through_0)}"
+    )
+    swept = through_0 if G.transitive else covered
+    witness = _four_cycle_cut(G, swept) if first == 8 else None
+    if witness is not None:
+        scope += ", then the 4-cycle neighborhood, a verified cyclic cut of size 8"
+    else:
+        witness = min_cyclic_cut_exhaustive(
+            G, 8, workers=ctx.workers, first_size=first
+        )
+        scope += ", then size 8"
     ok = witness is not None and witness.size == 8
     detail = {
         "cyclic_connectivity": witness.size if witness is not None else None,
@@ -634,15 +674,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
             c.vertices for c in witness.analysis.components
         ]
         detail["scanned"] = witness.scanned
-    return _done(
-        cid,
-        ok=ok,
-        sampled=False,
-        gating=True,
-        scope=f"exhaustive over all {covered} fault sets of size <= 7"
-        f"{_via_vertex_0(G, _sets_through_0(G, 7))}, then size 8",
-        detail=detail,
-    )
+    return _done(cid, ok=ok, sampled=False, gating=True, scope=scope, detail=detail)
 
 
 def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
@@ -737,9 +769,28 @@ CHECKS = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
+#: seconds of the two flow checks on a graph without the vertex-0 symmetry,
+#: where they run the Even-family flows, by n (one worker, 2-CPU host, the
+#: ``--corrupt`` copies of mb:4, ug:5:c=4, mb:5 and mb:6): kappa took 0.002,
+#: 0.09, 4.8 and 387 s at n=4..7, kappa_1 0.005, 0.6 and 48 s at n=4..6.
+#: kappa_1 at n=7 is not measured; 4000 s is the n=6 cost times the 80-fold
+#: growth of kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both checks stop at
+#: once on capacity, so they keep the vertex-transitive figures.
+_ASYMMETRIC_FLOW_SECONDS = {
+    "connectivity-value": {4: 0.5, 5: 0.5, 6: 5.0, 7: 400.0},
+    "residue-bound-p2": {4: 0.1, 5: 1.0, 6: 50.0, 7: 4000.0},
+}
+
+
 def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     """Fixed cost model for budget skipping; deliberately not wall time."""
     n, order = G.n, G.order
+    if (
+        not G.transitive
+        and order <= FLOW_ORDER_LIMIT
+        and check_id in _ASYMMETRIC_FLOW_SECONDS
+    ):
+        return _ASYMMETRIC_FLOW_SECONDS[check_id][max(n, 4)]
     table = {
         "common-neighbor-bound": 0.1,
         "connectivity-value": 0.5 if n <= 6 else 10.0,

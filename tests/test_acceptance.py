@@ -176,12 +176,13 @@ def test_criterion_01_exact_cyclic_connectivity(payload):
         (covered, through_0) == (536154, 145499)
         and exact["scope"]
         == f"exhaustive over all {covered} fault sets of size <= 7, via the "
-        f"{through_0} that contain vertex 0 (vertex-transitive), then size 8",
+        f"{through_0} that contain vertex 0 (vertex-transitive), then the "
+        "4-cycle neighborhood, a verified cyclic cut of size 8",
         f"search scope {exact['scope']!r}",
     )
     expect(
         problems,
-        through_0 < detail.get("scanned", 0) <= through_0 + math.comb(23, 7),
+        detail.get("scanned") == through_0,
         f"sets scanned {detail.get('scanned')}",
     )
     expect(
@@ -204,6 +205,11 @@ def test_criterion_01_exact_cyclic_connectivity(payload):
         and upper["detail"]["size"] == 8
         and upper["detail"]["is_cyclic_cut"],
         f"construction {upper['verdict']} {upper['detail'].get('size')}",
+    )
+    expect(
+        problems,
+        detail.get("witness") == upper["detail"].get("fault"),
+        f"witness {detail.get('witness')} is not the verified construction",
     )
     finish(1, "exact-cyclic-connectivity-n4", problems)
 

@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from ugconn import build_cayley, cuts
+from ugconn import build_cayley, cuts, lemmas
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.cli import parse_spec
 from ugconn.lemmas import (
@@ -55,13 +55,40 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     monkeypatch.setattr(cuts, "_disconnected", kernel)
     rep = verify_all(mb4, workers=1, seed=0)
     assert rep.passed()
-    # the census's 145,499 sets of size <= 7 through vertex 0 and
-    # cyclic-cut-exact's size 8 up to the block of its hit, plus the rest
-    assert sum(sets) == 307_421
+    # the census's 145,499 sets of size <= 7 through vertex 0, plus the
+    # rest; cyclic-cut-exact takes the verified 4-cycle neighborhood and
+    # sweeps no size-8 set
+    assert sum(sets) == 145_776
     detail = {c.check_id: c.detail for c in rep.checks}["cyclic-cut-exact"]
     assert detail == {
         "cyclic_connectivity": 8,
         "expected": 8,
+        "witness": ["1324", "1423", "2314", "2413", "3142", "3241", "4132", "4231"],
+        "witness_components": [4, 4, 4, 4],
+        "scanned": 145_499,
+    }
+
+
+@pytest.mark.parametrize("broken", ["cycle lacks an edge", "not a cyclic cut"])
+def test_cyclic_cut_exact_searches_size_8_where_the_four_cycle_fails(
+    mb4, monkeypatch, broken
+):
+    if broken == "cycle lacks an edge":
+        assert not mb4.dense.adjacent(3, 0)
+        monkeypatch.setattr(lemmas, "canonical_four_cycle", lambda G: (0, 1, 2, 3))
+    else:
+        # every 4-cycle of mb:4 has a cyclic-cut neighborhood, so the cut
+        # handed on is N(0) and four more vertices: 8 that strand vertex 0
+        fault = tuple(sorted({*mb4.dense.neighbors[0], 17, 18, 19, 20}))
+        assert len(fault) == 8 and cuts.is_vertex_cut(mb4, fault)
+        assert not cuts.is_cyclic_cut(mb4, fault)
+        monkeypatch.setattr(lemmas, "build_cycle_neighborhood_cut", lambda G, c: fault)
+    (c,) = verify_all(mb4, workers=1, checks=["cyclic-cut-exact"]).checks
+    assert c.verdict == PROVED and c.scope.endswith(", then size 8")
+    assert c.detail == {
+        "cyclic_connectivity": 8,
+        "expected": 8,
+        # (0, 3, 7, 11, 14, 17, 18, 22), the least cyclic cut of size 8
         "witness": ["1234", "1342", "2143", "2431", "3214", "3421", "4123", "4312"],
         "witness_components": [8, 8],
         "scanned": 304_179,
@@ -433,3 +460,17 @@ def test_residue_bound_p2_skips_beyond_n7(monkeypatch):
     (c,) = rep.checks
     assert c.verdict == SKIPPED
     assert c.scope == "bitmasks unavailable beyond order 5040"
+
+
+def test_flow_checks_without_the_symmetry_are_priced_from_measured_costs(
+    mb6, monkeypatch
+):
+    # the corrupted mb:6 runs the Even-family flows: kappa_1 took 48 s there
+    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    bad = with_redirected_cross_edge(mb6)
+    rep = verify_all(bad, workers=1, checks=["residue-bound-p2"], budget=30)
+    (c,) = rep.checks
+    assert c.verdict == SKIPPED
+    assert c.scope == "estimated ~50s exceeds the remaining budget"
+    (c,) = verify_all(bad, workers=1, checks=["connectivity-value"], budget=4).checks
+    assert c.scope == "estimated ~5s exceeds the remaining budget"
