@@ -1,14 +1,16 @@
 """Materialized Cayley graphs of Sym(n) over transposition generators.
 
-Vertices are lexicographic permutation ranks, adjacency lives in sorted
-neighbor tuples, and for orders up to 7! each vertex also gets a
-neighbor bitmask.  The exhaustive cut searches are dominated by set
-intersections, so the bitmask form is the one the hot paths use.
+Vertices are lexicographic permutation ranks and adjacency lives in
+sorted neighbor tuples, which every routine here reads at every order.
+For orders up to 7! each vertex also gets a neighbor bitmask, built on
+first use; only the scan kernels of ``cuts`` read it, since exhaustive
+cut searches are dominated by set intersections.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .genset import (
@@ -42,14 +44,11 @@ class DenseGraph:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def has_masks(self) -> bool:
-        return self.order <= MASK_ORDER_LIMIT
-
     @property
     def masks(self) -> list[int]:
         """Per-vertex neighbor bitmask; built on first use."""
         if self._masks is None:
-            if not self.has_masks():
+            if self.order > MASK_ORDER_LIMIT:
                 raise CapacityError(
                     f"bitmasks unavailable beyond order {MASK_ORDER_LIMIT}"
                 )
@@ -254,57 +253,35 @@ def component_analysis(dense: DenseGraph, fault) -> CutAnalysis:
     at least its vertex count.
     """
     fs = _validate_fault(dense.order, fault)
-    if dense.has_masks():
-        masks = dense.masks
-        fmask = 0
-        for v in fs:
-            fmask |= 1 << v
-        alive = dense.full_mask & ~fmask
-        infos = []
-        for cmask in _component_masks(masks, alive):
-            members = _mask_members(cmask)
-            edges = sum((masks[v] & cmask).bit_count() for v in members) // 2
-            infos.append(
-                ComponentInfo(
-                    vertices=len(members),
-                    edges=edges,
-                    contains_cycle=edges >= len(members),
-                    members=members if len(members) <= MEMBER_LIMIT else None,
-                )
+    dead = bytearray(dense.order)
+    for v in fs:
+        dead[v] = 1
+    infos = []
+    # starts in increasing order yield the components by smallest member
+    for start in range(dense.order):
+        if dead[start]:
+            continue
+        stack = [start]
+        dead[start] = 1
+        members = []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in dense.neighbors[v]:
+                if not dead[w]:
+                    dead[w] = 1
+                    stack.append(w)
+        members.sort()
+        mset = set(members)
+        edges = sum(1 for v in members for w in dense.neighbors[v] if w in mset) // 2
+        infos.append(
+            ComponentInfo(
+                vertices=len(members),
+                edges=edges,
+                contains_cycle=edges >= len(members),
+                members=tuple(members) if len(members) <= MEMBER_LIMIT else None,
             )
-    else:
-        dead = bytearray(dense.order)
-        for v in fs:
-            dead[v] = 1
-        infos = []
-        for start in range(dense.order):
-            if dead[start]:
-                continue
-            stack = [start]
-            dead[start] = 1
-            members = []
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for w in dense.neighbors[v]:
-                    if not dead[w]:
-                        dead[w] = 1
-                        stack.append(w)
-            members.sort()
-            mset = set(members)
-            edges = sum(
-                1 for v in members for w in dense.neighbors[v] if w in mset
-            ) // 2
-            infos.append(
-                ComponentInfo(
-                    vertices=len(members),
-                    edges=edges,
-                    contains_cycle=edges >= len(members),
-                    members=tuple(members) if len(members) <= MEMBER_LIMIT else None,
-                )
-            )
-        # scanning starts in increasing order already yields components
-        # sorted by smallest member
+        )
     largest_index = 0
     for i, c in enumerate(infos):
         if c.vertices > infos[largest_index].vertices:
@@ -321,10 +298,7 @@ def common_neighbor_count(g, u: int, v: int) -> int:
     dense = _as_dense(g)
     if u == v:
         raise ValueError("common neighbors of a vertex with itself are undefined")
-    if dense.has_masks():
-        return (dense.masks[u] & dense.masks[v]).bit_count()
-    a, b = dense.neighbors[u], dense.neighbors[v]
-    return len(set(a) & set(b))
+    return len(set(dense.neighbors[u]).intersection(dense.neighbors[v]))
 
 
 def girth(g) -> int | None:
@@ -586,21 +560,14 @@ def enumerate_4cycles(G: CayleyGraph) -> list[tuple[int, int, int, int]]:
     Canonical form: a is the smallest rank on the cycle and b < d are its
     two cycle neighbors.
     """
-    dense = G.dense
-    masks = dense.masks
+    neighbors = G.dense.neighbors
     out = []
-    for a in range(dense.order):
-        nbrs = [x for x in dense.neighbors[a] if x > a]
-        for bi in range(len(nbrs)):
-            for di in range(bi + 1, len(nbrs)):
-                b, d = nbrs[bi], nbrs[di]
-                common = masks[b] & masks[d] & ~(1 << a)
-                while common:
-                    cbit = common & -common
-                    common ^= cbit
-                    c = cbit.bit_length() - 1
-                    if c > a:
-                        out.append((a, b, c, d))
+    for a, ns in enumerate(neighbors):
+        later = [x for x in ns if x > a]
+        for bi, b in enumerate(later):
+            for d in later[bi + 1 :]:
+                nd = neighbors[d]
+                out.extend((a, b, c, d) for c in neighbors[b] if c > a and c in nd)
     return out
 
 
@@ -632,25 +599,28 @@ def _swapped(p: Perm, k: int, l: int) -> Perm:
     return tuple(lst)
 
 
+def _cn_row(neighbors, u: int) -> Counter:
+    """cn(u, v) for every v != u with a common neighbor, all of which lie in N(N(u))."""
+    row = Counter(v for w in neighbors[u] for v in neighbors[w])
+    del row[u]
+    return row
+
+
 def find_edge_cn_violation(g) -> tuple[int, int, int] | None:
     """First (p, q, s) with pq an edge and s sharing neighbors with both.
 
     Returns None when for every edge pq and outside vertex s at least one
     of cn(s,p), cn(s,q) is zero.  p runs over ``_anchors``.
     """
-    dense = _as_dense(g)
-    masks = dense.masks
+    neighbors = _as_dense(g).neighbors
     for p in _anchors(g):
-        for q in dense.neighbors[p]:
+        near_p = _cn_row(neighbors, p).keys()
+        for q in neighbors[p]:
             if q <= p:
                 continue
-            mp, mq = masks[p], masks[q]
-            for s in range(dense.order):
-                if s == p or s == q:
-                    continue
-                ms = masks[s]
-                if (ms & mp) and (ms & mq):
-                    return (p, q, s)
+            both = near_p & _cn_row(neighbors, q).keys()
+            if both:
+                return (p, q, min(both))
     return None
 
 
@@ -659,29 +629,34 @@ def find_cn_triple_violation(g) -> tuple[int, int, int] | None:
 
     v is the middle vertex of both cn=2 pairs, u < w, and v is an anchor.
     """
-    masks = _as_dense(g).masks
+    neighbors = _as_dense(g).neighbors
     for v in _anchors(g):
-        mv = masks[v]
-        ps = [u for u, mu in enumerate(masks) if u != v and (mv & mu).bit_count() == 2]
+        ps = sorted(u for u, c in _cn_row(neighbors, v).items() if c == 2)
         for i, u in enumerate(ps):
+            near_u = _cn_row(neighbors, u)
             for w in ps[i + 1 :]:
-                if masks[u] & masks[w]:
+                if w in near_u:
                     return (u, v, w)
     return None
 
 
 def max_common_neighbors(g) -> tuple[int, tuple[int, int]]:
-    """Max cn over vertex pairs and the first pair attaining it, via ``_anchors``."""
-    masks = _as_dense(g).masks
+    """Max cn over vertex pairs and the first pair attaining it, via ``_anchors``.
+
+    Pairs run in order (u, v), u an anchor and v > u; a pair without a
+    common neighbor has cn 0, and (u, u + 1) is the first of u's pairs.
+    """
+    dense = _as_dense(g)
     best = -1
     arg = (0, 1)
     for u in _anchors(g):
-        mu = masks[u]
-        for v in range(u + 1, len(masks)):
-            c = (mu & masks[v]).bit_count()
-            if c > best:
-                best = c
-                arg = (u, v)
+        if u + 1 == dense.order:
+            continue
+        row = {v: c for v, c in _cn_row(dense.neighbors, u).items() if v > u}
+        c = max(row.values(), default=0)
+        if c > best:
+            best = c
+            arg = (u, min((v for v in row if row[v] == c), default=u + 1))
     return best, arg
 
 

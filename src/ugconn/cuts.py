@@ -971,7 +971,7 @@ def sampled_residual_check(
     neighbors, order = dense.neighbors, dense.order
     if not 1 <= max_size <= order:
         raise ValueError(f"max size {max_size} must lie in 1..{order}")
-    templates = [dense.masks[v] for v in range(order) if len(neighbors[v]) <= max_size]
+    templates = [_mask_of(ns) for ns in neighbors if len(ns) <= max_size]
     sample = partial(
         _sample_block, neighbors, order, _anchors(g), max_size, seed, trials
     )

@@ -494,8 +494,8 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     if not _unicyclic(G):
         return _skip(cid, "stated for the unicyclic family only")
     max_f = 2 * G.n - 3
-    max_cn, pair = max_common_neighbors(G)  # before the flows: it reads the masks
     sep = edge_separation_connectivity(G)
+    max_cn, pair = max_common_neighbors(G)
     stranding = 2 * G.degree - max_cn
     detail = {
         "edge_separation": sep.value,
@@ -803,7 +803,8 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
         "large-component-bound": 0.5,
         "four-subset-neighborhood": 0.1,
         "residue-bound-p1": 1.0 if n <= 6 else 2.0,
-        "residue-bound-p2": 0.1 if n <= 5 else (1.0 if n == 6 else 5.0),
+        # n=8: 6-7 s on mb:8 and 24-25 s on ug:8:c=4 (one worker, 2-CPU host)
+        "residue-bound-p2": {4: 0.1, 5: 0.1, 6: 1.0, 7: 5.0, 8: 25.0}[max(n, 4)],
         "four-cycle-labels": 1.0 if order <= 720 else 10.0,
         "block-boundary-degree": 0.5,
         # kept above 1.0: perfbench/test_perfbench.py skips this row at budget=1.0

@@ -267,16 +267,15 @@ def test_component_analysis_isolating_cut(mb4):
     assert (5,) in [c.members for c in an.components]
 
 
-def test_component_analysis_plain_fallback_beyond_mask_limit():
+def test_component_analysis_and_girth_beyond_mask_limit():
     order = MASK_ORDER_LIMIT + 100
     nbrs = tuple(
         tuple(w for w in (v - 1, v + 1) if 0 <= w < order) for v in range(order)
     )
     big = DenseGraph(nbrs)
-    assert not big.has_masks()
     with pytest.raises(CapacityError):
         big.masks
-    assert girth(big) is None  # plain BFS, no mask dependency
+    assert girth(big) is None  # both walk the neighbor lists
     an = component_analysis(big, (order // 2,))
     assert an.component_count == 2
     assert an.largest() > MEMBER_LIMIT
@@ -408,16 +407,27 @@ def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
     assert seen == {False, True}
 
 
-def test_component_analysis_agrees_with_and_without_bitmasks(mb4, monkeypatch):
+def test_component_analysis_agrees_with_networkx(mb4):
     rng = random.Random(4)
     faults = [rng.sample(range(24), rng.randrange(3, 12)) for _ in range(200)]
     faults.append(build_cycle_neighborhood_cut(mb4, canonical_four_cycle(mb4)))
-    with_masks = [component_analysis(mb4.dense, f) for f in faults]
-    monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 0)
-    assert not mb4.dense.has_masks()
-    without = [component_analysis(mb4.dense, f) for f in faults]
-    assert without == with_masks
-    assert {a.component_count for a in with_masks} >= {1, 2, 3, 4}
+    H = _nx_of(mb4)
+    counts = set()
+    for fault in faults:
+        rest = H.subgraph(set(H) - set(fault))
+        # components by least member: members, vertices, edges, cycle flag
+        expected = [
+            (tuple(sorted(c)), len(c), sub.number_of_edges(), not nx.is_tree(sub))
+            for c in sorted(nx.connected_components(rest), key=min)
+            for sub in [rest.subgraph(c)]
+        ]
+        an = component_analysis(mb4.dense, fault)
+        got = [
+            (c.members, c.vertices, c.edges, c.contains_cycle) for c in an.components
+        ]
+        assert got == expected, fault
+        counts.add(an.component_count)
+    assert counts >= {1, 2, 3, 4}
 
 
 def test_structure_probes_pass_on_mb4_and_fire_on_q3(mb4, q3):
@@ -523,7 +533,8 @@ def test_build_capacity_is_n8():
         )
     b8 = path_graph(8)
     assert b8.order == math.factorial(8)
-    assert not b8.dense.has_masks()
+    with pytest.raises(CapacityError):
+        b8.dense.masks
 
 
 def test_graph6_roundtrip_and_capacity(mb4, b4, ug5):

@@ -329,13 +329,14 @@ def test_verify_proves_kappa_and_the_upper_bound_at_n8(capsys):
     assert upper["detail"]["size"] == 24 and upper["detail"]["is_cyclic_cut"]
 
 
-def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
-    # the corrupted copy has no vertex-0 symmetry, so kappa would need the
-    # Even-family flows at order 40,320; p2 stops first at the bitmasks
-    def no_flows(*args):
-        raise AssertionError("a flow ran")
+def _no_flows(*args):
+    raise AssertionError("a flow ran")
 
-    monkeypatch.setattr(cuts, "_unit_flow", no_flows)
+
+def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
+    # the corrupted copy has no vertex-0 symmetry, so kappa and kappa_1 would
+    # need the Even-family flows at order 40,320
+    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
     code, out, _ = run(
         capsys,
         "verify", "--spec", "mb:8", "--corrupt", "--checks", "connectivity-value",
@@ -344,10 +345,23 @@ def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
     assert code == 0
     value, p2 = json.loads(out)["checks"]
     assert value["verdict"] == p2["verdict"] == "SKIPPED"
-    assert value["scope"] == (
+    assert value["scope"] == p2["scope"] == (
         "separation flows without vertex-transitivity capped at order 5040"
     )
-    assert p2["scope"] == "bitmasks unavailable beyond order 5040"
+
+
+def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
+    # p2 takes 24-25 s on ug:8:c=4: a 10 s budget skips it before a flow
+    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    code, out, _ = run(
+        capsys,
+        "verify", "--spec", "ug:8:c=4", "--checks", "residue-bound-p2",
+        "--budget", "10",
+    )
+    assert code == 0
+    (p2,) = json.loads(out)["checks"]
+    assert p2["verdict"] == "SKIPPED"
+    assert p2["scope"] == "estimated ~25s exceeds the remaining budget"
 
 
 @pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4"])

@@ -10,6 +10,7 @@ import pytest
 
 from ugconn import build_cayley, cuts, lemmas
 from ugconn.cayley import with_redirected_cross_edge
+from ugconn.perms import CapacityError
 from ugconn.cli import parse_spec
 from ugconn.lemmas import (
     CHECK_IDS,
@@ -378,16 +379,18 @@ def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
     assert cx["residual"] == 2 and len(cx["fault"]) == 6
 
 
-#: the checks that read the neighbor bitmasks on ug:5:c=4
-MASK_CHECKS = [
+#: the checks that read the neighbor bitmasks on ug:5:c=4: the four-subset
+#: scan, the p1 sweep (order <= 120) and the falsifier
+MASK_CHECKS = ["four-subset-neighborhood", "residue-bound-p1", "cyclic-cut-falsify"]
+
+#: the checks on ug:5:c=4 that build on common neighbors and 4-cycles, which
+#: they read off the neighbor lists
+NEIGHBOR_LIST_CHECKS = [
     "common-neighbor-bound",
     "adjacent-pair-common-neighbor",
     "common-neighbor-triple",
-    "four-subset-neighborhood",
-    "residue-bound-p1",
     "residue-bound-p2",
     "four-cycle-labels",
-    "cyclic-cut-falsify",
 ]
 
 
@@ -395,15 +398,26 @@ def _no_flows(*args):
     raise AssertionError("a flow ran")
 
 
+def _records(rep):
+    return [(c.check_id, c.verdict, c.scope, c.detail) for c in rep.checks]
+
+
 def test_residue_bound_p1_skips_without_bitmasks(monkeypatch):
     # beyond MASK_ORDER_LIMIT the bitmasks are not built; a check that reads
     # them raises CapacityError, and verify_all reports it as SKIPPED
     import ugconn.cayley as cayley
 
+    spec = parse_spec("ug:5:c=4")
+    expected = verify_all(build_cayley(spec), workers=1, checks=NEIGHBOR_LIST_CHECKS)
     monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 100)
+    ug5 = build_cayley(spec)  # a fresh graph: masks not built yet
+    # the checks on neighbor lists run as they do at the default limit
+    rep = verify_all(ug5, workers=1, checks=NEIGHBOR_LIST_CHECKS)
+    assert _records(rep) == _records(expected)
+    assert SKIPPED not in [c.verdict for c in rep.checks]
+    with pytest.raises(CapacityError):
+        ug5.dense.masks
     monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
-    ug5 = build_cayley(parse_spec("ug:5:c=4"))  # a fresh graph: masks not built yet
-    assert not ug5.dense.has_masks()
     # the falsifier's estimate is the whole budget: a skip must spend none
     rep = verify_all(ug5, workers=1, checks=MASK_CHECKS, budget=5.0)
     assert [c.check_id for c in rep.checks] == MASK_CHECKS
@@ -440,6 +454,15 @@ def test_residue_bound_p1_samples_from_n6(ug6, monkeypatch):
     assert c.detail["counterexample"] == [
         bad.perm_str(v) for v in bad.dense.neighbors[u_out]
     ]
+    # the templates come from the neighbor lists, not the bitmasks
+    import ugconn.cayley as cayley
+
+    monkeypatch.setattr(cayley, "MASK_ORDER_LIMIT", 100)
+    bad = with_redirected_cross_edge(ug6)
+    with pytest.raises(CapacityError):
+        bad.dense.masks
+    unmasked = verify_all(bad, workers=2, checks=["residue-bound-p1"])
+    assert _records(unmasked) == _records(rep)
 
 
 def test_residue_bound_p2_is_proved_at_n7():
@@ -452,14 +475,15 @@ def test_residue_bound_p2_is_proved_at_n7():
     assert d["flows"] == 122 and len(d["minimum_cut"]) == 12
 
 
-def test_residue_bound_p2_skips_beyond_n7(monkeypatch):
-    # max_cn reads the bitmasks, which n=8 does not build; no flow runs first
-    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+def test_residue_bound_p2_is_proved_at_n8():
+    # max_cn reads the neighbor lists, so p2 runs where no bitmasks are built
     mb8 = build_cayley(parse_spec("mb:8"))
     rep = verify_all(mb8, workers=1, checks=["residue-bound-p2"])
     (c,) = rep.checks
-    assert c.verdict == SKIPPED
-    assert c.scope == "bitmasks unavailable beyond order 5040"
+    assert c.verdict == PROVED and c.gating
+    d = c.detail
+    assert (d["edge_separation"], d["max_cn"], d["degree"], d["bound"]) == (14, 2, 8, 13)
+    assert d["flows"] == 188 and len(d["minimum_cut"]) == 14
 
 
 def test_flow_checks_without_the_symmetry_are_priced_from_measured_costs(
