@@ -100,22 +100,6 @@ def _validate_fault(order: int, fault) -> list[int]:
     return fs
 
 
-def _reach(masks, alive: int, start_bit: int) -> int:
-    """Bitmask of the component of alive containing start_bit."""
-    reach = start_bit
-    frontier = start_bit
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= masks[b.bit_length() - 1]
-        frontier = nxt & alive & ~reach
-        reach |= frontier
-    return reach
-
-
 #: _SURVIVES[b][x] is ASCII "1" when bit b of the byte x is clear, else "0"
 _SURVIVES = [bytes(48 + (not x >> b & 1) for x in range(256)) for b in range(8)]
 
@@ -188,34 +172,17 @@ def _disconnected(
     return counts
 
 
-def _component_masks(masks, alive: int) -> list[int]:
-    """All connected components of the alive set, as bitmasks, by least bit."""
-    comps = []
+def _components(masks, alive: int) -> list[tuple[int, bool]]:
+    """The components of alive by least vertex, as (mask, carries_cycle) pairs.
+
+    One BFS per component sums the degrees in alive of the vertices it
+    visits; a neighbour in alive lies in the same component.  A component
+    carries a cycle when that sum is at least twice its vertex count
+    (edges >= vertices).
+    """
+    out = []
     rem = alive
     while rem:
-        c = _reach(masks, rem, rem & -rem)
-        comps.append(c)
-        rem &= ~c
-    return comps
-
-
-#: the fewest vertices of a cycle in a simple graph
-CYCLE_VERTICES = 3
-
-
-def _two_cyclic_components(masks, alive: int) -> bool:
-    """True iff at least two components of alive carry a cycle.
-
-    A component carries a cycle when its degree sum is at least twice its
-    vertex count (edges >= vertices).  One BFS per component, by least
-    vertex, sums the degrees as it visits: a neighbour in alive lies in
-    the same component.  The walk returns at the second cyclic component,
-    and stops once the unvisited vertices are too few to hold the cyclic
-    components still missing, 3 vertices each.
-    """
-    cyclic = 0
-    rem = alive
-    while rem.bit_count() >= CYCLE_VERTICES * (2 - cyclic):
         reach = frontier = rem & -rem
         degrees = 0
         while frontier:
@@ -230,11 +197,13 @@ def _two_cyclic_components(masks, alive: int) -> bool:
             frontier = nxt & ~reach
             reach |= frontier
         rem ^= reach
-        if degrees >= 2 * reach.bit_count():
-            cyclic += 1
-            if cyclic == 2:
-                return True
-    return False
+        out.append((reach, degrees >= 2 * reach.bit_count()))
+    return out
+
+
+def _two_cyclic_components(masks, alive: int) -> bool:
+    """True iff at least two components of alive carry a cycle."""
+    return sum(cyclic for _, cyclic in _components(masks, alive)) >= 2
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from functools import partial
 
 from .cayley import (
-    CYCLE_VERTICES,
     CayleyGraph,
     CutAnalysis,
     DenseGraph,
     _anchors,
     _as_dense,
-    _component_masks,
+    _components,
     _disconnected,
     _mask_members,
     _transitive,
@@ -41,6 +40,9 @@ from .perms import CapacityError
 #: randomized procedures consume randomness in fixed-size trial blocks so
 #: that results do not depend on how blocks land on workers
 TRIAL_BLOCK = 4096
+
+#: the fewest vertices of a cycle in a simple graph
+CYCLE_VERTICES = 3
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -759,16 +761,15 @@ class SizeCensus:
 def _census_task(masks, neighbors, order: int, full: int, task):
     """The census row of one (size, prefixes) task, ending with its first cyclic cut.
 
-    One kernel call per block counts up to CYCLE_VERTICES unreached
-    survivors per set, and the disconnecting sets are walked in scan order.
-    A set that leaves exactly one survivor unreached, of at least 3, cuts
-    off that vertex beside one larger component: it isolates with residual
-    1, and it is a neighborhood fault iff it equals some N(v), since N(v)
-    isolates v and there is one singleton.  With 2 survivors both may be
-    singletons, so those sets, and the sets that leave more unreached, get
-    their components.  The sets that leave CYCLE_VERTICES unreached get the
-    exact cyclic test until the task has its first cyclic cut, as in the
-    cut search (``_first_flagged``).
+    One kernel call per block counts up to 2 unreached survivors per set,
+    and the disconnecting sets are walked in scan order.  A set that
+    leaves exactly one survivor unreached, of at least 3, cuts off that
+    vertex beside one larger component: it isolates with residual 1, and
+    it is a neighborhood fault iff it equals some N(v), since N(v) isolates
+    v and there is one singleton.  Every other disconnecting set gets one
+    component walk (``_components``), which gives its residual, its
+    singleton and, until the task has its first cyclic cut, its cyclic
+    components.
     """
     size = task[0]
     neighborhoods = set(masks)
@@ -782,10 +783,8 @@ def _census_task(masks, neighbors, order: int, full: int, task):
     cyclic = None
     for block in _task_masks(task, order):
         subsets += len(block)
-        counts = _disconnected(neighbors, order, block, CYCLE_VERTICES)
-        split = counts[0]
-        single = split & ~counts[1] if lone else 0
-        untested = 0 if cyclic is not None else counts[-1]
+        split, several = _disconnected(neighbors, order, block, 2)
+        single = split & ~several if lone else 0
         disconnecting += split.bit_count()
         while split:
             b = split & -split
@@ -796,16 +795,15 @@ def _census_task(masks, neighbors, order: int, full: int, task):
                 isolating += 1
                 nbhd += fmask in neighborhoods
             else:
-                alive = full ^ fmask
-                comps = _component_masks(masks, alive)
-                sizes = [c.bit_count() for c in comps]
+                comps = _components(masks, full ^ fmask)
+                sizes = [mask.bit_count() for mask, _ in comps]
                 residual = sum(sizes) - max(sizes)
                 if len(comps) == 2 and residual == 1:
                     isolating += 1
-                    lonely = comps[sizes.index(1)]
+                    lonely = comps[sizes.index(1)][0]
                     nbhd += masks[lonely.bit_length() - 1] == fmask
-                if b & untested and _two_cyclic_components(masks, alive):
-                    cyclic, untested = fmask, 0
+                if cyclic is None and sum(flag for _, flag in comps) >= 2:
+                    cyclic = fmask
             if residual > max_residual:
                 max_residual = residual
                 worst = fmask

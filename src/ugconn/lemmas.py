@@ -179,18 +179,22 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     }
     if res.cut is not None:
         detail["minimum_cut"] = ctx.perm_strs(res.cut)
-    sources = (
-        "source fixed by vertex-transitivity, sinks at distance 2 from it, "
-        "one per orbit of the conjugations by Aut(T) and inversion"
-        if G.transitive
-        else "sources up to kappa (not vertex-transitive)"
-    )
+    if res.complete:
+        scope = f"complete graph on {G.order} vertices: kappa = |V|-1 by convention"
+    else:
+        sources = (
+            "source fixed by vertex-transitivity, sinks at distance 2 from it, "
+            "one per orbit of the conjugations by Aut(T) and inversion"
+            if G.transitive
+            else "sources up to kappa (not vertex-transitive)"
+        )
+        scope = f"Menger via vertex-disjoint paths, {sources}"
     return _done(
         cid,
         ok=res.value == expected,
         sampled=False,
         gating=True,
-        scope=f"Menger via vertex-disjoint paths, {sources}",
+        scope=scope,
         detail=detail,
     )
 
@@ -660,7 +664,8 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
         witness = min_cyclic_cut_exhaustive(
             G, 8, workers=ctx.workers, first_size=first
         )
-        scope += ", then size 8"
+        # below 8 the search stops at the census's cut, of size first
+        scope += f", then size {first}"
     ok = witness is not None and witness.size == 8
     detail = {
         "cyclic_connectivity": witness.size if witness is not None else None,
@@ -874,13 +879,14 @@ class VerificationReport:
 def select_checks(checks=None, seed: int = 0, budget: float = 600.0) -> tuple:
     """The (id, check) pairs that ``verify_all`` runs for these arguments.
 
-    checks None selects every check.  A negative seed, a negative or NaN
-    budget, an unknown check id and an empty selection raise ValueError.
+    checks None selects every check.  A negative seed, a budget that is
+    not a finite number >= 0 (so not NaN or infinite, which JSON cannot
+    hold), an unknown check id and an empty selection raise ValueError.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if not budget >= 0:
-        raise ValueError(f"budget must be a number >= 0, not {budget}")
+    if not 0 <= budget < math.inf:
+        raise ValueError(f"budget must be a finite number >= 0, not {budget}")
     if checks is None:
         return CHECKS
     wanted = list(checks)

@@ -45,6 +45,25 @@ def star_graph(n: int):
     return build_cayley(build_generating_graph(n, [(1, i) for i in range(2, n + 1)]))
 
 
+def reach(masks, alive: int, start_bit: int) -> int:
+    """Bitmask of the component of alive containing start_bit: a plain BFS.
+
+    The tests' reference for the package's component walks, kept apart
+    from the code under test.
+    """
+    seen = frontier = start_bit
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            nxt |= masks[b.bit_length() - 1]
+        frontier = nxt & alive & ~seen
+        seen |= frontier
+    return seen
+
+
 def hypercube(dim: int) -> DenseGraph:
     nbrs = tuple(
         tuple(sorted(v ^ (1 << b) for b in range(dim))) for v in range(1 << dim)

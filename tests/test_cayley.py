@@ -14,7 +14,7 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import hypercube, path_graph
+from conftest import hypercube, path_graph, reach
 import ugconn.cayley as cayley
 from ugconn.cayley import (
     MASK_ORDER_LIMIT,
@@ -289,7 +289,7 @@ def test_component_analysis_and_girth_beyond_mask_limit():
 
 
 def _unreached_by_reach(dense: DenseGraph, faults) -> list[int]:
-    """The reference for ``_disconnected``: one ``_reach`` per fault.
+    """The reference for ``_disconnected``: one plain BFS per fault.
 
     Entry j counts the survivors of faults[j] outside the component of
     its highest survivor; ``_disconnected(..., apart)`` sets bit j of its
@@ -299,7 +299,7 @@ def _unreached_by_reach(dense: DenseGraph, faults) -> list[int]:
     for fmask in faults:
         alive = dense.full_mask ^ fmask
         top = 1 << alive.bit_length() >> 1
-        out.append((alive & ~cayley._reach(dense.masks, alive, top)).bit_count())
+        out.append((alive & ~reach(dense.masks, alive, top)).bit_count())
     return out
 
 
@@ -373,7 +373,7 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
             assert 0 < got[0].bit_count() < width
 
 
-@pytest.mark.parametrize("graph", ["mb4", "ug5", "small pieces"])
+@pytest.mark.parametrize("graph", ["mb4", "ug5", "small pieces", "ug6"])
 def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
     if graph == "small pieces":
         # triangles, a lone edge, a path, a 4-cycle with a tail, a lone vertex
@@ -401,7 +401,20 @@ def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
         if i % 2:
             fault = sorted({*cut, *fault[: len(fault) // 4]})
         alive = dense.full_mask ^ sum(1 << v for v in fault)
-        expected = component_analysis(dense, fault).cyclic_component_count() >= 2
+        an = component_analysis(dense, fault)
+        comps = cayley._components(dense.masks, alive)
+        # each mask is the component of its least vertex, by least vertex,
+        # with the sizes, the members where listed and the cycle flags
+        assert sum(mask for mask, _ in comps) == alive, fault
+        leasts = [mask & -mask for mask, _ in comps]
+        assert leasts == sorted(leasts), fault
+        for (mask, _), least in zip(comps, leasts):
+            assert reach(dense.masks, alive, least) == mask, fault
+        got = [(mask.bit_count(), cyclic) for mask, cyclic in comps]
+        assert got == [(c.vertices, c.contains_cycle) for c in an.components], fault
+        for (mask, _), c in zip(comps, an.components):
+            assert c.members in (None, cayley._mask_members(mask)), fault
+        expected = an.cyclic_component_count() >= 2
         assert cayley._two_cyclic_components(dense.masks, alive) == expected, fault
         seen.add(expected)
     assert seen == {False, True}

@@ -389,8 +389,11 @@ def test_verify_unknown_check_is_usage_error(capsys):
         (("--checks", ","), "no checks selected"),
         (("--budget", "-1"), "budget"),
         (("--budget", "nan"), "budget"),
+        # JSON holds no Infinity, so the report could not be written
+        (("--budget", "inf"), "budget"),
+        (("--budget", "1e400"), "budget"),
     ],
-    ids=["empty-checks", "negative-budget", "nan-budget"],
+    ids=["empty-checks", "negative-budget", "nan-budget", "inf-budget", "1e400-budget"],
 )
 def test_verify_rejects_an_empty_selection_and_a_bad_budget(capsys, flags, message):
     code, out, err = run(capsys, "verify", "--spec", "mb:4", *flags)

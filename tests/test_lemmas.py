@@ -8,7 +8,7 @@ import multiprocessing
 
 import pytest
 
-from ugconn import build_cayley, cuts, lemmas
+from ugconn import build_cayley, cayley, cuts, lemmas
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.perms import CapacityError
 from ugconn.cli import parse_spec
@@ -47,19 +47,30 @@ def test_full_mb4_report_passes(mb4):
 
 def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     sets = []
+    walks = []
     real = cuts._disconnected
+    real_walk = cayley._components
 
     def kernel(neighbors, order, faults, *apart):
         sets.append(len(faults))
         return real(neighbors, order, faults, *apart)
 
+    def walk(masks, alive):
+        walks.append(alive)
+        return real_walk(masks, alive)
+
     monkeypatch.setattr(cuts, "_disconnected", kernel)
+    monkeypatch.setattr(cuts, "_components", walk)
+    monkeypatch.setattr(cayley, "_components", walk)
     rep = verify_all(mb4, workers=1, seed=0)
     assert rep.passed()
     # the census's 145,499 sets of size <= 7 through vertex 0, plus the
     # rest; cyclic-cut-exact takes the verified 4-cycle neighborhood and
     # sweeps no size-8 set
     assert sum(sets) == 145_776
+    # one component walk per census set that does not strand one vertex,
+    # which also gives its cyclic components
+    assert len(walks) == 890
     detail = {c.check_id: c.detail for c in rep.checks}["cyclic-cut-exact"]
     assert detail == {
         "cyclic_connectivity": 8,
@@ -110,6 +121,24 @@ def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4):
         # every set of size <= 6, then size 7 up to the cut
         "scanned": 445_112,
     }
+    # the census found the 7-cut, so the search ran at size 7, not 8
+    assert c.scope.endswith(", then size 7")
+
+
+def test_cyclic_cut_exact_over_a_small_budget_is_skipped(mb4):
+    # perfbench/test_perfbench.py::test_selected_headline_check_that_is_skipped_fails
+    # needs this skip: the check's estimate must stay above 1.0
+    (c,) = verify_all(mb4, workers=1, checks=["cyclic-cut-exact"], budget=1.0).checks
+    assert c.verdict == SKIPPED
+
+
+def test_connectivity_value_on_a_complete_graph_names_the_convention():
+    G = build_cayley(parse_spec(["edges:1-2", "n=2"]))
+    (c,) = verify_all(G, workers=1, checks=["connectivity-value"]).checks
+    assert c.verdict == PROVED
+    assert c.detail["complete_graph_convention"] is True
+    assert c.detail["flows"] == 0
+    assert c.scope == "complete graph on 2 vertices: kappa = |V|-1 by convention"
 
 
 def test_report_serialization_shape(mb4):
