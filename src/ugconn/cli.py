@@ -124,11 +124,10 @@ def _build(args) -> CayleyGraph:
 
 
 def _workers(args) -> int:
-    """resolve_workers, with a bad UGCONN_WORKERS reported as a spec error."""
-    try:
-        return resolve_workers(args.workers)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    """resolve_workers, with a --workers below 1 reported as a spec error."""
+    if args.workers is not None and args.workers < 1:
+        raise SpecError("--workers must be >= 1")
+    return resolve_workers(args.workers)
 
 
 def cmd_gen(args) -> int:

@@ -46,25 +46,13 @@ CYCLE_VERTICES = 3
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else UGCONN_WORKERS, else CPU count.
+    """Worker count: the argument, else the CPU count, capped at the CPU count.
 
-    The count is capped at the CPU count, since pure-Python workers beyond
-    it only add fork and pickling cost.  A non-integer UGCONN_WORKERS
-    raises ValueError.
+    Pure-Python workers beyond the CPU count only add fork and pickling
+    cost.  A count below 1 runs one worker.
     """
     cpus = os.cpu_count() or 1
-    if workers is None:
-        env = os.environ.get("UGCONN_WORKERS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"UGCONN_WORKERS must be an integer, not {env!r}"
-                ) from None
-        else:
-            workers = cpus
-    return max(1, min(int(workers), cpus))
+    return max(1, min(cpus if workers is None else int(workers), cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +175,9 @@ def _make_witness(
 # vertex connectivity via vertex-disjoint paths (Menger)
 
 
-#: without the vertex-0 symmetry, _min_separation runs the Even family,
-#: about (kappa+1)*order flows: 35,210 flows and 386 s for kappa on a
-#: corrupted mb:7 (one process, 2-CPU host), so it refuses orders above 7!
+#: without the vertex-0 symmetry the flows follow ``_even_plan``, about
+#: (kappa+1)*order flows: 35,210 flows and 386 s for kappa on a corrupted
+#: mb:7 (one process, 2-CPU host), so it refuses orders above 7!
 FLOW_ORDER_LIMIT = 5040
 
 
@@ -288,122 +276,98 @@ class EdgeSeparation:
     flows: int
 
 
-def _least_images(g, vertices, inverted: bool) -> dict[int, int]:
-    """{w: the least image of w under the conjugations} for w in vertices.
+def _least_images(g, vertices) -> dict[int, int]:
+    """{w: the least vertex of w's orbit under the conjugations and w -> w^-1}.
 
-    With inverted, the least image of w or of w^-1: the least vertex of
-    w's orbit under the conjugations and w -> w^-1, which commute.  Only
-    vertices and their inverses are mapped, so the tables grow with
-    |Aut(T)| times their number, not times the order.
+    The two maps commute, so the orbit of w is the conjugation images of w
+    and of w^-1.  Only vertices and their inverses are mapped, so the
+    tables grow with |Aut(T)| times their number, not times the order.
     """
     vertices = list(vertices)
-    partner = dict(zip(vertices, inverse_map(g, vertices) if inverted else vertices))
+    partner = dict(zip(vertices, inverse_map(g, vertices)))
     mapped = list(set(vertices).union(partner.values()))
     least = dict(zip(mapped, map(min, zip(*conjugation_maps(g, mapped)))))
     return {w: min(least[w], least[partner[w]]) for w in vertices}
 
 
-def _min_separation(g, units) -> EdgeSeparation:
-    """Fewest vertices whose removal leaves two units whole in different components.
+def _ring(dense: DenseGraph) -> set[int]:
+    """R = N(N(0)) - N[0], the vertices at distance exactly 2 from vertex 0.
 
-    A unit is a vertex tuple: all single vertices, or all edges.  Two units
-    can be separated only if neither has a vertex in the other's closed
-    neighborhood, and then, by Menger, the fewest vertices separating them
-    is the number of vertex-disjoint paths between them (``_unit_flow``).
-    Each pair is one flow, stopped at the best value so far, and a flow
-    that stops below it ran to completion, so its cut comes with it.  The
-    second unit ranges over the units after the first.
+    Ring rule, for vertex and edge units on a graph from ``build_cayley``
+    (Watkins, "Connectivity of transitive graphs", JCT 1970): some pair
+    that attains the least separation has a first unit through 0 and a
+    second unit through R.  Let a minimum cut S separate units U and W,
+    in components C1 and C2 of G - S.  S - s is too small to separate any
+    two units, so every s in S has a neighbor a in C1 and a neighbor b in
+    C2.  Each component is connected and holds a unit, so a lies on a unit
+    inside C1 and b on a unit inside C2, and S separates those two units.
+    Translating a to 0 maps them onto a pair whose first unit contains 0
+    and whose second unit contains the image of b, at distance 2 from 0.
+    Conjugations and w -> w^-1 keep the distance from 0, so R is a union
+    of their orbits.  The rule needs two conditions: every vertex of a
+    component that holds a unit lies on a unit inside that component (true
+    of vertices and of edges, not of 4-cycles for free), and G is
+    connected (``genset`` rejects a disconnected T).
+    """
+    near = {0, *dense.neighbors[0]}
+    return {w for v in near for w in dense.neighbors[v]} - near
 
-    First units: on a graph from ``build_cayley``, the units that contain
-    vertex 0.  An automorphism maps any separated pair (A, B) onto a pair
-    whose first unit contains 0; its second unit misses N[0] and so comes
-    after every unit through 0.  On any other graph, a greedy family of
-    pairwise disjoint units comes first, then the rest, and the loop stops
+
+def _even_plan(dense: DenseGraph, units):
+    """(plan, family size) for a graph without the vertex-0 symmetry.
+
+    A greedy family of pairwise disjoint units comes first, then the rest,
+    and each unit is planned against every unit after it; the driver stops
     once more family units than the best value are done (Even 1975).  A
     minimum cut S misses one of any |S|+1 disjoint units; let U be the
     first it misses.  S separates two units, and one of them, W, lies in
     another component than U.  Every family unit before U meets S and W
-    does not, so W comes after U and the pair (U, W) is flowed.  That
-    path raises CapacityError above order FLOW_ORDER_LIMIT.
-
-    Symmetry, on a graph from ``build_cayley`` only.  Conjugation by an
-    automorphism of T fixes 0 and maps T to itself, so it is an
-    automorphism of the graph (``conjugation_maps``); translating by w^-1
-    maps the pair (0, w) onto (w^-1, 0).  Vertex units: (0, w) is flowed
-    only when w is the least vertex of its orbit under the conjugations
-    and w -> w^-1.  Edge units: the first edge (0, s) is used only when s is
-    the least image of s under the conjugations; every second edge stays.
-    This changes no value, pair or cut.  The flow value is constant on
-    orbits, and a pair that is skipped has an earlier orbit member that
-    was flowed: the least w, or the pair (0, m(s)) and the image of the
-    second edge under the same map m.  When the skipped pair comes up,
-    best is already at most its value, so it could not have improved
-    best.  The pairs that improve best are therefore all flowed, in the
-    same order and with the same cutoffs, and each cut is the minimum cut
-    next to the first unit, which every maximum flow shares.
-
-    Ring rule, on a graph from ``build_cayley`` only: a second unit is
-    flowed only if it has a vertex of the ring R = N(N(0)) - N[0], the
-    vertices at distance exactly 2 from 0 (Watkins, "Connectivity of
-    transitive graphs", JCT 1970).  Let a minimum cut S separate units
-    U and W, in components C1 and C2 of G - S.  S - s is too small to
-    separate any two units, so every s in S has a neighbor a in C1 and a
-    neighbor b in C2.  Each component is connected and holds a unit, so a
-    lies on a unit inside C1 and b on a unit inside C2, and S separates
-    those two units.  Translating a to 0 maps them onto a pair whose
-    first unit contains 0 and whose second unit contains the image of b,
-    at distance 2 from 0.  Conjugations and w -> w^-1 keep the distance
-    from 0, so R is a union of orbits and the orbit rule still applies;
-    the least images are computed only where the rules read them
-    (``_least_images``): on R for vertex units, on N(0) for edge units.
-    The value is therefore exact; the pair and cut are those of the first
-    flowed pair that attains it, which may come later than the first of
-    all pairs (star:4's kappa_1 pair).  The rule needs two conditions:
-    every vertex of a component that holds a unit lies on a unit inside
-    that component (true of vertices and of edges, not of 4-cycles for
-    free), and G is connected (``genset`` rejects a disconnected T).
+    does not, so W comes after U and the pair (U, W) is flowed.  Raises
+    CapacityError above order FLOW_ORDER_LIMIT.
     """
-    dense = _as_dense(g)
-    if _transitive(g):
-        firsts = [u for u in units if 0 in u]
-        near = {0, *dense.neighbors[0]}
-        ring = {w for v in near for w in dense.neighbors[v]} - near
-        if len(firsts[0]) == 1:
-            least = _least_images(g, ring, inverted=True)
-            # least has only ring keys: the ring vertices least in their orbits
-            units = [u for u in units if least.get(u[0]) == u[0]]
+    if dense.order > FLOW_ORDER_LIMIT:
+        raise CapacityError(
+            f"separation flows without vertex-transitivity capped at order "
+            f"{FLOW_ORDER_LIMIT}"
+        )
+    covered: set[int] = set()
+    family, rest = [], []
+    for u in units:
+        if covered.isdisjoint(u):
+            covered.update(u)
+            family.append(u)
         else:
-            least = _least_images(g, dense.neighbors[0], inverted=False)
-            firsts = [u for u in firsts if least[u[1]] == u[1]]
-            units = [u for u in units if not ring.isdisjoint(u)]
-        family = 0  # no family, no early stop
-    else:
-        if dense.order > FLOW_ORDER_LIMIT:
-            raise CapacityError(
-                f"separation flows without vertex-transitivity capped at order "
-                f"{FLOW_ORDER_LIMIT}"
-            )
-        covered: set[int] = set()
-        firsts = []
-        for u in units:
-            if covered.isdisjoint(u):
-                covered.update(u)
-                firsts.append(u)
-        family = len(firsts)
-    chosen = set(firsts)
-    ordered = firsts + [u for u in units if u not in chosen]
+            rest.append(u)
+    ordered = family + rest
+    return ((u, ordered[i + 1 :]) for i, u in enumerate(ordered)), len(family)
+
+
+def _min_separation(dense: DenseGraph, plan, family: int = 0) -> EdgeSeparation:
+    """The least separation over a plan of (first unit, second units) pairs.
+
+    A unit is a vertex tuple that a cut must leave whole.  Two units can be
+    separated only if neither has a vertex in the other's closed
+    neighborhood, and then, by Menger, the fewest vertices separating them
+    is the number of vertex-disjoint paths between them (``_unit_flow``).
+    The pairs are flowed in plan order, each stopped at the best value so
+    far, and a flow that stops below it ran to completion, so its cut
+    comes with it: the pair and cut are those of the first planned pair
+    that attains the value.  With a family (``_even_plan``), the loop stops
+    before first unit i once i and family both exceed the best value.
+    Each caller proves that its plan holds a pair of least separation.
+    """
     into = [tuple(2 * w for w in ns) for ns in dense.neighbors]
     best = dense.order  # every flow path crosses a vertex outside both units
     arg = None
     cut = None
     flows = 0
-    for i, first in enumerate(ordered if family else firsts):
+    for i, (first, seconds) in enumerate(plan):
         if min(i, family) > best:
             break
         closed = set(first)
         for v in first:
             closed.update(dense.neighbors[v])
-        for second in ordered[i + 1 :]:
+        for second in seconds:
             if not closed.isdisjoint(second):
                 continue
             f, found = _unit_flow(into, first, second, best)
@@ -418,7 +382,17 @@ def _min_separation(g, units) -> EdgeSeparation:
 def vertex_connectivity_detail(g) -> ConnectivityResult:
     """kappa(G) by Menger: the fewest vertices separating two non-adjacent ones.
 
-    A complete graph has no such pair and gets the |V|-1 convention.
+    A complete graph has no such pair and gets the |V|-1 convention.  On
+    a graph from ``build_cayley`` the plan is vertex 0 against each ring
+    vertex (``_ring``) that is least in its orbit under the conjugations
+    and w -> w^-1 (``_least_images``).  Conjugation by an automorphism of
+    T fixes 0 and maps T to itself, so it is an automorphism of the graph
+    (``conjugation_maps``), and translating by w^-1 maps the pair (0, w)
+    onto (w^-1, 0): the separation of (0, w) is constant on orbits.  A
+    ring vertex that is not least has its orbit's least vertex flowed
+    before it, so flowing it could not improve the best value, and the
+    plan gives the value, pair and cut of flowing the whole ring.  On any
+    other graph it is the Even plan (``_even_plan``).
     """
     dense = _as_dense(g)
     order = dense.order
@@ -426,7 +400,12 @@ def vertex_connectivity_detail(g) -> ConnectivityResult:
         return ConnectivityResult(
             value=max(order - 1, 0), complete=True, cut=None, flows=0
         )
-    sep = _min_separation(g, [(v,) for v in range(order)])
+    if _transitive(g):
+        least = _least_images(g, _ring(dense))
+        ring = [(w,) for w in sorted(least) if least[w] == w]
+        sep = _min_separation(dense, [((0,), ring)])
+    else:
+        sep = _min_separation(dense, *_even_plan(dense, [(v,) for v in range(order)]))
     return ConnectivityResult(
         value=sep.value, complete=False, cut=sep.cut, flows=sep.flows
     )
@@ -441,11 +420,25 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
 
     Separated edges keep both ends and land in different components; this
     is the restricted connectivity of Esfahanian and Hakimi ("On computing
-    a conditional edge-connectivity of a graph", IPL 1988).
+    a conditional edge-connectivity of a graph", IPL 1988).  On a graph
+    from ``build_cayley`` the plan is each first edge (0, s) with s least
+    in its conjugation orbit against every edge through the ring
+    (``_ring``).  s is a transposition, its own inverse, so its least image
+    under ``_least_images`` is its least conjugation image m(s).  A first
+    edge (0, s) that is not least is skipped: a conjugation m maps each of
+    its pairs onto ((0, m(s)), m(B)), flowed earlier with the same value,
+    so the plan gives the value, pair and cut of flowing every first edge.
+    On any other graph it is the Even plan (``_even_plan``).
     """
     dense = _as_dense(g)
+    edges = [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
+    if not _transitive(g):
+        return _min_separation(dense, *_even_plan(dense, edges))
+    ring = _ring(dense)
+    seconds = [e for e in edges if not ring.isdisjoint(e)]
+    least = _least_images(g, dense.neighbors[0])
     return _min_separation(
-        g, [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
+        dense, [((0, s), seconds) for s in dense.neighbors[0] if least[s] == s]
     )
 
 

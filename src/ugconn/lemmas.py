@@ -911,8 +911,8 @@ def verify_all(
     over-budget checks are reported as SKIPPED with the reason, and so is a
     check that raises CapacityError where it meets a resource limit (the
     scope is the error message; it spends no budget).  Bad
-    arguments raise ValueError (``select_checks``), as does a bad
-    UGCONN_WORKERS (``resolve_workers``).
+    arguments raise ValueError (``select_checks``).  workers=None means
+    the CPU count (``resolve_workers``).
     """
     selected = select_checks(checks, seed, budget)
     ctx = CheckContext(G=G, workers=resolve_workers(workers), seed=seed)

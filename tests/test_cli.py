@@ -252,15 +252,14 @@ def test_negative_seed_is_usage_error(capsys):
         assert code == 2 and "seed" in err
 
 
-def test_bad_worker_environment_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("UGCONN_WORKERS", "abc")
+def test_workers_below_one_is_usage_error(capsys):
     for argv in (
         ("verify", "--spec", "mb:4", "--checks", "cross-edge-count"),
         ("cut-search", "--spec", "mb:4", "--max-size", "3"),
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert "UGCONN_WORKERS" in err and "'abc'" in err
+        for workers in ("0", "-1"):
+            code, _, err = run(capsys, *argv, "--workers", workers)
+            assert code == 2 and "--workers" in err
 
 
 # --- verify and report ---------------------------------------------------------

@@ -47,6 +47,7 @@ from ugconn.cuts import (
     _least_images,
     _make_witness,
     _mask_of,
+    _min_separation,
     _run,
     _unit_flow,
     build_cycle_neighborhood_cut,
@@ -280,9 +281,10 @@ def test_kappa_1_matches_the_all_first_edges_values(spec):
 def _separation_by_every_pair(g, units):
     """(value, cut) from every unit through 0 against every unit after it.
 
-    The loop of ``_min_separation`` without the orbit and ring rules: the
-    same unit order, the same cutoffs, and a pair is flowed whenever its
-    second unit misses the first unit's closed neighborhood.
+    A reference loop without the orbit and ring rules of the kappa and
+    kappa_1 plans: the same unit order, the same cutoffs, and a pair is
+    flowed whenever its second unit misses the first unit's closed
+    neighborhood.
     """
     dense = _as_dense(g)
     firsts = [u for u in units if 0 in u]
@@ -316,19 +318,44 @@ def test_ring_rule_matches_the_loop_over_every_pair(spec):
     assert 0 in sep.edges[0] and not ring.isdisjoint(sep.edges[1])
 
 
+@pytest.mark.parametrize("spec", ["mb:4", "ug:5:c=4"])
+def test_a_plan_of_every_pair_flows_every_separable_pair(spec):
+    """The driver adds no filter beyond the closed-neighborhood test."""
+    g = build_cayley(parse_spec(spec))
+    dense = g.dense
+    vertices = [(v,) for v in range(g.order)]
+    edges = [(u, v) for u in range(g.order) for v in dense.neighbors[u] if u < v]
+    for units in (vertices, edges):
+        firsts = [u for u in units if 0 in u]
+        ordered = firsts + [u for u in units if 0 not in u]
+        plan = [(u, ordered[i + 1 :]) for i, u in enumerate(firsts)]
+        separable = sum(
+            set(first).union(*(dense.neighbors[v] for v in first)).isdisjoint(second)
+            for first, seconds in plan
+            for second in seconds
+        )
+        sep = _min_separation(dense, plan)
+        assert (sep.value, sep.cut) == _separation_by_every_pair(g, units)
+        assert sep.flows == separable
+
+
 @pytest.mark.parametrize("spec", ["mb:5", "ug:5:c=4", "star:5"])
 def test_least_images_match_the_maps_over_every_vertex(spec):
-    """The orbit minima ``_min_separation`` reads, against full maps."""
+    """The orbit minima the kappa and kappa_1 plans read, against full maps.
+
+    On N(0) they are the conjugation-only minima: every neighbor of 0 is a
+    transposition, its own inverse.
+    """
     g = build_cayley(parse_spec(spec))
     dense = g.dense
     near = {0, *dense.neighbors[0]}
     ring = sorted({w for v in near for w in dense.neighbors[v]} - near)
     maps, inverse = conjugation_maps(g), inverse_map(g)
     assert len(maps) > 1 and {inverse[w] for w in ring} == set(ring)
-    assert _least_images(g, ring, inverted=True) == {
+    assert _least_images(g, ring) == {
         w: min(m[x] for m in maps for x in (w, inverse[w])) for w in ring
     }
-    assert _least_images(g, dense.neighbors[0], inverted=False) == {
+    assert _least_images(g, dense.neighbors[0]) == {
         s: min(m[s] for m in maps) for s in dense.neighbors[0]
     }
 
@@ -1278,29 +1305,17 @@ def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatc
 
 def test_resolve_workers(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    monkeypatch.delenv("UGCONN_WORKERS", raising=False)
     assert resolve_workers(5) == 5
     assert resolve_workers(None) == 8
-    monkeypatch.setenv("UGCONN_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2  # explicit argument wins
 
 
 def test_resolve_workers_caps_at_cpu_count(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.delenv("UGCONN_WORKERS", raising=False)
     assert resolve_workers(64) == 2
     assert resolve_workers(0) == 1
-    monkeypatch.setenv("UGCONN_WORKERS", "64")
     assert resolve_workers(None) == 2
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert resolve_workers(None) == 1
-
-
-def test_resolve_workers_rejects_a_non_integer_environment(monkeypatch):
-    monkeypatch.setenv("UGCONN_WORKERS", "abc")
-    with pytest.raises(ValueError, match="UGCONN_WORKERS"):
-        resolve_workers(None)
 
 
 def test_make_witness_rejects_a_fault_that_does_not_cut(mb4):
