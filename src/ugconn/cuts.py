@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass
@@ -501,6 +500,8 @@ def _run(func, tasks, workers: int | None, until=None) -> list:
             if until is not None and until(out[-1]):
                 break
         return out
+    import multiprocessing  # here, so that `import ugconn` stays cheap
+
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
     # a chunk comes back whole, so an early exit sends one task at a time

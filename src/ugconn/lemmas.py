@@ -19,7 +19,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from importlib import metadata
 
 from .cayley import (
     CayleyGraph,
@@ -52,10 +51,7 @@ from .cuts import (
 from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, describe
 from .perms import CapacityError
 
-try:
-    TOOL_VERSION = metadata.version("ugconn")
-except metadata.PackageNotFoundError:
-    TOOL_VERSION = "0+local"
+TOOL_VERSION = "0.1.0"
 
 SCHEMA = 1
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import ugconn
 from ugconn import cuts
 from ugconn.cli import SpecError, main, parse_spec
 from ugconn.genset import CYCLE, OTHER, PATH, STAR, UNICYCLIC_TF
+from ugconn.lemmas import TOOL_VERSION
 
 
 def run(capsys, *argv):
@@ -467,4 +469,15 @@ def test_report_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, report, me
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert out.strip()
+    assert out.strip() == TOOL_VERSION
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    assert ugconn.__version__ == TOOL_VERSION
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "ugconn.lemmas.TOOL_VERSION"
+    }

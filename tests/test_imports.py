@@ -1,8 +1,13 @@
-"""Every name a module imports is used in it."""
+"""Every name a module imports is used in it, and importing the package
+stays cheap: no package metadata and no pool machinery at start-up."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,28 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# Compares against the modules loaded before the import, so a site hook
+# that loads one of them does not count against the package.
+_NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import ugconn, ugconn.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_neither_metadata_nor_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    new = json.loads(out)
+    assert "ugconn.cli" in new
+    assert [m for m in new if m.startswith(("importlib.metadata", "multiprocessing"))] == []
