@@ -10,6 +10,7 @@ cut searches are dominated by set intersections.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,8 +101,14 @@ def _validate_fault(order: int, fault) -> list[int]:
     return fs
 
 
-#: _SURVIVES[b][x] is ASCII "1" when bit b of the byte x is clear, else "0"
-_SURVIVES = [bytes(48 + (not x >> b & 1) for x in range(256)) for b in range(8)]
+#: (shift, mask) of the three delta swaps that transpose the 8x8 bit matrix
+#: of a 64-bit word, bit 8i + b holding bit b of byte i; the mask marks the
+#: bits that trade places with the bits shift above them
+_TRANSPOSE_8X8 = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
 
 
 def _disconnected(
@@ -111,9 +118,13 @@ def _disconnected(
 
     faults is a non-empty list of fault masks, evaluated together,
     bit-sliced: vertex v gets one int whose bit j says that v survives
-    fault j.  These ints come from one byte string of the fault masks,
-    last fault first, read down one byte column per 8 vertices and
-    translated to binary digits per vertex.  Each fault's search starts at
+    fault j.  These ints come from one byte string of the fault masks, a
+    little-endian row per fault (one ``struct.pack`` up to 64 vertices).
+    Byte column k, read down as one int, holds in each 64-bit word the 8x8
+    bit matrix of 8 faults' bytes; three delta swaps over the whole int
+    transpose every such matrix (``_TRANSPOSE_8X8``), after which every
+    eighth byte from byte b on, complemented, is the int of vertex 8k + b.
+    Each fault's search starts at
     its highest surviving vertex, and one BFS over the ints sweeps the
     vertices downward until nothing changes; a survivor it never reaches
     lies in another component.  apart saturating bit-sliced counters
@@ -132,19 +143,32 @@ def _disconnected(
     skips them.  Callers give only the flagged faults their exact per-set
     tests.
     """
-    # one little-endian row of width bytes per fault, last fault first:
-    # byte column k, read down, holds vertices 8k..8k+7, and its digits
-    # for vertex 8k+b, read as binary, spell alive[8k+b] with fault j at bit j
-    width = (order + 7) // 8
-    repeat = itertools.repeat
-    rows = b"".join(
-        map(int.to_bytes, reversed(faults), repeat(width), repeat("little"))
-    )
+    # one little-endian row of width bytes per fault: byte column k, read
+    # down, holds vertices 8k..8k+7, byte j of it fault j
+    count = len(faults)
+    if order <= 64:
+        width = 8
+        rows = struct.pack(f"<{count}Q", *faults)
+    else:
+        width = (order + 7) // 8
+        repeat = itertools.repeat
+        rows = b"".join(map(int.to_bytes, faults, repeat(width), repeat("little")))
+    words = (count + 7) // 8
+    swaps = [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
+        for shift, mask in _TRANSPOSE_8X8
+    ]
+    everyone = (1 << count) - 1
     alive = []
-    for k in range(width):
-        column = rows[k::width]
+    for k in range((order + 7) // 8):
+        x = int.from_bytes(rows[k::width], "little")
+        for shift, mask in swaps:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        # byte b of word w now holds bit b of faults 8w..8w+7
+        spread = x.to_bytes(8 * words, "little")
         for b in range(min(8, order - 8 * k)):
-            alive.append(int(column.translate(_SURVIVES[b]), 2))
+            alive.append(everyone ^ int.from_bytes(spread[b::8], "little"))
     down = range(order - 1, -1, -1)
     reach = [0] * order
     seen = 0

@@ -10,12 +10,12 @@ workers therefore returns byte-identical results to a run with 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
 from dataclasses import dataclass
 from functools import partial
+from time import perf_counter
 
 from .cayley import (
     CayleyGraph,
@@ -42,6 +42,11 @@ TRIAL_BLOCK = 4096
 
 #: the fewest vertices of a cycle in a simple graph
 CYCLE_VERTICES = 3
+
+#: seconds of work left past which a scan hands its tasks to a pool
+#: (``_run``): about what a fork pool's start costs, measured on a 2-CPU
+#: host where two busy processes each run about 1.6x slower than one alone
+POOL_AFTER = 0.15
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -473,11 +478,36 @@ def _call(task):
 def _run(func, tasks, workers: int | None, until=None) -> list:
     """func(task) for the tasks in order, up to the first result until accepts.
 
-    Without until every task runs.  The worker count is ``resolve_workers``
-    of workers, at most one per task; one worker runs the tasks
-    in-process.  This is the only place a pool starts.  Every task before
-    the accepted result has run, so the results do not depend on the worker
-    count.
+    Without until every task runs.  Every task before the accepted result
+    has run, so the results do not depend on the worker count or on where
+    the tasks ran.
+
+    The tasks run in the calling process, in order.  With more than one
+    worker (``resolve_workers``), after each task that leaves at least two,
+    the rest go to one pool of at most a worker per task once the work left
+    looks worth its start: the tasks so far took more than ``POOL_AFTER``
+    seconds, or their mean time times the tasks left is more than that.
+    The projection forks early on even tasks; the elapsed cap catches tasks
+    whose cost grows faster than the mean predicts.  This is the only place
+    a pool starts.
+    """
+    workers = resolve_workers(workers)
+    out = []
+    start = perf_counter()
+    for i, task in enumerate(tasks):
+        out.append(func(task))
+        if until is not None and until(out[-1]):
+            break
+        left = len(tasks) - i - 1
+        if workers > 1 and left > 1:
+            spent = perf_counter() - start
+            if spent > POOL_AFTER or spent / (i + 1) * left > POOL_AFTER:
+                return out + _pooled(func, tasks[i + 1 :], min(workers, left), until)
+    return out
+
+
+def _pooled(func, tasks, workers: int, until) -> list:
+    """func(task) for the tasks in order on a fork pool of workers, as ``_run``.
 
     func may be any callable, a partial or a closure with state of its
     own: the pool forks, so each worker inherits func and the stop event
@@ -492,14 +522,6 @@ def _run(func, tasks, workers: int | None, until=None) -> list:
     task that raises, or an interrupt in the parent, terminates the pool;
     the exception reaches the caller.
     """
-    workers = min(resolve_workers(workers), len(tasks))
-    if workers <= 1:
-        out = []
-        for task in tasks:
-            out.append(func(task))
-            if until is not None and until(out[-1]):
-                break
-        return out
     import multiprocessing  # here, so that `import ugconn` stays cheap
 
     ctx = multiprocessing.get_context("fork")
@@ -594,25 +616,48 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     return tasks
 
 
-def _prefix_masks(size: int, prefix: tuple[int, ...], order: int):
-    """The fault masks of the sets of one size with these least elements, in order."""
-    bits = [1 << v for v in range(prefix[-1] + 1, order)]
-    # the bits are distinct, so the sum of a combination is its mask
-    rests = map(sum, itertools.combinations(bits, size - len(prefix)))
-    return map(_mask_of(prefix).__or__, rests)
+def _rest_masks(start: int, r: int, order: int) -> list[int]:
+    """The masks of the r-subsets of range(start, order), in lexicographic order.
+
+    Those of range(t, order), for any t >= start, are the last
+    comb(order - t, r) of the list, so one list serves every later start.
+    Each size k is built from size k - 1 with one OR per set.
+    """
+    rests = [0]
+    for k in range(1, r + 1):
+        # rests holds the (k - 1)-subsets from first + 1 on; a set with
+        # least element t takes one of those from t + 1 on, its tail
+        first = start + r - k
+        rests = [
+            (1 << t) | x
+            for t in range(first, order - k + 1)
+            for x in rests[len(rests) - math.comb(order - 1 - t, k - 1) :]
+        ]
+    return rests
 
 
 def _task_masks(task, order: int):
     """The fault masks of a (size, prefixes) task, in order, in lists of TRIAL_BLOCK.
 
-    The last list may be shorter.
+    The last list may be shorter.  Each prefix is extended by its next
+    element where the size allows, so that the rests after the extended
+    prefixes, the tails of one ``_rest_masks`` list, stay short.
     """
     size, prefixes = task
-    sets = itertools.chain.from_iterable(
-        _prefix_masks(size, prefix, order) for prefix in prefixes
-    )
-    while block := list(itertools.islice(sets, TRIAL_BLOCK)):
-        yield block
+    if size > len(prefixes[0]):
+        prefixes = [p + (t,) for p in prefixes for t in range(p[-1] + 1, order)]
+    r = size - len(prefixes[0])
+    rests = _rest_masks(min(p[-1] for p in prefixes) + 1, r, order)
+    pending: list[int] = []
+    for prefix in prefixes:
+        head = _mask_of(prefix)
+        tail = rests[len(rests) - math.comb(order - 1 - prefix[-1], r) :]
+        pending += [head | x for x in tail]
+        while len(pending) >= TRIAL_BLOCK:
+            yield pending[:TRIAL_BLOCK]
+            del pending[:TRIAL_BLOCK]
+    if pending:
+        yield pending
 
 
 def _search_task(masks, neighbors, order: int, full: int, test, apart: int, task):

@@ -8,7 +8,6 @@ for the hierarchical block decomposition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -171,17 +170,31 @@ def automorphisms(g: GeneratingGraph) -> tuple[tuple[int, ...], ...]:
     """Position permutations that map g's edge set onto itself, identity first.
 
     sigma is given in one-line form, sigma[i - 1] being the image of
-    position i.  Found by brute force over all n! candidates, which is
-    cheap for the n <= 8 that any Cayley graph here is built at.
+    position i, and the permutations come in lexicographic order.  Found by
+    backtracking over the positions in order: position i may take image x
+    only when their degrees match and x is adjacent to each earlier image
+    exactly when i is adjacent to that position, so every full assignment
+    maps edges to edges and non-edges to non-edges.
     """
-    edges = set(g.edges)
+    adj = _adjacency(g.n, g.edges)
     out = []
-    for sigma in itertools.permutations(range(1, g.n + 1)):
-        if all(
-            (min(sigma[a - 1], sigma[b - 1]), max(sigma[a - 1], sigma[b - 1])) in edges
-            for a, b in g.edges
-        ):
-            out.append(sigma)
+    sigma: list[int] = []
+
+    def extend(i: int) -> None:
+        if i > g.n:
+            out.append(tuple(sigma))
+            return
+        for x in range(1, g.n + 1):
+            if (
+                x not in sigma
+                and len(adj[x]) == len(adj[i])
+                and all((y in adj[x]) == (j in adj[i]) for j, y in enumerate(sigma, 1))
+            ):
+                sigma.append(x)
+                extend(i + 1)
+                sigma.pop()
+
+    extend(1)
     return tuple(out)
 
 

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from conftest import record_acceptance
+from ugconn import cuts
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.cuts import (
     is_good_neighbor_cut,
@@ -405,8 +406,10 @@ def test_criterion_09_falsifier(ug5):
     finish(9, "randomized-falsifier-below-12", problems)
 
 
-def test_criterion_10_determinism_and_controls(payload, family):
+def test_criterion_10_determinism_and_controls(payload, family, monkeypatch):
     problems: list[str] = []
+    # every scan of more than two tasks forks, so the replay runs in pools
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     start = time.perf_counter()
     replay = build_payload(family, workers=8)
     record_acceptance(

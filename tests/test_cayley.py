@@ -320,6 +320,9 @@ def _at_least(counts: list[int], apart: int) -> int:
         "ring 9",
         "ring 16",
         "ring 17",
+        # rows packed as 64-bit words up to order 64, byte strings above
+        "ring 64",
+        "ring 65",
         "ug6",  # order 720, 90 bytes per fault
     ],
 )
@@ -351,7 +354,8 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
     split = graph.startswith("gnp")
     assert cayley._disconnected(dense.neighbors, order, edge) == [split]
     rng = random.Random(graph)
-    for width in (1, 5, TRIAL_BLOCK):
+    # fault counts inside, across and at a whole number of 8-fault words
+    for width in (1, 5, 13, TRIAL_BLOCK):
         for _ in range(3):
             faults = [
                 sum(1 << v for v in rng.sample(range(order), rng.randrange(order // 2)))

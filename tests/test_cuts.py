@@ -49,6 +49,8 @@ from ugconn.cuts import (
     _mask_of,
     _min_separation,
     _run,
+    _subset_tasks,
+    _task_masks,
     _unit_flow,
     build_cycle_neighborhood_cut,
     disconnection_census,
@@ -70,6 +72,7 @@ from ugconn.cuts import (
     vertex_connectivity_detail,
 )
 from ugconn.cli import parse_spec
+from ugconn.lemmas import verify_all
 from ugconn.perms import CapacityError
 
 
@@ -685,6 +688,30 @@ def test_scans_match_a_per_set_reach_loop(mb4, graph):
             assert (sweep.ok, sweep.counterexample, sweep.removals) == expected
 
 
+@pytest.mark.parametrize("graph", ["mb4", "ring 13"])
+def test_task_masks_are_the_prefixed_combinations_in_order(request, graph):
+    if graph == "ring 13":
+        g = DenseGraph(
+            tuple(tuple(sorted({(v - 1) % 13, (v + 1) % 13})) for v in range(13))
+        )
+    else:
+        g = request.getfixturevalue(graph)
+    order = _as_dense(g).order
+    for task in _subset_tasks(g, range(1, 9)):
+        size, prefixes = task
+        blocks = list(_task_masks(task, order))
+        assert all(len(b) == TRIAL_BLOCK for b in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= TRIAL_BLOCK
+        expected = [
+            _mask_of(prefix + rest)
+            for prefix in prefixes
+            for rest in itertools.combinations(
+                range(prefix[-1] + 1, order), size - len(prefix)
+            )
+        ]
+        assert [m for b in blocks for m in b] == expected
+
+
 def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
     fork = multiprocessing.get_context("fork")
     real = fork.Pool
@@ -696,6 +723,7 @@ def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     assert min_cyclic_cut_exhaustive(mb4, 8, workers=2).size == 8
     assert len(starts) == 1
     assert min_good_neighbor_cut_exhaustive(mb4, 2, 7, workers=2) is None
@@ -943,8 +971,10 @@ def test_sampled_residual_check_starts_one_pool(mb4, monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    res = sampled_residual_check(mb4, 4, 8192, workers=2)
-    assert res.trials == 8192 and res.templates == 24
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
+    # three blocks: the first runs in-process, the two left go to the pool
+    res = sampled_residual_check(mb4, 4, 3 * TRIAL_BLOCK, workers=2)
+    assert res.trials == 3 * TRIAL_BLOCK and res.templates == 24
     assert len(starts) == 1  # the trial blocks; the templates run in-process
 
 
@@ -1207,12 +1237,25 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    assert _run(abs, [-1, -2], 8) == [1, 2]
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
+    # the first task runs in-process, the rest on a pool
+    assert _run(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert _run(abs, [-3], 8) == [3]  # one task runs in-process
     # tasks return (work, hit); the work of tasks after the first hit is not summed
-    tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b")}
-    assert _first_result(tasks.get, [0, 2, 1], 8) == (8, "b")
+    tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b"), 3: (1, None)}
+    assert _first_result(tasks.get, [0, 3, 2, 1], 8) == (9, "b")
     assert sizes == [2, 3]
+
+
+def _two_rings(m: int) -> DenseGraph:
+    """Two m-cycles joined by two paths through one vertex each, 2m and 2m+1.
+
+    {2m, 2m+1} is its only cyclic cut of at most two vertices.
+    """
+    pairs = [(i, (i + 1) % m) for i in range(m)]
+    pairs += [(m + i, m + (i + 1) % m) for i in range(m)]
+    pairs += [(0, 2 * m), (2 * m, m), (m // 2, 2 * m + 1), (2 * m + 1, m + m // 2)]
+    return _dense_of_nx(nx.Graph(pairs))
 
 
 def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
@@ -1225,16 +1268,21 @@ def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
         real(self)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    starts = _counted_pools(monkeypatch)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
+    rings = _two_rings(30)
     runs = {
         "first-hit search": lambda: min_cyclic_cut_exhaustive(mb4, 8, workers=2),
+        # the first hit is trial 5063, in block 1 of 5: the pool's first result
         "falsifier hit": lambda: randomized_cut_falsifier(
-            mb4, 8, 20000, seed=0, workers=2
+            rings, 2, 5 * TRIAL_BLOCK, seed=5, workers=2
         ),
         "census": lambda: disconnection_census(mb4, 5, workers=2),
     }
-    for name, run in runs.items():
+    for i, (name, run) in enumerate(runs.items(), 1):
         assert run() is not None, name
+        assert len(starts) == i, name
         assert terminated == [], name
         assert multiprocessing.active_children() == [], name
 
@@ -1270,6 +1318,7 @@ def test_a_task_that_raises_reraises_in_the_parent(monkeypatch):
 
 def test_run_takes_a_closure_with_per_worker_state(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     memo = {}  # each worker fills its own copy
 
     def square(x):
@@ -1279,7 +1328,7 @@ def test_run_takes_a_closure_with_per_worker_state(monkeypatch):
 
     tasks = [3, 1, 3, 2, 1, 0, 2, 3] * 4
     pooled = _run(square, tasks, 2)
-    assert memo == {}  # the workers filled their copies only
+    assert memo == {3: 9}  # the first task ran in-process, the workers filled copies
     alone = _run(square, tasks, 1)
     assert alone == pooled == [(x, x * x) for x in tasks]
     assert memo == {0: 0, 1: 1, 2: 4, 3: 9}
@@ -1287,6 +1336,90 @@ def test_run_takes_a_closure_with_per_worker_state(monkeypatch):
     # in-process run never reads a stale stop event
     assert cuts._TASK is None and cuts._STOP is None
     assert multiprocessing.active_children() == []
+
+
+def _counted_pools(monkeypatch) -> list[int]:
+    """The worker counts of the fork pools started from here on, in order."""
+    fork = multiprocessing.get_context("fork")
+    real = fork.Pool
+    sizes = []
+
+    def pool(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", pool)
+    return sizes
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool started")
+
+
+def test_a_mb4_verify_starts_no_pool(mb4, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    alone = verify_all(mb4, workers=1, seed=1, budget=60).body_bytes()
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", _no_pool)
+    assert verify_all(mb4, workers=2, seed=1, budget=60).body_bytes() == alone
+
+
+def test_tasks_projected_past_the_threshold_fork_after_the_first(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    sizes = _counted_pools(monkeypatch)
+    here = []  # the tasks that ran in this process
+
+    def task(x):
+        here.append(x)
+        time.sleep(cuts.POOL_AFTER / 1.5)  # three tasks left project to 2 POOL_AFTER
+        return x, x * x
+
+    pooled = _run(task, [3, 1, 2, 0], 8)
+    assert here == [3] and sizes == [3]
+    assert pooled == _run(task, [3, 1, 2, 0], 1)
+
+
+def _clocked(monkeypatch, costs, hit=None):
+    """A task function whose task i advances cuts' clock by costs[i] seconds.
+
+    Task i returns (i, "hit") for i == hit, else (i, None).
+    """
+    now = [0.0]
+    here = []  # the tasks that ran in this process
+    monkeypatch.setattr(cuts, "perf_counter", lambda: now[0])
+
+    def task(i):
+        here.append(i)
+        now[0] += costs[i]
+        return i, "hit" if i == hit else None
+
+    return task, here
+
+
+#: six cheap tasks, then one that takes the phase past POOL_AFTER, then three
+#: more: the mean times the tasks left never passes POOL_AFTER
+GROWING = [cuts.POOL_AFTER / 150] * 6 + [cuts.POOL_AFTER * 4 / 3] + [0.0] * 3
+
+
+def test_tasks_whose_cost_grows_fork_once_the_phase_passes_the_threshold(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    sizes = _counted_pools(monkeypatch)
+    task, here = _clocked(monkeypatch, GROWING)
+    rows = _run(task, range(len(GROWING)), 2)
+    assert rows == [(i, None) for i in range(len(GROWING))]
+    assert here == list(range(7)) and sizes == [2]
+
+
+def test_a_hit_in_the_in_process_phase_forks_nothing(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", _no_pool)
+    task, here = _clocked(monkeypatch, GROWING, hit=2)  # with no hit they fork after 7
+    until = lambda row: row[1] is not None  # noqa: E731
+    assert _run(task, range(len(GROWING)), 2, until) == [
+        (0, None),
+        (1, None),
+        (2, "hit"),
+    ]
+    assert here == [0, 1, 2]
 
 
 def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatch):

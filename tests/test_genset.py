@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from ugconn.genset import (
@@ -155,3 +157,34 @@ def test_automorphism_counts(spec, size):
     edges = set(g.edges)
     for sigma in auts:
         assert {tuple(sorted((sigma[a - 1], sigma[b - 1]))) for a, b in edges} == edges
+
+
+def _brute_force_automorphisms(g):
+    """The permutations of all n! that map the edge set onto itself, in order."""
+    edges = set(g.edges)
+    return tuple(
+        sigma
+        for sigma in itertools.permutations(range(1, g.n + 1))
+        if all(
+            (min(sigma[a - 1], sigma[b - 1]), max(sigma[a - 1], sigma[b - 1])) in edges
+            for a, b in g.edges
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"mb:{n}" for n in range(4, 8)]
+    + [f"ug:{n}:c={c}" for n in range(5, 8) for c in range(4, n + 1)]
+    + [f"star:{n}" for n in range(4, 7)]
+    + [f"bubble:{n}" for n in range(4, 7)]
+    + ["edges:1-2,2-3,3-4,4-5,5-6,3-7 n=7"],
+)
+def test_automorphisms_match_the_brute_force_loop(spec):
+    from ugconn.cli import parse_spec
+
+    g = parse_spec(spec.split())
+    auts = automorphisms(g)
+    assert auts == _brute_force_automorphisms(g)
+    if spec.startswith("edges:"):
+        assert auts == (tuple(range(1, 8)),)  # arms of lengths 1, 2 and 3 at 3
