@@ -35,7 +35,7 @@ from .genset import (
     build_generating_graph,
     describe,
 )
-from .lemmas import CHECK_IDS, TOOL_VERSION, select_checks, verify_all
+from .lemmas import CHECK_IDS, TOOL_VERSION, render_report, select_checks, verify_all
 from .perms import CapacityError
 
 #: trial count for every randomized CLI search; fixed so runs are reproducible
@@ -239,8 +239,8 @@ def cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
-#: the fields ``report`` prints from each saved check
-_REPORT_FIELDS = ("id", "verdict", "scope")
+#: the fields ``report`` prints from each saved check, with their types
+_REPORT_FIELDS = {"id": str, "verdict": str, "scope": str, "gating": bool}
 
 
 def cmd_report(args) -> int:
@@ -255,21 +255,16 @@ def cmd_report(args) -> int:
         raise SpecError("report file lacks a graph with a descriptor")
     checks = data.get("checks")
     if not isinstance(checks, list) or not all(
-        isinstance(c, dict) and all(isinstance(c.get(k), str) for k in _REPORT_FIELDS)
+        isinstance(c, dict)
+        and all(isinstance(c.get(k), t) for k, t in _REPORT_FIELDS.items())
         for c in checks
     ):
         raise SpecError(
-            "report checks must be a list of objects with string "
-            + ", ".join(_REPORT_FIELDS)
+            "report checks must be a list of objects with string id, verdict "
+            "and scope and bool gating"
         )
-    width = max((len(c["id"]) for c in checks), default=10)
-    lines = [f"graph: {graph['descriptor']}"]
-    for c in checks:
-        lines.append(f"{c['id']:<{width}}  {c['verdict']:<17}  {c['scope']}")
-    ok = bool(data.get("passed"))
-    lines.append("PASS" if ok else "FAIL")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    _emit(render_report(data), args.out)
+    return 0 if data.get("passed") else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

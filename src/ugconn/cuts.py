@@ -687,22 +687,14 @@ def _search_task(masks, neighbors, order: int, full: int, test, apart: int, task
 
 
 def _min_cut_search(
-    g, test, max_size: int, workers: int | None, apart: int, first_size: int = 1
+    g, test, max_size: int, workers: int | None, apart: int
 ) -> tuple[int, tuple[int, ...] | None]:
     """(sets scanned, least minimum cut passing test or None) in one first-hit pass.
 
     apart is the least size of a component that test accepts on each side
-    (``_search_task``).  The pass starts at first_size, for a caller that
-    knows no smaller set passes; scanned still counts the sets of the
-    smaller sizes that ``_subset_tasks`` holds, as a pass from size 1 does.
+    (``_search_task``).
     """
     dense = _as_dense(g)
-    order = dense.order
-    cleared = sum(
-        math.comb(order - 1 - a, size - 1)
-        for size in range(1, first_size)
-        for a in _anchors(g)
-    )
     func = partial(
         _search_task,
         dense.masks,
@@ -712,42 +704,26 @@ def _min_cut_search(
         test,
         apart,
     )
-    tasks = _subset_tasks(g, range(first_size, min(max_size, order - 1) + 1))
-    scanned, hit = _first_result(func, tasks, workers)
-    return cleared + scanned, hit
+    tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
+    return _first_result(func, tasks, workers)
 
 
-def _cut_witness(
-    g, test, max_size, workers, kind, apart, first_size=1
-) -> CutWitness | None:
-    scanned, hit = _min_cut_search(g, test, max_size, workers, apart, first_size)
+def _cut_witness(g, test, max_size, workers, kind, apart) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, test, max_size, workers, apart)
     return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
-def min_cyclic_cut_exhaustive(
-    g, max_size: int, workers: int | None = None, *, first_size: int = 1
-):
+def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
     Enumeration over the vertex subsets of ``_subset_tasks``, sizes
-    ascending from first_size, in one pass that stops at the first hit.
-    Absence is a valid (and for the lower bounds, the desired) result.  A
-    cyclic component holds at least 3 vertices, so only the sets that
-    leave 3 survivors outside the kernel's start get the exact test.
-
-    A caller whose ``disconnection_census`` found no cyclic cut below some
-    size passes it as first_size: the census ran the same tasks in the
-    same order, so the first hit, the least cut, does not change, and the
-    witness's ``scanned`` counts the cleared sets too.
+    ascending, in one pass that stops at the first hit.  Absence is a
+    valid (and for the lower bounds, the desired) result.  A cyclic
+    component holds at least 3 vertices, so only the sets that leave 3
+    survivors outside the kernel's start get the exact test.
     """
     return _cut_witness(
-        g,
-        _two_cyclic_components,
-        max_size,
-        workers,
-        "cyclic-cut",
-        CYCLE_VERTICES,
-        first_size,
+        g, _two_cyclic_components, max_size, workers, "cyclic-cut", CYCLE_VERTICES
     )
 
 
@@ -860,12 +836,10 @@ def disconnection_census(
     tracks the worst residual and finds the least cyclic cut of each size.
     One sweep serves the isolation and large-component bounds and the
     lower bound of ``lemmas.check_cyclic_cut_exact``: no cyclic cut below
-    the first one it records.  Where that check still searches,
-    ``min_cyclic_cut_exhaustive`` starts at the first cut's size, since its
-    tasks over the cleared sizes are the census's, in the same order.  On a
-    graph from ``build_cayley`` it scans the sets through vertex 0 and
-    scales each count of size k by order/k; the maximum residual, the least
-    faults and the least cyclic cut need no scaling (``_subset_tasks``).
+    the first one it records.  On a graph from ``build_cayley`` it scans
+    the sets through vertex 0 and scales each count of size k by order/k;
+    the maximum residual, the least faults and the least cyclic cut need
+    no scaling (``_subset_tasks``).
     """
     dense = _as_dense(g)
     top = min(max_size, dense.order - 1)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from .cayley import (
     CayleyGraph,
     canonical_four_cycle,
+    component_analysis,
     cross_edges,
     edge_label,
     enumerate_4cycles,
@@ -33,11 +34,11 @@ from .cayley import (
 )
 from .cuts import (
     FLOW_ORDER_LIMIT,
+    CutWitness,
     _make_witness,
     build_cycle_neighborhood_cut,
     disconnection_census,
     edge_separation_connectivity,
-    is_cyclic_cut,
     large_component_profile,
     min_cyclic_cut_exhaustive,
     min_neighborhood_over_4subsets,
@@ -91,6 +92,29 @@ class CheckContext:
         if "census" not in self.cache:
             self.cache["census"] = disconnection_census(self.G, 7, workers=self.workers)
         return self.cache["census"]
+
+    def four_cycle_cut(self):
+        """N(C4) as (cycle, missing edges, fault, analysis), built once per run.
+
+        C4 is ``canonical_four_cycle``.  It comes from the permutations, so a
+        corrupted copy can lack an edge; then fault and analysis are None.
+        Otherwise fault is N(C4) minus C4 and analysis is its one
+        ``component_analysis``.
+        """
+        if "four_cycle_cut" not in self.cache:
+            G = self.G
+            cyc = canonical_four_cycle(G)
+            missing = [
+                (u, v)
+                for u, v in zip(cyc, cyc[1:] + cyc[:1])
+                if not G.dense.adjacent(u, v)
+            ]
+            fault = analysis = None
+            if not missing:
+                fault = build_cycle_neighborhood_cut(G, cyc)
+                analysis = component_analysis(G.dense, fault)
+            self.cache["four_cycle_cut"] = cyc, missing, fault, analysis
+        return self.cache["four_cycle_cut"]
 
     def perm_strs(self, vertices) -> list[str]:
         return [self.G.perm_str(v) for v in vertices]
@@ -604,48 +628,30 @@ def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def _four_cycle_cut(G: CayleyGraph, scanned: int):
-    """N(C4) of the canonical 4-cycle as a verified 8-vertex cyclic cut, or None.
-
-    None when the cycle lacks an edge (``build_cycle_neighborhood_cut``
-    raises), when the component analysis of ``_make_witness`` finds fewer
-    than two cyclic components, or when the cut does not hold 8 vertices.
-    """
-    try:
-        fault = build_cycle_neighborhood_cut(G, canonical_four_cycle(G))
-        witness = _make_witness(G.dense, fault, "cyclic-cut", scanned)
-    except ValueError:
-        return None
-    return witness if witness.size == 8 else None
-
-
 def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
     """n=4: no cyclic cut of size 7, and one of size 8.
 
     The census (``ctx.census``) sweeps every set of size up to 7 and
-    records the least cyclic cut of each size.  When it finds none,
-    kappa_c >= 8: on a graph from ``build_cayley`` it sweeps the sets
-    through vertex 0, and since left translations are automorphisms, every
-    set translates to one through vertex 0 and every cyclic cut to a cyclic
-    cut of the same size; on any other graph it sweeps every set.  The
-    4-cycle neighborhood N(C4), verified as a cyclic cut of 8 vertices
-    (``_four_cycle_cut``), then gives kappa_c <= 8.  So the check reports 8
-    with N(C4) as the witness, and ``scanned`` counts the census's sets.
+    records the least cyclic cut of each size.  When it records one, that
+    cut, verified, is the witness of a cyclic connectivity below 8, and no
+    search runs.  When it records none, kappa_c >= 8: on a graph from
+    ``build_cayley`` it sweeps the sets through vertex 0, and since left
+    translations are automorphisms, every set translates to one through
+    vertex 0 and every cyclic cut to a cyclic cut of the same size; on any
+    other graph it sweeps every set.  N(C4) (``ctx.four_cycle_cut``), when
+    it is a cyclic cut of 8 vertices, then gives kappa_c <= 8.  In both
+    cases ``scanned`` counts the census's sets.
 
-    Where that certificate fails (the census found a smaller cut, the
-    cycle lacks an edge, or N(C4) is no cyclic cut of size 8), the search
-    runs up to size 8 from the least size the census did not clear and
-    stops at the first cyclic cut, which is the least minimum one.  Its
-    ``scanned`` counts the sets of a search from size 1 up to that cut.
+    Where neither settles the value (the cycle lacks an edge, or N(C4) is
+    no cyclic cut of size 8), the search runs from size 1 up to size 8 and
+    stops at the first cyclic cut, which is the least minimum one.
     """
     cid = "cyclic-cut-exact"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip(cid, "exhaustive cut search feasible at n=4 only")
     census = ctx.census()
-    first = next(
-        (e.size for e in census if e.cyclic_cut is not None), census[-1].size + 1
-    )
+    small = next((e for e in census if e.cyclic_cut is not None), None)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
     through_0 = _sets_through_0(G, 7)
     scope = (
@@ -653,15 +659,16 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
         f"{_via_vertex_0(G, through_0)}"
     )
     swept = through_0 if G.transitive else covered
-    witness = _four_cycle_cut(G, swept) if first == 8 else None
-    if witness is not None:
+    _, missing, fault, analysis = ctx.four_cycle_cut()
+    if small is not None:
+        witness = _make_witness(G.dense, small.cyclic_cut, "cyclic-cut", swept)
+        scope += f", least cyclic cut at size {small.size}"
+    elif not missing and len(fault) == 8 and analysis.cyclic_component_count() >= 2:
+        witness = CutWitness("cyclic-cut", fault, analysis, swept)
         scope += ", then the 4-cycle neighborhood, a verified cyclic cut of size 8"
     else:
-        witness = min_cyclic_cut_exhaustive(
-            G, 8, workers=ctx.workers, first_size=first
-        )
-        # below 8 the search stops at the census's cut, of size first
-        scope += f", then size {first}"
+        witness = min_cyclic_cut_exhaustive(G, 8, workers=ctx.workers)
+        scope += ", then size 8"
     ok = witness is not None and witness.size == 8
     detail = {
         "cyclic_connectivity": witness.size if witness is not None else None,
@@ -684,13 +691,9 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
     G = ctx.G
     if not _unicyclic(G):
         return _skip(cid, "construction defined for the unicyclic family")
-    cyc = canonical_four_cycle(G)
+    cyc, missing, fault, analysis = ctx.four_cycle_cut()
     expected = 4 * G.n - 8
     scope = "constructed witness, exactly verified"
-    # the cycle comes from the permutations, so a corrupted copy can lack an edge
-    missing = [
-        (u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]) if not G.dense.adjacent(u, v)
-    ]
     if missing:
         detail = {
             "expected": expected,
@@ -698,9 +701,7 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
             "missing_edges": [ctx.perm_strs(e) for e in missing],
         }
         return _done(cid, False, False, True, scope, detail)
-    fault = build_cycle_neighborhood_cut(G, cyc)
-    cyclic = is_cyclic_cut(G.dense, fault)
-    largest, residual = large_component_profile(G.dense, fault)
+    cyclic = analysis.cyclic_component_count() >= 2
     return _done(
         cid,
         ok=len(fault) == expected and cyclic,
@@ -713,8 +714,8 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
             "is_cyclic_cut": cyclic,
             "cycle": ctx.perm_strs(cyc),
             "fault": ctx.perm_strs(fault),
-            "largest_component": largest,
-            "residual": residual,
+            "largest_component": analysis.largest(),
+            "residual": analysis.residual(),
         },
     )
 
@@ -861,15 +862,21 @@ class VerificationReport:
         ).encode()
 
     def text_table(self) -> str:
-        width = max(len(r.check_id) for r in self.checks) if self.checks else 10
-        lines = [f"graph: {self.graph['descriptor']}"]
-        for r in self.checks:
-            tag = "" if r.gating or r.verdict == SKIPPED else " [exploratory]"
-            lines.append(f"{r.check_id:<{width}}  {r.verdict:<17}{tag}  {r.scope}")
-        verdict = "PASS" if self.passed() else "FAIL"
-        ran = sum(1 for r in self.checks if r.verdict != SKIPPED)
-        lines.append(f"{verdict}: {ran} checks run, {len(self.checks) - ran} skipped")
-        return "\n".join(lines) + "\n"
+        return render_report(self.to_jsonable(with_timing=False))
+
+
+def render_report(body: dict) -> str:
+    """The text table of a report body as ``to_jsonable`` gives it."""
+    checks = body["checks"]
+    width = max((len(c["id"]) for c in checks), default=10)
+    lines = [f"graph: {body['graph']['descriptor']}"]
+    for c in checks:
+        tag = "" if c["gating"] or c["verdict"] == SKIPPED else " [exploratory]"
+        lines.append(f"{c['id']:<{width}}  {c['verdict']:<17}{tag}  {c['scope']}")
+    verdict = "PASS" if body.get("passed") else "FAIL"
+    ran = sum(1 for c in checks if c["verdict"] != SKIPPED)
+    lines.append(f"{verdict}: {ran} checks run, {len(checks) - ran} skipped")
+    return "\n".join(lines) + "\n"
 
 
 def select_checks(checks=None, seed: int = 0, budget: float = 600.0) -> tuple:

@@ -287,7 +287,7 @@ def test_verify_json_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(path))
     assert code == 0
     assert out.splitlines()[0].startswith("graph: class=Cycle n=4")
-    assert out.splitlines()[-1] == "PASS"
+    assert out.splitlines()[-1] == "PASS: 2 checks run, 0 skipped"
 
 
 def test_verify_text_format(capsys):
@@ -298,6 +298,20 @@ def test_verify_text_format(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "PASS: 1 checks run, 0 skipped"
+
+
+def test_report_prints_the_table_of_verify_text(capsys, tmp_path):
+    verify = (
+        "verify", "--spec", "ug:5:c=4", "--checks", "common-neighbor-triple",
+        "cyclic-cut-upper",
+    )
+    path = tmp_path / "rep.json"
+    assert run(capsys, *verify, "--out", str(path))[0] == 0
+    _, text, _ = run(capsys, *verify, "--format", "text")
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 0 and out == text
+    # the exploratory FAIL keeps its tag, so it does not read as gating
+    assert "common-neighbor-triple  FAIL              [exploratory]  " in out
 
 
 def test_verify_corrupt_control_fails(capsys, tmp_path):
@@ -314,7 +328,7 @@ def test_verify_corrupt_control_fails(capsys, tmp_path):
 
     code, out, _ = run(capsys, "report", str(path))
     assert code == 1
-    assert out.splitlines()[-1] == "FAIL"
+    assert out.splitlines()[-1] == "FAIL: 1 checks run, 0 skipped"
 
 
 def test_verify_proves_kappa_and_the_upper_bound_at_n8(capsys):
@@ -455,8 +469,15 @@ def test_report_missing_or_malformed_file(capsys, tmp_path):
         ({"graph": {}, "checks": []}, "descriptor"),
         ({"graph": {"descriptor": "x"}, "checks": [{"verdict": "FAIL", "scope": ""}]}, "id"),
         ({"graph": {"descriptor": "x"}, "checks": "abc"}, "list"),
+        (
+            {
+                "graph": {"descriptor": "x"},
+                "checks": [{"id": "a", "verdict": "FAIL", "scope": "", "gating": 0}],
+            },
+            "bool gating",
+        ),
     ],
-    ids=["no-descriptor", "check-without-id", "checks-a-string"],
+    ids=["no-descriptor", "check-without-id", "checks-a-string", "gating-not-a-bool"],
 )
 def test_report_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, report, message):
     path = tmp_path / "odd.json"

@@ -81,7 +81,9 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("broken", ["cycle lacks an edge", "not a cyclic cut"])
+@pytest.mark.parametrize(
+    "broken", ["cycle lacks an edge", "not a cyclic cut", "a cyclic cut of size 9"]
+)
 def test_cyclic_cut_exact_searches_size_8_where_the_four_cycle_fails(
     mb4, monkeypatch, broken
 ):
@@ -89,11 +91,20 @@ def test_cyclic_cut_exact_searches_size_8_where_the_four_cycle_fails(
         assert not mb4.dense.adjacent(3, 0)
         monkeypatch.setattr(lemmas, "canonical_four_cycle", lambda G: (0, 1, 2, 3))
     else:
-        # every 4-cycle of mb:4 has a cyclic-cut neighborhood, so the cut
-        # handed on is N(0) and four more vertices: 8 that strand vertex 0
-        fault = tuple(sorted({*mb4.dense.neighbors[0], 17, 18, 19, 20}))
-        assert len(fault) == 8 and cuts.is_vertex_cut(mb4, fault)
-        assert not cuts.is_cyclic_cut(mb4, fault)
+        if broken == "not a cyclic cut":
+            # every 4-cycle of mb:4 has a cyclic-cut neighborhood, so the cut
+            # handed on is N(0) and four more vertices: 8 that strand vertex 0
+            fault = tuple(sorted({*mb4.dense.neighbors[0], 17, 18, 19, 20}))
+            assert len(fault) == 8 and cuts.is_vertex_cut(mb4, fault)
+            assert not cuts.is_cyclic_cut(mb4, fault)
+        else:
+            # N(C4) leaves four 4-cycles; one more vertex breaks one of them
+            # and leaves a cyclic cut of size 9
+            c4 = cayley.canonical_four_cycle(mb4)
+            cut = cuts.build_cycle_neighborhood_cut(mb4, c4)
+            spare = next(v for v in range(mb4.order) if v not in cut)
+            fault = tuple(sorted({*cut, spare}))
+            assert len(fault) == 9 and cuts.is_cyclic_cut(mb4, fault)
         monkeypatch.setattr(lemmas, "build_cycle_neighborhood_cut", lambda G, c: fault)
     (c,) = verify_all(mb4, workers=1, checks=["cyclic-cut-exact"]).checks
     assert c.verdict == PROVED and c.scope.endswith(", then size 8")
@@ -107,8 +118,14 @@ def test_cyclic_cut_exact_searches_size_8_where_the_four_cycle_fails(
     }
 
 
-def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4):
+def _no_search(*args, **kwargs):
+    raise AssertionError("cyclic-cut-exact ran the cut search")
+
+
+def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4, monkeypatch):
     bad = with_redirected_cross_edge(mb4)
+    # the census found the 7-cut, so no search runs
+    monkeypatch.setattr(lemmas, "min_cyclic_cut_exhaustive", _no_search)
     (c,) = verify_all(bad, workers=1, checks=["cyclic-cut-exact"]).checks
     cut = ["1342", "2134", "2431", "3124", "3421", "4213", "4312"]
     assert c.verdict == FAIL
@@ -118,11 +135,33 @@ def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4):
         "unexpected_small_cut": cut,
         "witness": cut,
         "witness_components": [4, 13],
-        # every set of size <= 6, then size 7 up to the cut
-        "scanned": 445_112,
+        # every set of size <= 7, all of which the census swept
+        "scanned": 536_154,
     }
-    # the census found the 7-cut, so the search ran at size 7, not 8
-    assert c.scope.endswith(", then size 7")
+    assert c.scope == (
+        "exhaustive over all 536154 fault sets of size <= 7, "
+        "least cyclic cut at size 7"
+    )
+
+
+def test_cyclic_cut_checks_share_one_four_cycle_neighborhood(mb4, monkeypatch):
+    analyses = []
+    real = cayley.component_analysis
+
+    def analysis(dense, fault):
+        analyses.append(tuple(fault))
+        return real(dense, fault)
+
+    monkeypatch.setattr(lemmas, "component_analysis", analysis)
+    monkeypatch.setattr(cuts, "component_analysis", analysis)
+    monkeypatch.setattr(lemmas, "min_cyclic_cut_exhaustive", _no_search)
+    rep = verify_all(mb4, workers=1, checks=["cyclic-cut-exact", "cyclic-cut-upper"])
+    exact, upper = rep.checks
+    assert exact.verdict == upper.verdict == PROVED
+    assert exact.detail["witness"] == upper.detail["fault"]
+    # one component analysis of N(C4) serves both checks
+    c4 = cayley.canonical_four_cycle(mb4)
+    assert analyses == [cuts.build_cycle_neighborhood_cut(mb4, c4)]
 
 
 def test_cyclic_cut_exact_over_a_small_budget_is_skipped(mb4):
