@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cayley import (
     CayleyGraph,
@@ -60,6 +60,9 @@ PROVED = "PROVED-EXHAUSTIVE"
 SAMPLED = "SUPPORTED-SAMPLED"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+
+#: trials of every randomized cut hunt, here and in the CLI; fixed for reproducibility
+RANDOM_TRIALS = 1_000_000
 
 #: sampled probes size themselves by graph order so runs stay deterministic
 def _sampled_trials(order: int) -> int:
@@ -120,27 +123,13 @@ class CheckContext:
         return [self.G.perm_str(v) for v in vertices]
 
 
-def _skip(check_id: str, reason: str) -> CheckRecord:
-    return CheckRecord(
-        check_id=check_id,
-        verdict=SKIPPED,
-        gating=False,
-        scope=reason,
-        detail={},
-    )
+def _skip(reason: str) -> tuple:
+    return SKIPPED, False, reason, {}
 
 
-def _done(
-    check_id: str, ok: bool, sampled: bool, gating: bool, scope: str, detail: dict
-) -> CheckRecord:
-    verdict = (SAMPLED if sampled else PROVED) if ok else FAIL
-    return CheckRecord(
-        check_id=check_id,
-        verdict=verdict,
-        gating=gating,
-        scope=scope,
-        detail=detail,
-    )
+def _done(ok: bool, sampled: bool, gating: bool, scope: str, detail: dict) -> tuple:
+    """The outcome (verdict, gating, scope, detail); ``verify_all`` adds id, time."""
+    return (SAMPLED if sampled else PROVED) if ok else FAIL, gating, scope, detail
 
 
 def _unicyclic(G: CayleyGraph) -> bool:
@@ -162,16 +151,14 @@ def _sets_through_0(G: CayleyGraph, top: int) -> int:
 # the checks
 
 
-def check_cn_bound(ctx: CheckContext) -> CheckRecord:
+def check_cn_bound(ctx: CheckContext) -> tuple:
     """No two vertices share more than 2 common neighbors."""
-    cid = "common-neighbor-bound"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     best, pair = max_common_neighbors(G)
     pairs = G.order * (G.order - 1) // 2
     return _done(
-        cid,
         ok=best <= 2,
         sampled=False,
         gating=True,
@@ -181,15 +168,14 @@ def check_cn_bound(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
+def check_connectivity_value(ctx: CheckContext) -> tuple:
     """kappa matches the known value for the graph's family."""
-    cid = "connectivity-value"
     G = ctx.G
     expected = {CYCLE: G.n, UNICYCLIC_TF: G.n, PATH: G.n - 1, STAR: G.n - 1}.get(
         G.gen.cls
     )
     if expected is None:
-        return _skip(cid, "no stated connectivity value for this class")
+        return _skip("no stated connectivity value for this class")
     res = vertex_connectivity_detail(G)
     detail = {
         "kappa": res.value,
@@ -210,7 +196,6 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
         )
         scope = f"Menger via vertex-disjoint paths, {sources}"
     return _done(
-        cid,
         ok=res.value == expected,
         sampled=False,
         gating=True,
@@ -219,12 +204,11 @@ def check_connectivity_value(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_cross_edge_count(ctx: CheckContext) -> CheckRecord:
+def check_cross_edge_count(ctx: CheckContext) -> tuple:
     """Every pair of distinct blocks is joined by the same stated edge count."""
-    cid = "cross-edge-count"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "needs the block decomposition of the unicyclic family")
+        return _skip("needs the block decomposition of the unicyclic family")
     expected = (2 if G.gen.cls == CYCLE else 1) * math.factorial(G.n - 2)
     bad = None
     pairs = 0
@@ -235,7 +219,6 @@ def check_cross_edge_count(ctx: CheckContext) -> CheckRecord:
             if got != expected and bad is None:
                 bad = {"blocks": [i, j], "count": got}
     return _done(
-        cid,
         ok=bad is None,
         sampled=False,
         gating=True,
@@ -244,12 +227,11 @@ def check_cross_edge_count(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_out_neighbor_disjoint(ctx: CheckContext) -> CheckRecord:
+def check_out_neighbor_disjoint(ctx: CheckContext) -> tuple:
     """Out-neighbor sets of distinct vertices in a block never intersect."""
-    cid = "out-neighbor-disjoint"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "needs the block decomposition of the unicyclic family")
+        return _skip("needs the block decomposition of the unicyclic family")
     gating = G.gen.cls == CYCLE
     owner: dict[int, int] = {}
     bad = None
@@ -271,15 +253,14 @@ def check_out_neighbor_disjoint(ctx: CheckContext) -> CheckRecord:
     scope = f"all {scanned} out-neighbor slots across {G.n} blocks"
     if not gating:
         scope += "; exploratory (stated for the cycle generator)"
-    return _done(cid, bad is None, False, gating, scope, {"violation": bad})
+    return _done(bad is None, False, gating, scope, {"violation": bad})
 
 
-def check_out_neighbor_escape(ctx: CheckContext) -> CheckRecord:
+def check_out_neighbor_escape(ctx: CheckContext) -> tuple:
     """Every vertex of blocks 1-2 has an out-neighbor beyond block 2."""
-    cid = "out-neighbor-escape"
     G = ctx.G
     if not _unicyclic(G) or G.n < 4:
-        return _skip(cid, "stated for the unicyclic family with n >= 4")
+        return _skip("stated for the unicyclic family with n >= 4")
     gating = G.gen.cls == CYCLE
     bad = None
     scanned = 0
@@ -298,15 +279,14 @@ def check_out_neighbor_escape(ctx: CheckContext) -> CheckRecord:
     scope = f"all {scanned} vertices of blocks 1 and 2"
     if not gating:
         scope += "; exploratory (stated for the cycle generator)"
-    return _done(cid, bad is None, False, gating, scope, {"violation": bad})
+    return _done(bad is None, False, gating, scope, {"violation": bad})
 
 
-def check_adjacent_pair_cn(ctx: CheckContext) -> CheckRecord:
+def check_adjacent_pair_cn(ctx: CheckContext) -> tuple:
     """For each edge pq, no third vertex shares neighbors with both ends."""
-    cid = "adjacent-pair-common-neighbor"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     gating = G.gen.cls == CYCLE
     hit = find_edge_cn_violation(G)
     detail = {}
@@ -316,10 +296,10 @@ def check_adjacent_pair_cn(ctx: CheckContext) -> CheckRecord:
     scope = f"all {G.size} edges against all other vertices{_via_vertex_0(G, G.degree)}"
     if not gating:
         scope += "; exploratory (stated for the cycle generator)"
-    return _done(cid, hit is None, False, gating, scope, detail)
+    return _done(hit is None, False, gating, scope, detail)
 
 
-def check_cn_triple(ctx: CheckContext) -> CheckRecord:
+def check_cn_triple(ctx: CheckContext) -> tuple:
     """No triple has cn=2 on two sides and a shared neighbor on the third.
 
     This is the usable form of the forbidden nine-vertex configuration:
@@ -328,10 +308,9 @@ def check_cn_triple(ctx: CheckContext) -> CheckRecord:
     that share a generator break it (on mb5, 13254 and 21354 each have
     cn=2 with 12345 and share the neighbor 12354).
     """
-    cid = "common-neighbor-triple"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     gating = G.gen.cls == CYCLE and G.n == 4
     hit = find_cn_triple_violation(G)
     detail = {}
@@ -347,15 +326,14 @@ def check_cn_triple(ctx: CheckContext) -> CheckRecord:
             "; exploratory at n >= 5, where two pairs of disjoint generators "
             "can share a generator, e.g. {23,45} and {12,45}"
         )
-    return _done(cid, hit is None, False, gating, scope, detail)
+    return _done(hit is None, False, gating, scope, detail)
 
 
-def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
+def check_small_cut_isolation(ctx: CheckContext) -> tuple:
     """Cuts of size <= 5 in the n=4 cycle graph isolate a single vertex."""
-    cid = "small-cut-isolation"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
-        return _skip(cid, "stated for the n=4 cycle generator only")
+        return _skip("stated for the n=4 cycle generator only")
     census = ctx.census()[:5]
     ok = True
     rows = []
@@ -377,7 +355,6 @@ def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
             ok = False
     total = sum(e.subsets for e in census)
     return _done(
-        cid,
         ok=ok,
         sampled=False,
         gating=True,
@@ -387,12 +364,11 @@ def check_small_cut_isolation(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
+def check_large_component_bound(ctx: CheckContext) -> tuple:
     """Residual outside the largest component: <=2 up to |F|=6, <=3 at 7."""
-    cid = "large-component-bound"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
-        return _skip(cid, "stated for the n=4 cycle generator only")
+        return _skip("stated for the n=4 cycle generator only")
     census = ctx.census()
     ok = True
     rows = []
@@ -413,7 +389,6 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
             ok = False
     total = sum(e.subsets for e in census)
     return _done(
-        cid,
         ok=ok,
         sampled=False,
         gating=True,
@@ -423,15 +398,14 @@ def check_large_component_bound(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
+def check_four_subset_neighborhood(ctx: CheckContext) -> tuple:
     """Minimum |N(S)| over 4-element S: 4n-8 at n=4,5 and 4n-9 at n=6."""
-    cid = "four-subset-neighborhood"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     n = G.n
     if not 4 <= n <= 6:
-        return _skip(cid, "four-subset scan defined for n in 4..6")
+        return _skip("four-subset scan defined for n in 4..6")
     gating = G.gen.cls == CYCLE
     value, witness, scanned = min_neighborhood_over_4subsets(G)
     expected = 4 * n - 8 if n <= 5 else 4 * n - 9
@@ -441,7 +415,6 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
     if not gating:
         scope += "; exploratory (sharp value stated for the cycle generator)"
     return _done(
-        cid,
         ok,
         sampled=False,
         gating=gating,
@@ -455,12 +428,11 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
+def check_residue_bound_p1(ctx: CheckContext) -> tuple:
     """Fault sets up to size n-1 never disconnect the graph."""
-    cid = "residue-bound-p1"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     max_f = G.n - 1
     if G.order <= 120:
         sweep = verify_connected_under_removal(G, max_f, workers=ctx.workers)
@@ -469,7 +441,6 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
         if sweep.counterexample is not None:
             detail["counterexample"] = ctx.perm_strs(sweep.counterexample)
         return _done(
-            cid,
             ok=sweep.ok,
             sampled=False,
             gating=True,
@@ -493,7 +464,6 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     if res.counterexample is not None:
         detail["counterexample"] = ctx.perm_strs(res.counterexample)
     return _done(
-        cid,
         ok=res.ok,
         sampled=True,
         gating=True,
@@ -502,7 +472,7 @@ def check_residue_bound_p1(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
+def check_residue_bound_p2(ctx: CheckContext) -> tuple:
     """Fault sets up to size 2n-3 strand at most one vertex.
 
     A fault F that leaves two or more vertices outside the largest
@@ -513,10 +483,9 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     either kind strands two vertices, so the bound holds exactly when
     min(kappa_1, 2*degree - max_cn) > 2n-3.
     """
-    cid = "residue-bound-p2"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     max_f = 2 * G.n - 3
     sep = edge_separation_connectivity(G)
     max_cn, pair = max_common_neighbors(G)
@@ -549,7 +518,6 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
             **role,
         }
     return _done(
-        cid,
         ok=ok,
         sampled=False,
         gating=True,
@@ -559,12 +527,11 @@ def check_residue_bound_p2(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_four_cycle_labels(ctx: CheckContext) -> CheckRecord:
+def check_four_cycle_labels(ctx: CheckContext) -> tuple:
     """Every 4-cycle alternates two generators with disjoint supports."""
-    cid = "four-cycle-labels"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "stated for the unicyclic family only")
+        return _skip("stated for the unicyclic family only")
     cycles = enumerate_4cycles(G)
     bad = None
     for cyc in cycles:
@@ -581,7 +548,6 @@ def check_four_cycle_labels(ctx: CheckContext) -> CheckRecord:
             bad = {"cycle": ctx.perm_strs(cyc), "labels": labels}
             break
     return _done(
-        cid,
         ok=bad is None,
         sampled=False,
         gating=True,
@@ -590,12 +556,11 @@ def check_four_cycle_labels(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
+def check_block_boundary_degree(ctx: CheckContext) -> tuple:
     """Within-block edges of blocks 1..3: an endpoint has one block-4 neighbor."""
-    cid = "block-boundary-degree"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
-        return _skip(cid, "stated for the n=4 cycle generator only")
+        return _skip("stated for the n=4 cycle generator only")
     last = set(G.block_members(4))
     bad = None
     edge_counts: dict[str, int] = {}
@@ -619,7 +584,6 @@ def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
                     "block4_degrees": [cu, cv],
                 }
     return _done(
-        cid,
         ok=bad is None,
         sampled=False,
         gating=True,
@@ -628,7 +592,7 @@ def check_block_boundary_degree(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
+def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
     """n=4: no cyclic cut of size 7, and one of size 8.
 
     The census (``ctx.census``) sweeps every set of size up to 7 and
@@ -646,10 +610,9 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
     no cyclic cut of size 8), the search runs from size 1 up to size 8 and
     stops at the first cyclic cut, which is the least minimum one.
     """
-    cid = "cyclic-cut-exact"
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
-        return _skip(cid, "exhaustive cut search feasible at n=4 only")
+        return _skip("exhaustive cut search feasible at n=4 only")
     census = ctx.census()
     small = next((e for e in census if e.cyclic_cut is not None), None)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
@@ -682,15 +645,14 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> CheckRecord:
             c.vertices for c in witness.analysis.components
         ]
         detail["scanned"] = witness.scanned
-    return _done(cid, ok=ok, sampled=False, gating=True, scope=scope, detail=detail)
+    return _done(ok=ok, sampled=False, gating=True, scope=scope, detail=detail)
 
 
-def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
+def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
     """The 4-cycle neighborhood is a verified cyclic cut of size 4n-8."""
-    cid = "cyclic-cut-upper"
     G = ctx.G
     if not _unicyclic(G):
-        return _skip(cid, "construction defined for the unicyclic family")
+        return _skip("construction defined for the unicyclic family")
     cyc, missing, fault, analysis = ctx.four_cycle_cut()
     expected = 4 * G.n - 8
     scope = "constructed witness, exactly verified"
@@ -700,10 +662,9 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
             "cycle": ctx.perm_strs(cyc),
             "missing_edges": [ctx.perm_strs(e) for e in missing],
         }
-        return _done(cid, False, False, True, scope, detail)
+        return _done(False, False, True, scope, detail)
     cyclic = analysis.cyclic_component_count() >= 2
     return _done(
-        cid,
         ok=len(fault) == expected and cyclic,
         sampled=False,
         gating=True,
@@ -720,14 +681,13 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> CheckRecord:
     )
 
 
-def check_cyclic_cut_falsify(ctx: CheckContext) -> CheckRecord:
+def check_cyclic_cut_falsify(ctx: CheckContext) -> tuple:
     """Randomized hunt for a cyclic cut below 4n-8 at n=5; none must appear."""
-    cid = "cyclic-cut-falsify"
     G = ctx.G
     if not _unicyclic(G) or G.n != 5:
-        return _skip(cid, "falsification run targets n=5")
+        return _skip("falsification run targets n=5")
     target = 4 * G.n - 9
-    trials = 1_000_000
+    trials = RANDOM_TRIALS
     witness = randomized_cut_falsifier(
         G, target, trials, seed=ctx.seed, workers=ctx.workers
     )
@@ -736,7 +696,6 @@ def check_cyclic_cut_falsify(ctx: CheckContext) -> CheckRecord:
         trials = detail["trials"] = witness.scanned  # the run ended at the hit
         detail["counterexample"] = ctx.perm_strs(witness.fault)
     return _done(
-        cid,
         ok=witness is None,
         sampled=True,  # a pass is evidence, never proof
         gating=True,
@@ -817,6 +776,11 @@ def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     return table[check_id]
 
 
+def gating_failures(checks: list[dict]) -> list[str]:
+    """Ids of ``to_jsonable`` entries that FAIL and gate; a report passes with none."""
+    return [c["id"] for c in checks if c["gating"] and c["verdict"] == FAIL]
+
+
 @dataclass
 class VerificationReport:
     graph: dict
@@ -825,21 +789,13 @@ class VerificationReport:
     checks: list[CheckRecord]
 
     def passed(self) -> bool:
-        return not any(r.failed and r.gating for r in self.checks)
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        return [r.check_id for r in self.checks if r.failed and r.gating]
+        return gating_failures(self.to_jsonable()["checks"])
 
     def to_jsonable(self, with_timing: bool = True) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "version": TOOL_VERSION,
-            "graph": self.graph,
-            "seed": self.seed,
-            "budget_seconds": self.budget,
-            "passed": self.passed(),
-            "checks": [],
-        }
+        checks = []
         for r in self.checks:
             entry = {
                 "id": r.check_id,
@@ -850,8 +806,16 @@ class VerificationReport:
             }
             if with_timing:
                 entry["millis"] = round(r.millis, 3)
-            out["checks"].append(entry)
-        return out
+            checks.append(entry)
+        return {
+            "schema": SCHEMA,
+            "version": TOOL_VERSION,
+            "graph": self.graph,
+            "seed": self.seed,
+            "budget_seconds": self.budget,
+            "passed": not gating_failures(checks),
+            "checks": checks,
+        }
 
     def body_bytes(self) -> bytes:
         """Canonical JSON without timings; byte-identical across worker counts."""
@@ -873,7 +837,7 @@ def render_report(body: dict) -> str:
     for c in checks:
         tag = "" if c["gating"] or c["verdict"] == SKIPPED else " [exploratory]"
         lines.append(f"{c['id']:<{width}}  {c['verdict']:<17}{tag}  {c['scope']}")
-    verdict = "PASS" if body.get("passed") else "FAIL"
+    verdict = "FAIL" if gating_failures(checks) else "PASS"
     ran = sum(1 for c in checks if c["verdict"] != SKIPPED)
     lines.append(f"{verdict}: {ran} checks run, {len(checks) - ran} skipped")
     return "\n".join(lines) + "\n"
@@ -923,20 +887,19 @@ def verify_all(
     records = []
     for cid, fn in selected:
         est = _estimate_seconds(cid, G)
+        millis = 0.0
         if est > remaining:
-            records.append(
-                _skip(cid, f"estimated ~{est:.0f}s exceeds the remaining budget")
-            )
-            continue
-        t0 = time.perf_counter()
-        try:
-            rec = fn(ctx)
-        except CapacityError as exc:
-            rec = _skip(cid, str(exc))
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        if rec.verdict != SKIPPED:
-            remaining -= est
-        records.append(replace(rec, millis=elapsed))
+            outcome = _skip(f"estimated ~{est:.0f}s exceeds the remaining budget")
+        else:
+            t0 = time.perf_counter()
+            try:
+                outcome = fn(ctx)
+            except CapacityError as exc:
+                outcome = _skip(str(exc))
+            millis = (time.perf_counter() - t0) * 1000.0
+            if outcome[0] != SKIPPED:
+                remaining -= est
+        records.append(CheckRecord(cid, *outcome, millis=millis))
     graph = {
         "n": G.n,
         "class": G.gen.cls,

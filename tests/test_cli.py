@@ -487,6 +487,26 @@ def test_report_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, report, me
     assert err.startswith("error: report") and message in err
 
 
+@pytest.mark.parametrize(
+    "saved", [{"passed": "false"}, {"passed": True}, {}], ids=["string", "true", "absent"]
+)
+@pytest.mark.parametrize(
+    "gating, verdict, code",
+    [(True, "FAIL", 1), (False, "PASS", 0)],
+    ids=["gating", "exploratory"],
+)
+def test_report_judges_the_checks_not_the_saved_passed_field(
+    capsys, tmp_path, saved, gating, verdict, code
+):
+    check = {"id": "a", "verdict": "FAIL", "scope": "s", "gating": gating, "detail": {}}
+    report = {"graph": {"descriptor": "x"}, "checks": [check], **saved}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(report))
+    got, out, _ = run(capsys, "report", str(path))
+    assert got == code
+    assert out.splitlines()[-1] == f"{verdict}: 1 checks run, 0 skipped"
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
