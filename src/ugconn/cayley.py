@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .genset import (
     PEELABLE,
@@ -66,16 +66,14 @@ class DenseGraph:
         return v in self.neighbors[u]
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     vertices: int
     edges: int
     contains_cycle: bool
     members: tuple[int, ...] | None  # listed only for small components
 
 
-@dataclass(frozen=True)
-class CutAnalysis:
+class CutAnalysis(NamedTuple):
     """Component profile of a graph minus a fault set."""
 
     component_count: int
@@ -509,8 +507,7 @@ def out_neighbors(G: CayleyGraph, u: int) -> tuple[int, ...]:
     return tuple(v for v in G.neighbors(u) if G.block_of[v] != bu)
 
 
-@dataclass(frozen=True)
-class CrossEdgeSet:
+class CrossEdgeSet(NamedTuple):
     i: int
     j: int
     edges: tuple[tuple[int, int], ...]  # (u in block i, v in block j)

@@ -119,7 +119,10 @@ def parse_spec(tokens) -> GeneratingGraph:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -141,10 +144,8 @@ def cmd_gen(args) -> int:
         _emit(to_dot(G), args.out)
     elif args.format == "graph6":
         _emit(to_graph6(G) + "\n", args.out)
-    elif args.format == "edgelist":
-        _emit(to_edgelist(G), args.out)
     else:
-        raise SpecError(f"gen emits dot, graph6, or edgelist, not '{args.format}'")
+        _emit(to_edgelist(G), args.out)
     return 0
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
+from typing import NamedTuple
 
 from .cayley import (
     CayleyGraph,
@@ -141,8 +141,7 @@ def build_cycle_neighborhood_cut(G: CayleyGraph, cycle) -> tuple[int, ...]:
 # witnesses
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(NamedTuple):
     kind: str  # "vertex-cut" | "good-neighbor-cut(g)" | "cyclic-cut"
     fault: tuple[int, ...]
     analysis: CutAnalysis
@@ -185,8 +184,7 @@ def _make_witness(
 FLOW_ORDER_LIMIT = 5040
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(NamedTuple):
     value: int
     complete: bool  # complete graphs get the |V|-1 convention
     cut: tuple[int, ...] | None  # a minimum vertex cut, when one exists
@@ -270,8 +268,7 @@ def _unit_flow(into, first, second, cutoff):
     return flow, None
 
 
-@dataclass(frozen=True)
-class EdgeSeparation:
+class EdgeSeparation(NamedTuple):
     """A minimum separation of two units (edges, or single vertices for kappa)."""
 
     value: int | None  # None when no two units can be separated
@@ -759,8 +756,7 @@ def min_good_neighbor_cut_exhaustive(
 # disconnection census (one sweep feeds several bounds)
 
 
-@dataclass(frozen=True)
-class SizeCensus:
+class SizeCensus(NamedTuple):
     """Aggregates over every fault set of one size, and its least cyclic cut."""
 
     size: int
@@ -872,8 +868,7 @@ def disconnection_census(
 # connectivity-under-removal sweep (residue bound with p=1)
 
 
-@dataclass(frozen=True)
-class RemovalSweep:
+class RemovalSweep(NamedTuple):
     ok: bool
     counterexample: tuple[int, ...] | None  # the least fault set that disconnects
     removals: int  # fault sets the search scanned
@@ -896,8 +891,7 @@ def verify_connected_under_removal(
 # sampled residue bound (sizes where exhaustion is infeasible)
 
 
-@dataclass(frozen=True)
-class SampledResidual:
+class SampledResidual(NamedTuple):
     ok: bool
     trials: int
     templates: int

@@ -8,8 +8,7 @@ for the hierarchical block decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -37,8 +36,7 @@ def describe(g: "GeneratingGraph") -> str:
     return f"class={g.cls} n={g.n} edges={edges}"
 
 
-@dataclass(frozen=True)
-class GeneratingGraph:
+class GeneratingGraph(NamedTuple):
     """Validated generating graph with its computed class tag."""
 
     n: int
@@ -53,8 +51,7 @@ class GeneratingGraph:
         return len(self.neighbors(k))
 
 
-@dataclass(frozen=True)
-class PeelChoice:
+class PeelChoice(NamedTuple):
     """Position removed by one decomposition step and its anchors in G."""
 
     position: int

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .cayley import (
     CayleyGraph,
@@ -69,8 +70,7 @@ def _sampled_trials(order: int) -> int:
     return 100_000 if order <= 720 else 20_000
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     verdict: str
     gating: bool  # exploratory checks never gate the run outcome
@@ -83,19 +83,20 @@ class CheckRecord:
         return self.verdict == FAIL
 
 
-@dataclass
 class CheckContext:
-    G: CayleyGraph
-    workers: int
-    seed: int
-    cache: dict = field(default_factory=dict)
+    """The graph and run settings every check reads, with the shared work memoised."""
 
+    def __init__(self, G: CayleyGraph, workers: int, seed: int):
+        self.G = G
+        self.workers = workers
+        self.seed = seed
+
+    @cached_property
     def census(self):
         """Disconnection census up to size 7, computed once for the three n=4 checks."""
-        if "census" not in self.cache:
-            self.cache["census"] = disconnection_census(self.G, 7, workers=self.workers)
-        return self.cache["census"]
+        return disconnection_census(self.G, 7, workers=self.workers)
 
+    @cached_property
     def four_cycle_cut(self):
         """N(C4) as (cycle, missing edges, fault, analysis), built once per run.
 
@@ -104,20 +105,18 @@ class CheckContext:
         Otherwise fault is N(C4) minus C4 and analysis is its one
         ``component_analysis``.
         """
-        if "four_cycle_cut" not in self.cache:
-            G = self.G
-            cyc = canonical_four_cycle(G)
-            missing = [
-                (u, v)
-                for u, v in zip(cyc, cyc[1:] + cyc[:1])
-                if not G.dense.adjacent(u, v)
-            ]
-            fault = analysis = None
-            if not missing:
-                fault = build_cycle_neighborhood_cut(G, cyc)
-                analysis = component_analysis(G.dense, fault)
-            self.cache["four_cycle_cut"] = cyc, missing, fault, analysis
-        return self.cache["four_cycle_cut"]
+        G = self.G
+        cyc = canonical_four_cycle(G)
+        missing = [
+            (u, v)
+            for u, v in zip(cyc, cyc[1:] + cyc[:1])
+            if not G.dense.adjacent(u, v)
+        ]
+        fault = analysis = None
+        if not missing:
+            fault = build_cycle_neighborhood_cut(G, cyc)
+            analysis = component_analysis(G.dense, fault)
+        return cyc, missing, fault, analysis
 
     def perm_strs(self, vertices) -> list[str]:
         return [self.G.perm_str(v) for v in vertices]
@@ -334,7 +333,7 @@ def check_small_cut_isolation(ctx: CheckContext) -> tuple:
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip("stated for the n=4 cycle generator only")
-    census = ctx.census()[:5]
+    census = ctx.census[:5]
     ok = True
     rows = []
     for entry in census:
@@ -369,7 +368,7 @@ def check_large_component_bound(ctx: CheckContext) -> tuple:
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip("stated for the n=4 cycle generator only")
-    census = ctx.census()
+    census = ctx.census
     ok = True
     rows = []
     for entry in census:
@@ -613,7 +612,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
     G = ctx.G
     if G.gen.cls != CYCLE or G.n != 4:
         return _skip("exhaustive cut search feasible at n=4 only")
-    census = ctx.census()
+    census = ctx.census
     small = next((e for e in census if e.cyclic_cut is not None), None)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
     through_0 = _sets_through_0(G, 7)
@@ -622,7 +621,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
         f"{_via_vertex_0(G, through_0)}"
     )
     swept = through_0 if G.transitive else covered
-    _, missing, fault, analysis = ctx.four_cycle_cut()
+    _, missing, fault, analysis = ctx.four_cycle_cut
     if small is not None:
         witness = _make_witness(G.dense, small.cyclic_cut, "cyclic-cut", swept)
         scope += f", least cyclic cut at size {small.size}"
@@ -653,7 +652,7 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
     G = ctx.G
     if not _unicyclic(G):
         return _skip("construction defined for the unicyclic family")
-    cyc, missing, fault, analysis = ctx.four_cycle_cut()
+    cyc, missing, fault, analysis = ctx.four_cycle_cut
     expected = 4 * G.n - 8
     scope = "constructed witness, exactly verified"
     if missing:
@@ -781,8 +780,7 @@ def gating_failures(checks: list[dict]) -> list[str]:
     return [c["id"] for c in checks if c["gating"] and c["verdict"] == FAIL]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     graph: dict
     seed: int
     budget: float

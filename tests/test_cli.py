@@ -114,6 +114,26 @@ def test_gen_edgelist_to_file(capsys, tmp_path):
     assert len(lines) == 49
 
 
+def test_gen_rejects_an_unknown_format(capsys):
+    code, out, err = run(capsys, "gen", "--spec", "mb:4", "--format", "svg")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'svg'" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "command",
+    [["gen"], ["info"], ["verify", "--checks", "four-cycle-labels", "--workers", "1"]],
+    ids=lambda c: c[0],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command, where):
+    out = tmp_path / "absent" / "x.txt" if where == "missing-dir" else tmp_path
+    code, stdout, err = run(capsys, *command, "--spec", "mb:4", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write output file:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_gen_rejects_triangle_spec(capsys):
     code, _, err = run(capsys, "gen", "--spec", "edges:1-2,2-3,1-3", "n=3")
     assert code == 2

@@ -7,7 +7,6 @@ for the flow-based connectivity values.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -673,7 +672,7 @@ def test_scans_match_a_per_set_reach_loop(mb4, graph):
 
     for w in workers:
         rows = disconnection_census(g, top, workers=w)
-        assert [dataclasses.astuple(r) for r in rows] == census
+        assert [tuple(r) for r in rows] == census
         for kind, (scanned, fault) in hits.items():
             witness = search(kind, w)
             assert (witness.scanned, witness.fault) == (scanned, fault), kind

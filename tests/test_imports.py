@@ -1,5 +1,6 @@
 """Every name a module imports is used in it, and importing the package
-stays cheap: no package metadata and no pool machinery at start-up."""
+stays cheap: no package metadata, no pool machinery and no ``dataclasses``
+(with the ``inspect`` it pulls in) at start-up."""
 
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def test_import_loads_neither_metadata_nor_multiprocessing():
+    """Nor dataclasses and inspect: the records are NamedTuples."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", _NEW_MODULES],
@@ -69,4 +71,5 @@ def test_import_loads_neither_metadata_nor_multiprocessing():
     ).stdout
     new = json.loads(out)
     assert "ugconn.cli" in new
-    assert [m for m in new if m.startswith(("importlib.metadata", "multiprocessing"))] == []
+    heavy = ("importlib.metadata", "multiprocessing", "dataclasses", "inspect")
+    assert [m for m in new if m.startswith(heavy)] == []
