@@ -114,32 +114,17 @@ def _disconnected(
 ) -> list[int]:
     """counts[i], i < apart: bit j set when faults[j] leaves > i survivors unreached.
 
-    faults is a non-empty list of fault masks, evaluated together,
-    bit-sliced: vertex v gets one int whose bit j says that v survives
-    fault j.  These ints come from one byte string of the fault masks, a
+    faults is a non-empty list of fault masks, evaluated together by
+    ``_disconnected_columns`` once they are transposed into its survivor
+    columns: vertex v gets one int whose bit j says that v survives fault
+    j.  These ints come from one byte string of the fault masks, a
     little-endian row per fault (one ``struct.pack`` up to 64 vertices).
     Byte column k, read down as one int, holds in each 64-bit word the 8x8
     bit matrix of 8 faults' bytes; three delta swaps over the whole int
     transpose every such matrix (``_TRANSPOSE_8X8``), after which every
     eighth byte from byte b on, complemented, is the int of vertex 8k + b.
-    Each fault's search starts at
-    its highest surviving vertex, and one BFS over the ints sweeps the
-    vertices downward until nothing changes; a survivor it never reaches
-    lies in another component.  apart saturating bit-sliced counters
-    count the unreached survivors: bit j of counter i is set once more
-    than i survivors of fault j are unreached.  The first counter flags
-    exactly the faults that leave a disconnected graph; a fault in the
-    first but not the second leaves one survivor unreached, an isolated
-    vertex beside one component of the rest.
-
-    A caller passes as apart the least size of a component its exact test
-    needs on each of two sides: two such components cannot both hold the
-    start, so one of them is unreached, and no fault that passes the test
-    goes unflagged by the last counter.  Scans and draws go through vertex
-    0 (``_anchors``), so the small pieces a fault cuts off sit near 0;
-    starting high puts them on the unreached side, where a larger apart
-    skips them.  Callers give only the flagged faults their exact per-set
-    tests.
+    The falsifier and the sampled p1 probe draw their faults at random and
+    come here; the exhaustive scans build the columns directly.
     """
     # one little-endian row of width bytes per fault: byte column k, read
     # down, holds vertices 8k..8k+7, byte j of it fault j
@@ -167,6 +152,33 @@ def _disconnected(
         spread = x.to_bytes(8 * words, "little")
         for b in range(min(8, order - 8 * k)):
             alive.append(everyone ^ int.from_bytes(spread[b::8], "little"))
+    return _disconnected_columns(neighbors, alive, apart)
+
+
+def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[int]:
+    """counts[i], i < apart: bit j set when fault set j leaves > i survivors unreached.
+
+    Bit-sliced over a family of fault sets: bit j of alive[v] says that
+    vertex v survives set j.  Each set's search starts at its highest
+    surviving vertex, and one BFS over the columns sweeps the vertices
+    downward until nothing changes; a survivor it never reaches lies in
+    another component.  apart saturating bit-sliced counters count the
+    unreached survivors: bit j of counter i is set once more than i
+    survivors of set j are unreached.  The first counter flags exactly the
+    sets that leave a disconnected graph; a set in the first but not the
+    second leaves one survivor unreached, an isolated vertex beside one
+    component of the rest.
+
+    A caller passes as apart the least size of a component its exact test
+    needs on each of two sides: two such components cannot both hold the
+    start, so one of them is unreached, and no set that passes the test
+    goes unflagged by the last counter.  Scans and draws go through vertex
+    0 (``_anchors``), so the small pieces a set cuts off sit near 0;
+    starting high puts them on the unreached side, where a larger apart
+    skips them.  Callers give only the flagged sets their exact per-set
+    tests.
+    """
+    order = len(alive)
     down = range(order - 1, -1, -1)
     reach = [0] * order
     seen = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from functools import partial
 from time import perf_counter
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from .cayley import (
     _as_dense,
     _components,
     _disconnected,
+    _disconnected_columns,
     _mask_members,
     _transitive,
     _two_cyclic_components,
@@ -553,23 +555,18 @@ def _first_result(func, tasks, workers: int | None):
     return sum(work for work, _ in rows), rows[-1][1] if rows else None
 
 
-def _first_flagged(
-    neighbors, order: int, faults: list[int], test, apart: int
-) -> int | None:
-    """Index of the first fault that disconnects the graph and passes test, or None.
+def _first_passing(flagged: int, fault, test) -> int | None:
+    """The least j flagged whose fault mask fault(j) passes test, or None.
 
-    ``_disconnected`` flags at once the faults of the list that leave at
-    least apart survivors outside the component of its start; only those
-    get test(fault mask), in list order.  apart is the least size of a
-    component that test accepts on each of two sides, so no fault that
-    passes test goes unflagged.
+    flagged is the kernel's last counter for apart the least size of a
+    component that test accepts on each of two sides, so no set that
+    passes test goes unflagged; only the flagged sets get test, in order.
     """
-    split = _disconnected(neighbors, order, faults, apart)[-1]
-    while split:
-        b = split & -split
-        split ^= b
+    while flagged:
+        b = flagged & -flagged
+        flagged ^= b
         j = b.bit_length() - 1
-        if test(faults[j]):
+        if test(fault(j)):
             return j
     return None
 
@@ -585,8 +582,8 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     prefix: the two least, or the one element of a size-1 set.  Sizes run
     ascending and prefixes in lexicographic order, and a task takes
     consecutive prefixes of one size until it holds TRIAL_BLOCK sets, so
-    the tasks meet the sets in (size, lexicographic) order and few blocks
-    of ``_task_masks`` are short.
+    the tasks meet the sets in (size, lexicographic) order and few kernel
+    calls of ``_task_columns`` are short.
 
     Every prefix starts with an anchor, so a graph from ``build_cayley``
     scans only the sets through vertex 0; first hits, least witnesses and
@@ -613,73 +610,136 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     return tasks
 
 
-def _rest_masks(start: int, r: int, order: int) -> list[int]:
-    """The masks of the r-subsets of range(start, order), in lexicographic order.
+def _rest_columns(r: int, s: int, order: int, memo: dict) -> list[int]:
+    """Member columns of the r-subsets of range(s, order), in lexicographic order.
 
-    Those of range(t, order), for any t >= start, are the last
-    comb(order - t, r) of the list, so one list serves every later start.
-    Each size k is built from size k - 1 with one OR per set.
+    Entry v - s is the column of vertex v: bit i is set when v lies in the
+    i-th set.  Those sets are the ones that hold s, each s and an
+    (r-1)-subset of range(s+1, order), followed by the r-subsets of
+    range(s+1, order) (Knuth, TAOCP 4A, 7.2.1.3).  So the column of s is
+    all ones over the first part, and the column of v > s is its column of
+    the (r-1)-subsets followed by its column of the r-subsets of
+    range(s+1, order): O(order) big-int ops per (r, s).  memo keeps every
+    (r, s) with 2 <= r < order - s that it builds for one scan; the
+    columns for r = 1 or r = order - s cost no more than their own list.
+    r must be at least 1.
     """
-    rests = [0]
-    for k in range(1, r + 1):
-        # rests holds the (k - 1)-subsets from first + 1 on; a set with
-        # least element t takes one of those from t + 1 on, its tail
-        first = start + r - k
-        rests = [
-            (1 << t) | x
-            for t in range(first, order - k + 1)
-            for x in rests[len(rests) - math.comb(order - 1 - t, k - 1) :]
-        ]
-    return rests
+    if r == 1:
+        return [1 << i for i in range(order - s)]
+    if r == order - s:
+        return [1] * r
+    cols = memo.get((r, s))
+    if cols is None:
+        # (k, t) needs (k - 1, t + 1) and (k, t + 1), so build from the end
+        for t in range(order - 3, s - 1, -1):
+            for k in range(max(2, r - (t - s)), min(r, order - t - 1) + 1):
+                if (k, t) not in memo:
+                    head = math.comb(order - t - 1, k - 1)
+                    with_t = _rest_columns(k - 1, t + 1, order, memo)
+                    without = _rest_columns(k, t + 1, order, memo)
+                    memo[k, t] = [(1 << head) - 1] + [
+                        a | b << head for a, b in zip(with_t, without)
+                    ]
+        cols = memo[r, s]
+    return cols
 
 
-def _task_masks(task, order: int):
-    """The fault masks of a (size, prefixes) task, in order, in lists of TRIAL_BLOCK.
+def _unrank(i: int, r: int, s: int, order: int) -> int:
+    """The mask of the i-th r-subset of range(s, order) in lexicographic order."""
+    m = 0
+    t = s
+    while r:
+        head = math.comb(order - t - 1, r - 1)  # the sets that hold t
+        if i < head:
+            m |= 1 << t
+            r -= 1
+        else:
+            i -= head
+        t += 1
+    return m
 
-    The last list may be shorter.  Each prefix is extended by its next
-    element where the size allows, so that the rests after the extended
-    prefixes, the tails of one ``_rest_masks`` list, stay short.
+
+def _task_columns(task, order: int, memo: dict):
+    """The kernel calls of a (size, prefixes) task: (survivor columns, sets, fault).
+
+    A prefix stands for itself joined to each rest, an r-subset of the
+    vertices after its last element, and those sets come in lexicographic
+    order, so their columns come from ``_rest_columns``: all zeros before
+    the rest's first vertex except the prefix's all ones.  A prefix whose
+    rests number more than TRIAL_BLOCK is split at its next element until
+    none does, and a call takes consecutive pieces until it holds
+    TRIAL_BLOCK sets, so no call holds 2 * TRIAL_BLOCK.  Column v of a
+    call is the complement of v's member columns of its pieces, each
+    shifted past the pieces before it.  fault(j) unranks set j of the call
+    into its fault mask (``_unrank``).
     """
     size, prefixes = task
-    if size > len(prefixes[0]):
-        prefixes = [p + (t,) for p in prefixes for t in range(p[-1] + 1, order)]
-    r = size - len(prefixes[0])
-    rests = _rest_masks(min(p[-1] for p in prefixes) + 1, r, order)
-    pending: list[int] = []
-    for prefix in prefixes:
-        head = _mask_of(prefix)
-        tail = rests[len(rests) - math.comb(order - 1 - prefix[-1], r) :]
-        pending += [head | x for x in tail]
-        while len(pending) >= TRIAL_BLOCK:
-            yield pending[:TRIAL_BLOCK]
-            del pending[:TRIAL_BLOCK]
-    if pending:
-        yield pending
+
+    def split(head: int, r: int, s: int):
+        # the rests that hold s come first, then those of range(s + 1, order)
+        while math.comb(order - s, r) > TRIAL_BLOCK:
+            yield from split(head | 1 << s, r - 1, s + 1)
+            s += 1
+        yield head, r, s
+
+    pieces = [
+        piece
+        for p in prefixes
+        for piece in split(_mask_of(p), size - len(p), p[-1] + 1)
+    ]
+    i = 0
+    while i < len(pieces):
+        call, starts, held = [], [], 0
+        member = [0] * order
+        while i < len(pieces) and held < TRIAL_BLOCK:
+            head, r, s = pieces[i]
+            count = math.comb(order - s, r)
+            ones = ((1 << count) - 1) << held
+            for v in _mask_members(head):
+                member[v] |= ones
+            if r:  # an empty rest adds no member
+                for v, col in enumerate(_rest_columns(r, s, order, memo), s):
+                    member[v] |= col << held
+            call.append(pieces[i])
+            starts.append(held)
+            held += count
+            i += 1
+
+        def fault(j, starts=starts, call=call):
+            k = bisect_right(starts, j) - 1
+            head, r, s = call[k]
+            return head | _unrank(j - starts[k], r, s, order)
+
+        everyone = (1 << held) - 1
+        yield [everyone ^ m for m in member], held, fault
 
 
-def _search_task(masks, neighbors, order: int, full: int, test, apart: int, task):
+def _search_task(
+    masks, neighbors, order: int, full: int, test, apart: int, memo: dict, task
+):
     """(sets scanned, first fault of the task that is a cut passing test, or None).
 
     test(masks, alive) is the exact test of a set whose removal leaves
     alive disconnected; None accepts every vertex cut.  test accepts only
     splits with at least apart survivors in each of two components, and
     only the sets that leave that many survivors outside the kernel's
-    start get it (``_first_flagged``).  A task still
-    running when the search has its hit comes after the hit, so it stops
-    at its next block and its result is never read.
+    start get it (``_first_passing``).  A task still running when the
+    search has its hit comes after the hit, so it stops at its next kernel
+    call and its result is never read.
     """
 
     def passes(fmask):
         return test is None or test(masks, full ^ fmask)
 
     scanned = 0
-    for block in _task_masks(task, order):
+    for alive, count, fault in _task_columns(task, order, memo):
         if _stopped():
             break
-        j = _first_flagged(neighbors, order, block, passes, apart)
+        flagged = _disconnected_columns(neighbors, alive, apart)[-1]
+        j = _first_passing(flagged, fault, passes)
         if j is not None:
-            return scanned + j + 1, _mask_members(block[j])
-        scanned += len(block)
+            return scanned + j + 1, _mask_members(fault(j))
+        scanned += count
     return scanned, None
 
 
@@ -700,6 +760,7 @@ def _min_cut_search(
         dense.full_mask,
         test,
         apart,
+        {},
     )
     tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
     return _first_result(func, tasks, workers)
@@ -769,22 +830,25 @@ class SizeCensus(NamedTuple):
     cyclic_cut: tuple[int, ...] | None  # least cyclic cut of this size
 
 
-def _census_task(masks, neighbors, order: int, full: int, task):
+def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     """The census row of one (size, prefixes) task, ending with its first cyclic cut.
 
-    One kernel call per block counts up to 2 unreached survivors per set,
-    and the disconnecting sets are walked in scan order.  A set that
-    leaves exactly one survivor unreached, of at least 3, cuts off that
-    vertex beside one larger component: it isolates with residual 1, and
-    it is a neighborhood fault iff it equals some N(v), since N(v) isolates
-    v and there is one singleton.  Every other disconnecting set gets one
-    component walk (``_components``), which gives its residual, its
+    One kernel call per ``_task_columns`` call counts up to 2 unreached
+    survivors per set.  A set that leaves exactly one survivor unreached,
+    of at least 3, cuts off that vertex beside one larger component: it
+    isolates with residual 1, and it is a neighborhood fault iff it equals
+    some N(v), since N(v) isolates v and there is one singleton.  Those
+    sets are counted by popcount, and a set of the size of N(v) equals
+    N(v) iff it holds every vertex of N(v), so the AND of their fault
+    columns with the single-survivor flags counts the matches.  Every
+    other disconnecting set is unranked and gets one component walk
+    (``_components``), in scan order, which gives its residual, its
     singleton and, until the task has its first cyclic cut, its cyclic
     components.
     """
     size = task[0]
-    neighborhoods = set(masks)
     lone = order - size >= 3
+    neighborhoods = [ns for ns in neighbors if len(ns) == size] if lone else []
     subsets = 0
     disconnecting = 0
     isolating = 0
@@ -792,32 +856,38 @@ def _census_task(masks, neighbors, order: int, full: int, task):
     max_residual = 0
     worst = None
     cyclic = None
-    for block in _task_masks(task, order):
-        subsets += len(block)
-        split, several = _disconnected(neighbors, order, block, 2)
+    for alive, count, fault in _task_columns(task, order, memo):
+        subsets += count
+        split, several = _disconnected_columns(neighbors, alive, 2)
         single = split & ~several if lone else 0
         disconnecting += split.bit_count()
-        while split:
-            b = split & -split
-            split ^= b
-            fmask = block[b.bit_length() - 1]
-            if b & single:
-                residual = 1
+        isolating += single.bit_count()
+        for ns in neighborhoods:
+            match = single
+            for u in ns:
+                match &= ~alive[u]
+            nbhd += match.bit_count()
+        # (residual, -j) of the call's first set of greatest residual
+        best = (1, 1 - (single & -single).bit_length()) if single else (0, 0)
+        walked = split ^ single
+        while walked:
+            b = walked & -walked
+            walked ^= b
+            j = b.bit_length() - 1
+            fmask = fault(j)
+            comps = _components(masks, full ^ fmask)
+            sizes = [mask.bit_count() for mask, _ in comps]
+            residual = sum(sizes) - max(sizes)
+            if len(comps) == 2 and residual == 1:
                 isolating += 1
-                nbhd += fmask in neighborhoods
-            else:
-                comps = _components(masks, full ^ fmask)
-                sizes = [mask.bit_count() for mask, _ in comps]
-                residual = sum(sizes) - max(sizes)
-                if len(comps) == 2 and residual == 1:
-                    isolating += 1
-                    lonely = comps[sizes.index(1)][0]
-                    nbhd += masks[lonely.bit_length() - 1] == fmask
-                if cyclic is None and sum(flag for _, flag in comps) >= 2:
-                    cyclic = fmask
-            if residual > max_residual:
-                max_residual = residual
-                worst = fmask
+                lonely = comps[sizes.index(1)][0]
+                nbhd += masks[lonely.bit_length() - 1] == fmask
+            if cyclic is None and sum(flag for _, flag in comps) >= 2:
+                cyclic = fmask
+            best = max(best, (residual, -j))
+        if best[0] > max_residual:
+            max_residual = best[0]
+            worst = fault(-best[1])
     worst = None if worst is None else _mask_members(worst)
     cyclic = None if cyclic is None else _mask_members(cyclic)
     return size, subsets, disconnecting, isolating, nbhd, max_residual, worst, cyclic
@@ -841,7 +911,7 @@ def disconnection_census(
     top = min(max_size, dense.order - 1)
     tasks = _subset_tasks(g, range(1, top + 1))
     func = partial(
-        _census_task, dense.masks, dense.neighbors, dense.order, dense.full_mask
+        _census_task, dense.masks, dense.neighbors, dense.order, dense.full_mask, {}
     )
     rows = _run(func, tasks, workers)
     out = []
@@ -1179,9 +1249,10 @@ def _falsify_block(shared: dict, block: int):
         return hit
 
     distinct = list(dict.fromkeys(faults))
-    j = _first_flagged(
-        shared["neighbors"], shared["order"], distinct, cyclic, CYCLE_VERTICES
-    )
+    flagged = _disconnected(
+        shared["neighbors"], shared["order"], distinct, CYCLE_VERTICES
+    )[-1]
+    j = _first_passing(flagged, distinct.__getitem__, cyclic)
     if j is None:
         return len(faults), None
     return len(faults), (block, faults.index(distinct[j]), _mask_members(distinct[j]))

@@ -26,7 +26,10 @@ from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
     _as_dense,
+    _disconnected,
+    _disconnected_columns,
     _mask_members,
+    _swapped,
     canonical_four_cycle,
     component_analysis,
     conjugation_maps,
@@ -49,7 +52,7 @@ from ugconn.cuts import (
     _min_separation,
     _run,
     _subset_tasks,
-    _task_masks,
+    _task_columns,
     _unit_flow,
     build_cycle_neighborhood_cut,
     disconnection_census,
@@ -71,7 +74,7 @@ from ugconn.cuts import (
     vertex_connectivity_detail,
 )
 from ugconn.cli import parse_spec
-from ugconn.lemmas import verify_all
+from ugconn.lemmas import RANDOM_TRIALS, verify_all
 from ugconn.perms import CapacityError
 
 
@@ -687,20 +690,37 @@ def test_scans_match_a_per_set_reach_loop(mb4, graph):
             assert (sweep.ok, sweep.counterexample, sweep.removals) == expected
 
 
+def _ring(order: int) -> DenseGraph:
+    return DenseGraph(
+        tuple(tuple(sorted({(v - 1) % order, (v + 1) % order})) for v in range(order))
+    )
+
+
 @pytest.mark.parametrize("graph", ["mb4", "ring 13"])
-def test_task_masks_are_the_prefixed_combinations_in_order(request, graph):
-    if graph == "ring 13":
-        g = DenseGraph(
-            tuple(tuple(sorted({(v - 1) % 13, (v + 1) % 13})) for v in range(13))
-        )
-    else:
-        g = request.getfixturevalue(graph)
+def test_task_columns_are_the_prefixed_combinations_in_order(request, graph):
+    g = _ring(13) if graph == "ring 13" else request.getfixturevalue(graph)
     order = _as_dense(g).order
+    split = False
     for task in _subset_tasks(g, range(1, 9)):
         size, prefixes = task
-        blocks = list(_task_masks(task, order))
-        assert all(len(b) == TRIAL_BLOCK for b in blocks[:-1])
-        assert 0 < len(blocks[-1]) <= TRIAL_BLOCK
+        calls = list(_task_columns(task, order, {}))
+        counts = [count for _, count, _ in calls]
+        # a call closes once it holds TRIAL_BLOCK sets, from pieces of at
+        # most TRIAL_BLOCK each
+        assert all(TRIAL_BLOCK <= c < 2 * TRIAL_BLOCK for c in counts[:-1])
+        assert 0 < counts[-1] < 2 * TRIAL_BLOCK
+        split |= any(
+            math.comb(order - 1 - p[-1], size - len(p)) > TRIAL_BLOCK for p in prefixes
+        )
+        decoded = []
+        for alive, count, fault in calls:
+            decoded += [fault(j) for j in range(count)]
+        # column v of a call holds bit j exactly when v survives set j
+        alive, count, _ = calls[0]
+        assert alive == [
+            sum(1 << j for j, f in enumerate(decoded[:count]) if not f >> v & 1)
+            for v in range(order)
+        ]
         expected = [
             _mask_of(prefix + rest)
             for prefix in prefixes
@@ -708,7 +728,41 @@ def test_task_masks_are_the_prefixed_combinations_in_order(request, graph):
                 range(prefix[-1] + 1, order), size - len(prefix)
             )
         ]
-        assert [m for b in blocks for m in b] == expected
+        assert decoded == expected
+    # mb4's size-7 prefix (0, 1) has comb(22, 5) rests and is split
+    assert split == (graph == "mb4")
+
+
+@pytest.mark.parametrize("graph", ["mb4", "ug5", "ring 13"])
+def test_column_path_and_mask_kernel_give_the_same_counters(request, graph):
+    if graph == "ring 13":
+        g, top = _ring(13), 8
+    else:
+        g, top = request.getfixturevalue(graph), {"mb4": 8, "ug5": 4}[graph]
+    dense = _as_dense(g)
+    by_size: dict[int, list] = {}
+    for task in _subset_tasks(g, range(1, top + 1)):
+        by_size.setdefault(task[0], []).append(task)
+    # the first two tasks of each size; ug5's first size-4 task is a split
+    # prefix, and nothing below size 5 disconnects it
+    tasks = [t for ts in by_size.values() for t in ts[:2]]
+    if graph == "ug5":
+        # N(v) isolates v, and N(C4) leaves the 4-cycle unreached beside the
+        # rest; each task is one prefix, all but the cut's last two vertices
+        isolating = dense.neighbors[dense.neighbors[0][0]]
+        cyclic = build_cycle_neighborhood_cut(g, canonical_four_cycle(g))
+        for cut in (isolating, cyclic):
+            tasks.append((len(cut), (tuple(cut[:-2]),)))
+    flagged = [0, 0, 0]
+    for task in tasks:
+        for alive, count, fault in _task_columns(task, dense.order, {}):
+            faults = [fault(j) for j in range(count)]
+            for apart in (1, 2, 3):
+                got = _disconnected_columns(dense.neighbors, alive, apart)
+                assert got == _disconnected(dense.neighbors, dense.order, faults, apart)
+            for i, counter in enumerate(got):
+                flagged[i] += counter.bit_count()
+    assert all(flagged)
 
 
 def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
@@ -1151,6 +1205,49 @@ def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypat
     assert _falsify_block(payload, 0) == (TRIAL_BLOCK, None)
     distinct = list(dict.fromkeys(_block_faults(payload, 0)))
     assert seen == [distinct] and len(distinct) < TRIAL_BLOCK
+
+
+# Controls with a known cyclic cut at the falsifier's target.  Its
+# strategies other than uniform sets grow and trim 4-cycle boundaries and
+# small blobs, so a cut that is not built from a 4-cycle is a blind spot.
+
+
+@pytest.fixture(scope="module")
+def star5():
+    return build_cayley(parse_spec("star:5"))
+
+
+def _six_cycle_boundary(G: CayleyGraph) -> tuple[int, ...]:
+    """N(C6) for the 6-cycle through 0 of the generators (1 2) and (1 3)."""
+    p, cycle = G.perms[0], []
+    for i in range(6):
+        cycle.append(G.vertex(p))
+        p = _swapped(p, 1, 3 if i % 2 else 2)
+    assert G.vertex(p) == 0 and len(set(cycle)) == 6
+    return vertex_boundary(G, cycle)
+
+
+def test_star5_six_cycle_boundary_is_a_cyclic_cut_of_12(star5):
+    cut = _six_cycle_boundary(star5)
+    analysis = component_analysis(star5.dense, cut)
+    assert len(cut) == 12 and is_cyclic_cut(star5, cut)
+    assert sorted(c.vertices for c in analysis.components) == [6, 102]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="star:5 has no 4-cycle, so every trial is a uniform set through 0 "
+    "and none hits the 12-vertex N(C6)",
+)
+def test_falsifier_finds_the_star5_six_cycle_cut(star5):
+    assert randomized_cut_falsifier(star5, 12, RANDOM_TRIALS, seed=1) is not None
+
+
+def test_falsifier_finds_the_bubble5_four_cycle_cut():
+    G = build_cayley(parse_spec("bubble:5"))
+    witness = randomized_cut_falsifier(G, 8, RANDOM_TRIALS, seed=1)
+    assert witness is not None and witness.size == 8
+    assert is_cyclic_cut(G, witness.fault)
 
 
 @pytest.mark.parametrize("trials", ["miss hit miss hit", "miss miss hit miss hit"])

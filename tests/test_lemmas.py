@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 import multiprocessing
+import operator
 
 import pytest
 
@@ -47,19 +50,23 @@ def test_full_mb4_report_passes(mb4):
 
 def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     sets = []
+    drawn = []
     walks = []
-    real = cuts._disconnected
+    real = cuts._disconnected_columns
     real_walk = cayley._components
 
-    def kernel(neighbors, order, faults, *apart):
-        sets.append(len(faults))
-        return real(neighbors, order, faults, *apart)
+    def kernel(neighbors, alive, *apart):
+        # every scanned set leaves a survivor, the last one too, so the
+        # highest bit of any column gives the number of sets
+        sets.append(functools.reduce(operator.or_, alive).bit_length())
+        return real(neighbors, alive, *apart)
 
     def walk(masks, alive):
         walks.append(alive)
         return real_walk(masks, alive)
 
-    monkeypatch.setattr(cuts, "_disconnected", kernel)
+    monkeypatch.setattr(cuts, "_disconnected_columns", kernel)
+    monkeypatch.setattr(cuts, "_disconnected", lambda *args: drawn.append(args))
     monkeypatch.setattr(cuts, "_components", walk)
     monkeypatch.setattr(cayley, "_components", walk)
     rep = verify_all(mb4, workers=1, seed=0)
@@ -68,6 +75,8 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     # rest; cyclic-cut-exact takes the verified 4-cycle neighborhood and
     # sweeps no size-8 set
     assert sum(sets) == 145_776
+    # nothing is drawn at random, so the mask front end never runs
+    assert drawn == []
     # one component walk per census set that does not strand one vertex,
     # which also gives its cyclic components
     assert len(walks) == 890
@@ -211,6 +220,18 @@ def test_body_bytes_worker_invariant(mb4):
     one = verify_all(mb4, workers=1, checks=picks)
     three = verify_all(mb4, workers=3, checks=picks)
     assert one.body_bytes() == three.body_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "graph, digest",
+    [("mb4", "9556ec1343a11d37"), ("corrupted mb4", "7e90ded9aa0c592b")],
+)
+def test_report_bodies_keep_their_digests(mb4, graph, digest, workers):
+    """Every verdict, scope, count and witness of both mb:4 reports, pinned."""
+    G = with_redirected_cross_edge(mb4) if graph == "corrupted mb4" else mb4
+    body = verify_all(G, workers=workers, seed=1, budget=60).body_bytes()
+    assert hashlib.sha256(body).hexdigest()[:16] == digest
 
 
 def test_check_selection_preserves_registry_order(mb4):
