@@ -114,7 +114,10 @@ def _disconnected(
 ) -> list[int]:
     """counts[i], i < apart: bit j set when faults[j] leaves > i survivors unreached.
 
-    faults is a non-empty list of fault masks, evaluated together by
+    A survivor is unreached when it lies outside the component of the
+    fault's start: its highest survivor that keeps a surviving neighbour,
+    or its highest survivor if no surviving edge is left.  faults is a
+    non-empty list of fault masks, evaluated together by
     ``_disconnected_columns`` once they are transposed into its survivor
     columns: vertex v gets one int whose bit j says that v survives fault
     j.  These ints come from one byte string of the fault masks, a
@@ -160,14 +163,17 @@ def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[i
 
     Bit-sliced over a family of fault sets: bit j of alive[v] says that
     vertex v survives set j.  Each set's search starts at its highest
-    surviving vertex, and one BFS over the columns sweeps the vertices
-    downward until nothing changes; a survivor it never reaches lies in
-    another component.  apart saturating bit-sliced counters count the
-    unreached survivors: bit j of counter i is set once more than i
-    survivors of set j are unreached.  The first counter flags exactly the
-    sets that leave a disconnected graph; a set in the first but not the
-    second leaves one survivor unreached, an isolated vertex beside one
-    component of the rest.
+    survivor that keeps a surviving neighbour, or at its highest survivor
+    if no surviving edge is left, and one BFS over the columns sweeps the
+    vertices downward until nothing changes; a survivor it never reaches
+    lies in another component.  The starts are seeded from the top vertex
+    down, which stops once every set with a survivor has one.  apart
+    saturating bit-sliced counters count the unreached survivors: bit j
+    of counter i is set once more than i survivors of set j are
+    unreached.  The first counter flags exactly the sets that leave a
+    disconnected graph.  A start with a surviving neighbour lies in a
+    component of at least 2, so a set of at least 3 survivors that leaves
+    one unreached isolates that vertex beside one component of the rest.
 
     A caller passes as apart the least size of a component its exact test
     needs on each of two sides: two such components cannot both hold the
@@ -181,10 +187,23 @@ def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[i
     order = len(alive)
     down = range(order - 1, -1, -1)
     reach = [0] * order
+    somebody = 0
+    for a in alive:
+        somebody |= a
     seen = 0
     for v in down:
-        reach[v] = alive[v] & ~seen
-        seen |= alive[v]
+        if seen == somebody:
+            break
+        r = 0
+        for u in neighbors[v]:
+            r |= alive[u]
+        reach[v] = r & alive[v] & ~seen
+        seen |= reach[v]
+    else:
+        # the sets with no surviving edge start at their highest survivor
+        for v in down:
+            reach[v] |= alive[v] & ~seen
+            seen |= alive[v]
     changed = True
     while changed:
         changed = False

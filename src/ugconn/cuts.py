@@ -833,18 +833,26 @@ class SizeCensus(NamedTuple):
 def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     """The census row of one (size, prefixes) task, ending with its first cyclic cut.
 
-    One kernel call per ``_task_columns`` call counts up to 2 unreached
-    survivors per set.  A set that leaves exactly one survivor unreached,
-    of at least 3, cuts off that vertex beside one larger component: it
-    isolates with residual 1, and it is a neighborhood fault iff it equals
-    some N(v), since N(v) isolates v and there is one singleton.  Those
-    sets are counted by popcount, and a set of the size of N(v) equals
-    N(v) iff it holds every vertex of N(v), so the AND of their fault
-    columns with the single-survivor flags counts the matches.  Every
-    other disconnecting set is unranked and gets one component walk
-    (``_components``), in scan order, which gives its residual, its
-    singleton and, until the task has its first cyclic cut, its cyclic
-    components.
+    One kernel call per ``_task_columns`` call counts up to 3 unreached
+    survivors per set, from a start that keeps a surviving neighbour
+    unless no surviving edge is left (``_disconnected_columns``).  A set
+    that leaves exactly one survivor unreached, of at least 3, cuts off
+    that vertex beside one larger component: it isolates with residual 1,
+    and it is a neighborhood fault iff it equals some N(v), since N(v)
+    isolates v and there is one singleton.  Those sets are counted by
+    popcount, and a set of the size of N(v) equals N(v) iff it holds every
+    vertex of N(v), so the AND of their fault columns with the
+    single-survivor flags counts the matches.  A set that leaves exactly
+    two survivors unreached has residual 2: its start's component is a
+    largest one, or every survivor is a single vertex.  It does not
+    isolate, since two unreached single vertices make three components
+    and an unreached edge means that the start keeps a neighbour, and it
+    is not a cyclic cut, since only the start's component can hold the 3
+    vertices of a cycle; so it needs only its place in the residual
+    order.  Every other disconnecting set is unranked and gets one
+    component walk (``_components``), in scan order, which gives its
+    residual, its singleton and, until the task has its first cyclic cut,
+    its cyclic components.
     """
     size = task[0]
     lone = order - size >= 3
@@ -858,8 +866,9 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     cyclic = None
     for alive, count, fault in _task_columns(task, order, memo):
         subsets += count
-        split, several = _disconnected_columns(neighbors, alive, 2)
+        split, several, many = _disconnected_columns(neighbors, alive, 3)
         single = split & ~several if lone else 0
+        pair = several & ~many
         disconnecting += split.bit_count()
         isolating += single.bit_count()
         for ns in neighborhoods:
@@ -868,8 +877,11 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
                 match &= ~alive[u]
             nbhd += match.bit_count()
         # (residual, -j) of the call's first set of greatest residual
-        best = (1, 1 - (single & -single).bit_length()) if single else (0, 0)
-        walked = split ^ single
+        best = (0, 0)
+        for residual, flags in ((1, single), (2, pair)):
+            if flags:
+                best = (residual, 1 - (flags & -flags).bit_length())
+        walked = split & ~single & ~pair
         while walked:
             b = walked & -walked
             walked ^= b
@@ -1111,8 +1123,9 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
 # A block first draws all of its fault sets from its own seeded stream.
 # The strategies repeat fault sets often, so ``_disconnected`` takes each
 # distinct set of the block once and flags those that leave at least
-# CYCLE_VERTICES survivors outside the component of its start; only they
-# get the exact cyclic test, in order of first occurrence, and each
+# CYCLE_VERTICES survivors outside the component of its start, its
+# highest survivor that keeps a surviving neighbour; only they get the
+# exact cyclic test, in order of first occurrence, and each
 # worker memoises that test by fault mask, since blocks repeat sets too.
 
 

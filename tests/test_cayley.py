@@ -292,19 +292,37 @@ def _unreached_by_reach(dense: DenseGraph, faults) -> list[int]:
     """The reference for ``_disconnected``: one plain BFS per fault.
 
     Entry j counts the survivors of faults[j] outside the component of
-    its highest survivor; ``_disconnected(..., apart)`` sets bit j of its
-    counter i < apart exactly when the count is at least i + 1.
+    its start: its highest survivor that keeps a surviving neighbour, or
+    its highest survivor if no surviving edge is left.
+    ``_disconnected(..., apart)`` sets bit j of its counter i < apart
+    exactly when the count is at least i + 1.
     """
     out = []
     for fmask in faults:
         alive = dense.full_mask ^ fmask
-        top = 1 << alive.bit_length() >> 1
+        paired = (
+            v
+            for v in range(dense.order - 1, -1, -1)
+            if alive >> v & 1 and dense.masks[v] & alive
+        )
+        start = next(paired, None)
+        top = 1 << alive.bit_length() >> 1 if start is None else 1 << start
         out.append((alive & ~reach(dense.masks, alive, top)).bit_count())
     return out
 
 
 def _at_least(counts: list[int], apart: int) -> int:
     return sum(1 << j for j, count in enumerate(counts) if count >= apart)
+
+
+def _scattered(dense: DenseGraph, rng: random.Random) -> int:
+    """A fault that leaves a random maximal independent set: no surviving edge."""
+    free, kept = dense.full_mask, 0
+    for v in rng.sample(range(dense.order), dense.order):
+        if free >> v & 1:
+            kept |= 1 << v
+            free &= ~dense.masks[v]
+    return dense.full_mask ^ kept
 
 
 @pytest.mark.parametrize(
@@ -314,6 +332,7 @@ def _at_least(counts: list[int], apart: int) -> int:
         "ug5",
         "gnp split",
         "gnp isolated 0",
+        "gnp isolated top",
         # orders at and around a byte edge of the kernel's fault rows
         "ring 7",
         "ring 8",
@@ -336,10 +355,11 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
         seed = 0
         while True:
             H = nx.gnp_random_graph(30, 0.1 if graph == "gnp split" else 0.2, seed=seed)
-            if graph == "gnp isolated 0":
-                H.remove_edges_from(list(H.edges(0)))
-                # vertex 0 alone, the rest in one piece
-                if nx.is_connected(H.subgraph(range(1, 30))):
+            if graph.startswith("gnp isolated"):
+                # one end alone, the rest in one piece
+                lone = 0 if graph == "gnp isolated 0" else 29
+                H.remove_edges_from(list(H.edges(lone)))
+                if nx.is_connected(H.subgraph(set(H) - {lone})):
                     break
             elif nx.number_connected_components(H) >= 2 and H.degree(0):
                 break
@@ -356,25 +376,36 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
     rng = random.Random(graph)
     # fault counts inside, across and at a whole number of 8-fault words
     for width in (1, 5, 13, TRIAL_BLOCK):
-        for _ in range(3):
+        for family in ("random", "scattered", "deep"):
             faults = [
                 sum(1 << v for v in rng.sample(range(order), rng.randrange(order // 2)))
                 for _ in range(width)
             ]
-            if width > 1:
+            if family == "deep":
+                # every fault holds the top vertex and more of the top, so
+                # the starts are seeded far down
+                faults = [
+                    fmask | full ^ ((1 << rng.randrange(order // 2, order)) - 1)
+                    for fmask in faults
+                ]
+            elif width > 1:
                 # edge cases at the front, in the middle and last
                 for i, fmask in zip((0, width // 2, width - 1), rng.sample(edge, 3)):
                     faults[i] = fmask
+            if family == "scattered":
+                # sets with no surviving edge start at their highest survivor
+                for i in range(1 if width > 1 else 0, width, 4):
+                    faults[i] = _scattered(dense, rng)
             got = cayley._disconnected(dense.neighbors, order, faults)
             unreached = _unreached_by_reach(dense, faults)
-            assert got == [_at_least(unreached, 1)], width
+            assert got == [_at_least(unreached, 1)], (width, family)
             for apart in (1, 2, 3):
                 counted = cayley._disconnected(dense.neighbors, order, faults, apart)
                 assert len(counted) == apart
                 for i, count in enumerate(counted):
-                    assert count == _at_least(unreached, i + 1), (width, apart, i)
-        if width == TRIAL_BLOCK:
-            assert 0 < got[0].bit_count() < width
+                    assert count == _at_least(unreached, i + 1), (width, family, apart, i)
+            if width == TRIAL_BLOCK and family == "random":
+                assert 0 < got[0].bit_count() < width
 
 
 @pytest.mark.parametrize("graph", ["mb4", "ug5", "small pieces", "ug6"])

@@ -497,6 +497,29 @@ def test_census_worst_faults_actually_disconnect(mb4):
         assert an.residual() == row[3]
 
 
+@pytest.mark.parametrize("graph", ["mb4", "corrupted mb4"])
+def test_census_walks_only_sets_with_three_survivors_off_the_start(
+    mb4, monkeypatch, graph
+):
+    # one or two survivors outside the start's component settle a set by
+    # popcount; the start is the highest survivor that keeps a neighbour
+    g = mb4 if graph == "mb4" else with_redirected_cross_edge(mb4)
+    masks = _as_dense(g).masks
+    walked = []
+    real = cuts._components
+
+    def walk(masks, alive):
+        walked.append(alive)
+        return real(masks, alive)
+
+    monkeypatch.setattr(cuts, "_components", walk)
+    disconnection_census(g, 7, workers=1)
+    assert len(walked) == (55 if graph == "mb4" else 264)
+    for alive in walked:
+        start = max(v for v in _mask_members(alive) if masks[v] & alive)
+        assert (alive & ~reach(masks, alive, 1 << start)).bit_count() >= 3
+
+
 def test_min_cyclic_cut_none_up_to_seven(mb4):
     assert min_cyclic_cut_exhaustive(mb4, 7, workers=1) is None
 
@@ -645,10 +668,16 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
     return census, hits
 
 
-@pytest.mark.parametrize("graph", ["corrupted mb4", "bare split", "bare hub"])
-def test_scans_match_a_per_set_reach_loop(mb4, graph):
+@pytest.mark.parametrize(
+    "graph", ["corrupted mb4", "bare split", "bare hub", "bare b4", "bare star4"]
+)
+def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
     top = 7
-    if graph == "bare split":
+    if graph in ("bare b4", "bare star4"):
+        # bubble:4 and star:4 on every set: beside the sets it counts by
+        # popcount, the census walks 73,892 and 23,142 of them
+        g, workers = request.getfixturevalue(graph.removeprefix("bare ")).dense, (1, 2)
+    elif graph == "bare split":
         # an edge on vertices 0 and 1 beside a 14-vertex cubic graph
         H = nx.disjoint_union(nx.path_graph(2), nx.random_regular_graph(3, 14, seed=1))
         g, workers = _dense_of_nx(H), (1, 2)

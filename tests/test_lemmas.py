@@ -77,9 +77,10 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     assert sum(sets) == 145_776
     # nothing is drawn at random, so the mask front end never runs
     assert drawn == []
-    # one component walk per census set that does not strand one vertex,
-    # which also gives its cyclic components
-    assert len(walks) == 890
+    # one component walk per census set that leaves 3 or more survivors
+    # outside the component of its start, which also gives its cyclic
+    # components; the sets that leave one or two are settled by popcount
+    assert len(walks) == 55
     detail = {c.check_id: c.detail for c in rep.checks}["cyclic-cut-exact"]
     assert detail == {
         "cyclic_connectivity": 8,
