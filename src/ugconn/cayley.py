@@ -10,7 +10,6 @@ cut searches are dominated by set intersections.
 from __future__ import annotations
 
 import itertools
-import struct
 from collections import Counter
 from typing import NamedTuple
 
@@ -121,7 +120,7 @@ def _disconnected(
     ``_disconnected_columns`` once they are transposed into its survivor
     columns: vertex v gets one int whose bit j says that v survives fault
     j.  These ints come from one byte string of the fault masks, a
-    little-endian row per fault (one ``struct.pack`` up to 64 vertices).
+    little-endian row of ``int.to_bytes`` per fault.
     Byte column k, read down as one int, holds in each 64-bit word the 8x8
     bit matrix of 8 faults' bytes; three delta swaps over the whole int
     transpose every such matrix (``_TRANSPOSE_8X8``), after which every
@@ -132,13 +131,9 @@ def _disconnected(
     # one little-endian row of width bytes per fault: byte column k, read
     # down, holds vertices 8k..8k+7, byte j of it fault j
     count = len(faults)
-    if order <= 64:
-        width = 8
-        rows = struct.pack(f"<{count}Q", *faults)
-    else:
-        width = (order + 7) // 8
-        repeat = itertools.repeat
-        rows = b"".join(map(int.to_bytes, faults, repeat(width), repeat("little")))
+    width = (order + 7) // 8
+    repeat = itertools.repeat
+    rows = b"".join(map(int.to_bytes, faults, repeat(width), repeat("little")))
     words = (count + 7) // 8
     swaps = [
         (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))

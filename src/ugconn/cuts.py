@@ -1125,84 +1125,49 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
 # distinct set of the block once and flags those that leave at least
 # CYCLE_VERTICES survivors outside the component of its start, its
 # highest survivor that keeps a surviving neighbour; only they get the
-# exact cyclic test, in order of first occurrence, and each
-# worker memoises that test by fault mask, since blocks repeat sets too.
+# exact cyclic test, in order of first occurrence, and each worker
+# memoises that test by fault mask, since blocks repeat sets too.
+# ``randomized_cut_falsifier`` binds the graph, the strategies' starts
+# and both caches (the memo and ``grown``) with partial, so each forked
+# worker fills caches of its own.
 
 
-def _falsifier_payload(G, target: int, trials: int, seed: int) -> dict:
-    """Worker state for ``randomized_cut_falsifier`` (see ``_block_faults``)."""
-    dense = _as_dense(G)
-    anchors = _anchors(G)
-    cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
-    cycles = [c for c in cycles if c[0] in anchors]
-    bound_lists = [vertex_boundary(dense, cycle) for cycle in cycles]
-    nblocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    return dict(
-        masks=dense.masks,
-        neighbors=dense.neighbors,
-        order=dense.order,
-        full=dense.full_mask,
-        target=target,
-        seed=seed,
-        anchors=anchors,
-        cycle_cores=[_mask_of(cycle) for cycle in cycles],
-        cycle_bounds=[_mask_of(b) for b in bound_lists],
-        cycle_bound_lists=bound_lists,
-        block_trials=[
-            min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK) for b in range(nblocks)
-        ],
-        memo={},
-        grown={},
-    )
-
-
-def _block_faults(shared: dict, block: int) -> list[int]:
+def _block_faults(
+    dense, anchors, cycles, blobs, grown, target, seed, trials, block
+) -> list[int]:
     """The fault sets of one trial block, in trial order, as vertex masks.
 
     Trial i uses strategy i mod 4 (always 0 without 4-cycles): 0 an anchor
     and target-1 more vertices (``_anchored_fault``), 1 a 4-cycle's
     neighborhood, 2 the boundary of a cycle core grown by one or two
     vertices, 3 the boundary of a blob of two to four vertices grown from
-    an anchor.  The 4-cycles are those whose least vertex is an anchor.
-    Boundaries are trimmed at random down to the target.  The random
-    stream depends on the seed and the block only.
+    an anchor.  cycles and blobs list the starts of strategies 1-2 and 3
+    as (core mask, boundary mask, boundary in increasing order): the
+    4-cycles whose least vertex is an anchor, and the anchors.  Boundaries
+    are trimmed at random down to the target.  The random stream depends
+    on the seed and the block only; the block holds TRIAL_BLOCK trials,
+    the last one what is left of trials.
 
     Each set, or the core it bounds, contains an anchor; that loses nothing
     (``cayley._anchors``), and on a bare graph strategy 0 is uniform.  Each
     ``randrange(m)`` is written out as in ``_anchored_fault``, with no call
-    per drawn index, and ``shared["grown"]`` keeps the grown boundary of
-    each core.
+    per drawn index, and grown keeps the grown boundary of each core.
     """
-    masks = shared["masks"]
-    neighbors = shared["neighbors"]
-    order = shared["order"]
-    target = shared["target"]
-    anchors = shared["anchors"]
-    cores = shared["cycle_cores"]
-    bounds = shared["cycle_bounds"]
-    bound_lists = shared["cycle_bound_lists"]
-    grown = shared["grown"]
-    getrandbits = random.Random((shared["seed"] << 20) | block).getrandbits
-    ncycles, nanchors = len(cores), len(anchors)
+    masks, order = dense.masks, dense.order
+    getrandbits = random.Random((seed << 20) | block).getrandbits
     faults = []
-    for i in range(shared["block_trials"][block]):
-        strat = i & 3 if ncycles else 0
+    for i in range(min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)):
+        strat = i & 3 if cycles else 0
         if strat == 0:
             faults.append(_anchored_fault(getrandbits, anchors, order, target))
             continue
-        if strat == 3:
-            k = nanchors.bit_length()
+        starts = blobs if strat == 3 else cycles
+        m = len(starts)
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
             r = getrandbits(k)
-            while r >= nanchors:
-                r = getrandbits(k)
-            v = anchors[r]
-            core, fmask, fault = 1 << v, masks[v], neighbors[v]
-        else:
-            k = ncycles.bit_length()
-            c = getrandbits(k)
-            while c >= ncycles:
-                c = getrandbits(k)
-            core, fmask, fault = cores[c], bounds[c], bound_lists[c]
+        core, fmask, fault = starts[r]
         if strat > 1:
             # randrange(1, strat + 1) more vertices: one or two on a cycle
             # core, one to three on an anchor
@@ -1237,21 +1202,21 @@ def _block_faults(shared: dict, block: int) -> list[int]:
     return faults
 
 
-def _falsify_block(shared: dict, block: int):
+def _falsify_block(dense, draw, memo, block):
     """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None.
 
-    The kernel takes each distinct fault set of the block once, in order
-    of first occurrence, and flags those that leave CYCLE_VERTICES
-    survivors outside its start; the first trial that holds a hit is that
-    set's first occurrence.  A block drawn after the search has its hit
-    skips the kernel: its result is never read.
+    draw(block) gives the block's fault masks (``_block_faults``).  The
+    kernel takes each distinct fault set of the block once, in order of
+    first occurrence, and flags those that leave CYCLE_VERTICES survivors
+    outside its start; the first trial that holds a hit is that set's
+    first occurrence.  memo keeps the exact cyclic test by fault mask.  A
+    block drawn after the search has its hit skips the kernel: its result
+    is never read.
     """
-    masks = shared["masks"]
-    full = shared["full"]
-    memo = shared["memo"]
-    faults = _block_faults(shared, block)
+    faults = draw(block)
     if _stopped():
         return len(faults), None
+    masks, full = dense.masks, dense.full_mask
 
     def cyclic(fmask):
         if not fmask:
@@ -1262,9 +1227,7 @@ def _falsify_block(shared: dict, block: int):
         return hit
 
     distinct = list(dict.fromkeys(faults))
-    flagged = _disconnected(
-        shared["neighbors"], shared["order"], distinct, CYCLE_VERTICES
-    )[-1]
+    flagged = _disconnected(dense.neighbors, dense.order, distinct, CYCLE_VERTICES)[-1]
     j = _first_passing(flagged, distinct.__getitem__, cyclic)
     if j is None:
         return len(faults), None
@@ -1296,9 +1259,19 @@ def randomized_cut_falsifier(
     dense = _as_dense(G)
     if not 0 <= target_size <= dense.order:
         raise ValueError(f"target size {target_size} must lie in 0..{dense.order}")
-    payload = _falsifier_payload(G, target_size, trials, seed)
-    blocks = range(len(payload["block_trials"]))
-    _, hit = _first_result(partial(_falsify_block, payload), blocks, workers)
+    anchors = _anchors(G)
+    cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
+    cycles = [
+        (_mask_of(c), _mask_of(b := vertex_boundary(dense, c)), b)
+        for c in cycles
+        if c[0] in anchors
+    ]
+    blobs = [(1 << v, dense.masks[v], dense.neighbors[v]) for v in anchors]
+    draw = partial(
+        _block_faults, dense, anchors, cycles, blobs, {}, target_size, seed, trials
+    )
+    blocks = range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK)
+    _, hit = _first_result(partial(_falsify_block, dense, draw, {}), blocks, workers)
     if hit is None:
         return None
     block, j, fault = hit

@@ -15,6 +15,7 @@ import random
 import threading
 import time
 from functools import partial
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -41,8 +42,6 @@ from ugconn.cayley import (
 )
 from ugconn.cuts import (
     TRIAL_BLOCK,
-    _block_faults,
-    _falsifier_payload,
     _falsify_block,
     _first_result,
     _keeps_degree,
@@ -669,7 +668,8 @@ def _scans_by_reach(dense: DenseGraph, max_size: int):
 
 
 @pytest.mark.parametrize(
-    "graph", ["corrupted mb4", "bare split", "bare hub", "bare b4", "bare star4"]
+    "graph",
+    ["corrupted mb4", "bare split", "bare hub", "bare twins", "bare b4", "bare star4"],
 )
 def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
     top = 7
@@ -690,6 +690,15 @@ def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
         H.add_edges_from([(0, 1)] + [(7, v) for v in range(1, 7)])
         g, workers = _dense_of_nx(H), (1, 2)
         assert g.order == top + 1
+    elif graph == "bare twins":
+        # triangles 0-1-2 and 3-4-5, 6 on 2 and 3, and twins 7 and 8 on
+        # 0..6: the size-7 set 0..6 = N(7) = N(8) leaves the twins apart,
+        # two survivors with no edge, so it isolates and is one
+        # neighborhood fault, for the least singleton 7
+        H = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(3))
+        H.add_edges_from([(6, 2), (6, 3)] + [(t, v) for t in (7, 8) for v in range(7)])
+        g, workers = _dense_of_nx(H), (1, 2)
+        assert g.order == top + 2
     else:
         g, workers = with_redirected_cross_edge(mb4), (1, 2)
     census, hits = _scans_by_reach(_as_dense(g), top)
@@ -1071,36 +1080,52 @@ def test_falsifier_agrees_with_exhaustive_truth(mb4):
     assert is_cyclic_cut(mb4, w.fault)
 
 
+class _Bound(Exception):
+    """Raised by a stand-in for ``_falsify_block`` with the draw bound to it."""
+
+
+def _falsifier_draw(g, target, trials, seed):
+    """The ``partial(_block_faults, ...)`` that randomized_cut_falsifier binds.
+
+    Its args are (dense, anchors, cycles, blobs, grown, target, seed,
+    trials); draw(block) gives a block's fault masks.
+    """
+
+    def task(dense, draw, memo, block):
+        raise _Bound(draw)
+
+    with mock.patch.object(cuts, "_falsify_block", task):
+        with pytest.raises(_Bound) as bound:
+            randomized_cut_falsifier(g, target, trials, seed, workers=1)
+    return bound.value.args[0]
+
+
 def _replay_first_hit(g, target, trials, seed):
     """(block, trial, fault) of the first replayed fault that is a cyclic cut."""
-    payload = _falsifier_payload(g, target, trials, seed)
-    for block in range(len(payload["block_trials"])):
-        for i, fmask in enumerate(_block_faults(payload, block)):
+    draw = _falsifier_draw(g, target, trials, seed)
+    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+        for i, fmask in enumerate(draw(block)):
             fault = _mask_members(fmask)
             if fault and is_cyclic_cut(g, fault):
                 return block, i, fault
     return None
 
 
-def _reference_faults(shared, block):
+def _reference_faults(draw, block):
     """The list-based draw: rng.choice and rng.randrange on vertex lists.
 
     ``_block_faults`` must spend the same random stream on the same sets;
-    this also catches a Python whose ``random`` draws differently.
+    this also catches a Python whose ``random`` draws differently.  It
+    takes the 4-cycles from draw's arguments, but builds the anchors'
+    starts itself.
     """
-    masks = shared["masks"]
-    neighbors = shared["neighbors"]
-    order = shared["order"]
-    target = shared["target"]
-    anchors = shared["anchors"]
-    cores = shared["cycle_cores"]
-    bounds = shared["cycle_bounds"]
-    bound_lists = shared["cycle_bound_lists"]
-    rng = random.Random((shared["seed"] << 20) | block)
+    dense, anchors, cycles, _, _, target, seed, trials = draw.args
+    masks, neighbors, order = dense.masks, dense.neighbors, dense.order
+    rng = random.Random((seed << 20) | block)
     randrange = rng.randrange
-    ncycles = len(cores)
+    ncycles = len(cycles)
     faults = []
-    for i in range(shared["block_trials"][block]):
+    for i in range(min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)):
         strat = i & 3 if ncycles else 0
         if strat == 0:
             fault = [rng.choice(anchors)] if target else []
@@ -1112,11 +1137,10 @@ def _reference_faults(shared, block):
             faults.append(fault)
             continue
         if strat == 1:
-            fault = bound_lists[randrange(ncycles)]
+            fault = cycles[randrange(ncycles)][2]
         else:
             if strat == 2:
-                c = randrange(ncycles)
-                core, bound, fault = cores[c], bounds[c], bound_lists[c]
+                core, bound, fault = cycles[randrange(ncycles)]
                 grow = randrange(1, 3)
             else:
                 v = rng.choice(anchors)
@@ -1167,16 +1191,21 @@ def test_block_faults_replay_the_list_based_draw(request, graph, target):
     built = isinstance(g, CayleyGraph)
     for seed in (0, 1, 7):
         # two full blocks and a partial last block
-        payload = _falsifier_payload(g, target, 2 * TRIAL_BLOCK + 5, seed)
-        assert payload["anchors"] == range(1 if built else g.order)
-        # the 4-cycles are those through vertex 0, and strategy 0 draws
-        # target vertices with vertex 0 among them
-        cores = payload["cycle_cores"]
-        assert all(core & 1 for core in cores)
-        assert len(cores) == {"mb4": 2, "ug5": 4}.get(graph, 0)
+        draw = _falsifier_draw(g, target, 2 * TRIAL_BLOCK + 5, seed)
+        _, anchors, cycles, *_ = draw.args
+        assert anchors == range(1 if built else g.order)
+        # the 4-cycles are those through vertex 0, as (core, boundary mask,
+        # boundary), and strategy 0 draws target vertices with vertex 0
+        # among them
+        assert all(core & 1 for core, _, _ in cycles)
+        assert len(cycles) == {"mb4": 2, "ug5": 4}.get(graph, 0)
+        for core, bound, fault in cycles:
+            assert core.bit_count() == 4
+            assert fault == vertex_boundary(g, _mask_members(core))
+            assert bound == _mask_of(fault)
         for block in range(3):
-            faults = _block_faults(payload, block)
-            ref = [_mask_of(f) for f in _reference_faults(payload, block)]
+            faults = draw(block)
+            ref = [_mask_of(f) for f in _reference_faults(draw, block)]
             assert faults == ref, (seed, block)
             if built:
                 for fmask in faults[::4]:
@@ -1215,10 +1244,10 @@ def test_falsifier_witness_is_the_first_replayed_hit(
 
 def test_falsifier_blocks_do_not_depend_on_their_length(ug5):
     # the partial last block draws the prefix of the same block in a longer run
-    short = _falsifier_payload(ug5, 11, TRIAL_BLOCK + 1, 0)
-    assert short["block_trials"] == [TRIAL_BLOCK, 1]
-    longer = _falsifier_payload(ug5, 11, 2 * TRIAL_BLOCK, 0)
-    assert _block_faults(short, 1) == _block_faults(longer, 1)[:1]
+    short = _falsifier_draw(ug5, 11, TRIAL_BLOCK + 1, 0)
+    assert [len(short(block)) for block in range(2)] == [TRIAL_BLOCK, 1]
+    longer = _falsifier_draw(ug5, 11, 2 * TRIAL_BLOCK, 0)
+    assert short(1) == longer(1)[:1]
 
 
 def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypatch):
@@ -1230,10 +1259,30 @@ def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypat
         return real(neighbors, order, faults, *apart)
 
     monkeypatch.setattr(cuts, "_disconnected", kernel)
-    payload = _falsifier_payload(ug5, 11, TRIAL_BLOCK, 0)
-    assert _falsify_block(payload, 0) == (TRIAL_BLOCK, None)
-    distinct = list(dict.fromkeys(_block_faults(payload, 0)))
+    draw = _falsifier_draw(ug5, 11, TRIAL_BLOCK, 0)
+    assert _falsify_block(ug5.dense, draw, {}, 0) == (TRIAL_BLOCK, None)
+    distinct = list(dict.fromkeys(draw(0)))
     assert seen == [distinct] and len(distinct) < TRIAL_BLOCK
+
+
+def test_falsifier_memo_tests_each_flagged_set_once(ug5, monkeypatch):
+    # block 0 flags 30 distinct sets and blocks 1-3 repeat them, so with
+    # one memo, as in a worker, the exact test runs 30 times in all
+    tested = []
+    real = cuts._two_cyclic_components
+
+    def exact(masks, alive):
+        tested.append(alive)
+        return real(masks, alive)
+
+    monkeypatch.setattr(cuts, "_two_cyclic_components", exact)
+    draw = _falsifier_draw(ug5, 11, 4 * TRIAL_BLOCK, 0)
+    memo = {}
+    counts = []
+    for block in range(4):
+        assert _falsify_block(ug5.dense, draw, memo, block) == (TRIAL_BLOCK, None)
+        counts.append(len(tested))
+    assert counts == [30, 30, 30, 30]
 
 
 # Controls with a known cyclic cut at the falsifier's target.  Its
@@ -1286,9 +1335,9 @@ def test_falsifier_hit_maps_to_its_first_trial(mb4, monkeypatch, trials):
     assert is_cyclic_cut(mb4, _mask_members(hit))
     faults = [{"miss": miss, "hit": hit}[t] for t in trials.split()]
     first = faults.index(hit)
-    monkeypatch.setattr(cuts, "_block_faults", lambda shared, block: faults)
-    payload = _falsifier_payload(mb4, 8, len(faults), 0)
-    assert _falsify_block(payload, 0) == (len(faults), (0, first, _mask_members(hit)))
+    monkeypatch.setattr(cuts, "_block_faults", lambda *args: faults)
+    row = (len(faults), (0, first, _mask_members(hit)))
+    assert _falsify_block(mb4.dense, cuts._block_faults, {}, 0) == row
     w = randomized_cut_falsifier(mb4, 8, len(faults), seed=0, workers=1)
     assert w.scanned == first + 1 and w.fault == _mask_members(hit)
 
@@ -1548,8 +1597,8 @@ def test_a_hit_in_the_in_process_phase_forks_nothing(monkeypatch):
 
 
 def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatch):
-    payload = _falsifier_payload(mb4, 8, TRIAL_BLOCK, 0)
-    assert _falsify_block(payload, 0)[1] is not None  # block 0 holds a cyclic cut
+    draw = _falsifier_draw(mb4, 8, TRIAL_BLOCK, 0)
+    assert _falsify_block(mb4.dense, draw, {}, 0)[1] is not None  # a cyclic cut
 
     def kernel(*args):
         raise AssertionError("the kernel ran after the stop")
@@ -1558,7 +1607,7 @@ def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatc
     stop = threading.Event()
     stop.set()
     monkeypatch.setattr(cuts, "_STOP", stop)
-    assert _falsify_block(payload, 0) == (TRIAL_BLOCK, None)
+    assert _falsify_block(mb4.dense, draw, {}, 0) == (TRIAL_BLOCK, None)
 
 
 def test_resolve_workers(monkeypatch):
