@@ -2,10 +2,11 @@
 
 Everything here is deterministic for a fixed seed: enumeration is by
 subset size ascending and lexicographic within a size, parallel runs
-partition the work by size and runs of the two least fault elements or
-by fixed-size trial blocks, searches take the first hit in task order,
-and merges pick the lexicographically least candidate.  A run with 8
-workers therefore returns byte-identical results to a run with 1.
+partition the work into runs of lexicographically consecutive fault sets
+of one size or into fixed-size trial blocks, searches take the first hit
+in task order, and merges pick the lexicographically least candidate.
+A run with 8 workers therefore returns byte-identical results to a run
+with 1.
 """
 
 from __future__ import annotations
@@ -575,36 +576,45 @@ def _first_passing(flagged: int, fault, test) -> int | None:
 # exhaustive subset scans
 
 
-def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """(size, prefixes) tasks that split an exhaustive scan over the given sizes.
+def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, int, int], ...]]]:
+    """(size, pieces) tasks that split an exhaustive scan over the given sizes.
 
-    A prefix stands for the sets of one size whose least elements are the
-    prefix: the two least, or the one element of a size-1 set.  Sizes run
-    ascending and prefixes in lexicographic order, and a task takes
-    consecutive prefixes of one size until it holds TRIAL_BLOCK sets, so
-    the tasks meet the sets in (size, lexicographic) order and few kernel
-    calls of ``_task_columns`` are short.
+    A piece (head, r, s) stands for the sets head | R over the r-subsets R
+    of range(s, order), in lexicographic order.  Anchor a starts as the
+    piece (1 << a, size - 1, a + 1) of the sets whose least element is a.
+    A piece of more than TRIAL_BLOCK sets is split at s: first the sets
+    that hold s, then those of range(s + 1, order) (Knuth, TAOCP 4A,
+    7.2.1.3), until none is that large.  Empty pieces are dropped, and a
+    task takes consecutive pieces of one size until it holds TRIAL_BLOCK
+    sets, so it holds fewer than 2 * TRIAL_BLOCK and is one kernel call
+    (``_task_columns``).  Sizes run ascending and pieces in lexicographic
+    order, so the tasks meet the sets in (size, lexicographic) order.
 
-    Every prefix starts with an anchor, so a graph from ``build_cayley``
+    Every piece starts with an anchor, so a graph from ``build_cayley``
     scans only the sets through vertex 0; first hits, least witnesses and
     counts scaled by order/k stay exact (``cayley._anchors``).
     """
     order = _as_dense(g).order
-    tasks: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
+
+    def split(head: int, r: int, s: int):
+        while math.comb(order - s, r) > TRIAL_BLOCK:
+            yield from split(head | 1 << s, r - 1, s + 1)
+            s += 1
+        yield head, r, s
+
+    tasks: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
     for size in sizes:
-        group: list[tuple[int, ...]] = []
+        group: list[tuple[int, int, int]] = []
         held = 0
         for a in _anchors(g):
-            if size == 1:
-                prefixes = [(a,)]
-            else:
-                prefixes = [(a, b) for b in range(a + 1, order - size + 2)]
-            for prefix in prefixes:
-                group.append(prefix)
-                held += math.comb(order - 1 - prefix[-1], size - len(prefix))
-                if held >= TRIAL_BLOCK:
-                    tasks.append((size, tuple(group)))
-                    group, held = [], 0
+            for head, r, s in split(1 << a, size - 1, a + 1):
+                count = math.comb(order - s, r)
+                if count:
+                    group.append((head, r, s))
+                    held += count
+                    if held >= TRIAL_BLOCK:
+                        tasks.append((size, tuple(group)))
+                        group, held = [], 0
         if group:
             tasks.append((size, tuple(group)))
     return tasks
@@ -660,58 +670,35 @@ def _unrank(i: int, r: int, s: int, order: int) -> int:
 
 
 def _task_columns(task, order: int, memo: dict):
-    """The kernel calls of a (size, prefixes) task: (survivor columns, sets, fault).
+    """The kernel call of a (size, pieces) task: (survivor columns, sets, fault).
 
-    A prefix stands for itself joined to each rest, an r-subset of the
-    vertices after its last element, and those sets come in lexicographic
-    order, so their columns come from ``_rest_columns``: all zeros before
-    the rest's first vertex except the prefix's all ones.  A prefix whose
-    rests number more than TRIAL_BLOCK is split at its next element until
-    none does, and a call takes consecutive pieces until it holds
-    TRIAL_BLOCK sets, so no call holds 2 * TRIAL_BLOCK.  Column v of a
-    call is the complement of v's member columns of its pieces, each
-    shifted past the pieces before it.  fault(j) unranks set j of the call
-    into its fault mask (``_unrank``).
+    A piece's sets come in lexicographic order, so their columns come from
+    ``_rest_columns``: all zeros before the rest's first vertex except the
+    head's all ones.  Column v of the task is the complement of v's member
+    columns of its pieces, each shifted past the pieces before it.
+    fault(j) unranks set j of the task into its fault mask (``_unrank``).
     """
-    size, prefixes = task
+    member = [0] * order
+    starts = []
+    held = 0
+    for head, r, s in task[1]:
+        count = math.comb(order - s, r)
+        ones = ((1 << count) - 1) << held
+        for v in _mask_members(head):
+            member[v] |= ones
+        if r:  # an empty rest adds no member
+            for v, col in enumerate(_rest_columns(r, s, order, memo), s):
+                member[v] |= col << held
+        starts.append(held)
+        held += count
 
-    def split(head: int, r: int, s: int):
-        # the rests that hold s come first, then those of range(s + 1, order)
-        while math.comb(order - s, r) > TRIAL_BLOCK:
-            yield from split(head | 1 << s, r - 1, s + 1)
-            s += 1
-        yield head, r, s
+    def fault(j):
+        k = bisect_right(starts, j) - 1
+        head, r, s = task[1][k]
+        return head | _unrank(j - starts[k], r, s, order)
 
-    pieces = [
-        piece
-        for p in prefixes
-        for piece in split(_mask_of(p), size - len(p), p[-1] + 1)
-    ]
-    i = 0
-    while i < len(pieces):
-        call, starts, held = [], [], 0
-        member = [0] * order
-        while i < len(pieces) and held < TRIAL_BLOCK:
-            head, r, s = pieces[i]
-            count = math.comb(order - s, r)
-            ones = ((1 << count) - 1) << held
-            for v in _mask_members(head):
-                member[v] |= ones
-            if r:  # an empty rest adds no member
-                for v, col in enumerate(_rest_columns(r, s, order, memo), s):
-                    member[v] |= col << held
-            call.append(pieces[i])
-            starts.append(held)
-            held += count
-            i += 1
-
-        def fault(j, starts=starts, call=call):
-            k = bisect_right(starts, j) - 1
-            head, r, s = call[k]
-            return head | _unrank(j - starts[k], r, s, order)
-
-        everyone = (1 << held) - 1
-        yield [everyone ^ m for m in member], held, fault
+    everyone = (1 << held) - 1
+    return [everyone ^ m for m in member], held, fault
 
 
 def _search_task(
@@ -723,24 +710,19 @@ def _search_task(
     alive disconnected; None accepts every vertex cut.  test accepts only
     splits with at least apart survivors in each of two components, and
     only the sets that leave that many survivors outside the kernel's
-    start get it (``_first_passing``).  A task still running when the
-    search has its hit comes after the hit, so it stops at its next kernel
-    call and its result is never read.
+    start get it (``_first_passing``).  A hit at set j of the task has
+    scanned j + 1 sets.
     """
 
     def passes(fmask):
         return test is None or test(masks, full ^ fmask)
 
-    scanned = 0
-    for alive, count, fault in _task_columns(task, order, memo):
-        if _stopped():
-            break
-        flagged = _disconnected_columns(neighbors, alive, apart)[-1]
-        j = _first_passing(flagged, fault, passes)
-        if j is not None:
-            return scanned + j + 1, _mask_members(fault(j))
-        scanned += count
-    return scanned, None
+    alive, count, fault = _task_columns(task, order, memo)
+    flagged = _disconnected_columns(neighbors, alive, apart)[-1]
+    j = _first_passing(flagged, fault, passes)
+    if j is None:
+        return count, None
+    return j + 1, _mask_members(fault(j))
 
 
 def _min_cut_search(
@@ -774,8 +756,9 @@ def _cut_witness(g, test, max_size, workers, kind, apart) -> CutWitness | None:
 def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
-    Enumeration over the vertex subsets of ``_subset_tasks``, sizes
-    ascending, in one pass that stops at the first hit.  Absence is a
+    Enumeration over the tasks of ``_subset_tasks``, one kernel call
+    each, sizes ascending, in one pass that stops at the first hit; a
+    task taken after the hit is skipped (``_call``).  Absence is a
     valid (and for the lower bounds, the desired) result.  A cyclic
     component holds at least 3 vertices, so only the sets that leave 3
     survivors outside the kernel's start get the exact test.
@@ -792,8 +775,10 @@ def min_good_neighbor_cut_exhaustive(
 
     Every component of such a cut holds a vertex and its good neighbors,
     so only the sets that leave good + 1 survivors outside the kernel's
-    start get the exact test.
+    start get the exact test.  good must be >= 0, else ValueError.
     """
+    if good < 0:
+        raise ValueError("neighbor requirement must be >= 0")
     if good == 0:
         return _cut_witness(g, None, max_size, workers, "vertex-cut", 1)
     witness = _cut_witness(
@@ -831,9 +816,9 @@ class SizeCensus(NamedTuple):
 
 
 def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
-    """The census row of one (size, prefixes) task, ending with its first cyclic cut.
+    """The census row of one (size, pieces) task, ending with its first cyclic cut.
 
-    One kernel call per ``_task_columns`` call counts up to 3 unreached
+    Its one kernel call (``_task_columns``) counts up to 3 unreached
     survivors per set, from a start that keeps a surviving neighbour
     unless no surviving edge is left (``_disconnected_columns``).  A set
     that leaves exactly one survivor unreached, of at least 3, cuts off
@@ -855,53 +840,43 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     its cyclic components.
     """
     size = task[0]
-    lone = order - size >= 3
-    neighborhoods = [ns for ns in neighbors if len(ns) == size] if lone else []
-    subsets = 0
-    disconnecting = 0
-    isolating = 0
+    alive, subsets, fault = _task_columns(task, order, memo)
+    split, several, many = _disconnected_columns(neighbors, alive, 3)
+    single = split & ~several if order - size >= 3 else 0
+    pair = several & ~many
+    disconnecting = split.bit_count()
+    isolating = single.bit_count()
     nbhd = 0
-    max_residual = 0
-    worst = None
-    cyclic = None
-    for alive, count, fault in _task_columns(task, order, memo):
-        subsets += count
-        split, several, many = _disconnected_columns(neighbors, alive, 3)
-        single = split & ~several if lone else 0
-        pair = several & ~many
-        disconnecting += split.bit_count()
-        isolating += single.bit_count()
-        for ns in neighborhoods:
+    for ns in neighbors:
+        if len(ns) == size:
             match = single
             for u in ns:
                 match &= ~alive[u]
             nbhd += match.bit_count()
-        # (residual, -j) of the call's first set of greatest residual
-        best = (0, 0)
-        for residual, flags in ((1, single), (2, pair)):
-            if flags:
-                best = (residual, 1 - (flags & -flags).bit_length())
-        walked = split & ~single & ~pair
-        while walked:
-            b = walked & -walked
-            walked ^= b
-            j = b.bit_length() - 1
-            fmask = fault(j)
-            comps = _components(masks, full ^ fmask)
-            sizes = [mask.bit_count() for mask, _ in comps]
-            residual = sum(sizes) - max(sizes)
-            if len(comps) == 2 and residual == 1:
-                isolating += 1
-                lonely = comps[sizes.index(1)][0]
-                nbhd += masks[lonely.bit_length() - 1] == fmask
-            if cyclic is None and sum(flag for _, flag in comps) >= 2:
-                cyclic = fmask
-            best = max(best, (residual, -j))
-        if best[0] > max_residual:
-            max_residual = best[0]
-            worst = fault(-best[1])
-    worst = None if worst is None else _mask_members(worst)
-    cyclic = None if cyclic is None else _mask_members(cyclic)
+    # (residual, -j) of the task's first set of greatest residual
+    best = (0, 0)
+    for residual, flags in ((1, single), (2, pair)):
+        if flags:
+            best = (residual, 1 - (flags & -flags).bit_length())
+    cyclic = None
+    walked = split & ~single & ~pair
+    while walked:
+        b = walked & -walked
+        walked ^= b
+        j = b.bit_length() - 1
+        fmask = fault(j)
+        comps = _components(masks, full ^ fmask)
+        sizes = [mask.bit_count() for mask, _ in comps]
+        residual = sum(sizes) - max(sizes)
+        if len(comps) == 2 and residual == 1:
+            isolating += 1
+            lonely = comps[sizes.index(1)][0]
+            nbhd += masks[lonely.bit_length() - 1] == fmask
+        if cyclic is None and sum(flag for _, flag in comps) >= 2:
+            cyclic = _mask_members(fmask)
+        best = max(best, (residual, -j))
+    max_residual, j = best
+    worst = _mask_members(fault(-j)) if max_residual else None
     return size, subsets, disconnecting, isolating, nbhd, max_residual, worst, cyclic
 
 
@@ -1048,10 +1023,13 @@ def sampled_residual_check(
     ``_disconnected`` tests every set exactly: ``violations`` counts the
     sets that disconnect g, and the counterexample is the first of them,
     templates first.  A pass supports the bound on the sampled evidence
-    only, it proves nothing.  max_size must lie in 1..order and the seed
-    must be >= 0, else ValueError: block seeds are (seed << 20) | block,
-    and ``random.Random`` would draw seed -s as s.
+    only, it proves nothing.  max_size must lie in 1..order, trials must
+    be >= 1 and the seed must be >= 0, else ValueError: no trial is no
+    evidence, block seeds are (seed << 20) | block, and ``random.Random``
+    would draw seed -s as s.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dense = _as_dense(g)

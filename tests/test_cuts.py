@@ -562,6 +562,8 @@ def test_min_good_neighbor_searches(mb4):
         "1234", "1342", "2143", "2431", "3214", "3421", "4123", "4312",
     ]
     assert is_good_neighbor_cut(mb4, w2.fault, 2)
+    with pytest.raises(ValueError, match="neighbor requirement"):
+        min_good_neighbor_cut_exhaustive(mb4, -1, 5, workers=1)
 
 
 def test_searches_are_worker_count_invariant(mb4):
@@ -738,36 +740,40 @@ def _ring(order: int) -> DenseGraph:
 def test_task_columns_are_the_prefixed_combinations_in_order(request, graph):
     g = _ring(13) if graph == "ring 13" else request.getfixturevalue(graph)
     order = _as_dense(g).order
-    split = False
+    anchors = {0} if graph == "mb4" else set(range(order))
+    by_size: dict[int, list] = {}
     for task in _subset_tasks(g, range(1, 9)):
-        size, prefixes = task
-        calls = list(_task_columns(task, order, {}))
-        counts = [count for _, count, _ in calls]
-        # a call closes once it holds TRIAL_BLOCK sets, from pieces of at
+        by_size.setdefault(task[0], []).append(task)
+    assert list(by_size) == list(range(1, 9))
+    split = False
+    for size, tasks in by_size.items():
+        counts = []
+        decoded = []
+        for task in tasks:
+            for head, r, s in task[1]:
+                # a piece holds 1..TRIAL_BLOCK sets; an unsplit one is an anchor's
+                assert 0 < math.comb(order - s, r) <= TRIAL_BLOCK
+                low = head & -head
+                split |= (head, r, s) != (low, size - 1, low.bit_length())
+            alive, count, fault = _task_columns(task, order, {})
+            faults = [fault(j) for j in range(count)]
+            # column v of a task holds bit j exactly when v survives set j
+            assert alive == [
+                sum(1 << j for j, f in enumerate(faults) if not f >> v & 1)
+                for v in range(order)
+            ]
+            counts.append(count)
+            decoded += faults
+        # a task closes once it holds TRIAL_BLOCK sets, from pieces of at
         # most TRIAL_BLOCK each
         assert all(TRIAL_BLOCK <= c < 2 * TRIAL_BLOCK for c in counts[:-1])
         assert 0 < counts[-1] < 2 * TRIAL_BLOCK
-        split |= any(
-            math.comb(order - 1 - p[-1], size - len(p)) > TRIAL_BLOCK for p in prefixes
-        )
-        decoded = []
-        for alive, count, fault in calls:
-            decoded += [fault(j) for j in range(count)]
-        # column v of a call holds bit j exactly when v survives set j
-        alive, count, _ = calls[0]
-        assert alive == [
-            sum(1 << j for j, f in enumerate(decoded[:count]) if not f >> v & 1)
-            for v in range(order)
+        assert decoded == [
+            _mask_of(c)
+            for c in itertools.combinations(range(order), size)
+            if c[0] in anchors
         ]
-        expected = [
-            _mask_of(prefix + rest)
-            for prefix in prefixes
-            for rest in itertools.combinations(
-                range(prefix[-1] + 1, order), size - len(prefix)
-            )
-        ]
-        assert decoded == expected
-    # mb4's size-7 prefix (0, 1) has comb(22, 5) rests and is split
+    # mb4's size-7 sets through 0 number comb(23, 6), and that piece is split
     assert split == (graph == "mb4")
 
 
@@ -781,26 +787,49 @@ def test_column_path_and_mask_kernel_give_the_same_counters(request, graph):
     by_size: dict[int, list] = {}
     for task in _subset_tasks(g, range(1, top + 1)):
         by_size.setdefault(task[0], []).append(task)
-    # the first two tasks of each size; ug5's first size-4 task is a split
-    # prefix, and nothing below size 5 disconnects it
+    # the first two tasks of each size; ug5's first size-4 task holds split
+    # pieces, and nothing below size 5 disconnects it
     tasks = [t for ts in by_size.values() for t in ts[:2]]
     if graph == "ug5":
         # N(v) isolates v, and N(C4) leaves the 4-cycle unreached beside the
-        # rest; each task is one prefix, all but the cut's last two vertices
+        # rest; each task is one piece, all but the cut's last two vertices
+        # joined to each pair after them
         isolating = dense.neighbors[dense.neighbors[0][0]]
         cyclic = build_cycle_neighborhood_cut(g, canonical_four_cycle(g))
         for cut in (isolating, cyclic):
-            tasks.append((len(cut), (tuple(cut[:-2]),)))
+            tasks.append((len(cut), ((_mask_of(cut[:-2]), 2, cut[-3] + 1),)))
     flagged = [0, 0, 0]
     for task in tasks:
-        for alive, count, fault in _task_columns(task, dense.order, {}):
-            faults = [fault(j) for j in range(count)]
-            for apart in (1, 2, 3):
-                got = _disconnected_columns(dense.neighbors, alive, apart)
-                assert got == _disconnected(dense.neighbors, dense.order, faults, apart)
-            for i, counter in enumerate(got):
-                flagged[i] += counter.bit_count()
+        alive, count, fault = _task_columns(task, dense.order, {})
+        faults = [fault(j) for j in range(count)]
+        for apart in (1, 2, 3):
+            got = _disconnected_columns(dense.neighbors, alive, apart)
+            assert got == _disconnected(dense.neighbors, dense.order, faults, apart)
+        for i, counter in enumerate(got):
+            flagged[i] += counter.bit_count()
     assert all(flagged)
+
+
+def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
+    calls = []
+    real = cuts._disconnected_columns
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cuts, "_disconnected_columns", counted)
+    disconnection_census(mb4, 7, workers=1)
+    assert len(calls) == len(_subset_tasks(mb4, range(1, 8)))
+    calls.clear()
+    witness = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
+    # the search stops at the task that holds its hit
+    order = _as_dense(mb4).order
+    held = itertools.accumulate(
+        sum(math.comb(order - s, r) for _, r, s in pieces)
+        for _, pieces in _subset_tasks(mb4, range(1, 9))
+    )
+    assert len(calls) == 1 + sum(h < witness.scanned for h in held)
 
 
 def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
@@ -1375,6 +1404,9 @@ def test_falsifier_rejects_bad_targets_and_seeds(mb4):
     for max_size in (0, 25):
         with pytest.raises(ValueError, match="max size"):
             sampled_residual_check(mb4, max_size=max_size, trials=10)
+    for trials in (0, -5):  # no trial is no evidence, not a pass
+        with pytest.raises(ValueError, match="trials"):
+            sampled_residual_check(mb4, 3, trials)
 
 
 def test_falsifier_is_seed_deterministic_and_worker_invariant(mb4):
