@@ -1,118 +1,99 @@
-"""Connectivity workbench for Cayley graphs of unicyclic transposition sets."""
+"""Connectivity workbench for Cayley graphs of unicyclic transposition sets.
 
-from .cayley import (
-    CayleyGraph,
-    CutAnalysis,
-    DenseGraph,
-    build_cayley,
-    canonical_four_cycle,
-    common_neighbor_count,
-    component_analysis,
-    cross_edges,
-    edge_label,
-    enumerate_4cycles,
-    girth,
-    out_neighbors,
-    to_dot,
-    to_edgelist,
-    to_graph6,
-    with_redirected_cross_edge,
-)
-from .cuts import (
-    ConnectivityResult,
-    CutWitness,
-    build_cycle_neighborhood_cut,
-    disconnection_census,
-    is_cyclic_cut,
-    is_good_neighbor_cut,
-    is_vertex_cut,
-    large_component_profile,
-    min_cyclic_cut_exhaustive,
-    min_good_neighbor_cut_exhaustive,
-    min_neighborhood_over_4subsets,
-    randomized_cut_falsifier,
-    render_witness,
-    vertex_connectivity,
-    vertex_connectivity_detail,
-)
-from .genset import (
-    GeneratingGraph,
-    GeneratingGraphError,
-    PeelChoice,
-    build_generating_graph,
-    choose_peel,
-    classify,
-    describe,
-    relabel_to_canonical,
-)
-from .lemmas import (
-    CHECK_IDS,
-    TOOL_VERSION as __version__,
-    VerificationReport,
-    verify_all,
-)
-from .perms import (
-    CapacityError,
-    apply_swap,
-    identity,
-    parity,
-    parse_perm_string,
-    perm_string,
-    rank_perm,
-    unrank_perm,
-    validate_perm,
-)
+``perms``, ``genset`` and ``cayley``, which building a graph needs, load
+with the package.  ``flows``, ``cuts`` and ``lemmas`` load on first access
+to them or to a name they export (PEP 562), so a process that only builds
+graphs never compiles the flows, the scans or the checks.
+"""
 
-__all__ = [
-    "CayleyGraph",
-    "CutAnalysis",
-    "DenseGraph",
-    "ConnectivityResult",
-    "CutWitness",
-    "GeneratingGraph",
-    "GeneratingGraphError",
-    "PeelChoice",
-    "VerificationReport",
-    "CapacityError",
-    "CHECK_IDS",
-    "apply_swap",
-    "build_cayley",
-    "build_cycle_neighborhood_cut",
-    "build_generating_graph",
-    "canonical_four_cycle",
-    "choose_peel",
-    "classify",
-    "common_neighbor_count",
-    "component_analysis",
-    "cross_edges",
-    "describe",
-    "disconnection_census",
-    "edge_label",
-    "enumerate_4cycles",
-    "girth",
-    "identity",
-    "is_cyclic_cut",
-    "is_good_neighbor_cut",
-    "is_vertex_cut",
-    "large_component_profile",
-    "min_cyclic_cut_exhaustive",
-    "min_good_neighbor_cut_exhaustive",
-    "min_neighborhood_over_4subsets",
-    "out_neighbors",
-    "parity",
-    "parse_perm_string",
-    "perm_string",
-    "randomized_cut_falsifier",
-    "rank_perm",
-    "relabel_to_canonical",
-    "render_witness",
-    "to_dot",
-    "to_edgelist",
-    "to_graph6",
-    "unrank_perm",
-    "validate_perm",
-    "verify_all",
-    "vertex_connectivity",
-    "vertex_connectivity_detail",
-    "with_redirected_cross_edge",
-]
+from importlib import import_module
+
+from . import cayley, genset, perms  # noqa: F401
+
+__version__ = "0.1.0"
+
+#: the public names by the submodule that binds them; they give ``__all__``
+_EXPORTS = {
+    "cayley": (
+        "CayleyGraph",
+        "CutAnalysis",
+        "DenseGraph",
+        "build_cayley",
+        "canonical_four_cycle",
+        "common_neighbor_count",
+        "component_analysis",
+        "cross_edges",
+        "edge_label",
+        "enumerate_4cycles",
+        "girth",
+        "out_neighbors",
+        "to_dot",
+        "to_edgelist",
+        "to_graph6",
+        "with_redirected_cross_edge",
+    ),
+    "genset": (
+        "GeneratingGraph",
+        "GeneratingGraphError",
+        "PeelChoice",
+        "build_generating_graph",
+        "choose_peel",
+        "classify",
+        "describe",
+        "relabel_to_canonical",
+    ),
+    "perms": (
+        "CapacityError",
+        "apply_swap",
+        "identity",
+        "parity",
+        "parse_perm_string",
+        "perm_string",
+        "rank_perm",
+        "unrank_perm",
+        "validate_perm",
+    ),
+    "flows": (
+        "ConnectivityResult",
+        "vertex_connectivity",
+        "vertex_connectivity_detail",
+    ),
+    "cuts": (
+        "CutWitness",
+        "build_cycle_neighborhood_cut",
+        "disconnection_census",
+        "is_cyclic_cut",
+        "is_good_neighbor_cut",
+        "is_vertex_cut",
+        "large_component_profile",
+        "min_cyclic_cut_exhaustive",
+        "min_good_neighbor_cut_exhaustive",
+        "min_neighborhood_over_4subsets",
+        "randomized_cut_falsifier",
+        "render_witness",
+    ),
+    "lemmas": (
+        "CHECK_IDS",
+        "VerificationReport",
+        "verify_all",
+    ),
+}
+
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name or a submodule of the table, bound on first access."""
+    home = _HOME.get(name)
+    if home is not None:
+        value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+        return value
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -160,8 +160,11 @@ def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[i
     vertex v survives set j.  Each set's search starts at its highest
     survivor that keeps a surviving neighbour, or at its highest survivor
     if no surviving edge is left, and one BFS over the columns sweeps the
-    vertices downward until nothing changes; a survivor it never reaches
-    lies in another component.  The starts are seeded from the top vertex
+    vertices down, then up, in turn until nothing changes; a survivor it
+    never reaches lies in another component.  A sweep carries reach along
+    any path that runs in its own direction, so alternating saves a pass
+    on most families, and the fixed point, each start's component, does
+    not depend on the order.  The starts are seeded from the top vertex
     down, which stops once every set with a survivor has one.  apart
     saturating bit-sliced counters count the unreached survivors: bit j
     of counter i is set once more than i survivors of set j are
@@ -199,10 +202,11 @@ def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[i
         for v in down:
             reach[v] |= alive[v] & ~seen
             seen |= alive[v]
+    sweep, back = down, range(order)
     changed = True
     while changed:
         changed = False
-        for v in down:
+        for v in sweep:
             r = reach[v]
             for u in neighbors[v]:
                 r |= reach[u]
@@ -210,6 +214,7 @@ def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[i
             if r != reach[v]:
                 reach[v] = r
                 changed = True
+        sweep, back = back, sweep
     counts = [0] * apart
     carries = range(apart - 1, 0, -1)
     for a, r in zip(alive, reach):

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from . import __version__
 from .cayley import (
     CayleyGraph,
     build_cayley,
@@ -21,30 +22,17 @@ from .cayley import (
     to_graph6,
     with_redirected_cross_edge,
 )
-from .cuts import (
-    min_cyclic_cut_exhaustive,
-    min_good_neighbor_cut_exhaustive,
-    randomized_cut_falsifier,
-    render_witness,
-    resolve_workers,
-    vertex_connectivity_detail,
-)
+from .flows import vertex_connectivity_detail
 from .genset import (
     GeneratingGraph,
     GeneratingGraphError,
     build_generating_graph,
     describe,
 )
-from .lemmas import (
-    CHECK_IDS,
-    RANDOM_TRIALS,
-    TOOL_VERSION,
-    gating_failures,
-    render_report,
-    select_checks,
-    verify_all,
-)
 from .perms import CapacityError
+
+# ``cuts`` and ``lemmas`` are imported by the commands that use them, so
+# gen, info and connectivity never compile the scans or the checks.
 
 
 class SpecError(ValueError):
@@ -133,6 +121,8 @@ def _build(args) -> CayleyGraph:
 
 def _workers(args) -> int:
     """resolve_workers, with a --workers below 1 reported as a spec error."""
+    from .cuts import resolve_workers
+
     if args.workers is not None and args.workers < 1:
         raise SpecError("--workers must be >= 1")
     return resolve_workers(args.workers)
@@ -178,6 +168,14 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_cut_search(args) -> int:
+    from .cuts import (
+        min_cyclic_cut_exhaustive,
+        min_good_neighbor_cut_exhaustive,
+        randomized_cut_falsifier,
+        render_witness,
+    )
+    from .lemmas import RANDOM_TRIALS
+
     if args.seed < 0:
         raise SpecError("--seed must be >= 0")
     G = _build(args)
@@ -214,6 +212,8 @@ def cmd_cut_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lemmas import select_checks, verify_all
+
     G = _build(args)
     if args.corrupt:
         G = with_redirected_cross_edge(G)
@@ -251,6 +251,8 @@ _REPORT_FIELDS = {"id": str, "verdict": str, "scope": str, "gating": bool}
 
 
 def cmd_report(args) -> int:
+    from .lemmas import gating_failures, render_report
+
     try:
         data = json.loads(Path(args.file).read_text())
     except OSError as exc:
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cayley graph connectivity workbench for unicyclic "
         "transposition generators",
     )
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -322,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         nargs="+",
         default=["all"],
-        help="check ids (space or comma separated), or 'all'; "
-        f"known: {', '.join(CHECK_IDS)}",
+        help="check ids (space or comma separated), or 'all'; an unknown id "
+        "lists the known ones",
     )
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.add_argument("--workers", type=int, default=None)

@@ -21,6 +21,7 @@ import time
 from functools import cached_property
 from typing import NamedTuple
 
+from . import __version__ as TOOL_VERSION
 from .cayley import (
     CayleyGraph,
     canonical_four_cycle,
@@ -34,12 +35,10 @@ from .cayley import (
     out_neighbors,
 )
 from .cuts import (
-    FLOW_ORDER_LIMIT,
     CutWitness,
     _make_witness,
     build_cycle_neighborhood_cut,
     disconnection_census,
-    edge_separation_connectivity,
     large_component_profile,
     min_cyclic_cut_exhaustive,
     min_neighborhood_over_4subsets,
@@ -48,12 +47,14 @@ from .cuts import (
     sampled_residual_check,
     verify_connected_under_removal,
     vertex_boundary,
+)
+from .flows import (
+    FLOW_ORDER_LIMIT,
+    edge_separation_connectivity,
     vertex_connectivity_detail,
 )
 from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, describe
 from .perms import CapacityError
-
-TOOL_VERSION = "0.1.0"
 
 SCHEMA = 1
 

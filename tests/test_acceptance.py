@@ -19,11 +19,8 @@ import pytest
 from conftest import record_acceptance
 from ugconn import cuts
 from ugconn.cayley import with_redirected_cross_edge
-from ugconn.cuts import (
-    is_good_neighbor_cut,
-    min_good_neighbor_cut_exhaustive,
-    vertex_connectivity_detail,
-)
+from ugconn.cuts import is_good_neighbor_cut, min_good_neighbor_cut_exhaustive
+from ugconn.flows import vertex_connectivity_detail
 from ugconn.lemmas import verify_all
 from ugconn.perms import perm_string
 

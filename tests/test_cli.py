@@ -10,10 +10,10 @@ import networkx as nx
 import pytest
 
 import ugconn
-from ugconn import cuts
+from ugconn import flows
 from ugconn.cli import SpecError, main, parse_spec
 from ugconn.genset import CYCLE, OTHER, PATH, STAR, UNICYCLIC_TF
-from ugconn.lemmas import TOOL_VERSION
+from ugconn.lemmas import CHECK_IDS, TOOL_VERSION
 
 
 def run(capsys, *argv):
@@ -371,7 +371,7 @@ def _no_flows(*args):
 def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
     # the corrupted copy has no vertex-0 symmetry, so kappa and kappa_1 would
     # need the Even-family flows at order 40,320
-    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    monkeypatch.setattr(flows, "_unit_flow", _no_flows)
     code, out, _ = run(
         capsys,
         "verify", "--spec", "mb:8", "--corrupt", "--checks", "connectivity-value",
@@ -387,7 +387,7 @@ def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
 
 def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
     # p2 takes 24-25 s on ug:8:c=4: a 10 s budget skips it before a flow
-    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    monkeypatch.setattr(flows, "_unit_flow", _no_flows)
     code, out, _ = run(
         capsys,
         "verify", "--spec", "ug:8:c=4", "--checks", "residue-bound-p2",
@@ -416,6 +416,8 @@ def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--spec", "mb:4", "--checks", "nope")
     assert code == 2
     assert "unknown checks" in err
+    # `verify --help` does not list the ids: the error names every one
+    assert [cid for cid in CHECK_IDS if cid not in err] == []
 
 
 @pytest.mark.parametrize(
@@ -540,5 +542,5 @@ def test_version_has_one_source():
         project = tomllib.load(fh)
     assert project["project"]["dynamic"] == ["version"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {
-        "attr": "ugconn.lemmas.TOOL_VERSION"
+        "attr": "ugconn.__version__"
     }

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import reach
 
-from ugconn import build_cayley, cuts
+from ugconn import build_cayley, cuts, flows
 from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
@@ -45,17 +45,13 @@ from ugconn.cuts import (
     _falsify_block,
     _first_result,
     _keeps_degree,
-    _least_images,
     _make_witness,
     _mask_of,
-    _min_separation,
     _run,
     _subset_tasks,
     _task_columns,
-    _unit_flow,
     build_cycle_neighborhood_cut,
     disconnection_census,
-    edge_separation_connectivity,
     is_cyclic_cut,
     is_good_neighbor_cut,
     is_vertex_cut,
@@ -69,6 +65,12 @@ from ugconn.cuts import (
     sampled_residual_check,
     verify_connected_under_removal,
     vertex_boundary,
+)
+from ugconn.flows import (
+    _least_images,
+    _min_separation,
+    _unit_flow,
+    edge_separation_connectivity,
     vertex_connectivity,
     vertex_connectivity_detail,
 )
@@ -196,9 +198,9 @@ def test_connectivity_of_the_corrupted_graph_scans_past_vertex_0(mb4):
 
 def test_flow_order_limit_binds_only_without_vertex_transitivity(mb4, monkeypatch):
     bad = with_redirected_cross_edge(mb4)
-    monkeypatch.setattr(cuts, "FLOW_ORDER_LIMIT", mb4.order)
+    monkeypatch.setattr(flows, "FLOW_ORDER_LIMIT", mb4.order)
     assert vertex_connectivity_detail(bad).value == 3
-    monkeypatch.setattr(cuts, "FLOW_ORDER_LIMIT", mb4.order - 1)
+    monkeypatch.setattr(flows, "FLOW_ORDER_LIMIT", mb4.order - 1)
     for units in (vertex_connectivity_detail, edge_separation_connectivity):
         with pytest.raises(CapacityError, match="capped at order 23"):
             units(bad)

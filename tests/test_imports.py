@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, and importing the package
 stays cheap: no package metadata, no pool machinery and no ``dataclasses``
-(with the ``inspect`` it pulls in) at start-up."""
+(with the ``inspect`` it pulls in) at start-up, and neither the scans nor
+the checks until a command or a caller uses them."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ugconn
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -48,6 +51,20 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _fresh(script: str):
+    """The JSON that script prints last, run in a new interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 # Compares against the modules loaded before the import, so a site hook
 # that loads one of them does not count against the package.
 _NEW_MODULES = """
@@ -60,16 +77,120 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def test_import_loads_neither_metadata_nor_multiprocessing():
     """Nor dataclasses and inspect: the records are NamedTuples."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", _NEW_MODULES],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    ).stdout
-    new = json.loads(out)
+    new = _fresh(_NEW_MODULES)
     assert "ugconn.cli" in new
     heavy = ("importlib.metadata", "multiprocessing", "dataclasses", "inspect")
     assert [m for m in new if m.startswith(heavy)] == []
+
+
+def test_import_loads_neither_the_scans_nor_the_checks():
+    """Without bytecode files every process compiles what it imports."""
+    new = _fresh(_NEW_MODULES)
+    assert [m for m in new if m.startswith("ugconn")] == [
+        "ugconn",
+        "ugconn.cayley",
+        "ugconn.cli",
+        "ugconn.flows",
+        "ugconn.genset",
+        "ugconn.perms",
+    ]
+
+
+_COMMANDS = """
+import contextlib, io, json, sys
+import ugconn, ugconn.cli
+before = set(sys.modules)
+for argv in (
+    ["connectivity", "--spec", "mb:4"],
+    ["info", "--spec", "mb:4"],
+    ["gen", "--spec", "mb:4", "--format", "graph6"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ugconn.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("ugconn"))))
+"""
+
+
+def test_gen_info_and_connectivity_load_no_further_module():
+    """A timed connectivity request compiles nothing: flows came with the cli."""
+    assert _fresh(_COMMANDS) == []
+
+
+def _package_imports(source: str) -> set[str]:
+    """The ugconn submodules that a module's import statements name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ugconn."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("ugconn.")
+            )
+    return out
+
+
+def test_the_scan_reads_package_imports():
+    source = "from .a import x\nfrom . import b\nimport ugconn.c\nfrom ugconn.d import y\n"
+    assert _package_imports(source) == {"a", "b", "c", "d"}
+
+
+def test_flows_imports_only_cayley_and_perms():
+    """The flows stand below the scans and the checks, as a certificate checker needs."""
+    source = (ROOT / "src" / "ugconn" / "flows.py").read_text()
+    assert _package_imports(source) == {"cayley", "perms"}
+
+
+# --- the lazy package ---------------------------------------------------------
+
+
+def test_every_public_name_is_its_modules_object():
+    resolved = _fresh("""
+import importlib, json, ugconn
+print(json.dumps([
+    name for home, names in ugconn._EXPORTS.items() for name in names
+    if getattr(ugconn, name) is not getattr(importlib.import_module("ugconn." + home), name)
+]))
+""")
+    assert resolved == []
+
+
+def test_dir_lists_every_public_name_before_it_loads():
+    missing = _fresh("""
+import json, ugconn
+print(json.dumps([n for n in ugconn.__all__ + ["flows", "cuts", "lemmas"] if n not in dir(ugconn)]))
+""")
+    assert missing == []
+
+
+def test_star_import_binds_every_name():
+    unbound = _fresh("""
+import json
+import ugconn
+from ugconn import *
+print(json.dumps([n for n in ugconn.__all__ if n not in globals()]))
+""")
+    assert unbound == []
+
+
+def test_lazy_submodules_resolve_as_attributes():
+    """perfbench reads ``ugconn.lemmas`` after importing only the package."""
+    loaded = _fresh("""
+import json, sys
+import ugconn
+print(json.dumps([
+    getattr(ugconn, name) is sys.modules["ugconn." + name]
+    for name in ("lemmas", "cuts", "flows")
+]))
+""")
+    assert loaded == [True, True, True]
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ugconn.no_such_name
+    assert not hasattr(ugconn, "TOOL_VERSION")

@@ -11,7 +11,7 @@ import operator
 
 import pytest
 
-from ugconn import build_cayley, cayley, cuts, lemmas
+from ugconn import build_cayley, cayley, cuts, flows, lemmas
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.perms import CapacityError
 from ugconn.cli import parse_spec
@@ -507,7 +507,7 @@ def test_residue_bound_p1_skips_without_bitmasks(monkeypatch):
     assert SKIPPED not in [c.verdict for c in rep.checks]
     with pytest.raises(CapacityError):
         ug5.dense.masks
-    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    monkeypatch.setattr(flows, "_unit_flow", _no_flows)
     # the falsifier's estimate is the whole budget: a skip must spend none
     rep = verify_all(ug5, workers=1, checks=MASK_CHECKS, budget=5.0)
     assert [c.check_id for c in rep.checks] == MASK_CHECKS
@@ -580,7 +580,7 @@ def test_flow_checks_without_the_symmetry_are_priced_from_measured_costs(
     mb6, monkeypatch
 ):
     # the corrupted mb:6 runs the Even-family flows: kappa_1 took 48 s there
-    monkeypatch.setattr(cuts, "_unit_flow", _no_flows)
+    monkeypatch.setattr(flows, "_unit_flow", _no_flows)
     bad = with_redirected_cross_edge(mb6)
     rep = verify_all(bad, workers=1, checks=["residue-bound-p2"], budget=30)
     (c,) = rep.checks

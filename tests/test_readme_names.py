@@ -15,6 +15,7 @@ from pathlib import Path
 import ugconn.cayley
 import ugconn.cli
 import ugconn.cuts
+import ugconn.flows
 import ugconn.genset
 import ugconn.lemmas
 import ugconn.perms
@@ -24,6 +25,7 @@ MODULES = {
     "cayley": ugconn.cayley,
     "cli": ugconn.cli,
     "cuts": ugconn.cuts,
+    "flows": ugconn.flows,
     "genset": ugconn.genset,
     "lemmas": ugconn.lemmas,
     "perms": ugconn.perms,
