@@ -16,15 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cayley": (
         "CayleyGraph",
-        "CutAnalysis",
         "DenseGraph",
         "build_cayley",
-        "canonical_four_cycle",
-        "common_neighbor_count",
-        "component_analysis",
-        "cross_edges",
-        "edge_label",
-        "enumerate_4cycles",
         "girth",
         "out_neighbors",
         "to_dot",
@@ -59,9 +52,12 @@ _EXPORTS = {
         "vertex_connectivity_detail",
     ),
     "cuts": (
+        "CutAnalysis",
         "CutWitness",
         "build_cycle_neighborhood_cut",
+        "component_analysis",
         "disconnection_census",
+        "enumerate_4cycles",
         "is_cyclic_cut",
         "is_good_neighbor_cut",
         "is_vertex_cut",
@@ -75,6 +71,10 @@ _EXPORTS = {
     "lemmas": (
         "CHECK_IDS",
         "VerificationReport",
+        "canonical_four_cycle",
+        "common_neighbor_count",
+        "cross_edges",
+        "edge_label",
         "verify_all",
     ),
 }

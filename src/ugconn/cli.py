@@ -6,8 +6,6 @@ spec, 3 capacity exceeded (graph too large for the requested operation).
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -32,7 +30,9 @@ from .genset import (
 from .perms import CapacityError
 
 # ``cuts`` and ``lemmas`` are imported by the commands that use them, so
-# gen, info and connectivity never compile the scans or the checks.
+# gen, info and connectivity never compile the scans or the checks;
+# ``argparse`` and ``json`` likewise load with the parser and the commands
+# that read or write JSON.
 
 
 class SpecError(ValueError):
@@ -212,6 +212,8 @@ def cmd_cut_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from .lemmas import select_checks, verify_all
 
     G = _build(args)
@@ -251,7 +253,9 @@ _REPORT_FIELDS = {"id": str, "verdict": str, "scope": str, "gating": bool}
 
 
 def cmd_report(args) -> int:
-    from .lemmas import gating_failures, render_report
+    import json
+
+    from .lemmas import FAIL, PROVED, SAMPLED, SKIPPED, gating_failures, render_report
 
     try:
         data = json.loads(Path(args.file).read_text())
@@ -272,11 +276,20 @@ def cmd_report(args) -> int:
             "report checks must be a list of objects with string id, verdict "
             "and scope and bool gating"
         )
+    verdicts = (PROVED, SAMPLED, FAIL, SKIPPED)
+    for c in checks:
+        if c["verdict"] not in verdicts:
+            raise SpecError(
+                f"report verdict {c['verdict']!r} is none of {', '.join(verdicts)}"
+            )
     _emit(render_report(data), args.out)
     return 1 if gating_failures(checks) else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``ugconn`` argument parser, an ``argparse.ArgumentParser``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ugconn",
         description="Cayley graph connectivity workbench for unicyclic "

@@ -11,6 +11,7 @@ with 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -19,21 +20,7 @@ from functools import partial
 from time import perf_counter
 from typing import NamedTuple
 
-from .cayley import (
-    CayleyGraph,
-    CutAnalysis,
-    DenseGraph,
-    _anchors,
-    _as_dense,
-    _components,
-    _disconnected,
-    _disconnected_columns,
-    _mask_members,
-    _transitive,
-    _two_cyclic_components,
-    component_analysis,
-    enumerate_4cycles,
-)
+from .cayley import CayleyGraph, DenseGraph, _anchors, _as_dense, _transitive
 from .genset import describe
 
 #: randomized procedures consume randomness in fixed-size trial blocks so
@@ -42,6 +29,9 @@ TRIAL_BLOCK = 4096
 
 #: the fewest vertices of a cycle in a simple graph
 CYCLE_VERTICES = 3
+
+#: component member lists are reported only up to this size
+MEMBER_LIMIT = 24
 
 #: seconds of work left past which a scan hands its tasks to a pool
 #: (``_run``): about what a fork pool's start costs, measured on a 2-CPU
@@ -57,6 +47,264 @@ def resolve_workers(workers: int | None = None) -> int:
     """
     cpus = os.cpu_count() or 1
     return max(1, min(cpus if workers is None else int(workers), cpus))
+
+
+# ---------------------------------------------------------------------------
+# component analysis
+
+
+class ComponentInfo(NamedTuple):
+    vertices: int
+    edges: int
+    contains_cycle: bool
+    members: tuple[int, ...] | None  # listed only for small components
+
+
+class CutAnalysis(NamedTuple):
+    """Component profile of a graph minus a fault set."""
+
+    component_count: int
+    components: tuple[ComponentInfo, ...]  # ordered by smallest member
+    largest_index: int
+
+    def largest(self) -> int:
+        if not self.components:
+            return 0
+        return self.components[self.largest_index].vertices
+
+    def residual(self) -> int:
+        return sum(c.vertices for c in self.components) - self.largest()
+
+    def cyclic_component_count(self) -> int:
+        return sum(1 for c in self.components if c.contains_cycle)
+
+
+def _validate_fault(order: int, fault) -> list[int]:
+    fs = sorted(set(int(v) for v in fault))
+    if fs and (fs[0] < 0 or fs[-1] >= order):
+        raise ValueError(f"fault vertex out of range [0, {order})")
+    return fs
+
+
+def component_analysis(dense: DenseGraph, fault) -> CutAnalysis:
+    """Component census of ``dense`` minus ``fault``, with cycle flags.
+
+    A connected component contains a cycle exactly when its edge count is
+    at least its vertex count.
+    """
+    fs = _validate_fault(dense.order, fault)
+    dead = bytearray(dense.order)
+    for v in fs:
+        dead[v] = 1
+    infos = []
+    # starts in increasing order yield the components by smallest member
+    for start in range(dense.order):
+        if dead[start]:
+            continue
+        stack = [start]
+        dead[start] = 1
+        members = []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in dense.neighbors[v]:
+                if not dead[w]:
+                    dead[w] = 1
+                    stack.append(w)
+        members.sort()
+        mset = set(members)
+        edges = sum(1 for v in members for w in dense.neighbors[v] if w in mset) // 2
+        infos.append(
+            ComponentInfo(
+                vertices=len(members),
+                edges=edges,
+                contains_cycle=edges >= len(members),
+                members=tuple(members) if len(members) <= MEMBER_LIMIT else None,
+            )
+        )
+    largest_index = 0
+    for i, c in enumerate(infos):
+        if c.vertices > infos[largest_index].vertices:
+            largest_index = i
+    return CutAnalysis(
+        component_count=len(infos),
+        components=tuple(infos),
+        largest_index=largest_index,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced kernel and the bitmask component walk
+
+
+#: (shift, mask) of the three delta swaps that transpose the 8x8 bit matrix
+#: of a 64-bit word, bit 8i + b holding bit b of byte i; the mask marks the
+#: bits that trade places with the bits shift above them
+_TRANSPOSE_8X8 = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
+
+
+def _disconnected(
+    neighbors, order: int, faults: list[int], apart: int = 1
+) -> list[int]:
+    """counts[i], i < apart: bit j set when faults[j] leaves > i survivors unreached.
+
+    A survivor is unreached when it lies outside the component of the
+    fault's start: its highest survivor that keeps a surviving neighbour,
+    or its highest survivor if no surviving edge is left.  faults is a
+    non-empty list of fault masks, evaluated together by
+    ``_disconnected_columns`` once they are transposed into its survivor
+    columns: vertex v gets one int whose bit j says that v survives fault
+    j.  These ints come from one byte string of the fault masks, a
+    little-endian row of ``int.to_bytes`` per fault.
+    Byte column k, read down as one int, holds in each 64-bit word the 8x8
+    bit matrix of 8 faults' bytes; three delta swaps over the whole int
+    transpose every such matrix (``_TRANSPOSE_8X8``), after which every
+    eighth byte from byte b on, complemented, is the int of vertex 8k + b.
+    The falsifier and the sampled p1 probe draw their faults at random and
+    come here; the exhaustive scans build the columns directly.
+    """
+    # one little-endian row of width bytes per fault: byte column k, read
+    # down, holds vertices 8k..8k+7, byte j of it fault j
+    count = len(faults)
+    width = (order + 7) // 8
+    repeat = itertools.repeat
+    rows = b"".join(map(int.to_bytes, faults, repeat(width), repeat("little")))
+    words = (count + 7) // 8
+    swaps = [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
+        for shift, mask in _TRANSPOSE_8X8
+    ]
+    everyone = (1 << count) - 1
+    alive = []
+    for k in range((order + 7) // 8):
+        x = int.from_bytes(rows[k::width], "little")
+        for shift, mask in swaps:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        # byte b of word w now holds bit b of faults 8w..8w+7
+        spread = x.to_bytes(8 * words, "little")
+        for b in range(min(8, order - 8 * k)):
+            alive.append(everyone ^ int.from_bytes(spread[b::8], "little"))
+    return _disconnected_columns(neighbors, alive, apart)
+
+
+def _disconnected_columns(neighbors, alive: list[int], apart: int = 1) -> list[int]:
+    """counts[i], i < apart: bit j set when fault set j leaves > i survivors unreached.
+
+    Bit-sliced over a family of fault sets: bit j of alive[v] says that
+    vertex v survives set j.  Each set's search starts at its highest
+    survivor that keeps a surviving neighbour, or at its highest survivor
+    if no surviving edge is left, and one BFS over the columns sweeps the
+    vertices down, then up, in turn until nothing changes; a survivor it
+    never reaches lies in another component.  A sweep carries reach along
+    any path that runs in its own direction, so alternating saves a pass
+    on most families, and the fixed point, each start's component, does
+    not depend on the order.  The starts are seeded from the top vertex
+    down, which stops once every set with a survivor has one.  apart
+    saturating bit-sliced counters count the unreached survivors: bit j
+    of counter i is set once more than i survivors of set j are
+    unreached.  The first counter flags exactly the sets that leave a
+    disconnected graph.  A start with a surviving neighbour lies in a
+    component of at least 2, so a set of at least 3 survivors that leaves
+    one unreached isolates that vertex beside one component of the rest.
+
+    A caller passes as apart the least size of a component its exact test
+    needs on each of two sides: two such components cannot both hold the
+    start, so one of them is unreached, and no set that passes the test
+    goes unflagged by the last counter.  Scans and draws go through vertex
+    0 (``_anchors``), so the small pieces a set cuts off sit near 0;
+    starting high puts them on the unreached side, where a larger apart
+    skips them.  Callers give only the flagged sets their exact per-set
+    tests.
+    """
+    order = len(alive)
+    down = range(order - 1, -1, -1)
+    reach = [0] * order
+    somebody = 0
+    for a in alive:
+        somebody |= a
+    seen = 0
+    for v in down:
+        if seen == somebody:
+            break
+        r = 0
+        for u in neighbors[v]:
+            r |= alive[u]
+        reach[v] = r & alive[v] & ~seen
+        seen |= reach[v]
+    else:
+        # the sets with no surviving edge start at their highest survivor
+        for v in down:
+            reach[v] |= alive[v] & ~seen
+            seen |= alive[v]
+    sweep, back = down, range(order)
+    changed = True
+    while changed:
+        changed = False
+        for v in sweep:
+            r = reach[v]
+            for u in neighbors[v]:
+                r |= reach[u]
+            r &= alive[v]
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+        sweep, back = back, sweep
+    counts = [0] * apart
+    carries = range(apart - 1, 0, -1)
+    for a, r in zip(alive, reach):
+        x = a & ~r
+        for i in carries:
+            counts[i] |= counts[i - 1] & x
+        counts[0] |= x
+    return counts
+
+
+def _components(masks, alive: int) -> list[tuple[int, bool]]:
+    """The components of alive by least vertex, as (mask, carries_cycle) pairs.
+
+    One BFS per component sums the degrees in alive of the vertices it
+    visits; a neighbour in alive lies in the same component.  A component
+    carries a cycle when that sum is at least twice its vertex count
+    (edges >= vertices).
+    """
+    out = []
+    rem = alive
+    while rem:
+        reach = frontier = rem & -rem
+        degrees = 0
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                m = masks[b.bit_length() - 1] & alive
+                nxt |= m
+                degrees += m.bit_count()
+            frontier = nxt & ~reach
+            reach |= frontier
+        rem ^= reach
+        out.append((reach, degrees >= 2 * reach.bit_count()))
+    return out
+
+
+def _two_cyclic_components(masks, alive: int) -> bool:
+    """True iff at least two components of alive carry a cycle."""
+    return sum(cyclic for _, cyclic in _components(masks, alive)) >= 2
+
+
+def _mask_members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +1084,23 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
 # ``randomized_cut_falsifier`` binds the graph, the strategies' starts
 # and both caches (the memo and ``grown``) with partial, so each forked
 # worker fills caches of its own.
+
+
+def enumerate_4cycles(G: CayleyGraph) -> list[tuple[int, int, int, int]]:
+    """All 4-cycles, once each, as (a, b, c, d) in cycle order.
+
+    Canonical form: a is the smallest rank on the cycle and b < d are its
+    two cycle neighbors.
+    """
+    neighbors = G.dense.neighbors
+    out = []
+    for a, ns in enumerate(neighbors):
+        later = [x for x in ns if x > a]
+        for bi, b in enumerate(later):
+            for d in later[bi + 1 :]:
+                nd = neighbors[d]
+                out.extend((a, b, c, d) for c in neighbors[b] if c > a and c in nd)
+    return out
 
 
 def _block_faults(

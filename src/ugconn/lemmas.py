@@ -18,27 +18,19 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
 from . import __version__ as TOOL_VERSION
-from .cayley import (
-    CayleyGraph,
-    canonical_four_cycle,
-    component_analysis,
-    cross_edges,
-    edge_label,
-    enumerate_4cycles,
-    find_cn_triple_violation,
-    find_edge_cn_violation,
-    max_common_neighbors,
-    out_neighbors,
-)
+from .cayley import CayleyGraph, _anchors, _as_dense, out_neighbors
 from .cuts import (
     CutWitness,
     _make_witness,
     build_cycle_neighborhood_cut,
+    component_analysis,
     disconnection_census,
+    enumerate_4cycles,
     large_component_profile,
     min_cyclic_cut_exhaustive,
     min_neighborhood_over_4subsets,
@@ -53,8 +45,8 @@ from .flows import (
     edge_separation_connectivity,
     vertex_connectivity_detail,
 )
-from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, describe
-from .perms import CapacityError
+from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, GeneratingGraphError, describe
+from .perms import CapacityError, Perm
 
 SCHEMA = 1
 
@@ -145,6 +137,144 @@ def _via_vertex_0(G: CayleyGraph, through: int) -> str:
 
 def _sets_through_0(G: CayleyGraph, top: int) -> int:
     return sum(math.comb(G.order - 1, k - 1) for k in range(1, top + 1))
+
+
+# ---------------------------------------------------------------------------
+# the scans the checks read
+
+
+class CrossEdgeSet(NamedTuple):
+    i: int
+    j: int
+    edges: tuple[tuple[int, int], ...]  # (u in block i, v in block j)
+
+    def count(self) -> int:
+        return len(self.edges)
+
+
+def cross_edges(G: CayleyGraph, i: int, j: int) -> CrossEdgeSet:
+    """All edges joining block i to block j."""
+    if i == j:
+        raise ValueError("cross edges need two distinct blocks")
+    if G.block_of is None:
+        raise GeneratingGraphError("graph was built without a block decomposition")
+    if not (1 <= i <= G.n and 1 <= j <= G.n):
+        raise ValueError(f"block index out of range 1..{G.n}")
+    block_of = G.block_of
+    found = []
+    for u in range(G.order):
+        if block_of[u] != i:
+            continue
+        for v in G.neighbors(u):
+            if block_of[v] == j:
+                found.append((u, v))
+    return CrossEdgeSet(i=i, j=j, edges=tuple(sorted(found)))
+
+
+def edge_label(G: CayleyGraph, u: int, v: int) -> tuple[int, int]:
+    """Generator (k,l) carrying the edge uv, as 1-based positions."""
+    pu, pv = G.perms[u], G.perms[v]
+    diff = [i for i in range(G.n) if pu[i] != pv[i]]
+    if len(diff) != 2 or pu[diff[0]] != pv[diff[1]] or pu[diff[1]] != pv[diff[0]]:
+        raise ValueError(f"vertices {u} and {v} do not differ by one transposition")
+    return (diff[0] + 1, diff[1] + 1)
+
+
+def canonical_four_cycle(G: CayleyGraph) -> tuple[int, int, int, int]:
+    """A fixed 4-cycle through the identity, for deterministic witnesses.
+
+    Uses the lexicographically first pair of generators with disjoint
+    supports; two such swaps commute, which closes the cycle.
+    """
+    gens = sorted(G.gen.edges)
+    for x in range(len(gens)):
+        for y in range(x + 1, len(gens)):
+            (k1, l1), (k2, l2) = gens[x], gens[y]
+            if {k1, l1} & {k2, l2}:
+                continue
+            p0 = G.perms[0]
+            p1 = _swapped(p0, k1, l1)
+            p2 = _swapped(p1, k2, l2)
+            p3 = _swapped(p0, k2, l2)
+            v1, v2, v3 = G.vertex(p1), G.vertex(p2), G.vertex(p3)
+            b, d = min(v1, v3), max(v1, v3)
+            return (0, b, v2, d)
+    raise GeneratingGraphError("no two generators have disjoint supports")
+
+
+def _swapped(p: Perm, k: int, l: int) -> Perm:
+    lst = list(p)
+    lst[k - 1], lst[l - 1] = lst[l - 1], lst[k - 1]
+    return tuple(lst)
+
+
+def _cn_row(neighbors, u: int) -> Counter:
+    """cn(u, v) for every v != u with a common neighbor, all of which lie in N(N(u))."""
+    row = Counter(v for w in neighbors[u] for v in neighbors[w])
+    del row[u]
+    return row
+
+
+def find_edge_cn_violation(g) -> tuple[int, int, int] | None:
+    """First (p, q, s) with pq an edge and s sharing neighbors with both.
+
+    Returns None when for every edge pq and outside vertex s at least one
+    of cn(s,p), cn(s,q) is zero.  p runs over ``_anchors``.
+    """
+    neighbors = _as_dense(g).neighbors
+    for p in _anchors(g):
+        near_p = _cn_row(neighbors, p).keys()
+        for q in neighbors[p]:
+            if q <= p:
+                continue
+            both = near_p & _cn_row(neighbors, q).keys()
+            if both:
+                return (p, q, min(both))
+    return None
+
+
+def find_cn_triple_violation(g) -> tuple[int, int, int] | None:
+    """First triple (u, v, w) with cn(u,v)=2, cn(v,w)=2 and cn(u,w) >= 1.
+
+    v is the middle vertex of both cn=2 pairs, u < w, and v is an anchor.
+    """
+    neighbors = _as_dense(g).neighbors
+    for v in _anchors(g):
+        ps = sorted(u for u, c in _cn_row(neighbors, v).items() if c == 2)
+        for i, u in enumerate(ps):
+            near_u = _cn_row(neighbors, u)
+            for w in ps[i + 1 :]:
+                if w in near_u:
+                    return (u, v, w)
+    return None
+
+
+def max_common_neighbors(g) -> tuple[int, tuple[int, int]]:
+    """Max cn over vertex pairs and the first pair attaining it, via ``_anchors``.
+
+    Pairs run in order (u, v), u an anchor and v > u; a pair without a
+    common neighbor has cn 0, and (u, u + 1) is the first of u's pairs.
+    """
+    dense = _as_dense(g)
+    best = -1
+    arg = (0, 1)
+    for u in _anchors(g):
+        if u + 1 == dense.order:
+            continue
+        row = {v: c for v, c in _cn_row(dense.neighbors, u).items() if v > u}
+        c = max(row.values(), default=0)
+        if c > best:
+            best = c
+            arg = (u, min((v for v in row if row[v] == c), default=u + 1))
+    return best, arg
+
+
+def common_neighbor_count(g, u: int, v: int) -> int:
+    """|N(u) ∩ N(v)| for distinct vertices."""
+    dense = _as_dense(g)
+    if u == v:
+        raise ValueError("common neighbors of a vertex with itself are undefined")
+    return len(set(dense.neighbors[u]).intersection(dense.neighbors[v]))
 
 
 # ---------------------------------------------------------------------------

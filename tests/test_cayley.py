@@ -15,24 +15,14 @@ import networkx as nx
 import pytest
 
 from conftest import hypercube, path_graph, reach
-import ugconn.cayley as cayley
+import ugconn.cuts as cuts
 from ugconn.cayley import (
     MASK_ORDER_LIMIT,
-    MEMBER_LIMIT,
     CapacityError,
     DenseGraph,
-    canonical_four_cycle,
-    common_neighbor_count,
-    component_analysis,
     conjugation_maps,
-    cross_edges,
-    edge_label,
-    enumerate_4cycles,
-    find_cn_triple_violation,
-    find_edge_cn_violation,
     girth,
     inverse_map,
-    max_common_neighbors,
     out_neighbors,
     to_dot,
     to_edgelist,
@@ -42,7 +32,22 @@ from ugconn.cayley import (
 from ugconn.genset import GeneratingGraphError
 from ugconn.perms import apply_swap, parse_perm_string, rank_perm
 from ugconn import build_cayley, build_generating_graph
-from ugconn.cuts import TRIAL_BLOCK, build_cycle_neighborhood_cut
+from ugconn.cuts import (
+    MEMBER_LIMIT,
+    TRIAL_BLOCK,
+    build_cycle_neighborhood_cut,
+    component_analysis,
+    enumerate_4cycles,
+)
+from ugconn.lemmas import (
+    canonical_four_cycle,
+    common_neighbor_count,
+    cross_edges,
+    edge_label,
+    find_cn_triple_violation,
+    find_edge_cn_violation,
+    max_common_neighbors,
+)
 
 
 def _nx_of(g) -> nx.Graph:
@@ -372,7 +377,7 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
     # the empty fault cuts exactly the disconnected graphs
     edge = [0, full ^ 1, full ^ 1 << (order - 1), full]
     split = graph.startswith("gnp")
-    assert cayley._disconnected(dense.neighbors, order, edge) == [split]
+    assert cuts._disconnected(dense.neighbors, order, edge) == [split]
     rng = random.Random(graph)
     # fault counts inside, across and at a whole number of 8-fault words
     for width in (1, 5, 13, TRIAL_BLOCK):
@@ -396,11 +401,11 @@ def test_disconnected_agrees_with_one_reach_per_fault(request, graph):
                 # sets with no surviving edge start at their highest survivor
                 for i in range(1 if width > 1 else 0, width, 4):
                     faults[i] = _scattered(dense, rng)
-            got = cayley._disconnected(dense.neighbors, order, faults)
+            got = cuts._disconnected(dense.neighbors, order, faults)
             unreached = _unreached_by_reach(dense, faults)
             assert got == [_at_least(unreached, 1)], (width, family)
             for apart in (1, 2, 3):
-                counted = cayley._disconnected(dense.neighbors, order, faults, apart)
+                counted = cuts._disconnected(dense.neighbors, order, faults, apart)
                 assert len(counted) == apart
                 for i, count in enumerate(counted):
                     assert count == _at_least(unreached, i + 1), (width, family, apart, i)
@@ -437,7 +442,7 @@ def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
             fault = sorted({*cut, *fault[: len(fault) // 4]})
         alive = dense.full_mask ^ sum(1 << v for v in fault)
         an = component_analysis(dense, fault)
-        comps = cayley._components(dense.masks, alive)
+        comps = cuts._components(dense.masks, alive)
         # each mask is the component of its least vertex, by least vertex,
         # with the sizes, the members where listed and the cycle flags
         assert sum(mask for mask, _ in comps) == alive, fault
@@ -448,9 +453,9 @@ def test_two_cyclic_components_agrees_with_component_analysis(request, graph):
         got = [(mask.bit_count(), cyclic) for mask, cyclic in comps]
         assert got == [(c.vertices, c.contains_cycle) for c in an.components], fault
         for (mask, _), c in zip(comps, an.components):
-            assert c.members in (None, cayley._mask_members(mask)), fault
+            assert c.members in (None, cuts._mask_members(mask)), fault
         expected = an.cyclic_component_count() >= 2
-        assert cayley._two_cyclic_components(dense.masks, alive) == expected, fault
+        assert cuts._two_cyclic_components(dense.masks, alive) == expected, fault
         seen.add(expected)
     assert seen == {False, True}
 

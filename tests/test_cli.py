@@ -498,8 +498,21 @@ def test_report_missing_or_malformed_file(capsys, tmp_path):
             },
             "bool gating",
         ),
+        (
+            {
+                "graph": {"descriptor": "x"},
+                "checks": [{"id": "a", "verdict": "FIAL", "scope": "", "gating": True}],
+            },
+            "'FIAL' is none of PROVED-EXHAUSTIVE, SUPPORTED-SAMPLED, FAIL, SKIPPED",
+        ),
     ],
-    ids=["no-descriptor", "check-without-id", "checks-a-string", "gating-not-a-bool"],
+    ids=[
+        "no-descriptor",
+        "check-without-id",
+        "checks-a-string",
+        "gating-not-a-bool",
+        "unknown-verdict",
+    ],
 )
 def test_report_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, report, message):
     path = tmp_path / "odd.json"

@@ -27,30 +27,25 @@ from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
     _as_dense,
-    _disconnected,
-    _disconnected_columns,
-    _mask_members,
-    _swapped,
-    canonical_four_cycle,
-    component_analysis,
     conjugation_maps,
-    find_cn_triple_violation,
-    find_edge_cn_violation,
     inverse_map,
-    max_common_neighbors,
     with_redirected_cross_edge,
 )
 from ugconn.cuts import (
     TRIAL_BLOCK,
+    _disconnected,
+    _disconnected_columns,
     _falsify_block,
     _first_result,
     _keeps_degree,
     _make_witness,
+    _mask_members,
     _mask_of,
     _run,
     _subset_tasks,
     _task_columns,
     build_cycle_neighborhood_cut,
+    component_analysis,
     disconnection_census,
     is_cyclic_cut,
     is_good_neighbor_cut,
@@ -75,7 +70,15 @@ from ugconn.flows import (
     vertex_connectivity_detail,
 )
 from ugconn.cli import parse_spec
-from ugconn.lemmas import RANDOM_TRIALS, verify_all
+from ugconn.lemmas import (
+    RANDOM_TRIALS,
+    _swapped,
+    canonical_four_cycle,
+    find_cn_triple_violation,
+    find_edge_cn_violation,
+    max_common_neighbors,
+    verify_all,
+)
 from ugconn.perms import CapacityError
 
 

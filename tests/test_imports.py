@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, and importing the package
 stays cheap: no package metadata, no pool machinery and no ``dataclasses``
-(with the ``inspect`` it pulls in) at start-up, and neither the scans nor
-the checks until a command or a caller uses them."""
+(with the ``inspect`` it pulls in) at start-up, no ``argparse`` or
+``json`` before the cli parses or writes, and neither the scans nor the
+checks until a command or a caller uses them."""
 
 from __future__ import annotations
 
@@ -96,6 +97,41 @@ def test_import_loads_neither_the_scans_nor_the_checks():
     ]
 
 
+# Imports json only to print its result, after the import it measures and
+# the commands it runs.
+_NO_JSON = """
+import contextlib, io, sys
+before = set(sys.modules)
+import ugconn, ugconn.cli
+new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("argparse", "json"))
+with contextlib.redirect_stdout(io.StringIO()) as version:
+    try:
+        ugconn.cli.main(["--version"])
+    except SystemExit as exc:
+        exit_code = exc.code
+argv = ["verify", "--spec", "mb:4", "--checks", "cross-edge-count", "--workers", "1"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    verified = ugconn.cli.main(argv + ["--out", path])
+with contextlib.redirect_stdout(io.StringIO()) as text:
+    reported = ugconn.cli.main(["report", path])
+import json
+print(json.dumps([new, exit_code, version.getvalue(), verified, reported, text.getvalue()]))
+"""
+
+
+def test_import_loads_neither_argparse_nor_json(tmp_path):
+    """The parser and the JSON commands load them, and still work."""
+    path = str(tmp_path / "rep.json")
+    new, exit_code, version, verified, reported, text = _fresh(
+        f"path = {path!r}\n" + _NO_JSON
+    )
+    assert new == []
+    assert (exit_code, version) == (0, ugconn.__version__ + "\n")
+    assert (verified, reported) == (0, 0)
+    assert "cross-edge-count" in text
+    assert text.splitlines()[-1] == "PASS: 1 checks run, 0 skipped"
+
+
 _COMMANDS = """
 import contextlib, io, json, sys
 import ugconn, ugconn.cli
@@ -137,6 +173,44 @@ def _package_imports(source: str) -> set[str]:
 def test_the_scan_reads_package_imports():
     source = "from .a import x\nfrom . import b\nimport ugconn.c\nfrom ugconn.d import y\n"
     assert _package_imports(source) == {"a", "b", "c", "d"}
+
+
+def _unread_definitions(source: str, readers: list[str], public) -> list[str]:
+    """The top-level functions and classes of source that no reader reads by name.
+
+    A name in public counts as read: the package exports it.
+    """
+    read = {
+        node.id
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Name)
+    }
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and node.name not in public
+    ]
+
+
+def test_the_scan_finds_an_unread_definition():
+    source = "def a(): pass\ndef b(): a()\nclass C: pass\ndef d(): pass\n"
+    assert _unread_definitions(source, [source, "C()\n"], ("d",)) == ["b"]
+
+
+def test_cayley_holds_only_what_building_a_graph_needs():
+    """Scan code belongs with the scans: cayley loads with every process.
+
+    Everything cayley defines is read by cayley itself, by the cli or by
+    flows, the modules that load with it, or is exported by the package.
+    """
+    src = ROOT / "src" / "ugconn"
+    source = (src / "cayley.py").read_text()
+    readers = [(src / name).read_text() for name in ("cayley.py", "cli.py", "flows.py")]
+    assert _unread_definitions(source, readers, ugconn._EXPORTS["cayley"]) == []
+    assert _package_imports(source) == {"genset", "perms"}
 
 
 def test_flows_imports_only_cayley_and_perms():

@@ -11,7 +11,7 @@ import operator
 
 import pytest
 
-from ugconn import build_cayley, cayley, cuts, flows, lemmas
+from ugconn import build_cayley, cuts, flows, lemmas
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.perms import CapacityError
 from ugconn.cli import parse_spec
@@ -53,7 +53,7 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     drawn = []
     walks = []
     real = cuts._disconnected_columns
-    real_walk = cayley._components
+    real_walk = cuts._components
 
     def kernel(neighbors, alive, *apart):
         # every scanned set leaves a survivor, the last one too, so the
@@ -68,7 +68,6 @@ def test_full_mb4_pass_sweeps_each_set_once(mb4, monkeypatch):
     monkeypatch.setattr(cuts, "_disconnected_columns", kernel)
     monkeypatch.setattr(cuts, "_disconnected", lambda *args: drawn.append(args))
     monkeypatch.setattr(cuts, "_components", walk)
-    monkeypatch.setattr(cayley, "_components", walk)
     rep = verify_all(mb4, workers=1, seed=0)
     assert rep.passed()
     # the census's 145,499 sets of size <= 7 through vertex 0, plus the
@@ -110,7 +109,7 @@ def test_cyclic_cut_exact_searches_size_8_where_the_four_cycle_fails(
         else:
             # N(C4) leaves four 4-cycles; one more vertex breaks one of them
             # and leaves a cyclic cut of size 9
-            c4 = cayley.canonical_four_cycle(mb4)
+            c4 = lemmas.canonical_four_cycle(mb4)
             cut = cuts.build_cycle_neighborhood_cut(mb4, c4)
             spare = next(v for v in range(mb4.order) if v not in cut)
             fault = tuple(sorted({*cut, spare}))
@@ -156,7 +155,7 @@ def test_cyclic_cut_exact_names_the_small_cut_of_the_corrupted_graph(mb4, monkey
 
 def test_cyclic_cut_checks_share_one_four_cycle_neighborhood(mb4, monkeypatch):
     analyses = []
-    real = cayley.component_analysis
+    real = cuts.component_analysis
 
     def analysis(dense, fault):
         analyses.append(tuple(fault))
@@ -170,7 +169,7 @@ def test_cyclic_cut_checks_share_one_four_cycle_neighborhood(mb4, monkeypatch):
     assert exact.verdict == upper.verdict == PROVED
     assert exact.detail["witness"] == upper.detail["fault"]
     # one component analysis of N(C4) serves both checks
-    c4 = cayley.canonical_four_cycle(mb4)
+    c4 = lemmas.canonical_four_cycle(mb4)
     assert analyses == [cuts.build_cycle_neighborhood_cut(mb4, c4)]
 
 
