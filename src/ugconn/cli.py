@@ -58,10 +58,11 @@ def parse_spec(tokens) -> GeneratingGraph:
     main, *rest = tokens
     n_extra = None
     for tok in rest:
-        if tok.startswith("n="):
-            n_extra = _int(tok[2:], tok)
-        else:
+        if not tok.startswith("n="):
             raise SpecError(f"unrecognized spec token '{tok}'")
+        if n_extra is not None:
+            raise SpecError(f"repeated n= token '{tok}'")
+        n_extra = _int(tok[2:], tok)
     if main.startswith("edges:"):
         if n_extra is None:
             raise SpecError("edge-list specs need an n=<arity> token")
@@ -193,11 +194,9 @@ def cmd_cut_search(args) -> int:
         raise SpecError(f"--max-size must lie in 0..{G.order}")
     if args.mode == "exhaustive":
         if good is None:
-            witness = min_cyclic_cut_exhaustive(G, args.max_size, workers=workers)
+            witness = min_cyclic_cut_exhaustive(G, args.max_size)
         else:
-            witness = min_good_neighbor_cut_exhaustive(
-                G, good, args.max_size, workers=workers
-            )
+            witness = min_good_neighbor_cut_exhaustive(G, good, args.max_size)
     else:
         if good is not None:
             raise SpecError("random mode searches cyclic cuts only")
@@ -327,8 +326,13 @@ def build_parser():
     p.add_argument("--kind", default="cyclic", help="cyclic or good-neighbor:<g>")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "random"])
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes for --mode random (default: the CPU count)",
+    )
+    p.add_argument("--seed", type=int, default=0, help="trial seed for --mode random")
     p.set_defaults(func=cmd_cut_search)
 
     p = sub.add_parser("verify", help="run the structural check suite")
@@ -341,7 +345,13 @@ def build_parser():
         "lists the known ones",
     )
     p.add_argument("--format", default="json", choices=["json", "text"])
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes for the falsifier and the p1 sampler "
+        "(default: the CPU count)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=float, default=600.0)
     p.add_argument(

@@ -1,12 +1,13 @@
 """Fault sets, cut predicates, and the exhaustive/randomized cut searches.
 
 Everything here is deterministic for a fixed seed: enumeration is by
-subset size ascending and lexicographic within a size, parallel runs
-partition the work into runs of lexicographically consecutive fault sets
-of one size or into fixed-size trial blocks, searches take the first hit
-in task order, and merges pick the lexicographically least candidate.
-A run with 8 workers therefore returns byte-identical results to a run
-with 1.
+subset size ascending and lexicographic within a size, in tasks of
+lexicographically consecutive fault sets of one size, searches take the
+first hit in task order, and merges pick the lexicographically least
+candidate.  The exhaustive scans run in the calling process.  Only the
+seeded trial blocks of the sampler and the falsifier may go to a fork
+pool, and a block's draws depend on its seed and index alone, so a run
+with 8 workers returns byte-identical results to a run with 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import os
 import random
 from bisect import bisect_right
 from functools import partial
-from time import perf_counter
 from typing import NamedTuple
 
 from .cayley import CayleyGraph, DenseGraph, _anchors, _as_dense, _transitive
@@ -32,11 +32,6 @@ CYCLE_VERTICES = 3
 
 #: component member lists are reported only up to this size
 MEMBER_LIMIT = 24
-
-#: seconds of work left past which a scan hands its tasks to a pool
-#: (``_run``): about what a fork pool's start costs, measured on a 2-CPU
-#: host where two busy processes each run about 1.6x slower than one alone
-POOL_AFTER = 0.15
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -458,27 +453,20 @@ def _run(func, tasks, workers: int | None, until=None) -> list:
     has run, so the results do not depend on the worker count or on where
     the tasks ran.
 
-    The tasks run in the calling process, in order.  With more than one
-    worker (``resolve_workers``), after each task that leaves at least two,
-    the rest go to one pool of at most a worker per task once the work left
-    looks worth its start: the tasks so far took more than ``POOL_AFTER``
-    seconds, or their mean time times the tasks left is more than that.
-    The projection forks early on even tasks; the elapsed cap catches tasks
-    whose cost grows faster than the mean predicts.  This is the only place
-    a pool starts.
+    The first task runs in the calling process.  If until does not accept
+    it, there is more than one worker (``resolve_workers``) and at least two
+    tasks are left, the rest go to one pool of at most a worker per task;
+    otherwise they run in the calling process too.  Only the seeded trial
+    blocks come here, and this is the only place a pool starts.
     """
-    workers = resolve_workers(workers)
+    workers = min(resolve_workers(workers), len(tasks) - 1)
     out = []
-    start = perf_counter()
-    for i, task in enumerate(tasks):
+    for task in tasks:
         out.append(func(task))
         if until is not None and until(out[-1]):
             break
-        left = len(tasks) - i - 1
-        if workers > 1 and left > 1:
-            spent = perf_counter() - start
-            if spent > POOL_AFTER or spent / (i + 1) * left > POOL_AFTER:
-                return out + _pooled(func, tasks[i + 1 :], min(workers, left), until)
+        if workers > 1:
+            return out + _pooled(func, tasks[1:], workers, until)
     return out
 
 
@@ -496,18 +484,17 @@ def _pooled(func, tasks, workers: int, until) -> list:
     the workers share, each task taken after it returns at once
     (``_call``), and join() waits only for the tasks in flight.  Only a
     task that raises, or an interrupt in the parent, terminates the pool;
-    the exception reaches the caller.
+    the exception reaches the caller.  Tasks go one at a time: a chunk
+    comes back whole, and an early exit should wait for no more than a task.
     """
     import multiprocessing  # here, so that `import ugconn` stays cheap
 
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
-    # a chunk comes back whole, so an early exit sends one task at a time
-    chunk = 1 if until is not None else max(1, len(tasks) // (workers * 8))
     pool = ctx.Pool(workers, initializer=_install, initargs=(func, stop))
     out = []
     try:
-        for result in pool.imap(_call, tasks, chunk):
+        for result in pool.imap(_call, tasks):
             out.append(result)
             if until is not None and until(result):
                 stop.set()
@@ -702,7 +689,7 @@ def _search_task(
 
 
 def _min_cut_search(
-    g, test, max_size: int, workers: int | None, apart: int
+    g, test, max_size: int, apart: int
 ) -> tuple[int, tuple[int, ...] | None]:
     """(sets scanned, least minimum cut passing test or None) in one first-hit pass.
 
@@ -720,33 +707,35 @@ def _min_cut_search(
         apart,
         {},
     )
-    tasks = _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1))
-    return _first_result(func, tasks, workers)
+    scanned = 0
+    for task in _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1)):
+        count, hit = func(task)
+        scanned += count
+        if hit is not None:
+            return scanned, hit
+    return scanned, None
 
 
-def _cut_witness(g, test, max_size, workers, kind, apart) -> CutWitness | None:
-    scanned, hit = _min_cut_search(g, test, max_size, workers, apart)
+def _cut_witness(g, test, max_size, kind, apart) -> CutWitness | None:
+    scanned, hit = _min_cut_search(g, test, max_size, apart)
     return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
 
 
-def min_cyclic_cut_exhaustive(g, max_size: int, workers: int | None = None):
+def min_cyclic_cut_exhaustive(g, max_size: int):
     """Lexicographically least minimum cyclic cut of size <= max_size, or None.
 
     Enumeration over the tasks of ``_subset_tasks``, one kernel call
-    each, sizes ascending, in one pass that stops at the first hit; a
-    task taken after the hit is skipped (``_call``).  Absence is a
-    valid (and for the lower bounds, the desired) result.  A cyclic
-    component holds at least 3 vertices, so only the sets that leave 3
-    survivors outside the kernel's start get the exact test.
+    each, sizes ascending, in one pass that stops at the first hit.
+    Absence is a valid (and for the lower bounds, the desired) result.
+    A cyclic component holds at least 3 vertices, so only the sets that
+    leave 3 survivors outside the kernel's start get the exact test.
     """
     return _cut_witness(
-        g, _two_cyclic_components, max_size, workers, "cyclic-cut", CYCLE_VERTICES
+        g, _two_cyclic_components, max_size, "cyclic-cut", CYCLE_VERTICES
     )
 
 
-def min_good_neighbor_cut_exhaustive(
-    g, good: int, max_size: int, workers: int | None = None
-):
+def min_good_neighbor_cut_exhaustive(g, good: int, max_size: int):
     """Least cut of size <= max_size after which all survivors keep >= good neighbors.
 
     Every component of such a cut holds a vertex and its good neighbors,
@@ -756,12 +745,11 @@ def min_good_neighbor_cut_exhaustive(
     if good < 0:
         raise ValueError("neighbor requirement must be >= 0")
     if good == 0:
-        return _cut_witness(g, None, max_size, workers, "vertex-cut", 1)
+        return _cut_witness(g, None, max_size, "vertex-cut", 1)
     witness = _cut_witness(
         g,
         partial(_keeps_degree, good=good),
         max_size,
-        workers,
         f"good-neighbor-cut({good})",
         good + 1,
     )
@@ -856,9 +844,7 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     return size, subsets, disconnecting, isolating, nbhd, max_residual, worst, cyclic
 
 
-def disconnection_census(
-    g, max_size: int, workers: int | None = None
-) -> tuple[SizeCensus, ...]:
+def disconnection_census(g, max_size: int) -> tuple[SizeCensus, ...]:
     """Exhaustive per-size census of all fault sets up to max_size.
 
     Counts disconnecting sets and the two-components-one-isolated pattern,
@@ -872,11 +858,10 @@ def disconnection_census(
     """
     dense = _as_dense(g)
     top = min(max_size, dense.order - 1)
-    tasks = _subset_tasks(g, range(1, top + 1))
     func = partial(
         _census_task, dense.masks, dense.neighbors, dense.order, dense.full_mask, {}
     )
-    rows = _run(func, tasks, workers)
+    rows = [func(task) for task in _subset_tasks(g, range(1, top + 1))]
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
@@ -907,16 +892,14 @@ class RemovalSweep(NamedTuple):
     removals: int  # fault sets the search scanned
 
 
-def verify_connected_under_removal(
-    g, max_size: int, workers: int | None = None
-) -> RemovalSweep:
+def verify_connected_under_removal(g, max_size: int) -> RemovalSweep:
     """Certify that no fault set of size <= max_size disconnects g.
 
     This is the first-hit vertex-cut search: the counterexample is the
     least disconnecting set, sizes ascending, and it exists exactly when
     kappa <= max_size.
     """
-    removals, bad = _min_cut_search(g, None, max_size, workers, 1)
+    removals, bad = _min_cut_search(g, None, max_size, 1)
     return RemovalSweep(ok=bad is None, counterexample=bad, removals=removals)
 
 

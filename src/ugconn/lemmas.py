@@ -87,7 +87,7 @@ class CheckContext:
     @cached_property
     def census(self):
         """Disconnection census up to size 7, computed once for the three n=4 checks."""
-        return disconnection_census(self.G, 7, workers=self.workers)
+        return disconnection_census(self.G, 7)
 
     @cached_property
     def four_cycle_cut(self):
@@ -565,7 +565,7 @@ def check_residue_bound_p1(ctx: CheckContext) -> tuple:
         return _skip("stated for the unicyclic family only")
     max_f = G.n - 1
     if G.order <= 120:
-        sweep = verify_connected_under_removal(G, max_f, workers=ctx.workers)
+        sweep = verify_connected_under_removal(G, max_f)
         covered = sum(math.comb(G.order, k) for k in range(1, max_f + 1))
         detail = {"covered_fault_sets": covered, "scanned": sweep.removals}
         if sweep.counterexample is not None:
@@ -760,7 +760,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
         witness = CutWitness("cyclic-cut", fault, analysis, swept)
         scope += ", then the 4-cycle neighborhood, a verified cyclic cut of size 8"
     else:
-        witness = min_cyclic_cut_exhaustive(G, 8, workers=ctx.workers)
+        witness = min_cyclic_cut_exhaustive(G, 8)
         scope += ", then size 8"
     ok = witness is not None and witness.size == 8
     detail = {
@@ -1007,8 +1007,9 @@ def verify_all(
     over-budget checks are reported as SKIPPED with the reason, and so is a
     check that raises CapacityError where it meets a resource limit (the
     scope is the error message; it spends no budget).  Bad
-    arguments raise ValueError (``select_checks``).  workers=None means
-    the CPU count (``resolve_workers``).
+    arguments raise ValueError (``select_checks``).  workers sizes the
+    pools of the falsifier and the p1 sampler, the only checks that fork;
+    None means the CPU count (``resolve_workers``).
     """
     selected = select_checks(checks, seed, budget)
     ctx = CheckContext(G=G, workers=resolve_workers(workers), seed=seed)

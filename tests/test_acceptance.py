@@ -3,7 +3,9 @@
 Every line recorded here is echoed by the terminal summary under the
 "acceptance criteria" section. Criteria 1-8 read from a shared payload
 computed once with workers=1; the determinism criterion rebuilds the same
-payload with workers=8 and compares the canonical JSON byte for byte.
+payload with workers=8 and compares the canonical JSON byte for byte.  The
+exhaustive scans run in-process at any worker count; the seeded trial
+blocks of the ug6 p1 sampler are what the replay runs on a pool.
 Wall times are recorded for context only and never asserted, since worker
 counts cannot speed anything up on a single-CPU host.
 """
@@ -17,7 +19,6 @@ import time
 import pytest
 
 from conftest import record_acceptance
-from ugconn import cuts
 from ugconn.cayley import with_redirected_cross_edge
 from ugconn.cuts import is_good_neighbor_cut, min_good_neighbor_cut_exhaustive
 from ugconn.flows import vertex_connectivity_detail
@@ -106,6 +107,8 @@ def build_payload(graphs: dict, workers: int) -> dict:
             "ug5": snapshot(
                 graphs["ug5"], ["residue-bound-p1", "residue-bound-p2"], workers
             ),
+            # 100k seeded trials in 25 blocks: the payload's pooled run
+            "ug6": snapshot(graphs["ug6"], ["residue-bound-p1"], workers),
         },
     }
     # The triangle generating graph falls outside the graded families, so
@@ -119,7 +122,7 @@ def build_payload(graphs: dict, workers: int) -> dict:
         else [perm_string(mb3.perms[v]) for v in res.cut],
     }
     # one pass, sizes ascending: a cut of size <= 7 would be the witness
-    witness = min_good_neighbor_cut_exhaustive(mb4, 2, 8, workers=workers)
+    witness = min_good_neighbor_cut_exhaustive(mb4, 2, 8)
 
     def strs(fault):
         return [perm_string(mb4.perms[v]) for v in fault]
@@ -377,6 +380,13 @@ def test_criterion_08_residual_bounds(payload):
         and "counterexample" not in p2["detail"],
         f"ug5 p=2: {p2['verdict']} {p2['detail']}",
     )
+    p1 = by_id(payload["residual-bounds"]["ug6"])["residue-bound-p1"]
+    sampled = {"trials": 100_000, "templates": 0, "seed": 0, "violations": 0}
+    expect(
+        problems,
+        p1["verdict"] == SAMPLED and p1["detail"] == sampled,
+        f"ug6 p=1: {p1['verdict']} {p1['detail']}",
+    )
     finish(8, "residual-outside-largest-component", problems)
 
 
@@ -403,10 +413,8 @@ def test_criterion_09_falsifier(ug5):
     finish(9, "randomized-falsifier-below-12", problems)
 
 
-def test_criterion_10_determinism_and_controls(payload, family, monkeypatch):
+def test_criterion_10_determinism_and_controls(payload, family):
     problems: list[str] = []
-    # every scan of more than two tasks forks, so the replay runs in pools
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     start = time.perf_counter()
     replay = build_payload(family, workers=8)
     record_acceptance(

@@ -71,6 +71,7 @@ def test_readme_specs_parse():
         ["pizza:4"],
         ["edges:1-2,2-x", "n=3"],
         ["edges:1-2,2-3,1-3", "n=3"],  # explicit triangle stays rejected
+        ["edges:1-2", "n=3", "n=2"],  # a second n= never overrides the first
     ],
 )
 def test_parse_spec_rejections(tokens):

@@ -71,6 +71,7 @@ from ugconn.flows import (
 )
 from ugconn.cli import parse_spec
 from ugconn.lemmas import (
+    FAIL,
     RANDOM_TRIALS,
     _swapped,
     canonical_four_cycle,
@@ -479,7 +480,7 @@ MB4_CENSUS = {
 
 
 def test_disconnection_census_golden_values(mb4):
-    rows = disconnection_census(mb4, 7, workers=1)
+    rows = disconnection_census(mb4, 7)
     assert [r.size for r in rows] == list(range(1, 8))
     for r in rows:
         disc, iso, nbhd, res, worst = MB4_CENSUS[r.size]
@@ -517,7 +518,7 @@ def test_census_walks_only_sets_with_three_survivors_off_the_start(
         return real(masks, alive)
 
     monkeypatch.setattr(cuts, "_components", walk)
-    disconnection_census(g, 7, workers=1)
+    disconnection_census(g, 7)
     assert len(walked) == (55 if graph == "mb4" else 264)
     for alive in walked:
         start = max(v for v in _mask_members(alive) if masks[v] & alive)
@@ -525,11 +526,11 @@ def test_census_walks_only_sets_with_three_survivors_off_the_start(
 
 
 def test_min_cyclic_cut_none_up_to_seven(mb4):
-    assert min_cyclic_cut_exhaustive(mb4, 7, workers=1) is None
+    assert min_cyclic_cut_exhaustive(mb4, 7) is None
 
 
 def test_min_cyclic_cut_witness_at_eight(mb4):
-    w = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
+    w = min_cyclic_cut_exhaustive(mb4, 8)
     assert w is not None and w.kind == "cyclic-cut"
     assert _perms(mb4, w.fault) == [
         "1234", "1342", "2143", "2431", "3214", "3421", "4123", "4312",
@@ -546,21 +547,20 @@ def test_census_and_search_agree_on_the_least_cyclic_cut(mb4, graph):
     # lemmas.check_cyclic_cut_exact takes the census's cut below size 8 as
     # its witness, where a search would have found it
     g = mb4 if graph == "mb4" else with_redirected_cross_edge(mb4)
-    for w in (1, 2):
-        census = disconnection_census(g, 7, workers=w)
-        full = min_cyclic_cut_exhaustive(g, 8, workers=w)
-        first = next((r.size for r in census if r.cyclic_cut is not None), 8)
-        assert first == full.size == (8 if graph == "mb4" else 7)
-        if first < 8:
-            assert census[first - 1].cyclic_cut == full.fault
+    census = disconnection_census(g, 7)
+    full = min_cyclic_cut_exhaustive(g, 8)
+    first = next((r.size for r in census if r.cyclic_cut is not None), 8)
+    assert first == full.size == (8 if graph == "mb4" else 7)
+    if first < 8:
+        assert census[first - 1].cyclic_cut == full.fault
 
 
 def test_min_good_neighbor_searches(mb4):
-    w0 = min_good_neighbor_cut_exhaustive(mb4, 0, 4, workers=1)
+    w0 = min_good_neighbor_cut_exhaustive(mb4, 0, 4)
     assert w0.kind == "vertex-cut"
     assert w0.fault == (0, 3, 12, 23)
-    assert min_good_neighbor_cut_exhaustive(mb4, 2, 7, workers=1) is None
-    w2 = min_good_neighbor_cut_exhaustive(mb4, 2, 8, workers=1)
+    assert min_good_neighbor_cut_exhaustive(mb4, 2, 7) is None
+    w2 = min_good_neighbor_cut_exhaustive(mb4, 2, 8)
     assert w2.kind == "good-neighbor-cut(2)"
     # at n=4 the least 2-good cut coincides with the least cyclic cut
     assert _perms(mb4, w2.fault) == [
@@ -568,16 +568,7 @@ def test_min_good_neighbor_searches(mb4):
     ]
     assert is_good_neighbor_cut(mb4, w2.fault, 2)
     with pytest.raises(ValueError, match="neighbor requirement"):
-        min_good_neighbor_cut_exhaustive(mb4, -1, 5, workers=1)
-
-
-def test_searches_are_worker_count_invariant(mb4):
-    a = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
-    b = min_cyclic_cut_exhaustive(mb4, 8, workers=3)
-    assert (a.fault, a.scanned) == (b.fault, b.scanned)
-    ra = disconnection_census(mb4, 5, workers=1)
-    rb = disconnection_census(mb4, 5, workers=3)
-    assert ra == rb
+        min_good_neighbor_cut_exhaustive(mb4, -1, 5)
 
 
 def _least_cut_by_brute_force(H: nx.Graph, kind: str, max_size: int):
@@ -606,15 +597,14 @@ def test_searches_return_the_least_cut_of_a_brute_force_scan(order, seed):
     dense = _dense_of_nx(H)
     top = order - 6  # small enough to keep two cyclic sides possible
     searches = {
-        "cyclic": lambda w: min_cyclic_cut_exhaustive(dense, top, workers=w),
-        "vertex": lambda w: min_good_neighbor_cut_exhaustive(dense, 0, top, workers=w),
-        "good2": lambda w: min_good_neighbor_cut_exhaustive(dense, 2, top, workers=w),
+        "cyclic": lambda: min_cyclic_cut_exhaustive(dense, top),
+        "vertex": lambda: min_good_neighbor_cut_exhaustive(dense, 0, top),
+        "good2": lambda: min_good_neighbor_cut_exhaustive(dense, 2, top),
     }
     for kind, search in searches.items():
         expected = _least_cut_by_brute_force(H, kind, top)
         assert expected is not None
-        for workers in (1, 2):
-            assert search(workers).fault == expected
+        assert search().fault == expected
 
 
 def _scans_by_reach(dense: DenseGraph, max_size: int):
@@ -683,11 +673,11 @@ def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
     if graph in ("bare b4", "bare star4"):
         # bubble:4 and star:4 on every set: beside the sets it counts by
         # popcount, the census walks 73,892 and 23,142 of them
-        g, workers = request.getfixturevalue(graph.removeprefix("bare ")).dense, (1, 2)
+        g = request.getfixturevalue(graph.removeprefix("bare ")).dense
     elif graph == "bare split":
         # an edge on vertices 0 and 1 beside a 14-vertex cubic graph
         H = nx.disjoint_union(nx.path_graph(2), nx.random_regular_graph(3, 14, seed=1))
-        g, workers = _dense_of_nx(H), (1, 2)
+        g = _dense_of_nx(H)
     elif graph == "bare hub":
         # triangles 1-2-3 and 4-5-6, a hub 7 on all six and a leaf 0 on 1:
         # top = order - 1 reaches N(7), which leaves the singletons 0 and 7,
@@ -695,7 +685,7 @@ def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
         H = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(3))
         H = nx.relabel_nodes(H, {v: v + 1 for v in H})
         H.add_edges_from([(0, 1)] + [(7, v) for v in range(1, 7)])
-        g, workers = _dense_of_nx(H), (1, 2)
+        g = _dense_of_nx(H)
         assert g.order == top + 1
     elif graph == "bare twins":
         # triangles 0-1-2 and 3-4-5, 6 on 2 and 3, and twins 7 and 8 on
@@ -704,35 +694,34 @@ def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
         # neighborhood fault, for the least singleton 7
         H = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(3))
         H.add_edges_from([(6, 2), (6, 3)] + [(t, v) for t in (7, 8) for v in range(7)])
-        g, workers = _dense_of_nx(H), (1, 2)
+        g = _dense_of_nx(H)
         assert g.order == top + 2
     else:
-        g, workers = with_redirected_cross_edge(mb4), (1, 2)
+        g = with_redirected_cross_edge(mb4)
     census, hits = _scans_by_reach(_as_dense(g), top)
     assert set(hits) == {"vertex", "good1", "good2", "cyclic"}
 
-    def search(kind, w):
+    def search(kind):
         if kind == "cyclic":
-            return min_cyclic_cut_exhaustive(g, top, workers=w)
+            return min_cyclic_cut_exhaustive(g, top)
         return min_good_neighbor_cut_exhaustive(
-            g, {"vertex": 0, "good1": 1, "good2": 2}[kind], top, workers=w
+            g, {"vertex": 0, "good1": 1, "good2": 2}[kind], top
         )
 
-    for w in workers:
-        rows = disconnection_census(g, top, workers=w)
-        assert [tuple(r) for r in rows] == census
-        for kind, (scanned, fault) in hits.items():
-            witness = search(kind, w)
-            assert (witness.scanned, witness.fault) == (scanned, fault), kind
-        # p1: clean below the least vertex cut, which it finds at its size
-        scanned, fault = hits["vertex"]
-        below = sum(row[1] for row in census[: len(fault) - 1])
-        for bound, expected in (
-            (len(fault) - 1, (True, None, below)),
-            (len(fault), (False, fault, scanned)),
-        ):
-            sweep = verify_connected_under_removal(g, bound, workers=w)
-            assert (sweep.ok, sweep.counterexample, sweep.removals) == expected
+    rows = disconnection_census(g, top)
+    assert [tuple(r) for r in rows] == census
+    for kind, (scanned, fault) in hits.items():
+        witness = search(kind)
+        assert (witness.scanned, witness.fault) == (scanned, fault), kind
+    # p1: clean below the least vertex cut, which it finds at its size
+    scanned, fault = hits["vertex"]
+    below = sum(row[1] for row in census[: len(fault) - 1])
+    for bound, expected in (
+        (len(fault) - 1, (True, None, below)),
+        (len(fault), (False, fault, scanned)),
+    ):
+        sweep = verify_connected_under_removal(g, bound)
+        assert (sweep.ok, sweep.counterexample, sweep.removals) == expected
 
 
 def _ring(order: int) -> DenseGraph:
@@ -824,10 +813,10 @@ def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cuts, "_disconnected_columns", counted)
-    disconnection_census(mb4, 7, workers=1)
+    disconnection_census(mb4, 7)
     assert len(calls) == len(_subset_tasks(mb4, range(1, 8)))
     calls.clear()
-    witness = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
+    witness = min_cyclic_cut_exhaustive(mb4, 8)
     # the search stops at the task that holds its hit
     order = _as_dense(mb4).order
     held = itertools.accumulate(
@@ -835,24 +824,6 @@ def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
         for _, pieces in _subset_tasks(mb4, range(1, 9))
     )
     assert len(calls) == 1 + sum(h < witness.scanned for h in held)
-
-
-def test_one_search_starts_at_most_one_pool(mb4, monkeypatch):
-    fork = multiprocessing.get_context("fork")
-    real = fork.Pool
-    starts = []
-
-    def pool(*args, **kwargs):
-        starts.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fork, "Pool", pool)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
-    assert min_cyclic_cut_exhaustive(mb4, 8, workers=2).size == 8
-    assert len(starts) == 1
-    assert min_good_neighbor_cut_exhaustive(mb4, 2, 7, workers=2) is None
-    assert len(starts) == 2
 
 
 def test_min_neighborhood_over_4subsets(mb4):
@@ -941,10 +912,10 @@ def test_scans_from_vertex_0_match_the_full_scans(spec):
     # each scan on the graph, then on its bare DenseGraph, which is not
     # assumed vertex-transitive and so takes the full path
     scans = {
-        "census": lambda h: disconnection_census(h, 7, workers=2),
-        "cyclic": lambda h: fault(min_cyclic_cut_exhaustive(h, 8, workers=2)),
-        "vertex": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 0, 5, workers=2)),
-        "good2": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 2, 8, workers=2)),
+        "census": lambda h: disconnection_census(h, 7),
+        "cyclic": lambda h: fault(min_cyclic_cut_exhaustive(h, 8)),
+        "vertex": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 0, 5)),
+        "good2": lambda h: fault(min_good_neighbor_cut_exhaustive(h, 2, 8)),
         "max_cn": max_common_neighbors,
         "edge_cn": find_edge_cn_violation,
         "cn_triple": find_cn_triple_violation,
@@ -952,8 +923,8 @@ def test_scans_from_vertex_0_match_the_full_scans(spec):
     for name, scan in scans.items():
         assert scan(g) == scan(g.dense), name
     for bound in (3, 4):
-        got = verify_connected_under_removal(g, bound, workers=2)
-        full = verify_connected_under_removal(g.dense, bound, workers=2)
+        got = verify_connected_under_removal(g, bound)
+        full = verify_connected_under_removal(g.dense, bound)
         assert (got.ok, got.counterexample) == (full.ok, full.counterexample)
         assert got.removals < full.removals
 
@@ -981,10 +952,10 @@ def test_four_subset_scan_needs_four_vertices():
 
 
 def test_removal_sweep_on_mb4(mb4):
-    sweep = verify_connected_under_removal(mb4, 3, workers=1)
+    sweep = verify_connected_under_removal(mb4, 3)
     assert sweep.ok and sweep.counterexample is None
     assert sweep.removals == 1 + 23 + 253  # the sets through vertex 0
-    sweep4 = verify_connected_under_removal(mb4, 4, workers=1)
+    sweep4 = verify_connected_under_removal(mb4, 4)
     assert not sweep4.ok
     assert sweep4.counterexample == (0, 3, 12, 23)  # N(1234)
 
@@ -996,10 +967,9 @@ def test_removal_sweep_is_the_least_vertex_cut_on_random_graphs():
         dense = _dense_of_nx(H)
         for bound in (2, 3):
             expected = _least_cut_by_brute_force(H, "vertex", bound)
-            for workers in (1, 2):
-                sweep = verify_connected_under_removal(dense, bound, workers=workers)
-                assert sweep.ok == (nx.node_connectivity(H) > bound)
-                assert sweep.counterexample == expected
+            sweep = verify_connected_under_removal(dense, bound)
+            assert sweep.ok == (nx.node_connectivity(H) > bound)
+            assert sweep.counterexample == expected
 
 
 # --- sampled residual ------------------------------------------------------
@@ -1096,7 +1066,6 @@ def test_sampled_residual_check_starts_one_pool(mb4, monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     # three blocks: the first runs in-process, the two left go to the pool
     res = sampled_residual_check(mb4, 4, 3 * TRIAL_BLOCK, workers=2)
     assert res.trials == 3 * TRIAL_BLOCK and res.templates == 24
@@ -1381,7 +1350,7 @@ def test_searches_skip_the_empty_fault_on_a_disconnected_graph():
     square = ((1, 3), (0, 2), (1, 3), (0, 2))
     g = DenseGraph(square + tuple(tuple(v + 4 for v in ns) for ns in square))
     assert randomized_cut_falsifier(g, 0, 10, workers=1) is None
-    assert min_cyclic_cut_exhaustive(g, 2, workers=1) is None
+    assert min_cyclic_cut_exhaustive(g, 2) is None
 
 
 def test_searches_find_a_cyclic_cut_whose_sides_are_triangles():
@@ -1392,7 +1361,7 @@ def test_searches_find_a_cyclic_cut_whose_sides_are_triangles():
     """
     g = DenseGraph(((1, 2), (0, 2), (0, 1, 3), (2, 4), (3, 5, 6), (4, 6), (4, 5)))
     assert is_cyclic_cut(g, (3,))
-    w = min_cyclic_cut_exhaustive(g, 3, workers=1)
+    w = min_cyclic_cut_exhaustive(g, 3)
     assert (w.fault, w.scanned) == ((3,), 4)
     w = randomized_cut_falsifier(g, 1, 100, seed=0, workers=1)
     assert w is not None and w.fault == (3,)
@@ -1427,7 +1396,7 @@ def test_falsifier_is_seed_deterministic_and_worker_invariant(mb4):
 
 
 def test_render_witness_format(mb4):
-    w = min_cyclic_cut_exhaustive(mb4, 8, workers=1)
+    w = min_cyclic_cut_exhaustive(mb4, 8)
     lines = render_witness(mb4, w).splitlines()
     assert lines[0] == "kind=cyclic-cut"
     assert lines[1] == "size=8"
@@ -1448,7 +1417,6 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(fork, "Pool", pool)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     # the first task runs in-process, the rest on a pool
     assert _run(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert _run(abs, [-3], 8) == [3]  # one task runs in-process
@@ -1470,7 +1438,7 @@ def _two_rings(m: int) -> DenseGraph:
 
 
 def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
-    """Early exits and full scans end their pools by close and join."""
+    """Early exits and full runs end their pools by close and join."""
     terminated = []
     real = multiprocessing.pool.Pool.terminate
 
@@ -1481,15 +1449,15 @@ def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
     starts = _counted_pools(monkeypatch)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     rings = _two_rings(30)
     runs = {
-        "first-hit search": lambda: min_cyclic_cut_exhaustive(mb4, 8, workers=2),
         # the first hit is trial 5063, in block 1 of 5: the pool's first result
         "falsifier hit": lambda: randomized_cut_falsifier(
             rings, 2, 5 * TRIAL_BLOCK, seed=5, workers=2
         ),
-        "census": lambda: disconnection_census(mb4, 5, workers=2),
+        "sampler, every block": lambda: sampled_residual_check(
+            mb4, 4, 3 * TRIAL_BLOCK, workers=2
+        ),
     }
     for i, (name, run) in enumerate(runs.items(), 1):
         assert run() is not None, name
@@ -1529,7 +1497,6 @@ def test_a_task_that_raises_reraises_in_the_parent(monkeypatch):
 
 def test_run_takes_a_closure_with_per_worker_state(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(cuts, "POOL_AFTER", 0)
     memo = {}  # each worker fills its own copy
 
     def square(x):
@@ -1574,63 +1541,45 @@ def test_a_mb4_verify_starts_no_pool(mb4, monkeypatch):
     assert verify_all(mb4, workers=2, seed=1, budget=60).body_bytes() == alone
 
 
-def test_tasks_projected_past_the_threshold_fork_after_the_first(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+def test_exhaustive_scans_start_no_pool(ug5, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", _no_pool)
+    # a first-hit search: the least cut is N(v) of a neighbour v of
+    # vertex 0, at size 5
+    sweep = verify_connected_under_removal(ug5, 5)
+    assert not sweep.ok and sweep.counterexample == ug5.dense.neighbors[2]
+    # the corrupted copy's p1 check is the same search, on the full graph
+    bad = with_redirected_cross_edge(ug5)
+    (c,) = verify_all(bad, workers=2, checks=["residue-bound-p1"]).checks
+    assert c.verdict == FAIL and "counterexample" in c.detail
+
+
+def test_tasks_after_the_first_go_to_one_pool(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     sizes = _counted_pools(monkeypatch)
     here = []  # the tasks that ran in this process
 
     def task(x):
         here.append(x)
-        time.sleep(cuts.POOL_AFTER / 1.5)  # three tasks left project to 2 POOL_AFTER
         return x, x * x
 
-    pooled = _run(task, [3, 1, 2, 0], 8)
-    assert here == [3] and sizes == [3]
-    assert pooled == _run(task, [3, 1, 2, 0], 1)
+    # one or two tasks run in-process
+    assert _run(task, [3], 2) == [(3, 9)]
+    assert _run(task, [3, 1], 2) == [(3, 9), (1, 1)]
+    assert here == [3, 3, 1] and sizes == []
+    # with three, the two after the first go to one pool of 2
+    assert _run(task, [3, 1, 2], 2) == [(3, 9), (1, 1), (2, 4)]
+    assert here == [3, 3, 1, 3] and sizes == [2]
+    # one worker runs every task in-process
+    assert _run(task, [3, 1, 2], 1) == [(3, 9), (1, 1), (2, 4)]
+    assert here == [3, 3, 1, 3, 3, 1, 2] and sizes == [2]
 
 
-def _clocked(monkeypatch, costs, hit=None):
-    """A task function whose task i advances cuts' clock by costs[i] seconds.
-
-    Task i returns (i, "hit") for i == hit, else (i, None).
-    """
-    now = [0.0]
-    here = []  # the tasks that ran in this process
-    monkeypatch.setattr(cuts, "perf_counter", lambda: now[0])
-
-    def task(i):
-        here.append(i)
-        now[0] += costs[i]
-        return i, "hit" if i == hit else None
-
-    return task, here
-
-
-#: six cheap tasks, then one that takes the phase past POOL_AFTER, then three
-#: more: the mean times the tasks left never passes POOL_AFTER
-GROWING = [cuts.POOL_AFTER / 150] * 6 + [cuts.POOL_AFTER * 4 / 3] + [0.0] * 3
-
-
-def test_tasks_whose_cost_grows_fork_once_the_phase_passes_the_threshold(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    sizes = _counted_pools(monkeypatch)
-    task, here = _clocked(monkeypatch, GROWING)
-    rows = _run(task, range(len(GROWING)), 2)
-    assert rows == [(i, None) for i in range(len(GROWING))]
-    assert here == list(range(7)) and sizes == [2]
-
-
-def test_a_hit_in_the_in_process_phase_forks_nothing(monkeypatch):
+def test_a_hit_in_the_first_task_starts_no_pool(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", _no_pool)
-    task, here = _clocked(monkeypatch, GROWING, hit=2)  # with no hit they fork after 7
-    until = lambda row: row[1] is not None  # noqa: E731
-    assert _run(task, range(len(GROWING)), 2, until) == [
-        (0, None),
-        (1, None),
-        (2, "hit"),
-    ]
-    assert here == [0, 1, 2]
+    tasks = {0: (5, "hit"), 1: (7, None), 2: (3, "b")}
+    assert _first_result(tasks.get, [0, 1, 2], 2) == (5, "hit")
 
 
 def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatch):

@@ -528,10 +528,20 @@ def test_mask_checks_run_at_the_mask_limit(monkeypatch):
 
 def test_residue_bound_p1_samples_from_n6(ug6, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+    fork = multiprocessing.get_context("fork")
+    real, sizes = fork.Pool, []
+
+    def pool(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", pool)
     rep = verify_all(ug6, workers=2, checks=["residue-bound-p1"])
     (c,) = rep.checks
     assert c.verdict == SAMPLED and c.scope == "sampled fault sets of size <= 5"
     assert c.detail == {"trials": 100_000, "templates": 0, "seed": 0, "violations": 0}
+    # the 25 trial blocks: the first in-process, the rest on one pool of 2
+    assert sizes == [2]
     # the corrupted copy has one vertex of degree n-1, whose neighborhood
     # the templates find
     bad = with_redirected_cross_edge(ug6)
