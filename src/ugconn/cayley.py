@@ -290,6 +290,8 @@ def with_redirected_cross_edge(G: CayleyGraph) -> CayleyGraph:
         raise GeneratingGraphError("corruption needs a block decomposition")
     b0 = G.block_of[0]
     block = [u for u in range(G.order) if G.block_of[u] == b0]
+    if len(block) < 2:
+        raise GeneratingGraphError("corruption needs two vertices in vertex 0's block")
     u, v = block[0], block[1]
     u_out = out_neighbors(G, u)[0]
     v_out = out_neighbors(G, v)[0]

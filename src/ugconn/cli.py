@@ -170,12 +170,12 @@ def cmd_connectivity(args) -> int:
 
 def cmd_cut_search(args) -> int:
     from .cuts import (
+        RANDOM_TRIALS,
         min_cyclic_cut_exhaustive,
         min_good_neighbor_cut_exhaustive,
         randomized_cut_falsifier,
         render_witness,
     )
-    from .lemmas import RANDOM_TRIALS
 
     if args.seed < 0:
         raise SpecError("--seed must be >= 0")

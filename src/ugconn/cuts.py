@@ -18,7 +18,7 @@ import os
 import random
 from bisect import bisect_right
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cayley import CayleyGraph, DenseGraph, _anchors, _as_dense, _transitive
 from .genset import describe
@@ -26,6 +26,10 @@ from .genset import describe
 #: randomized procedures consume randomness in fixed-size trial blocks so
 #: that results do not depend on how blocks land on workers
 TRIAL_BLOCK = 4096
+
+#: trials of every randomized cut hunt, in ``lemmas`` and the CLI; fixed for
+#: reproducibility
+RANDOM_TRIALS = 1_000_000
 
 #: the fewest vertices of a cycle in a simple graph
 CYCLE_VERTICES = 3
@@ -418,11 +422,12 @@ def _make_witness(
 
 
 # ---------------------------------------------------------------------------
-# shared worker plumbing
+# trial-block runner
 #
-# A task function takes what it reads as arguments, bound with partial or
-# a closure; tasks are small tuples or ints.  Results come back in task
-# order, so merges never depend on the worker count.
+# The seeded trial blocks of the sampler and the falsifier run here.  A
+# block function takes what it reads bound with partial, so a forked
+# worker inherits it; tasks are block indices.  Results come back in
+# block order, so merges never depend on the worker count.
 
 #: a pool worker's task function and the runner's stop event (see ``_run``);
 #: None in the parent, which calls task functions directly
@@ -507,18 +512,6 @@ def _pooled(func, tasks, workers: int, until) -> list:
     return out
 
 
-def _first_result(func, tasks, workers: int | None):
-    """(work, hit): the first hit in task order, where func(task) is (work, hit).
-
-    A task misses with hit None.  work sums the work of the tasks up to
-    the one that hits, or of all tasks when none does.  Tasks after the
-    first hit may be skipped; every task before it has run, so neither
-    number depends on the worker count.
-    """
-    rows = _run(func, tasks, workers, until=lambda row: row[1] is not None)
-    return sum(work for work, _ in rows), rows[-1][1] if rows else None
-
-
 def _first_passing(flagged: int, fault, test) -> int | None:
     """The least j flagged whose fault mask fault(j) passes test, or None.
 
@@ -539,8 +532,8 @@ def _first_passing(flagged: int, fault, test) -> int | None:
 # exhaustive subset scans
 
 
-def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, int, int], ...]]]:
-    """(size, pieces) tasks that split an exhaustive scan over the given sizes.
+def _subset_tasks(g, sizes) -> Iterator[tuple[int, tuple[tuple[int, int, int], ...]]]:
+    """Yield the (size, pieces) tasks of an exhaustive scan over the given sizes.
 
     A piece (head, r, s) stands for the sets head | R over the r-subsets R
     of range(s, order), in lexicographic order.  Anchor a starts as the
@@ -552,6 +545,8 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, int, int], ...]]
     sets, so it holds fewer than 2 * TRIAL_BLOCK and is one kernel call
     (``_task_columns``).  Sizes run ascending and pieces in lexicographic
     order, so the tasks meet the sets in (size, lexicographic) order.
+    A size is split only when its first task is asked for, so a scan that
+    stops at a hit pays nothing for the sizes after it.
 
     Every piece starts with an anchor, so a graph from ``build_cayley``
     scans only the sets through vertex 0; first hits, least witnesses and
@@ -565,7 +560,6 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, int, int], ...]]
             s += 1
         yield head, r, s
 
-    tasks: list[tuple[int, tuple[tuple[int, int, int], ...]]] = []
     for size in sizes:
         group: list[tuple[int, int, int]] = []
         held = 0
@@ -576,11 +570,10 @@ def _subset_tasks(g, sizes) -> list[tuple[int, tuple[tuple[int, int, int], ...]]
                     group.append((head, r, s))
                     held += count
                     if held >= TRIAL_BLOCK:
-                        tasks.append((size, tuple(group)))
+                        yield size, tuple(group)
                         group, held = [], 0
         if group:
-            tasks.append((size, tuple(group)))
-    return tasks
+            yield size, tuple(group)
 
 
 def _rest_columns(r: int, s: int, order: int, memo: dict) -> list[int]:
@@ -664,55 +657,33 @@ def _task_columns(task, order: int, memo: dict):
     return [everyone ^ m for m in member], held, fault
 
 
-def _search_task(
-    masks, neighbors, order: int, full: int, test, apart: int, memo: dict, task
-):
-    """(sets scanned, first fault of the task that is a cut passing test, or None).
-
-    test(masks, alive) is the exact test of a set whose removal leaves
-    alive disconnected; None accepts every vertex cut.  test accepts only
-    splits with at least apart survivors in each of two components, and
-    only the sets that leave that many survivors outside the kernel's
-    start get it (``_first_passing``).  A hit at set j of the task has
-    scanned j + 1 sets.
-    """
-
-    def passes(fmask):
-        return test is None or test(masks, full ^ fmask)
-
-    alive, count, fault = _task_columns(task, order, memo)
-    flagged = _disconnected_columns(neighbors, alive, apart)[-1]
-    j = _first_passing(flagged, fault, passes)
-    if j is None:
-        return count, None
-    return j + 1, _mask_members(fault(j))
-
-
 def _min_cut_search(
     g, test, max_size: int, apart: int
 ) -> tuple[int, tuple[int, ...] | None]:
     """(sets scanned, least minimum cut passing test or None) in one first-hit pass.
 
-    apart is the least size of a component that test accepts on each side
-    (``_search_task``).
+    test(masks, alive) is the exact test of a set whose removal leaves
+    alive disconnected; None accepts every vertex cut.  test accepts only
+    splits with at least apart survivors in each of two components, and
+    only the sets that leave that many survivors outside the kernel's
+    start get it (``_first_passing``).  Each task is one kernel call, and
+    a hit at set j of a task has scanned j + 1 of its sets.
     """
     dense = _as_dense(g)
-    func = partial(
-        _search_task,
-        dense.masks,
-        dense.neighbors,
-        dense.order,
-        dense.full_mask,
-        test,
-        apart,
-        {},
-    )
+    masks, full = dense.masks, dense.full_mask  # CapacityError before any scan
+
+    def passes(fmask):
+        return test is None or test(masks, full ^ fmask)
+
+    memo: dict = {}
     scanned = 0
     for task in _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1)):
-        count, hit = func(task)
+        alive, count, fault = _task_columns(task, dense.order, memo)
+        flagged = _disconnected_columns(dense.neighbors, alive, apart)[-1]
+        j = _first_passing(flagged, fault, passes)
+        if j is not None:
+            return scanned + j + 1, _mask_members(fault(j))
         scanned += count
-        if hit is not None:
-            return scanned, hit
     return scanned, None
 
 
@@ -779,7 +750,7 @@ class SizeCensus(NamedTuple):
     cyclic_cut: tuple[int, ...] | None  # least cyclic cut of this size
 
 
-def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
+def _census_task(dense: DenseGraph, memo: dict, task):
     """The census row of one (size, pieces) task, ending with its first cyclic cut.
 
     Its one kernel call (``_task_columns``) counts up to 3 unreached
@@ -803,6 +774,7 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
     residual, its singleton and, until the task has its first cyclic cut,
     its cyclic components.
     """
+    masks, neighbors, order = dense.masks, dense.neighbors, dense.order
     size = task[0]
     alive, subsets, fault = _task_columns(task, order, memo)
     split, several, many = _disconnected_columns(neighbors, alive, 3)
@@ -829,7 +801,7 @@ def _census_task(masks, neighbors, order: int, full: int, memo: dict, task):
         walked ^= b
         j = b.bit_length() - 1
         fmask = fault(j)
-        comps = _components(masks, full ^ fmask)
+        comps = _components(masks, dense.full_mask ^ fmask)
         sizes = [mask.bit_count() for mask, _ in comps]
         residual = sum(sizes) - max(sizes)
         if len(comps) == 2 and residual == 1:
@@ -858,10 +830,9 @@ def disconnection_census(g, max_size: int) -> tuple[SizeCensus, ...]:
     """
     dense = _as_dense(g)
     top = min(max_size, dense.order - 1)
-    func = partial(
-        _census_task, dense.masks, dense.neighbors, dense.order, dense.full_mask, {}
-    )
-    rows = [func(task) for task in _subset_tasks(g, range(1, top + 1))]
+    memo: dict = {}
+    tasks = _subset_tasks(g, range(1, top + 1))
+    rows = [_census_task(dense, memo, task) for task in tasks]
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
@@ -1157,7 +1128,7 @@ def _block_faults(
 
 
 def _falsify_block(dense, draw, memo, block):
-    """(trials, hit): hit is (block, trial, fault) of the first cyclic cut, or None.
+    """(block, trial, fault) of the block's first cyclic cut, or None.
 
     draw(block) gives the block's fault masks (``_block_faults``).  The
     kernel takes each distinct fault set of the block once, in order of
@@ -1169,7 +1140,7 @@ def _falsify_block(dense, draw, memo, block):
     """
     faults = draw(block)
     if _stopped():
-        return len(faults), None
+        return None
     masks, full = dense.masks, dense.full_mask
 
     def cyclic(fmask):
@@ -1184,8 +1155,8 @@ def _falsify_block(dense, draw, memo, block):
     flagged = _disconnected(dense.neighbors, dense.order, distinct, CYCLE_VERTICES)[-1]
     j = _first_passing(flagged, distinct.__getitem__, cyclic)
     if j is None:
-        return len(faults), None
-    return len(faults), (block, faults.index(distinct[j]), _mask_members(distinct[j]))
+        return None
+    return block, faults.index(distinct[j]), _mask_members(distinct[j])
 
 
 def randomized_cut_falsifier(
@@ -1225,7 +1196,12 @@ def randomized_cut_falsifier(
         _block_faults, dense, anchors, cycles, blobs, {}, target_size, seed, trials
     )
     blocks = range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK)
-    _, hit = _first_result(partial(_falsify_block, dense, draw, {}), blocks, workers)
+    hit = _run(
+        partial(_falsify_block, dense, draw, {}),
+        blocks,
+        workers,
+        until=lambda row: row is not None,
+    )[-1]
     if hit is None:
         return None
     block, j, fault = hit

@@ -25,6 +25,7 @@ from typing import NamedTuple
 from . import __version__ as TOOL_VERSION
 from .cayley import CayleyGraph, _anchors, _as_dense, out_neighbors
 from .cuts import (
+    RANDOM_TRIALS,
     CutWitness,
     _make_witness,
     build_cycle_neighborhood_cut,
@@ -54,9 +55,6 @@ PROVED = "PROVED-EXHAUSTIVE"
 SAMPLED = "SUPPORTED-SAMPLED"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
-
-#: trials of every randomized cut hunt, here and in the CLI; fixed for reproducibility
-RANDOM_TRIALS = 1_000_000
 
 #: sampled probes size themselves by graph order so runs stay deterministic
 def _sampled_trials(order: int) -> int:

@@ -413,6 +413,14 @@ def test_verify_corrupt_runs_every_check_and_fails(capsys, spec):
     assert upper["detail"]["missing_edges"] == [["1234", "1243"]]
 
 
+@pytest.mark.parametrize("spec", [["bubble:2"], ["edges:1-2", "n=2"]])
+def test_verify_corrupt_order_two_is_usage_error(capsys, spec):
+    # vertex 0's block holds vertex 0 alone, so no cross edge can be redirected
+    code, out, err = run(capsys, "verify", "--spec", *spec, "--corrupt")
+    assert code == 2 and out == ""
+    assert err.startswith("error: corruption needs two vertices")
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--spec", "mb:4", "--checks", "nope")
     assert code == 2

@@ -14,6 +14,7 @@ import multiprocessing.pool
 import random
 import threading
 import time
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -36,7 +37,6 @@ from ugconn.cuts import (
     _disconnected,
     _disconnected_columns,
     _falsify_block,
-    _first_result,
     _keeps_degree,
     _make_witness,
     _mask_members,
@@ -814,7 +814,7 @@ def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
 
     monkeypatch.setattr(cuts, "_disconnected_columns", counted)
     disconnection_census(mb4, 7)
-    assert len(calls) == len(_subset_tasks(mb4, range(1, 8)))
+    assert len(calls) == len(list(_subset_tasks(mb4, range(1, 8))))
     calls.clear()
     witness = min_cyclic_cut_exhaustive(mb4, 8)
     # the search stops at the task that holds its hit
@@ -824,6 +824,27 @@ def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
         for _, pieces in _subset_tasks(mb4, range(1, 9))
     )
     assert len(calls) == 1 + sum(h < witness.scanned for h in held)
+
+
+def test_a_first_hit_search_pays_only_for_the_sizes_it_reaches(mb5):
+    """mb:5's least vertex cut has 5 vertices, so a larger bound scans no more.
+
+    The tasks are made as the search takes them, so no size past the hit
+    is split, and the search at bound 6 peaks below 8 MB; a task list
+    built up front for every size peaks at about 20 MB there.
+    """
+    tracemalloc.start()
+    try:
+        witness = min_good_neighbor_cut_exhaustive(mb5, 0, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    least = ((0, 3, 12, 26, 107), 858_691)
+    assert (witness.fault, witness.scanned) == least
+    for bound in (5, 7):
+        witness = min_good_neighbor_cut_exhaustive(mb5, 0, bound)
+        assert (witness.fault, witness.scanned) == least
 
 
 def test_min_neighborhood_over_4subsets(mb4):
@@ -1263,7 +1284,7 @@ def test_falsifier_kernel_takes_each_distinct_set_of_a_block_once(ug5, monkeypat
 
     monkeypatch.setattr(cuts, "_disconnected", kernel)
     draw = _falsifier_draw(ug5, 11, TRIAL_BLOCK, 0)
-    assert _falsify_block(ug5.dense, draw, {}, 0) == (TRIAL_BLOCK, None)
+    assert _falsify_block(ug5.dense, draw, {}, 0) is None
     distinct = list(dict.fromkeys(draw(0)))
     assert seen == [distinct] and len(distinct) < TRIAL_BLOCK
 
@@ -1283,7 +1304,7 @@ def test_falsifier_memo_tests_each_flagged_set_once(ug5, monkeypatch):
     memo = {}
     counts = []
     for block in range(4):
-        assert _falsify_block(ug5.dense, draw, memo, block) == (TRIAL_BLOCK, None)
+        assert _falsify_block(ug5.dense, draw, memo, block) is None
         counts.append(len(tested))
     assert counts == [30, 30, 30, 30]
 
@@ -1339,7 +1360,7 @@ def test_falsifier_hit_maps_to_its_first_trial(mb4, monkeypatch, trials):
     faults = [{"miss": miss, "hit": hit}[t] for t in trials.split()]
     first = faults.index(hit)
     monkeypatch.setattr(cuts, "_block_faults", lambda *args: faults)
-    row = (len(faults), (0, first, _mask_members(hit)))
+    row = (0, first, _mask_members(hit))
     assert _falsify_block(mb4.dense, cuts._block_faults, {}, 0) == row
     w = randomized_cut_falsifier(mb4, 8, len(faults), seed=0, workers=1)
     assert w.scanned == first + 1 and w.fault == _mask_members(hit)
@@ -1420,9 +1441,9 @@ def test_pools_start_no_more_workers_than_tasks(monkeypatch):
     # the first task runs in-process, the rest on a pool
     assert _run(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert _run(abs, [-3], 8) == [3]  # one task runs in-process
-    # tasks return (work, hit); the work of tasks after the first hit is not summed
-    tasks = {0: (5, None), 1: (7, "a"), 2: (3, "b"), 3: (1, None)}
-    assert _first_result(tasks.get, [0, 3, 2, 1], 8) == (9, "b")
+    # the results end at the first that until accepts
+    tasks = {0: None, 1: "a", 2: "b", 3: None}
+    assert _run(tasks.get, [0, 3, 2, 1], 8, until=_hit) == [None, None, "b"]
     assert sizes == [2, 3]
 
 
@@ -1466,21 +1487,26 @@ def test_pools_close_and_join_without_terminate(mb4, monkeypatch):
         assert multiprocessing.active_children() == [], name
 
 
+def _hit(row) -> bool:
+    return row is not None
+
+
 def _counted_task(ran, task):
-    """(1, hit) after a short sleep; counts the tasks that run, in any process."""
+    """task or None after a short sleep; counts the tasks that run, in any process."""
     with ran.get_lock():
         ran.value += 1
     time.sleep(0.02)
     if task == "raise":
         raise ArithmeticError("task failed")
-    return 1, task or None
+    return task or None
 
 
 def test_tasks_after_the_first_hit_are_skipped(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     ran = multiprocessing.get_context("fork").Value("i", 0)
     tasks = [""] * 3 + ["hit"] + [""] * 100
-    assert _first_result(partial(_counted_task, ran), tasks, 2) == (4, "hit")
+    rows = _run(partial(_counted_task, ran), tasks, 2, until=_hit)
+    assert rows == [None] * 3 + ["hit"]
     assert ran.value < 20  # the 100 tasks after the hit return before they run
     assert multiprocessing.active_children() == []
 
@@ -1489,7 +1515,7 @@ def test_a_task_that_raises_reraises_in_the_parent(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     ran = multiprocessing.get_context("fork").Value("i", 0)
     tasks = [""] * 5 + ["raise"] + [""] * 10
-    for until in (None, lambda row: row[1] is not None):
+    for until in (None, _hit):
         with pytest.raises(ArithmeticError, match="task failed"):
             _run(partial(_counted_task, ran), tasks, 2, until)
         assert multiprocessing.active_children() == []
@@ -1578,13 +1604,13 @@ def test_tasks_after_the_first_go_to_one_pool(monkeypatch):
 def test_a_hit_in_the_first_task_starts_no_pool(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", _no_pool)
-    tasks = {0: (5, "hit"), 1: (7, None), 2: (3, "b")}
-    assert _first_result(tasks.get, [0, 1, 2], 2) == (5, "hit")
+    tasks = {0: "hit", 1: None, 2: "b"}
+    assert _run(tasks.get, [0, 1, 2], 2, until=_hit) == ["hit"]
 
 
 def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatch):
     draw = _falsifier_draw(mb4, 8, TRIAL_BLOCK, 0)
-    assert _falsify_block(mb4.dense, draw, {}, 0)[1] is not None  # a cyclic cut
+    assert _falsify_block(mb4.dense, draw, {}, 0) is not None  # a cyclic cut
 
     def kernel(*args):
         raise AssertionError("the kernel ran after the stop")
@@ -1593,7 +1619,7 @@ def test_a_falsifier_block_drawn_after_the_stop_skips_the_kernel(mb4, monkeypatc
     stop = threading.Event()
     stop.set()
     monkeypatch.setattr(cuts, "_STOP", stop)
-    assert _falsify_block(mb4.dense, draw, {}, 0) == (TRIAL_BLOCK, None)
+    assert _falsify_block(mb4.dense, draw, {}, 0) is None
 
 
 def test_resolve_workers(monkeypatch):

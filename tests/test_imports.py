@@ -152,6 +152,20 @@ def test_gen_info_and_connectivity_load_no_further_module():
     assert _fresh(_COMMANDS) == []
 
 
+_CUT_SEARCH = """
+import contextlib, io, json, sys
+import ugconn.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ugconn.cli.main(["cut-search", "--spec", "mb:4", "--max-size", "3"])
+print(json.dumps([code, "ugconn.cuts" in sys.modules, "ugconn.lemmas" in sys.modules]))
+"""
+
+
+def test_cut_search_loads_the_scans_but_not_the_checks():
+    """The search's trial count lives in cuts, beside TRIAL_BLOCK."""
+    assert _fresh(_CUT_SEARCH) == [0, True, False]
+
+
 def _package_imports(source: str) -> set[str]:
     """The ugconn submodules that a module's import statements name."""
     out = set()

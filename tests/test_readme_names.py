@@ -1,7 +1,7 @@
 """The package names README.md cites in backticks are still bound.
 
 README.md points its readers at helpers by name (`cuts._subset_tasks`,
-`_first_result`).  Renaming or deleting one leaves the pointer stale
+`_run`).  Renaming or deleting one leaves the pointer stale
 without failing anything else, so this looks each one up: a
 module-qualified name on its module, a bare private name on any module
 of the package.
@@ -55,7 +55,7 @@ def test_the_scan_reads_the_readme_citations():
         ("cayley", "_anchors"),
         ("lemmas", "CheckContext"),
     } <= qualified
-    assert {"_first_result", "_keeps_degree"} <= private
+    assert {"_run", "_keeps_degree"} <= private
 
 
 def test_every_name_the_readme_cites_is_bound():
