@@ -353,7 +353,13 @@ def build_parser():
         "(default: the CPU count)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=600.0)
+    p.add_argument(
+        "--budget",
+        type=float,
+        default=600.0,
+        help="seconds of fixed per-check prices, not wall time; a check priced "
+        "above what is left is SKIPPED",
+    )
     p.add_argument(
         "--corrupt",
         action="store_true",

@@ -29,13 +29,13 @@ def _unit_flow(into, first, second, cutoff):
 
     Every vertex outside the two units has capacity one.  Each vertex v
     has an in-state 2v and an out-state 2v+1; ``into[v]`` lists the
-    in-states of v's neighbors.  The flow is kept per vertex: whether v
-    carries a path, and the out-state that feeds v.  Residual moves:
+    in-states of v's neighbors.  The flow is kept as one state per vertex,
+    ``exit_of[v]``: the out-state that feeds v if v carries a path, else
+    v's own out-state 2v+1.  Residual moves:
 
     - an out-state reaches the in-state of every neighbor, and its own
       in-state if the vertex carries a path;
-    - an in-state reaches its own out-state if the vertex is free, else
-      only the out-state that feeds it.
+    - an in-state reaches only ``exit_of`` of its vertex.
 
     The out-states of the first unit are the source.  A search stops at
     the first out-state next to the second unit, whose in-states are the
@@ -53,7 +53,6 @@ def _unit_flow(into, first, second, cutoff):
         base[2 * t] = -2
         for w in into[t]:
             near[w + 1] = 1
-    carry = bytearray(order)
     exit_of = [2 * v + 1 for v in range(order)]  # the one move of each in-state
     starts = [2 * a + 1 for a in first]
     flow = 0
@@ -67,7 +66,7 @@ def _unit_flow(into, first, second, cutoff):
                     if label[w] == -1:
                         label[w] = st
                         queue.append(w)
-                if carry[st >> 1] and label[st - 1] == -1:
+                if exit_of[st >> 1] != st and label[st - 1] == -1:
                     label[st - 1] = st
                     queue.append(st - 1)
             else:
@@ -87,15 +86,8 @@ def _unit_flow(into, first, second, cutoff):
         st = hit
         while st >= 0:
             prev = label[st]
-            v = st >> 1
-            if st & 1:
-                if prev == st - 1:  # v starts to carry a path
-                    carry[v] = 1
-            elif prev == st + 1:  # the path through v is cancelled
-                carry[v] = 0
-                exit_of[v] = st + 1
-            else:  # prev now feeds v
-                exit_of[v] = prev
+            if not st & 1:  # prev now feeds v, or is 2v+1 where the path frees v
+                exit_of[st >> 1] = prev
             st = prev
         flow += 1
     return flow, None

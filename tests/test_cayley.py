@@ -125,6 +125,9 @@ def test_block_decomposition(mb4, ug5):
             assert len(members) == math.factorial(G.n - 1)
             assert all(G.perms[v][pos - 1] == i for v in members)
             assert all(G.block_of[v] == i for v in members)
+    for i in (0, mb4.n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            mb4.block_members(i)
 
 
 def test_mb4_blocks_are_six_cycles(mb4):
@@ -165,6 +168,16 @@ def test_cross_edge_counts(mb4, mb5, ug5):
                     assert G.dense.adjacent(u, v)
 
 
+def test_cross_edges_argument_errors(mb3, mb4):
+    with pytest.raises(ValueError, match="two distinct blocks"):
+        cross_edges(mb4, 2, 2)
+    with pytest.raises(GeneratingGraphError, match="block decomposition"):
+        cross_edges(mb3, 1, 2)
+    for i, j in ((0, 1), (1, mb4.n + 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            cross_edges(mb4, i, j)
+
+
 def test_edge_label_identifies_the_generator(mb4):
     u = 0
     for v in mb4.neighbors(u):
@@ -182,6 +195,8 @@ def test_common_neighbor_count_example(mb4):
     value, pair = max_common_neighbors(mb4.dense)
     assert value == 2
     assert common_neighbor_count(mb4.dense, *pair) == 2
+    with pytest.raises(ValueError, match="itself"):
+        common_neighbor_count(mb4.dense, u, u)
 
 
 def test_four_cycle_census_against_oracle(mb4, mb5, ug5):
@@ -215,6 +230,12 @@ def test_canonical_four_cycle_runs_through_identity(mb4, ug5):
         "2143",
         "2134",
     }
+
+
+def test_canonical_four_cycle_needs_disjoint_generators(star4):
+    # every generator of a star moves position 1
+    with pytest.raises(GeneratingGraphError, match="disjoint supports"):
+        canonical_four_cycle(star4)
 
 
 def test_girth_matches_oracle(mb4, ug5, b3, b4, star4):

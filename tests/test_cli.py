@@ -98,6 +98,13 @@ def test_gen_graph6_parses(capsys):
     assert H.number_of_nodes() == 24 and H.number_of_edges() == 48
 
 
+def test_gen_graph6_pads_a_single_bit(capsys):
+    # order 2 has one adjacency bit, padded to a full six-bit group
+    code, out, _ = run(capsys, "gen", "--spec", "bubble:2", "--format", "graph6")
+    assert code == 0
+    assert out.encode() == nx.to_graph6_bytes(nx.path_graph(2), header=False) == b"A_\n"
+
+
 def test_gen_graph6_capacity(capsys):
     code, _, err = run(capsys, "gen", "--spec", "ug:5:c=4", "--format", "graph6")
     assert code == 3
@@ -265,6 +272,27 @@ def test_cut_search_usage_errors(capsys):
             assert code == 2 and "0..24" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("info", "--spec", "mb:4", "x=3"), "unrecognized spec token 'x=3'"),
+        (("info", "--spec", "edges:", "n=3"), "bad edge token '' (want k-l)"),
+        (("info", "--spec", "foo"), "unrecognized spec 'foo'"),
+        (
+            ("cut-search", "--spec", "mb:4", "--kind", "good-neighbor:-1", "--max-size", "5"),
+            "good-neighbor order must be >= 0",
+        ),
+        # the triangle of mb:3 has no block decomposition to corrupt
+        (("verify", "--spec", "mb:3", "--corrupt"), "corruption needs a block decomposition"),
+    ],
+    ids=["spec-token", "empty-edge", "spec-head", "negative-good", "corrupt-mb3"],
+)
+def test_spec_and_argument_guards_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_negative_seed_is_usage_error(capsys):
     # Random(-s) draws as Random(s), so seed -1 would replay seed 1
     for argv in (
@@ -387,7 +415,8 @@ def test_verify_corrupt_n8_skips_the_flows_on_capacity(capsys, monkeypatch):
 
 
 def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
-    # p2 takes 24-25 s on ug:8:c=4: a 10 s budget skips it before a flow
+    # p2 is priced 25 s at n=8 (14-16 s measured on ug:8:c=4): a 10 s budget
+    # skips it before a flow
     monkeypatch.setattr(flows, "_unit_flow", _no_flows)
     code, out, _ = run(
         capsys,
@@ -472,6 +501,37 @@ def test_verify_budget_30_runs_p1_at_n6(capsys):
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     assert checks["residue-bound-p1"]["verdict"] == "SUPPORTED-SAMPLED"
     assert checks["residue-bound-p2"]["verdict"] == "PROVED-EXHAUSTIVE"
+
+
+@pytest.mark.parametrize(
+    "spec, budget", [("mb:4", "10"), ("ug:6:c=4", "10"), ("ug:6:c=4", "7")]
+)
+def test_a_budget_above_the_summed_prices_skips_nothing(capsys, spec, budget):
+    # the prices of every check in scope sum to 6.5 s on mb:4 and 4.8 s on
+    # ug:6:c=4, so these budgets run the exhaustive cut checks too; only the
+    # n=5 falsifier, priced before its scope is read, may find too little left
+    code, out, _ = run(capsys, "verify", "--spec", spec, "--budget", budget)
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    over = {cid for cid, c in checks.items() if "remaining budget" in c["scope"]}
+    assert over <= {"cyclic-cut-falsify"}
+    assert checks["cyclic-cut-upper"]["verdict"] == "PROVED-EXHAUSTIVE"
+    assert checks["four-cycle-labels"]["verdict"] == "PROVED-EXHAUSTIVE"
+    if spec == "mb:4":
+        assert checks["cyclic-cut-exact"]["verdict"] == "PROVED-EXHAUSTIVE"
+
+
+def test_verify_budget_30_runs_the_headline_check_at_n7(capsys):
+    # above n=4 only cyclic-cut-upper checks kappa_c = 4n-8; a 30 s budget
+    # must reach it after the cheap checks
+    code, out, _ = run(capsys, "verify", "--spec", "mb:7", "--budget", "30")
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["cyclic-cut-upper"]["verdict"] == "PROVED-EXHAUSTIVE"
+    assert checks["four-cycle-labels"]["verdict"] == "PROVED-EXHAUSTIVE"
+    assert [c for c in checks.values() if "remaining budget" in c["scope"]] == []
+    assert checks["cyclic-cut-exact"]["scope"] == "exhaustive cut search feasible at n=4 only"
+    assert checks["cyclic-cut-falsify"]["scope"] == "falsification run targets n=5"
 
 
 def test_verify_stdout_json_when_no_out(capsys):

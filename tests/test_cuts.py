@@ -124,6 +124,23 @@ def test_cyclic_and_good_neighbor_predicates_on_mb4(mb4):
     assert not is_good_neighbor_cut(mb4, iso, 1)  # vertex 0 loses everything
 
 
+# Guards left without a test on purpose: the acyclic-side RuntimeError of
+# min_good_neighbor_cut_exhaustive and the bad-cycle branch of
+# check_four_cycle_labels guard theorems (minimum degree 2 forces a cycle;
+# every 4-cycle of a triangle-free transposition graph alternates two
+# commuting generators), and the bodies of cuts._install and _call run only
+# in pool workers, outside the test process.
+def test_cut_predicates_guard_their_arguments(mb4):
+    for fault in ((-1,), (mb4.order,)):
+        with pytest.raises(ValueError, match="out of range"):
+            component_analysis(mb4.dense, fault)
+    an = component_analysis(mb4.dense, range(mb4.order))
+    assert (an.component_count, an.largest(), an.residual()) == (0, 0, 0)
+    with pytest.raises(ValueError, match=">= 0"):
+        is_good_neighbor_cut(mb4, (0,), -1)
+    assert not is_good_neighbor_cut(mb4, (0,), 0)  # mb4 - 0 stays connected
+
+
 def test_good_neighbor_predicate_degree_counts_survivors_only(mb4):
     cut = build_cycle_neighborhood_cut(mb4, canonical_four_cycle(mb4))
     an = component_analysis(mb4.dense, cut)
@@ -417,6 +434,15 @@ def test_unit_flow_cancels_an_arc_of_an_earlier_path():
     K = nx.contracted_nodes(nx.contracted_nodes(H, 0, 6), 5, 7)
     flow, cut = _unit_flow(into, (0, 6), (5, 7), 8)
     assert (flow, cut) == (nx.node_connectivity(K, 0, 5), (1, 2)) == (2, (1, 2))
+    # here the third path from 2 to 5 cancels both arcs of vertex 4's path,
+    # so 4 is freed (exit_of back to its own out-state)
+    H = nx.Graph(
+        tuple(map(int, e.split("-")))
+        for e in "0-1 0-9 0-10 1-3 2-6 2-9 2-10 3-4 3-5 4-6 5-8 5-10 6-7 6-10 7-8 7-11".split()
+    )
+    into = [tuple(2 * w for w in sorted(H[v])) for v in range(12)]
+    flow, cut = _unit_flow(into, (2,), (5,), 12)
+    assert (flow, cut) == (nx.node_connectivity(H, 2, 5), (6, 9, 10)) == (3, (6, 9, 10))
 
 
 def _edge_separation_by_all_pairs(H: nx.Graph):
@@ -1394,6 +1420,8 @@ def test_falsifier_rejects_bad_targets_and_seeds(mb4):
             randomized_cut_falsifier(mb4, target, 10, workers=1)
     with pytest.raises(ValueError, match="seed"):
         randomized_cut_falsifier(mb4, 8, 10, seed=-1, workers=1)
+    with pytest.raises(ValueError, match="trials"):
+        randomized_cut_falsifier(mb4, 8, 0, workers=1)
     with pytest.raises(ValueError, match="seed"):
         sampled_residual_check(mb4, max_size=4, trials=10, seed=-1)
     for max_size in (0, 25):

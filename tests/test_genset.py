@@ -80,6 +80,13 @@ def test_structural_validation_errors(n, pairs):
         build_generating_graph(n, pairs)
 
 
+def test_edge_list_shape_errors():
+    with pytest.raises(GeneratingGraphError, match="two endpoints"):
+        build_generating_graph(4, [(1, 2, 3)])
+    with pytest.raises(GeneratingGraphError, match="edge list is empty"):
+        build_generating_graph(3, [])
+
+
 def test_edges_are_normalized_and_sorted():
     g = build_generating_graph(4, [(4, 3), (2, 1), (3, 2)])
     assert g.edges == ((1, 2), (2, 3), (3, 4))

@@ -315,6 +315,40 @@ def test_family_scoped_checks_skip_on_star(star4):
     assert rep.passed()
 
 
+def test_checks_outside_their_scope_skip_with_the_reason(mb3, star4):
+    # mb:3 is a triangle (class Other) and star:4 a tree: no check of the
+    # unicyclic family applies, and kappa is stated for stars only
+    family = "stated for the unicyclic family only"
+    blocks = "needs the block decomposition of the unicyclic family"
+    cycle4 = "stated for the n=4 cycle generator only"
+    scopes = {
+        "common-neighbor-bound": family,
+        "connectivity-value": "no stated connectivity value for this class",
+        "cross-edge-count": blocks,
+        "out-neighbor-disjoint": blocks,
+        "out-neighbor-escape": "stated for the unicyclic family with n >= 4",
+        "adjacent-pair-common-neighbor": family,
+        "common-neighbor-triple": family,
+        "small-cut-isolation": cycle4,
+        "large-component-bound": cycle4,
+        "four-subset-neighborhood": family,
+        "residue-bound-p1": family,
+        "residue-bound-p2": family,
+        "four-cycle-labels": family,
+        "block-boundary-degree": cycle4,
+        "cyclic-cut-exact": "exhaustive cut search feasible at n=4 only",
+        "cyclic-cut-upper": "construction defined for the unicyclic family",
+        "cyclic-cut-falsify": "falsification run targets n=5",
+    }
+    assert list(scopes) == list(CHECK_IDS)
+    for G, ran in ((mb3, set()), (star4, {"connectivity-value"})):
+        rep = verify_all(G, workers=1)
+        assert {c.check_id for c in rep.checks if c.verdict != SKIPPED} == ran
+        skipped = {c.check_id: c.scope for c in rep.checks if c.verdict == SKIPPED}
+        assert skipped == {cid: s for cid, s in scopes.items() if cid not in ran}
+        assert rep.passed()
+
+
 def test_connectivity_detail_on_path(b4):
     rep = verify_all(b4, workers=1, checks=["connectivity-value"])
     (c,) = rep.checks

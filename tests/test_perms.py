@@ -39,6 +39,8 @@ def test_validate_rejects_non_permutations(bad):
 def test_identity():
     assert identity(5) == (1, 2, 3, 4, 5)
     assert rank_perm(identity(6)) == 0
+    with pytest.raises(ValueError, match="arity"):
+        identity(0)
 
 
 def test_apply_swap_exchanges_positions_not_symbols():
@@ -80,6 +82,8 @@ def test_unrank_rejects_out_of_range():
         unrank_perm(24, 4)
     with pytest.raises(ValueError):
         unrank_perm(-1, 4)
+    with pytest.raises(ValueError, match="arity"):
+        unrank_perm(0, 0)
 
 
 def test_parity_counts_transpositions_mod_2():
