@@ -12,6 +12,7 @@ files compiles it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .genset import (
@@ -30,7 +31,13 @@ MASK_ORDER_LIMIT = 5040
 
 
 class DenseGraph:
-    """Undirected graph on vertices 0..order-1 with optional bitset adjacency."""
+    """Undirected graph on vertices 0..order-1 with optional bitset adjacency.
+
+    ``transitive`` marks a vertex-transitive graph, on which routines may
+    fix a source at vertex 0 (``_anchors``); only ``build_cayley`` sets it.
+    """
+
+    transitive = False
 
     def __init__(self, neighbors):
         self.neighbors: list[tuple[int, ...]] = [tuple(sorted(ns)) for ns in neighbors]
@@ -71,9 +78,8 @@ def girth(g) -> int | None:
     some shortest cycle runs through an anchor, it is still whole when the
     first of its anchors becomes the source, and that BFS finds it.
     """
-    dense = _as_dense(g)
-    nbrs = dense.neighbors
-    alive = bytearray(b"\x01") * dense.order
+    nbrs = g.neighbors
+    alive = bytearray(b"\x01") * g.order
     degree = [len(ns) for ns in nbrs]
 
     def delete(v: int) -> None:
@@ -88,15 +94,15 @@ def girth(g) -> int | None:
                         alive[w] = 0
                         stack.append(w)
 
-    for v in range(dense.order):
+    for v in range(g.order):
         if alive[v] and degree[v] < 2:
             delete(v)
     best: int | None = None
     for s in _anchors(g):
         if not alive[s]:
             continue
-        dist = [-1] * dense.order
-        parent = [-1] * dense.order
+        dist = [-1] * g.order
+        parent = [-1] * g.order
         dist[s] = 0
         queue = [s]
         while queue:
@@ -122,11 +128,6 @@ def girth(g) -> int | None:
     return best
 
 
-def _transitive(g) -> bool:
-    """True for graphs from ``build_cayley``, which are vertex-transitive."""
-    return isinstance(g, CayleyGraph) and g.transitive
-
-
 def _anchors(g) -> range:
     """The starts of every translation-invariant scan and draw.
 
@@ -137,14 +138,13 @@ def _anchors(g) -> range:
     least vertex, so first hits and lexicographically least witnesses do
     not change.  A count over k-sets scales by order/k.
     """
-    return range(1) if _transitive(g) else range(_as_dense(g).order)
+    return range(1) if g.transitive else range(g.order)
 
 
-class CayleyGraph:
+class CayleyGraph(DenseGraph):
     """Cay(Sym(n), T) with vertices indexed by lexicographic rank.
 
-    ``transitive`` is True for graphs from ``build_cayley``, which are
-    vertex-transitive, so routines may fix a source at vertex 0; modified
+    ``transitive`` is True for graphs from ``build_cayley``; modified
     copies set it False and get the full treatment of an arbitrary graph.
     """
 
@@ -153,15 +153,15 @@ class CayleyGraph:
         gen: GeneratingGraph,
         perms: tuple[Perm, ...],
         index: dict[Perm, int],
-        dense: DenseGraph,
+        neighbors,
         transitive: bool,
         peel: PeelChoice | None,
         block_of: tuple[int, ...] | None,
     ):
+        super().__init__(neighbors)
         self.gen = gen
         self.perms = perms
         self.index = index
-        self.dense = dense
         self.transitive = transitive
         self.peel = peel
         self.block_of = block_of
@@ -171,19 +171,20 @@ class CayleyGraph:
         return self.gen.n
 
     @property
-    def order(self) -> int:
-        return self.dense.order
-
-    @property
-    def size(self) -> int:
-        return self.dense.size
-
-    @property
     def degree(self) -> int:
         return len(self.gen.edges)
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.dense.neighbors[u]
+    @functools.cached_property
+    def dense(self) -> DenseGraph:
+        """This graph without its symmetry: a bare ``DenseGraph``.
+
+        It shares the neighbor tuples, so it costs no copy, but keeps its
+        own mask cache; every routine treats it as an arbitrary graph.
+        """
+        bare = object.__new__(DenseGraph)
+        bare.neighbors, bare.order, bare.size = self.neighbors, self.order, self.size
+        bare._masks = None
+        return bare
 
     def perm_str(self, u: int) -> str:
         return perm_string(self.perms[u])
@@ -216,7 +217,6 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
             row.append(index[tuple(lst)])
             lst[k], lst[l] = lst[l], lst[k]
         rows.append(row)
-    dense = DenseGraph(rows)
     peel: PeelChoice | None = None
     block_of: tuple[int, ...] | None = None
     if g.cls in PEELABLE:
@@ -227,7 +227,7 @@ def build_cayley(g: GeneratingGraph) -> CayleyGraph:
         gen=g,
         perms=perms,
         index=index,
-        dense=dense,
+        neighbors=rows,
         transitive=True,
         peel=peel,
         block_of=block_of,
@@ -275,7 +275,7 @@ def out_neighbors(G: CayleyGraph, u: int) -> tuple[int, ...]:
     if G.block_of is None:
         raise GeneratingGraphError("graph was built without a block decomposition")
     bu = G.block_of[u]
-    return tuple(v for v in G.neighbors(u) if G.block_of[v] != bu)
+    return tuple(v for v in G.neighbors[u] if G.block_of[v] != bu)
 
 
 def with_redirected_cross_edge(G: CayleyGraph) -> CayleyGraph:
@@ -295,7 +295,7 @@ def with_redirected_cross_edge(G: CayleyGraph) -> CayleyGraph:
     u, v = block[0], block[1]
     u_out = out_neighbors(G, u)[0]
     v_out = out_neighbors(G, v)[0]
-    neighbors = [set(ns) for ns in G.dense.neighbors]
+    neighbors = [set(ns) for ns in G.neighbors]
     neighbors[u].discard(u_out)
     neighbors[u_out].discard(u)
     neighbors[u].add(v_out)
@@ -304,15 +304,11 @@ def with_redirected_cross_edge(G: CayleyGraph) -> CayleyGraph:
         gen=G.gen,
         perms=G.perms,
         index=G.index,
-        dense=DenseGraph(neighbors),
+        neighbors=neighbors,
         transitive=False,
         peel=G.peel,
         block_of=G.block_of,
     )
-
-
-def _as_dense(g) -> DenseGraph:
-    return g.dense if isinstance(g, CayleyGraph) else g
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def to_dot(G: CayleyGraph, name: str = "G") -> str:
     for u in range(G.order):
         lines.append(f'  v{u} [label="{G.perm_str(u)}"];')
     for u in range(G.order):
-        for v in G.neighbors(u):
+        for v in G.neighbors[u]:
             if u < v:
                 lines.append(f"  v{u} -- v{v};")
     lines.append("}")
@@ -334,13 +330,12 @@ def to_dot(G: CayleyGraph, name: str = "G") -> str:
 
 def to_graph6(g) -> str:
     """Standard graph6 encoding; defined for order <= 62 only."""
-    dense = _as_dense(g)
-    nv = dense.order
+    nv = g.order
     if nv > 62:
         raise CapacityError(f"graph6 supports order <= 62, got {nv}")
     bits = []
     for j in range(1, nv):
-        row = dense.neighbors[j]
+        row = g.neighbors[j]
         for i in range(j):
             bits.append(1 if i in row else 0)
     while len(bits) % 6:
@@ -358,7 +353,7 @@ def to_edgelist(G: CayleyGraph) -> str:
     """Sparse edge list: a header line, then one "u v" line per edge."""
     lines = [f"n={G.n} order={G.order} degree={G.degree}"]
     for u in range(G.order):
-        for v in G.neighbors(u):
+        for v in G.neighbors[u]:
             if u < v:
                 lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"

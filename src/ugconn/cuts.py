@@ -20,7 +20,7 @@ from bisect import bisect_right
 from functools import partial
 from typing import Iterator, NamedTuple
 
-from .cayley import CayleyGraph, DenseGraph, _anchors, _as_dense, _transitive
+from .cayley import CayleyGraph, DenseGraph, _anchors
 from .genset import describe
 
 #: randomized procedures consume randomness in fixed-size trial blocks so
@@ -311,12 +311,12 @@ def _mask_members(mask: int) -> tuple[int, ...]:
 
 
 def is_vertex_cut(g, fault) -> bool:
-    return component_analysis(_as_dense(g), fault).component_count >= 2
+    return component_analysis(g, fault).component_count >= 2
 
 
 def is_cyclic_cut(g, fault) -> bool:
     """True iff g - fault is disconnected with >= 2 cycle-carrying components."""
-    analysis = component_analysis(_as_dense(g), fault)
+    analysis = component_analysis(g, fault)
     if analysis.component_count < 2:
         return False
     return analysis.cyclic_component_count() >= 2
@@ -331,10 +331,9 @@ def is_good_neighbor_cut(g, fault, good: int) -> bool:
     """
     if good < 0:
         raise ValueError("neighbor requirement must be >= 0")
-    dense = _as_dense(g)
-    if component_analysis(dense, fault).component_count < 2:
+    if component_analysis(g, fault).component_count < 2:
         return False
-    return _keeps_degree(dense.masks, dense.full_mask ^ _mask_of(fault), good)
+    return _keeps_degree(g.masks, g.full_mask ^ _mask_of(fault), good)
 
 
 def _keeps_degree(masks, alive: int, good: int) -> bool:
@@ -357,17 +356,16 @@ def _mask_of(vertices) -> int:
 
 def large_component_profile(g, fault) -> tuple[int, int]:
     """(size of the largest component, vertices outside it) after removal."""
-    analysis = component_analysis(_as_dense(g), fault)
+    analysis = component_analysis(g, fault)
     return analysis.largest(), analysis.residual()
 
 
 def vertex_boundary(g, members) -> tuple[int, ...]:
     """N(S) minus S, sorted."""
-    dense = _as_dense(g)
     s = set(members)
     out = set()
     for v in s:
-        out.update(dense.neighbors[v])
+        out.update(g.neighbors[v])
     return tuple(sorted(out - s))
 
 
@@ -377,7 +375,7 @@ def build_cycle_neighborhood_cut(G: CayleyGraph, cycle) -> tuple[int, ...]:
     if len(cyc) != 4 or len(set(cyc)) != 4:
         raise ValueError("cycle must list 4 distinct vertices")
     for i in range(4):
-        if not G.dense.adjacent(cyc[i], cyc[(i + 1) % 4]):
+        if not G.adjacent(cyc[i], cyc[(i + 1) % 4]):
             raise ValueError(
                 f"vertices {cyc[i]} and {cyc[(i + 1) % 4]} are not adjacent"
             )
@@ -552,7 +550,7 @@ def _subset_tasks(g, sizes) -> Iterator[tuple[int, tuple[tuple[int, int, int], .
     scans only the sets through vertex 0; first hits, least witnesses and
     counts scaled by order/k stay exact (``cayley._anchors``).
     """
-    order = _as_dense(g).order
+    order = g.order
 
     def split(head: int, r: int, s: int):
         while math.comb(order - s, r) > TRIAL_BLOCK:
@@ -669,17 +667,16 @@ def _min_cut_search(
     start get it (``_first_passing``).  Each task is one kernel call, and
     a hit at set j of a task has scanned j + 1 of its sets.
     """
-    dense = _as_dense(g)
-    masks, full = dense.masks, dense.full_mask  # CapacityError before any scan
+    masks, full = g.masks, g.full_mask  # CapacityError before any scan
 
     def passes(fmask):
         return test is None or test(masks, full ^ fmask)
 
     memo: dict = {}
     scanned = 0
-    for task in _subset_tasks(g, range(1, min(max_size, dense.order - 1) + 1)):
-        alive, count, fault = _task_columns(task, dense.order, memo)
-        flagged = _disconnected_columns(dense.neighbors, alive, apart)[-1]
+    for task in _subset_tasks(g, range(1, min(max_size, g.order - 1) + 1)):
+        alive, count, fault = _task_columns(task, g.order, memo)
+        flagged = _disconnected_columns(g.neighbors, alive, apart)[-1]
         j = _first_passing(flagged, fault, passes)
         if j is not None:
             return scanned + j + 1, _mask_members(fault(j))
@@ -689,7 +686,7 @@ def _min_cut_search(
 
 def _cut_witness(g, test, max_size, kind, apart) -> CutWitness | None:
     scanned, hit = _min_cut_search(g, test, max_size, apart)
-    return None if hit is None else _make_witness(_as_dense(g), hit, kind, scanned)
+    return None if hit is None else _make_witness(g, hit, kind, scanned)
 
 
 def min_cyclic_cut_exhaustive(g, max_size: int):
@@ -828,17 +825,16 @@ def disconnection_census(g, max_size: int) -> tuple[SizeCensus, ...]:
     the maximum residual, the least faults and the least cyclic cut need
     no scaling (``_subset_tasks``).
     """
-    dense = _as_dense(g)
-    top = min(max_size, dense.order - 1)
+    top = min(max_size, g.order - 1)
     memo: dict = {}
     tasks = _subset_tasks(g, range(1, top + 1))
-    rows = [_census_task(dense, memo, task) for task in tasks]
+    rows = [_census_task(g, memo, task) for task in tasks]
     out = []
     for size in range(1, top + 1):
         mine = [r for r in rows if r[0] == size]
         counts = [sum(r[i] for r in mine) for i in range(1, 5)]
-        if _transitive(g):
-            counts = [dense.order * c // size for c in counts]
+        if g.transitive:
+            counts = [g.order * c // size for c in counts]
         max_residual = max(r[5] for r in mine)
         worsts = [r[6] for r in mine if r[5] == max_residual and r[6] is not None]
         out.append(
@@ -962,8 +958,7 @@ def sampled_residual_check(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    dense = _as_dense(g)
-    neighbors, order = dense.neighbors, dense.order
+    neighbors, order = g.neighbors, g.order
     if not 1 <= max_size <= order:
         raise ValueError(f"max size {max_size} must lie in 1..{order}")
     templates = [_mask_of(ns) for ns in neighbors if len(ns) <= max_size]
@@ -1000,11 +995,10 @@ def min_neighborhood_over_4subsets(g) -> tuple[int, tuple[int, int, int, int], i
     smaller count, so skipping changes neither the value nor the least
     witness.
     """
-    dense = _as_dense(g)
-    order = dense.order
+    order = g.order
     if order < 4:
         raise ValueError(f"a graph of order {order} has no 4-subsets")
-    masks = dense.masks
+    masks = g.masks
     best, arg = order + 1, None
     for a in _anchors(g):
         for b in range(a + 1, order - 2):
@@ -1046,7 +1040,7 @@ def enumerate_4cycles(G: CayleyGraph) -> list[tuple[int, int, int, int]]:
     Canonical form: a is the smallest rank on the cycle and b < d are its
     two cycle neighbors.
     """
-    neighbors = G.dense.neighbors
+    neighbors = G.neighbors
     out = []
     for a, ns in enumerate(neighbors):
         later = [x for x in ns if x > a]
@@ -1181,23 +1175,22 @@ def randomized_cut_falsifier(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    dense = _as_dense(G)
-    if not 0 <= target_size <= dense.order:
-        raise ValueError(f"target size {target_size} must lie in 0..{dense.order}")
+    if not 0 <= target_size <= G.order:
+        raise ValueError(f"target size {target_size} must lie in 0..{G.order}")
     anchors = _anchors(G)
     cycles = enumerate_4cycles(G) if isinstance(G, CayleyGraph) else []
     cycles = [
-        (_mask_of(c), _mask_of(b := vertex_boundary(dense, c)), b)
+        (_mask_of(c), _mask_of(b := vertex_boundary(G, c)), b)
         for c in cycles
         if c[0] in anchors
     ]
-    blobs = [(1 << v, dense.masks[v], dense.neighbors[v]) for v in anchors]
+    blobs = [(1 << v, G.masks[v], G.neighbors[v]) for v in anchors]
     draw = partial(
-        _block_faults, dense, anchors, cycles, blobs, {}, target_size, seed, trials
+        _block_faults, G, anchors, cycles, blobs, {}, target_size, seed, trials
     )
     blocks = range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK)
     hit = _run(
-        partial(_falsify_block, dense, draw, {}),
+        partial(_falsify_block, G, draw, {}),
         blocks,
         workers,
         until=lambda row: row is not None,
@@ -1205,4 +1198,4 @@ def randomized_cut_falsifier(
     if hit is None:
         return None
     block, j, fault = hit
-    return _make_witness(dense, fault, "cyclic-cut", block * TRIAL_BLOCK + j + 1)
+    return _make_witness(G, fault, "cyclic-cut", block * TRIAL_BLOCK + j + 1)

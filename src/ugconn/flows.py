@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cayley import DenseGraph, _as_dense, _transitive, conjugation_maps, inverse_map
+from .cayley import DenseGraph, conjugation_maps, inverse_map
 from .perms import CapacityError
 
 #: without the vertex-0 symmetry the flows follow ``_even_plan``, about
@@ -220,18 +220,17 @@ def vertex_connectivity_detail(g) -> ConnectivityResult:
     plan gives the value, pair and cut of flowing the whole ring.  On any
     other graph it is the Even plan (``_even_plan``).
     """
-    dense = _as_dense(g)
-    order = dense.order
-    if all(len(dense.neighbors[v]) == order - 1 for v in range(order)):
+    order = g.order
+    if all(len(g.neighbors[v]) == order - 1 for v in range(order)):
         return ConnectivityResult(
             value=max(order - 1, 0), complete=True, cut=None, flows=0
         )
-    if _transitive(g):
-        least = _least_images(g, _ring(dense))
+    if g.transitive:
+        least = _least_images(g, _ring(g))
         ring = [(w,) for w in sorted(least) if least[w] == w]
-        sep = _min_separation(dense, [((0,), ring)])
+        sep = _min_separation(g, [((0,), ring)])
     else:
-        sep = _min_separation(dense, *_even_plan(dense, [(v,) for v in range(order)]))
+        sep = _min_separation(g, *_even_plan(g, [(v,) for v in range(order)]))
     return ConnectivityResult(
         value=sep.value, complete=False, cut=sep.cut, flows=sep.flows
     )
@@ -256,13 +255,12 @@ def edge_separation_connectivity(g) -> EdgeSeparation:
     so the plan gives the value, pair and cut of flowing every first edge.
     On any other graph it is the Even plan (``_even_plan``).
     """
-    dense = _as_dense(g)
-    edges = [(u, v) for u in range(dense.order) for v in dense.neighbors[u] if u < v]
-    if not _transitive(g):
-        return _min_separation(dense, *_even_plan(dense, edges))
-    ring = _ring(dense)
+    edges = [(u, v) for u in range(g.order) for v in g.neighbors[u] if u < v]
+    if not g.transitive:
+        return _min_separation(g, *_even_plan(g, edges))
+    ring = _ring(g)
     seconds = [e for e in edges if not ring.isdisjoint(e)]
-    least = _least_images(g, dense.neighbors[0])
+    least = _least_images(g, g.neighbors[0])
     return _min_separation(
-        dense, [((0, s), seconds) for s in dense.neighbors[0] if least[s] == s]
+        g, [((0, s), seconds) for s in g.neighbors[0] if least[s] == s]
     )

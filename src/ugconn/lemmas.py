@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import __version__ as TOOL_VERSION
-from .cayley import CayleyGraph, _anchors, _as_dense, out_neighbors
+from .cayley import CayleyGraph, _anchors, out_neighbors
 from .cuts import (
     RANDOM_TRIALS,
     CutWitness,
@@ -101,12 +101,12 @@ class CheckContext:
         missing = [
             (u, v)
             for u, v in zip(cyc, cyc[1:] + cyc[:1])
-            if not G.dense.adjacent(u, v)
+            if not G.adjacent(u, v)
         ]
         fault = analysis = None
         if not missing:
             fault = build_cycle_neighborhood_cut(G, cyc)
-            analysis = component_analysis(G.dense, fault)
+            analysis = component_analysis(G, fault)
         return cyc, missing, fault, analysis
 
     def perm_strs(self, vertices) -> list[str]:
@@ -163,7 +163,7 @@ def cross_edges(G: CayleyGraph, i: int, j: int) -> CrossEdgeSet:
     for u in range(G.order):
         if block_of[u] != i:
             continue
-        for v in G.neighbors(u):
+        for v in G.neighbors[u]:
             if block_of[v] == j:
                 found.append((u, v))
     return CrossEdgeSet(i=i, j=j, edges=tuple(sorted(found)))
@@ -219,7 +219,7 @@ def find_edge_cn_violation(g) -> tuple[int, int, int] | None:
     Returns None when for every edge pq and outside vertex s at least one
     of cn(s,p), cn(s,q) is zero.  p runs over ``_anchors``.
     """
-    neighbors = _as_dense(g).neighbors
+    neighbors = g.neighbors
     for p in _anchors(g):
         near_p = _cn_row(neighbors, p).keys()
         for q in neighbors[p]:
@@ -236,7 +236,7 @@ def find_cn_triple_violation(g) -> tuple[int, int, int] | None:
 
     v is the middle vertex of both cn=2 pairs, u < w, and v is an anchor.
     """
-    neighbors = _as_dense(g).neighbors
+    neighbors = g.neighbors
     for v in _anchors(g):
         ps = sorted(u for u, c in _cn_row(neighbors, v).items() if c == 2)
         for i, u in enumerate(ps):
@@ -253,13 +253,12 @@ def max_common_neighbors(g) -> tuple[int, tuple[int, int]]:
     Pairs run in order (u, v), u an anchor and v > u; a pair without a
     common neighbor has cn 0, and (u, u + 1) is the first of u's pairs.
     """
-    dense = _as_dense(g)
     best = -1
     arg = (0, 1)
     for u in _anchors(g):
-        if u + 1 == dense.order:
+        if u + 1 == g.order:
             continue
-        row = {v: c for v, c in _cn_row(dense.neighbors, u).items() if v > u}
+        row = {v: c for v, c in _cn_row(g.neighbors, u).items() if v > u}
         c = max(row.values(), default=0)
         if c > best:
             best = c
@@ -269,10 +268,9 @@ def max_common_neighbors(g) -> tuple[int, tuple[int, int]]:
 
 def common_neighbor_count(g, u: int, v: int) -> int:
     """|N(u) ∩ N(v)| for distinct vertices."""
-    dense = _as_dense(g)
     if u == v:
         raise ValueError("common neighbors of a vertex with itself are undefined")
-    return len(set(dense.neighbors[u]).intersection(dense.neighbors[v]))
+    return len(set(g.neighbors[u]).intersection(g.neighbors[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +636,11 @@ def check_residue_bound_p2(ctx: CheckContext) -> tuple:
             fault = sep.cut
             role = {"separated_edges": [ctx.perm_strs(e) for e in sep.edges]}
         else:
-            fault = vertex_boundary(G.dense, pair)
+            fault = vertex_boundary(G, pair)
             role = {"stranded_vertices": ctx.perm_strs(pair)}
         detail["counterexample"] = {
             "fault": ctx.perm_strs(fault),
-            "residual": large_component_profile(G.dense, fault)[1],
+            "residual": large_component_profile(G, fault)[1],
             **role,
         }
     return _done(
@@ -697,15 +695,15 @@ def check_block_boundary_degree(ctx: CheckContext) -> tuple:
         bu = G.block_of[u]
         if bu == 4:
             continue
-        cu = sum(1 for w in G.neighbors(u) if w in last)
-        for v in G.neighbors(u):
+        cu = sum(1 for w in G.neighbors[u] if w in last)
+        for v in G.neighbors[u]:
             # the claim covers edges inside one block, not cross edges
             if v <= u or G.block_of[v] != bu:
                 continue
             scanned += 1
             key = str(bu)
             edge_counts[key] = edge_counts.get(key, 0) + 1
-            cv = sum(1 for w in G.neighbors(v) if w in last)
+            cv = sum(1 for w in G.neighbors[v] if w in last)
             if cu != 1 and cv != 1 and bad is None:
                 bad = {
                     "edge": ctx.perm_strs((u, v)),
@@ -752,7 +750,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
     swept = through_0 if G.transitive else covered
     _, missing, fault, analysis = ctx.four_cycle_cut
     if small is not None:
-        witness = _make_witness(G.dense, small.cyclic_cut, "cyclic-cut", swept)
+        witness = _make_witness(G, small.cyclic_cut, "cyclic-cut", swept)
         scope += f", least cyclic cut at size {small.size}"
     elif not missing and len(fault) == 8 and analysis.cyclic_component_count() >= 2:
         witness = CutWitness("cyclic-cut", fault, analysis, swept)
@@ -858,16 +856,21 @@ CHECKS = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
-#: seconds of the two flow checks on a graph without the vertex-0 symmetry,
-#: where they run the Even-family flows, by n (one worker, 2-CPU host, the
-#: ``--corrupt`` copies of mb:4, ug:5:c=4, mb:5 and mb:6): kappa took 0.002,
-#: 0.09, 4.8 and 387 s at n=4..7, kappa_1 0.005, 0.6 and 48 s at n=4..6.
-#: kappa_1 at n=7 is not measured; 4000 s is the n=6 cost times the 80-fold
-#: growth of kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both checks stop at
-#: once on capacity, so they keep the vertex-transitive figures.
-_ASYMMETRIC_FLOW_SECONDS = {
+#: seconds of the checks that run dearer on a graph without the vertex-0
+#: symmetry, by n (one worker, 2-CPU host, the ``--corrupt`` copies of mb:4,
+#: ug:5:c=4, mb:5, mb:6 and ug:6:c=4); an n without a row keeps the
+#: ``_SECONDS`` price.
+#: The two flow checks run the Even-family flows: kappa took 0.002, 0.09, 4.8
+#: and 387 s at n=4..7, kappa_1 0.005, 0.6 and 48 s at n=4..6.  kappa_1 at
+#: n=7 is not measured; 4000 s is the n=6 cost times the 80-fold growth of
+#: kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both checks stop at once on
+#: capacity, so they keep the vertex-transitive figures.  The four-subset
+#: scan covers every 4-set: <= 0.1 s up to n=5, 26 s on mb:6 and 33-35 s on
+#: ug:6:c=4; it is out of scope at n=7.
+_ASYMMETRIC_SECONDS = {
     "connectivity-value": {4: 0.5, 5: 0.5, 6: 5.0, 7: 400.0},
     "residue-bound-p2": {4: 0.1, 5: 1.0, 6: 50.0, 7: 4000.0},
+    "four-subset-neighborhood": {6: 40.0},
 }
 
 
@@ -893,12 +896,9 @@ _SECONDS = {
 def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
     """Fixed cost model for budget skipping; deliberately not wall time."""
     n = max(G.n, 4)
-    if (
-        not G.transitive
-        and G.order <= FLOW_ORDER_LIMIT
-        and check_id in _ASYMMETRIC_FLOW_SECONDS
-    ):
-        return _ASYMMETRIC_FLOW_SECONDS[check_id][n]
+    asymmetric = _ASYMMETRIC_SECONDS.get(check_id, {})
+    if not G.transitive and G.order <= FLOW_ORDER_LIMIT and n in asymmetric:
+        return asymmetric[n]
     if check_id in _SECONDS:
         return _SECONDS[check_id][n]
     return 0.2

@@ -19,7 +19,9 @@ import ugconn.cuts as cuts
 from ugconn.cayley import (
     MASK_ORDER_LIMIT,
     CapacityError,
+    CayleyGraph,
     DenseGraph,
+    _anchors,
     conjugation_maps,
     girth,
     inverse_map,
@@ -90,6 +92,17 @@ def test_basic_counts(mb4, ug5, b4, star4):
     assert (star4.order, star4.size, star4.degree) == (24, 36, 3)
 
 
+def test_a_cayley_graph_is_a_dense_graph_and_dense_is_its_bare_view(mb4):
+    assert isinstance(mb4, DenseGraph) and mb4.transitive
+    bare = mb4.dense
+    assert isinstance(bare, DenseGraph) and not isinstance(bare, CayleyGraph)
+    assert bare is mb4.dense and not bare.transitive
+    assert bare.neighbors is mb4.neighbors
+    assert (bare.order, bare.size) == (mb4.order, mb4.size)
+    assert _anchors(mb4) == range(1)
+    assert _anchors(bare) == range(mb4.order)
+
+
 def test_vertices_are_rank_ordered(mb4):
     assert mb4.perms[0] == (1, 2, 3, 4)
     for v in (0, 1, 7, 23):
@@ -104,7 +117,7 @@ def test_adjacency_matches_generator_action(mb4, ug5):
             expected = sorted(
                 G.vertex(apply_swap(G.perms[u], k, l)) for k, l in G.gen.edges
             )
-            assert list(G.neighbors(u)) == expected
+            assert list(G.neighbors[u]) == expected
 
 
 def test_bipartite_by_parity(mb4):
@@ -112,7 +125,7 @@ def test_bipartite_by_parity(mb4):
     from ugconn.perms import parity
 
     for u in range(mb4.order):
-        for v in mb4.neighbors(u):
+        for v in mb4.neighbors[u]:
             assert parity(mb4.perms[u]) != parity(mb4.perms[v])
 
 
@@ -134,7 +147,7 @@ def test_mb4_blocks_are_six_cycles(mb4):
     for i in range(1, 5):
         members = set(mb4.block_members(i))
         for v in members:
-            inside = [w for w in mb4.neighbors(v) if w in members]
+            inside = [w for w in mb4.neighbors[v] if w in members]
             assert len(inside) == 2
 
 
@@ -180,7 +193,7 @@ def test_cross_edges_argument_errors(mb3, mb4):
 
 def test_edge_label_identifies_the_generator(mb4):
     u = 0
-    for v in mb4.neighbors(u):
+    for v in mb4.neighbors[u]:
         k, l = edge_label(mb4, u, v)
         assert (k, l) in mb4.gen.edges
         assert apply_swap(mb4.perms[u], k, l) == mb4.perms[v]
@@ -286,7 +299,7 @@ def test_component_analysis_after_cycle_neighborhood_cut(mb4, ug5):
 
 
 def test_component_analysis_isolating_cut(mb4):
-    fault = tuple(mb4.neighbors(5))
+    fault = tuple(mb4.neighbors[5])
     an = component_analysis(mb4.dense, fault)
     assert an.component_count == 2
     assert an.residual() == 1
@@ -654,7 +667,7 @@ def test_conjugations_are_automorphisms_fixing_0(spec):
     for m in maps:
         assert m[0] == 0 and sorted(m) == list(range(G.order))
         for u in range(G.order):
-            assert sorted(m[w] for w in G.neighbors(u)) == list(G.neighbors(m[u]))
+            assert sorted(m[w] for w in G.neighbors[u]) == list(G.neighbors[m[u]])
     inv = inverse_map(G)
     for u in range(G.order):
         assert inv[inv[u]] == u

@@ -429,6 +429,23 @@ def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
     assert p2["scope"] == "estimated ~25s exceeds the remaining budget"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="verify_all prices a check before the check's scope guard runs, so "
+    "p2, stated for the unicyclic family only, reads as over budget on star:8",
+)
+def test_verify_reports_an_out_of_scope_check_as_out_of_scope(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify", "--spec", "star:8", "--checks", "residue-bound-p2",
+        "--budget", "20",
+    )
+    assert code == 0
+    (p2,) = json.loads(out)["checks"]
+    assert p2["verdict"] == "SKIPPED"
+    assert p2["scope"] == "stated for the unicyclic family only"
+
+
 @pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4"])
 def test_verify_corrupt_runs_every_check_and_fails(capsys, spec):
     # the corrupted copy lacks an edge of the constructed 4-cycle: a FAIL,

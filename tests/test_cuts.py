@@ -27,7 +27,6 @@ from ugconn import build_cayley, cuts, flows
 from ugconn.cayley import (
     CayleyGraph,
     DenseGraph,
-    _as_dense,
     conjugation_maps,
     inverse_map,
     with_redirected_cross_edge,
@@ -92,7 +91,7 @@ def _dense_of_nx(H: nx.Graph) -> DenseGraph:
 def _nx_of(g) -> nx.Graph:
     H = nx.Graph()
     H.add_nodes_from(range(g.order))
-    H.add_edges_from((u, v) for u in range(g.order) for v in g.neighbors(u))
+    H.add_edges_from((u, v) for u in range(g.order) for v in g.neighbors[u])
     return H
 
 
@@ -118,7 +117,7 @@ def test_cyclic_and_good_neighbor_predicates_on_mb4(mb4):
     assert is_cyclic_cut(mb4, cut)
     assert is_good_neighbor_cut(mb4, cut, 2)
     assert not is_good_neighbor_cut(mb4, cut, 3)
-    iso = tuple(mb4.neighbors(0))
+    iso = tuple(mb4.neighbors[0])
     assert is_vertex_cut(mb4, iso)
     assert not is_cyclic_cut(mb4, iso)
     assert not is_good_neighbor_cut(mb4, iso, 1)  # vertex 0 loses everything
@@ -313,13 +312,12 @@ def _separation_by_every_pair(g, units):
     flowed whenever its second unit misses the first unit's closed
     neighborhood.
     """
-    dense = _as_dense(g)
     firsts = [u for u in units if 0 in u]
     ordered = firsts + [u for u in units if 0 not in u]
-    into = [tuple(2 * w for w in ns) for ns in dense.neighbors]
-    best, cut = dense.order, None
+    into = [tuple(2 * w for w in ns) for ns in g.neighbors]
+    best, cut = g.order, None
     for i, first in enumerate(firsts):
-        closed = set(first).union(*(dense.neighbors[v] for v in first))
+        closed = set(first).union(*(g.neighbors[v] for v in first))
         for second in ordered[i + 1 :]:
             if closed.isdisjoint(second):
                 f, found = _unit_flow(into, first, second, best)
@@ -535,7 +533,7 @@ def test_census_walks_only_sets_with_three_survivors_off_the_start(
     # one or two survivors outside the start's component settle a set by
     # popcount; the start is the highest survivor that keeps a neighbour
     g = mb4 if graph == "mb4" else with_redirected_cross_edge(mb4)
-    masks = _as_dense(g).masks
+    masks = g.masks
     walked = []
     real = cuts._components
 
@@ -724,7 +722,7 @@ def test_scans_match_a_per_set_reach_loop(request, mb4, graph):
         assert g.order == top + 2
     else:
         g = with_redirected_cross_edge(mb4)
-    census, hits = _scans_by_reach(_as_dense(g), top)
+    census, hits = _scans_by_reach(g, top)
     assert set(hits) == {"vertex", "good1", "good2", "cyclic"}
 
     def search(kind):
@@ -759,7 +757,7 @@ def _ring(order: int) -> DenseGraph:
 @pytest.mark.parametrize("graph", ["mb4", "ring 13"])
 def test_task_columns_are_the_prefixed_combinations_in_order(request, graph):
     g = _ring(13) if graph == "ring 13" else request.getfixturevalue(graph)
-    order = _as_dense(g).order
+    order = g.order
     anchors = {0} if graph == "mb4" else set(range(order))
     by_size: dict[int, list] = {}
     for task in _subset_tasks(g, range(1, 9)):
@@ -803,7 +801,6 @@ def test_column_path_and_mask_kernel_give_the_same_counters(request, graph):
         g, top = _ring(13), 8
     else:
         g, top = request.getfixturevalue(graph), {"mb4": 8, "ug5": 4}[graph]
-    dense = _as_dense(g)
     by_size: dict[int, list] = {}
     for task in _subset_tasks(g, range(1, top + 1)):
         by_size.setdefault(task[0], []).append(task)
@@ -814,17 +811,17 @@ def test_column_path_and_mask_kernel_give_the_same_counters(request, graph):
         # N(v) isolates v, and N(C4) leaves the 4-cycle unreached beside the
         # rest; each task is one piece, all but the cut's last two vertices
         # joined to each pair after them
-        isolating = dense.neighbors[dense.neighbors[0][0]]
+        isolating = g.neighbors[g.neighbors[0][0]]
         cyclic = build_cycle_neighborhood_cut(g, canonical_four_cycle(g))
         for cut in (isolating, cyclic):
             tasks.append((len(cut), ((_mask_of(cut[:-2]), 2, cut[-3] + 1),)))
     flagged = [0, 0, 0]
     for task in tasks:
-        alive, count, fault = _task_columns(task, dense.order, {})
+        alive, count, fault = _task_columns(task, g.order, {})
         faults = [fault(j) for j in range(count)]
         for apart in (1, 2, 3):
-            got = _disconnected_columns(dense.neighbors, alive, apart)
-            assert got == _disconnected(dense.neighbors, dense.order, faults, apart)
+            got = _disconnected_columns(g.neighbors, alive, apart)
+            assert got == _disconnected(g.neighbors, g.order, faults, apart)
         for i, counter in enumerate(got):
             flagged[i] += counter.bit_count()
     assert all(flagged)
@@ -844,7 +841,7 @@ def test_each_scan_task_is_one_kernel_call(mb4, monkeypatch):
     calls.clear()
     witness = min_cyclic_cut_exhaustive(mb4, 8)
     # the search stops at the task that holds its hit
-    order = _as_dense(mb4).order
+    order = mb4.order
     held = itertools.accumulate(
         sum(math.comb(order - s, r) for _, r, s in pieces)
         for _, pieces in _subset_tasks(mb4, range(1, 9))
@@ -917,15 +914,14 @@ def _four_subset_reference(g):
     A graph from ``build_cayley`` covers the 4-sets through vertex 0,
     any other graph every 4-set.
     """
-    dense = _as_dense(g)
     built = isinstance(g, CayleyGraph) and g.transitive
-    firsts = range(1) if built else range(dense.order)
+    firsts = range(1) if built else range(g.order)
     best, arg, sets = None, None, 0
     for a in firsts:
-        for rest in itertools.combinations(range(a + 1, dense.order), 3):
+        for rest in itertools.combinations(range(a + 1, g.order), 3):
             quad = (a, *rest)
-            near = dense.masks[a] | dense.masks[rest[0]]
-            near |= dense.masks[rest[1]] | dense.masks[rest[2]]
+            near = g.masks[a] | g.masks[rest[0]]
+            near |= g.masks[rest[1]] | g.masks[rest[2]]
             count = (near & ~_mask_of(quad)).bit_count()
             sets += 1
             if best is None or count < best:
@@ -1070,15 +1066,14 @@ def test_sampled_residual_check_matches_a_replayed_draw(request, graph, max_size
         g = _dense_of_nx(nx.barbell_graph(5, 0))
     else:
         g = request.getfixturevalue(graph)
-    dense = _as_dense(g)
     built = isinstance(g, CayleyGraph)
-    anchors = range(1) if built else range(dense.order)
+    anchors = range(1) if built else range(g.order)
     trials = 2 * TRIAL_BLOCK + 5
     low = max(1, max_size - 2)
     for seed in (0, 1):
         # the templates, then each block's draws: rng.choice of an anchor,
         # then randrange(order) until the vertex is new
-        faults = [dense.neighbors[v] for v in range(dense.order)]
+        faults = [g.neighbors[v] for v in range(g.order)]
         faults = [f for f in faults if len(f) <= max_size]
         templates = len(faults)
         for block in range(3):
@@ -1086,7 +1081,7 @@ def test_sampled_residual_check_matches_a_replayed_draw(request, graph, max_size
             for i in range(min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)):
                 fault = [rng.choice(anchors)]
                 while len(fault) < low + i % (max_size - low + 1):
-                    v = rng.randrange(dense.order)
+                    v = rng.randrange(g.order)
                     if v not in fault:
                         fault.append(v)
                 if built:
@@ -1668,7 +1663,7 @@ def test_resolve_workers_caps_at_cpu_count(monkeypatch):
 def test_make_witness_rejects_a_fault_that_does_not_cut(mb4):
     with pytest.raises(ValueError, match="does not disconnect"):
         _make_witness(mb4.dense, (0, 1, 2), "vertex-cut")
-    isolating = tuple(mb4.neighbors(0))
+    isolating = tuple(mb4.neighbors[0])
     assert _make_witness(mb4.dense, isolating, "vertex-cut").size == 4
     with pytest.raises(ValueError, match="two cyclic components"):
         _make_witness(mb4.dense, isolating, "cyclic-cut")

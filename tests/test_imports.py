@@ -227,6 +227,30 @@ def test_cayley_holds_only_what_building_a_graph_needs():
     assert _package_imports(source) == {"genset", "perms"}
 
 
+def test_no_module_unwraps_a_cayley_graph():
+    """A CayleyGraph is a DenseGraph, so every routine takes the graph itself.
+
+    Only cayley, which defines ``CayleyGraph.dense``, reads ``.dense``, and
+    the unwrapping helpers ``_as_dense`` and ``_transitive`` stay gone.
+    """
+    gone = {"_as_dense", "_transitive"}
+    found = []
+    for path in MODULES + [ROOT / "src" / "ugconn" / "__init__.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "dense":
+                if path.parent.name == "ugconn" and path.name != "cayley.py":
+                    found.append(f"{path.name}:{node.lineno} reads .dense")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone:
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in gone
+                ]
+    assert found == []
+
+
 def test_flows_imports_only_cayley_and_perms():
     """The flows stand below the scans and the checks, as a certificate checker needs."""
     source = (ROOT / "src" / "ugconn" / "flows.py").read_text()

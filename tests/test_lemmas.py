@@ -631,3 +631,24 @@ def test_flow_checks_without_the_symmetry_are_priced_from_measured_costs(
     assert c.scope == "estimated ~50s exceeds the remaining budget"
     (c,) = verify_all(bad, workers=1, checks=["connectivity-value"], budget=4).checks
     assert c.scope == "estimated ~5s exceeds the remaining budget"
+
+
+def _no_scan(*args):
+    raise AssertionError("the four-subset scan ran")
+
+
+def test_four_subset_scan_without_the_symmetry_is_priced_from_its_measured_cost(
+    mb4, mb5, mb6, monkeypatch
+):
+    # the corrupted mb:6 scans every 4-set: 26 s, where the copies of mb:4
+    # and mb:5 take <= 0.1 s and mb:7 is out of the check's scope
+    monkeypatch.setattr(lemmas, "min_neighborhood_over_4subsets", _no_scan)
+    bad = with_redirected_cross_edge(mb6)
+    check = ["four-subset-neighborhood"]
+    (c,) = verify_all(bad, workers=1, checks=check, budget=30).checks
+    assert c.verdict == SKIPPED
+    assert c.scope == "estimated ~40s exceeds the remaining budget"
+    mb7 = build_cayley(parse_spec(["mb:7"]))
+    for g in (mb4, mb5, mb7):
+        bad = with_redirected_cross_edge(g)
+        assert lemmas._estimate_seconds(check[0], bad) == 0.2
