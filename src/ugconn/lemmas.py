@@ -10,7 +10,8 @@ their verdict is recorded and does not gate the run.
 Reports are deterministic: same graph, seed, and budget give the same
 body regardless of worker count, because all parallel work merges by
 lexicographic rules and budget skipping uses fixed cost estimates rather
-than measured time.
+than measured time.  Where each check's claim is stated, and its price
+there, lives in one table, ``_SCOPES``; the checks themselves never skip.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .flows import (
     vertex_connectivity_detail,
 )
 from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, GeneratingGraphError, describe
-from .perms import CapacityError, Perm
+from .perms import MAX_ARITY, CapacityError, Perm
 
 SCHEMA = 1
 
@@ -120,10 +121,6 @@ def _skip(reason: str) -> tuple:
 def _done(ok: bool, sampled: bool, gating: bool, scope: str, detail: dict) -> tuple:
     """The outcome (verdict, gating, scope, detail); ``verify_all`` adds id, time."""
     return (SAMPLED if sampled else PROVED) if ok else FAIL, gating, scope, detail
-
-
-def _unicyclic(G: CayleyGraph) -> bool:
-    return G.gen.cls in (CYCLE, UNICYCLIC_TF)
 
 
 def _via_vertex_0(G: CayleyGraph, through: int) -> str:
@@ -280,8 +277,6 @@ def common_neighbor_count(g, u: int, v: int) -> int:
 def check_cn_bound(ctx: CheckContext) -> tuple:
     """No two vertices share more than 2 common neighbors."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     best, pair = max_common_neighbors(G)
     pairs = G.order * (G.order - 1) // 2
     return _done(
@@ -297,11 +292,7 @@ def check_cn_bound(ctx: CheckContext) -> tuple:
 def check_connectivity_value(ctx: CheckContext) -> tuple:
     """kappa matches the known value for the graph's family."""
     G = ctx.G
-    expected = {CYCLE: G.n, UNICYCLIC_TF: G.n, PATH: G.n - 1, STAR: G.n - 1}.get(
-        G.gen.cls
-    )
-    if expected is None:
-        return _skip("no stated connectivity value for this class")
+    expected = G.n if G.gen.cls in (CYCLE, UNICYCLIC_TF) else G.n - 1
     res = vertex_connectivity_detail(G)
     detail = {
         "kappa": res.value,
@@ -333,8 +324,6 @@ def check_connectivity_value(ctx: CheckContext) -> tuple:
 def check_cross_edge_count(ctx: CheckContext) -> tuple:
     """Every pair of distinct blocks is joined by the same stated edge count."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("needs the block decomposition of the unicyclic family")
     expected = (2 if G.gen.cls == CYCLE else 1) * math.factorial(G.n - 2)
     bad = None
     pairs = 0
@@ -356,8 +345,6 @@ def check_cross_edge_count(ctx: CheckContext) -> tuple:
 def check_out_neighbor_disjoint(ctx: CheckContext) -> tuple:
     """Out-neighbor sets of distinct vertices in a block never intersect."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("needs the block decomposition of the unicyclic family")
     gating = G.gen.cls == CYCLE
     owner: dict[int, int] = {}
     bad = None
@@ -385,8 +372,6 @@ def check_out_neighbor_disjoint(ctx: CheckContext) -> tuple:
 def check_out_neighbor_escape(ctx: CheckContext) -> tuple:
     """Every vertex of blocks 1-2 has an out-neighbor beyond block 2."""
     G = ctx.G
-    if not _unicyclic(G) or G.n < 4:
-        return _skip("stated for the unicyclic family with n >= 4")
     gating = G.gen.cls == CYCLE
     bad = None
     scanned = 0
@@ -411,8 +396,6 @@ def check_out_neighbor_escape(ctx: CheckContext) -> tuple:
 def check_adjacent_pair_cn(ctx: CheckContext) -> tuple:
     """For each edge pq, no third vertex shares neighbors with both ends."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     gating = G.gen.cls == CYCLE
     hit = find_edge_cn_violation(G)
     detail = {}
@@ -435,8 +418,6 @@ def check_cn_triple(ctx: CheckContext) -> tuple:
     cn=2 with 12345 and share the neighbor 12354).
     """
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     gating = G.gen.cls == CYCLE and G.n == 4
     hit = find_cn_triple_violation(G)
     detail = {}
@@ -458,8 +439,6 @@ def check_cn_triple(ctx: CheckContext) -> tuple:
 def check_small_cut_isolation(ctx: CheckContext) -> tuple:
     """Cuts of size <= 5 in the n=4 cycle graph isolate a single vertex."""
     G = ctx.G
-    if G.gen.cls != CYCLE or G.n != 4:
-        return _skip("stated for the n=4 cycle generator only")
     census = ctx.census[:5]
     ok = True
     rows = []
@@ -493,8 +472,6 @@ def check_small_cut_isolation(ctx: CheckContext) -> tuple:
 def check_large_component_bound(ctx: CheckContext) -> tuple:
     """Residual outside the largest component: <=2 up to |F|=6, <=3 at 7."""
     G = ctx.G
-    if G.gen.cls != CYCLE or G.n != 4:
-        return _skip("stated for the n=4 cycle generator only")
     census = ctx.census
     ok = True
     rows = []
@@ -527,11 +504,7 @@ def check_large_component_bound(ctx: CheckContext) -> tuple:
 def check_four_subset_neighborhood(ctx: CheckContext) -> tuple:
     """Minimum |N(S)| over 4-element S: 4n-8 at n=4,5 and 4n-9 at n=6."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     n = G.n
-    if not 4 <= n <= 6:
-        return _skip("four-subset scan defined for n in 4..6")
     gating = G.gen.cls == CYCLE
     value, witness, scanned = min_neighborhood_over_4subsets(G)
     expected = 4 * n - 8 if n <= 5 else 4 * n - 9
@@ -557,8 +530,6 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> tuple:
 def check_residue_bound_p1(ctx: CheckContext) -> tuple:
     """Fault sets up to size n-1 never disconnect the graph."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     max_f = G.n - 1
     if G.order <= 120:
         sweep = verify_connected_under_removal(G, max_f)
@@ -610,8 +581,6 @@ def check_residue_bound_p2(ctx: CheckContext) -> tuple:
     min(kappa_1, 2*degree - max_cn) > 2n-3.
     """
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     max_f = 2 * G.n - 3
     sep = edge_separation_connectivity(G)
     max_cn, pair = max_common_neighbors(G)
@@ -656,8 +625,6 @@ def check_residue_bound_p2(ctx: CheckContext) -> tuple:
 def check_four_cycle_labels(ctx: CheckContext) -> tuple:
     """Every 4-cycle alternates two generators with disjoint supports."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("stated for the unicyclic family only")
     cycles = enumerate_4cycles(G)
     bad = None
     for cyc in cycles:
@@ -685,8 +652,6 @@ def check_four_cycle_labels(ctx: CheckContext) -> tuple:
 def check_block_boundary_degree(ctx: CheckContext) -> tuple:
     """Within-block edges of blocks 1..3: an endpoint has one block-4 neighbor."""
     G = ctx.G
-    if G.gen.cls != CYCLE or G.n != 4:
-        return _skip("stated for the n=4 cycle generator only")
     last = set(G.block_members(4))
     bad = None
     edge_counts: dict[str, int] = {}
@@ -737,8 +702,6 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
     stops at the first cyclic cut, which is the least minimum one.
     """
     G = ctx.G
-    if G.gen.cls != CYCLE or G.n != 4:
-        return _skip("exhaustive cut search feasible at n=4 only")
     census = ctx.census
     small = next((e for e in census if e.cyclic_cut is not None), None)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
@@ -777,8 +740,6 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
 def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
     """The 4-cycle neighborhood is a verified cyclic cut of size 4n-8."""
     G = ctx.G
-    if not _unicyclic(G):
-        return _skip("construction defined for the unicyclic family")
     cyc, missing, fault, analysis = ctx.four_cycle_cut
     expected = 4 * G.n - 8
     scope = "constructed witness, exactly verified"
@@ -810,8 +771,6 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
 def check_cyclic_cut_falsify(ctx: CheckContext) -> tuple:
     """Randomized hunt for a cyclic cut below 4n-8 at n=5; none must appear."""
     G = ctx.G
-    if not _unicyclic(G) or G.n != 5:
-        return _skip("falsification run targets n=5")
     target = 4 * G.n - 9
     trials = RANDOM_TRIALS
     witness = randomized_cut_falsifier(
@@ -856,52 +815,85 @@ CHECKS = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
+_UG = (CYCLE, UNICYCLIC_TF)  # T of UG_n: triangle-free with a cycle, so n >= 4
+_FAMILY = "stated for the unicyclic family only"
+_BLOCKS = "needs the block decomposition of the unicyclic family"
+_CYCLE_4 = "stated for the n=4 cycle generator only"
+_FLAT = dict.fromkeys(range(4, MAX_ARITY + 1), 0.2)
+
+#: where each check's claim is stated, by id: (the classes of T, the price at
+#: each n it is stated at, its scope off those classes[, its scope off those
+#: n]).  Prices are fixed seconds for budget skipping, 0.2 s unless measured
+#: dearer (one worker, 2-CPU host, mb:4..8, ug:5..8 and the ``--corrupt``
+#: copies of mb:4..6; every 0.2 s check ran in <= 0.17 s on a
+#: vertex-transitive graph).
+_SCOPES = {
+    "common-neighbor-bound": (_UG, _FLAT, _FAMILY),
+    "connectivity-value": (
+        (CYCLE, UNICYCLIC_TF, PATH, STAR),
+        dict.fromkeys(range(2, MAX_ARITY + 1), 0.2),
+        "no stated connectivity value for this class",
+    ),
+    "cross-edge-count": (_UG, _FLAT, _BLOCKS),
+    "out-neighbor-disjoint": (_UG, _FLAT, _BLOCKS),
+    "out-neighbor-escape": (_UG, _FLAT, "stated for the unicyclic family with n >= 4"),
+    "adjacent-pair-common-neighbor": (_UG, _FLAT, _FAMILY),
+    "common-neighbor-triple": (_UG, _FLAT, _FAMILY),
+    "small-cut-isolation": ((CYCLE,), {4: 0.2}, _CYCLE_4),
+    "large-component-bound": ((CYCLE,), {4: 0.2}, _CYCLE_4),
+    "four-subset-neighborhood": (
+        _UG,
+        {4: 0.2, 5: 0.2, 6: 0.2},
+        _FAMILY,
+        "four-subset scan defined for n in 4..6",
+    ),
+    # the sampler: <= 0.31 s up to n=7, 2.3-2.4 s at n=8
+    "residue-bound-p1": (_UG, {4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 8: 3.0}, _FAMILY),
+    # <= 0.3 s at n=6, up to 3.0 s at n=7, 3.9 s on mb:8 and 14-16 s on
+    # ug:8:c=4; test_cli pins the 25 s at n=8
+    "residue-bound-p2": (_UG, {4: 0.1, 5: 0.1, 6: 1.0, 7: 5.0, 8: 25.0}, _FAMILY),
+    # <= 0.12 s up to n=7, 1.1-1.3 s at n=8
+    "four-cycle-labels": (_UG, {4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 8: 2.0}, _FAMILY),
+    "block-boundary-degree": ((CYCLE,), {4: 0.2}, _CYCLE_4),
+    # kept above 1.0: perfbench/test_perfbench.py skips this row at budget=1.0
+    "cyclic-cut-exact": (
+        (CYCLE,), {4: 2.0}, "exhaustive cut search feasible at n=4 only"
+    ),
+    "cyclic-cut-upper": (_UG, _FLAT, "construction defined for the unicyclic family"),
+    # 1.8-2.3 s at n=5
+    "cyclic-cut-falsify": (_UG, {5: 5.0}, "falsification run targets n=5"),
+}
+
+
 #: seconds of the checks that run dearer on a graph without the vertex-0
 #: symmetry, by n (one worker, 2-CPU host, the ``--corrupt`` copies of mb:4,
 #: ug:5:c=4, mb:5, mb:6 and ug:6:c=4); an n without a row keeps the
-#: ``_SECONDS`` price.
+#: ``_SCOPES`` price.
 #: The two flow checks run the Even-family flows: kappa took 0.002, 0.09, 4.8
-#: and 387 s at n=4..7, kappa_1 0.005, 0.6 and 48 s at n=4..6.  kappa_1 at
-#: n=7 is not measured; 4000 s is the n=6 cost times the 80-fold growth of
-#: kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both checks stop at once on
-#: capacity, so they keep the vertex-transitive figures.  The four-subset
-#: scan covers every 4-set: <= 0.1 s up to n=5, 26 s on mb:6 and 33-35 s on
-#: ug:6:c=4; it is out of scope at n=7.
+#: and 387 s at n=4..7 (n=3 keeps the n=4 price), kappa_1 0.005, 0.6 and 48 s
+#: at n=4..6.  kappa_1 at n=7 is not measured; 4000 s is the n=6 cost times
+#: the 80-fold growth of kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both
+#: checks stop at once on capacity, so they keep the vertex-transitive
+#: figures.  The four-subset scan covers every 4-set: <= 0.1 s up to n=5,
+#: 26 s on mb:6 and 33-35 s on ug:6:c=4.
 _ASYMMETRIC_SECONDS = {
-    "connectivity-value": {4: 0.5, 5: 0.5, 6: 5.0, 7: 400.0},
+    "connectivity-value": {3: 0.5, 4: 0.5, 5: 0.5, 6: 5.0, 7: 400.0},
     "residue-bound-p2": {4: 0.1, 5: 1.0, 6: 50.0, 7: 4000.0},
     "four-subset-neighborhood": {6: 40.0},
 }
 
 
-#: fixed seconds per check for budget skipping, by n; a check without a row
-#: costs 0.2 s.  Only checks measured dearer have a row (one worker, 2-CPU
-#: host, mb:4..8, ug:5..8 and the ``--corrupt`` copies of mb:4..6; every
-#: other check ran in <= 0.17 s on a vertex-transitive graph).
-_SECONDS = {
-    # the sampler: <= 0.31 s up to n=7, 2.3-2.4 s at n=8
-    "residue-bound-p1": {4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 8: 3.0},
-    # <= 0.3 s at n=6, up to 3.0 s at n=7, 3.9 s on mb:8 and 14-16 s on
-    # ug:8:c=4; test_cli pins the 25 s at n=8
-    "residue-bound-p2": {4: 0.1, 5: 0.1, 6: 1.0, 7: 5.0, 8: 25.0},
-    # <= 0.12 s up to n=7, 1.1-1.3 s at n=8
-    "four-cycle-labels": {4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 8: 2.0},
-    # kept above 1.0: perfbench/test_perfbench.py skips this row at budget=1.0
-    "cyclic-cut-exact": {4: 2.0, 5: 2.0, 6: 2.0, 7: 2.0, 8: 2.0},
-    # 1.8-2.3 s at n=5
-    "cyclic-cut-falsify": {4: 5.0, 5: 5.0, 6: 5.0, 7: 5.0, 8: 5.0},
-}
-
-
-def _estimate_seconds(check_id: str, G: CayleyGraph) -> float:
-    """Fixed cost model for budget skipping; deliberately not wall time."""
-    n = max(G.n, 4)
+def _scope_and_price(check_id: str, G: CayleyGraph) -> tuple[str | None, float]:
+    """(the scope G is outside of, or None; the fixed price of the check on G)."""
+    classes, seconds, *unstated = _SCOPES[check_id]
+    if G.gen.cls not in classes:
+        return unstated[0], 0.0
+    if G.n not in seconds:
+        return unstated[-1], 0.0
     asymmetric = _ASYMMETRIC_SECONDS.get(check_id, {})
-    if not G.transitive and G.order <= FLOW_ORDER_LIMIT and n in asymmetric:
-        return asymmetric[n]
-    if check_id in _SECONDS:
-        return _SECONDS[check_id][n]
-    return 0.2
+    if not G.transitive and G.order <= FLOW_ORDER_LIMIT and G.n in asymmetric:
+        return None, asymmetric[G.n]
+    return None, seconds[G.n]
 
 
 def gating_failures(checks: list[dict]) -> list[str]:
@@ -1001,10 +993,11 @@ def verify_all(
 ) -> VerificationReport:
     """Run the selected checks (default: all) under a cost-model budget.
 
-    Every check id appears exactly once in the result; inapplicable or
-    over-budget checks are reported as SKIPPED with the reason, and so is a
-    check that raises CapacityError where it meets a resource limit (the
-    scope is the error message; it spends no budget).  Bad
+    Every check id appears exactly once in the result.  A check off its
+    ``_SCOPES`` row is SKIPPED with the row's scope and never priced; one
+    priced above the budget left, or that raises CapacityError where it
+    meets a resource limit (the scope is the error message), is SKIPPED
+    too, and only a check that ran spends its price.  Bad
     arguments raise ValueError (``select_checks``).  workers sizes the
     pools of the falsifier and the p1 sampler, the only checks that fork;
     None means the CPU count (``resolve_workers``).
@@ -1014,19 +1007,20 @@ def verify_all(
     remaining = budget
     records = []
     for cid, fn in selected:
-        est = _estimate_seconds(cid, G)
+        unstated, est = _scope_and_price(cid, G)
         millis = 0.0
-        if est > remaining:
-            outcome = _skip(f"estimated ~{est:.0f}s exceeds the remaining budget")
+        if unstated is not None:
+            outcome = _skip(unstated)
+        elif est > remaining:
+            outcome = _skip(f"estimated ~{est:g}s exceeds the remaining budget")
         else:
             t0 = time.perf_counter()
             try:
                 outcome = fn(ctx)
+                remaining -= est
             except CapacityError as exc:
                 outcome = _skip(str(exc))
             millis = (time.perf_counter() - t0) * 1000.0
-            if outcome[0] != SKIPPED:
-                remaining -= est
         records.append(CheckRecord(cid, *outcome, millis=millis))
     graph = {
         "n": G.n,

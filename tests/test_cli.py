@@ -429,21 +429,46 @@ def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
     assert p2["scope"] == "estimated ~25s exceeds the remaining budget"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="verify_all prices a check before the check's scope guard runs, so "
-    "p2, stated for the unicyclic family only, reads as over budget on star:8",
+@pytest.mark.parametrize(
+    "args, scopes",
+    [
+        (
+            ("--spec", "star:8", "--checks", "residue-bound-p2", "--budget", "20"),
+            {"residue-bound-p2": "stated for the unicyclic family only"},
+        ),
+        (
+            ("--spec", "mb:4", "--budget", "7"),
+            {"cyclic-cut-falsify": "falsification run targets n=5"},
+        ),
+        (
+            ("--spec", "ug:6:c=4", "--budget", "5"),
+            {
+                "cyclic-cut-exact": "exhaustive cut search feasible at n=4 only",
+                "cyclic-cut-falsify": "falsification run targets n=5",
+            },
+        ),
+    ],
+    ids=["p2-on-star:8", "falsifier-on-mb:4", "exact-and-falsifier-on-ug:6:c=4"],
 )
-def test_verify_reports_an_out_of_scope_check_as_out_of_scope(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify", "--spec", "star:8", "--checks", "residue-bound-p2",
-        "--budget", "20",
-    )
+def test_verify_reports_an_out_of_scope_check_as_out_of_scope(capsys, args, scopes):
+    # each of these checks, priced, would cost more than the budget left
+    # where it comes; a check off its scope is never priced
+    code, out, _ = run(capsys, "verify", *args)
     assert code == 0
-    (p2,) = json.loads(out)["checks"]
-    assert p2["verdict"] == "SKIPPED"
-    assert p2["scope"] == "stated for the unicyclic family only"
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    for cid, scope in scopes.items():
+        assert checks[cid]["verdict"] == "SKIPPED"
+        assert checks[cid]["scope"] == scope
+
+
+def test_verify_prints_the_price_it_compares_with_the_budget(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "mb:4", "--budget", "0.1")
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["common-neighbor-bound"]["verdict"] == "SKIPPED"
+    assert checks["common-neighbor-bound"]["scope"] == (
+        "estimated ~0.2s exceeds the remaining budget"
+    )
 
 
 @pytest.mark.parametrize("spec", ["mb:4", "ug:4:c=4"])
@@ -525,13 +550,12 @@ def test_verify_budget_30_runs_p1_at_n6(capsys):
 )
 def test_a_budget_above_the_summed_prices_skips_nothing(capsys, spec, budget):
     # the prices of every check in scope sum to 6.5 s on mb:4 and 4.8 s on
-    # ug:6:c=4, so these budgets run the exhaustive cut checks too; only the
-    # n=5 falsifier, priced before its scope is read, may find too little left
+    # ug:6:c=4, so these budgets run the exhaustive cut checks too
     code, out, _ = run(capsys, "verify", "--spec", spec, "--budget", budget)
     assert code == 0
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
     over = {cid for cid, c in checks.items() if "remaining budget" in c["scope"]}
-    assert over <= {"cyclic-cut-falsify"}
+    assert not over
     assert checks["cyclic-cut-upper"]["verdict"] == "PROVED-EXHAUSTIVE"
     assert checks["four-cycle-labels"]["verdict"] == "PROVED-EXHAUSTIVE"
     if spec == "mb:4":

@@ -251,6 +251,35 @@ def test_no_module_unwraps_a_cayley_graph():
     assert found == []
 
 
+def test_only_verify_all_skips_a_check():
+    """Where a check's claim is stated lives in ``lemmas._SCOPES`` alone.
+
+    No function listed in ``CHECKS`` calls ``_skip`` or names ``SKIPPED``;
+    ``verify_all`` reads the scope before it prices or runs a check.
+    """
+    tree = ast.parse((ROOT / "src" / "ugconn" / "lemmas.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["CHECKS"]
+    ]
+    names = [row.elts[1].id for row in table.elts]
+    checks = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+    assert len(checks) == len(names) == len(ugconn.CHECK_IDS)
+    found = [
+        f"{name}:{node.lineno} names {node.id}"
+        for name, fn in checks.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in ("_skip", "SKIPPED")
+    ]
+    assert found == []
+
+
 def test_flows_imports_only_cayley_and_perms():
     """The flows stand below the scans and the checks, as a certificate checker needs."""
     source = (ROOT / "src" / "ugconn" / "flows.py").read_text()

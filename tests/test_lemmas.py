@@ -317,7 +317,9 @@ def test_family_scoped_checks_skip_on_star(star4):
 
 def test_checks_outside_their_scope_skip_with_the_reason(mb3, star4):
     # mb:3 is a triangle (class Other) and star:4 a tree: no check of the
-    # unicyclic family applies, and kappa is stated for stars only
+    # unicyclic family applies, and kappa is stated for stars only.  A scope
+    # is read before any price, so a budget of 0 skips the same checks with
+    # the same scopes and only turns kappa on star:4 away as over budget.
     family = "stated for the unicyclic family only"
     blocks = "needs the block decomposition of the unicyclic family"
     cycle4 = "stated for the n=4 cycle generator only"
@@ -341,12 +343,23 @@ def test_checks_outside_their_scope_skip_with_the_reason(mb3, star4):
         "cyclic-cut-falsify": "falsification run targets n=5",
     }
     assert list(scopes) == list(CHECK_IDS)
-    for G, ran in ((mb3, set()), (star4, {"connectivity-value"})):
-        rep = verify_all(G, workers=1)
-        assert {c.check_id for c in rep.checks if c.verdict != SKIPPED} == ran
-        skipped = {c.check_id: c.scope for c in rep.checks if c.verdict == SKIPPED}
-        assert skipped == {cid: s for cid, s in scopes.items() if cid not in ran}
-        assert rep.passed()
+    over = "estimated ~0.2s exceeds the remaining budget"
+    for budget in (600.0, 0.0):
+        for G, stated in ((mb3, set()), (star4, {"connectivity-value"})):
+            rep = verify_all(G, workers=1, budget=budget)
+            ran = stated if budget else set()
+            assert {c.check_id for c in rep.checks if c.verdict != SKIPPED} == ran
+            skipped = {c.check_id: c.scope for c in rep.checks if c.verdict == SKIPPED}
+            assert skipped == {
+                cid: over if cid in stated else s
+                for cid, s in scopes.items()
+                if cid not in ran
+            }
+            assert rep.passed()
+
+
+def test_the_scope_table_has_one_row_per_check():
+    assert list(lemmas._SCOPES) == list(CHECK_IDS)
 
 
 def test_connectivity_detail_on_path(b4):
@@ -641,14 +654,18 @@ def test_four_subset_scan_without_the_symmetry_is_priced_from_its_measured_cost(
     mb4, mb5, mb6, monkeypatch
 ):
     # the corrupted mb:6 scans every 4-set: 26 s, where the copies of mb:4
-    # and mb:5 take <= 0.1 s and mb:7 is out of the check's scope
+    # and mb:5 take <= 0.1 s; mb:7 is out of the check's scope, so its copy
+    # is never priced and skips with its scope even at a budget of 0
     monkeypatch.setattr(lemmas, "min_neighborhood_over_4subsets", _no_scan)
     bad = with_redirected_cross_edge(mb6)
     check = ["four-subset-neighborhood"]
     (c,) = verify_all(bad, workers=1, checks=check, budget=30).checks
     assert c.verdict == SKIPPED
     assert c.scope == "estimated ~40s exceeds the remaining budget"
-    mb7 = build_cayley(parse_spec(["mb:7"]))
-    for g in (mb4, mb5, mb7):
+    for g in (mb4, mb5):
         bad = with_redirected_cross_edge(g)
-        assert lemmas._estimate_seconds(check[0], bad) == 0.2
+        assert lemmas._scope_and_price(check[0], bad) == (None, 0.2)
+    bad = with_redirected_cross_edge(build_cayley(parse_spec(["mb:7"])))
+    (c,) = verify_all(bad, workers=1, checks=check, budget=0).checks
+    assert c.verdict == SKIPPED
+    assert c.scope == "four-subset scan defined for n in 4..6"
