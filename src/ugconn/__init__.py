@@ -1,9 +1,9 @@
 """Connectivity workbench for Cayley graphs of unicyclic transposition sets.
 
 ``perms``, ``genset`` and ``cayley``, which building a graph needs, load
-with the package.  ``flows``, ``cuts`` and ``lemmas`` load on first access
-to them or to a name they export (PEP 562), so a process that only builds
-graphs never compiles the flows, the scans or the checks.
+with the package.  ``flows``, ``cuts``, ``cyclic`` and ``lemmas`` load on
+first access to them or to a name they export (PEP 562), so a process that
+only builds graphs never compiles the flows, the scans or the checks.
 """
 
 from importlib import import_module
@@ -68,6 +68,7 @@ _EXPORTS = {
         "randomized_cut_falsifier",
         "render_witness",
     ),
+    "cyclic": ("CyclicConnectivity", "cyclic_connectivity"),
     "lemmas": (
         "CHECK_IDS",
         "VerificationReport",

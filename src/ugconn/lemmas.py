@@ -42,6 +42,7 @@ from .cuts import (
     verify_connected_under_removal,
     vertex_boundary,
 )
+from .cyclic import cyclic_connectivity
 from .flows import (
     FLOW_ORDER_LIMIT,
     edge_separation_connectivity,
@@ -684,13 +685,16 @@ def check_block_boundary_degree(ctx: CheckContext) -> tuple:
 
 
 def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
-    """n=4: no cyclic cut of size 7, and one of size 8.
+    """kappa_c = 4n-8: n=4 by the census and one cut of size 8, n=5 by cases.
 
-    The census (``ctx.census``) sweeps every set of size up to 7 and
-    records the least cyclic cut of each size.  When it records one, that
-    cut, verified, is the witness of a cyclic connectivity below 8, and no
-    search runs.  When it records none, kappa_c >= 8: on a graph from
-    ``build_cayley`` it sweeps the sets through vertex 0, and since left
+    At n=5 it reads ``cyclic_connectivity``, the exact split into two
+    4-cycles separated or a cyclic side without a 4-cycle
+    (``_cyclic_cut_by_cases``).  At n=4 the census (``ctx.census``) sweeps
+    every set of size up to 7 and records the least cyclic cut of each
+    size.  When it records one, that cut, verified, is the witness of a
+    cyclic connectivity below 8, and no search runs.  When it records
+    none, kappa_c >= 8: on a graph from ``build_cayley`` it sweeps the
+    sets through vertex 0, and since left
     translations are automorphisms, every set translates to one through
     vertex 0 and every cyclic cut to a cyclic cut of the same size; on any
     other graph it sweeps every set.  N(C4) (``ctx.four_cycle_cut``), when
@@ -702,6 +706,8 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
     stops at the first cyclic cut, which is the least minimum one.
     """
     G = ctx.G
+    if G.n > 4:
+        return _cyclic_cut_by_cases(ctx)
     census = ctx.census
     small = next((e for e in census if e.cyclic_cut is not None), None)
     covered = sum(math.comb(G.order, k) for k in range(1, 8))
@@ -735,6 +741,37 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
         ]
         detail["scanned"] = witness.scanned
     return _done(ok=ok, sampled=False, gating=True, scope=scope, detail=detail)
+
+
+def _cyclic_cut_by_cases(ctx: CheckContext) -> tuple:
+    """kappa_c from ``cyclic_connectivity``; PROVED iff it is 4n-8."""
+    G = ctx.G
+    answer = cyclic_connectivity(G)
+    expected = 4 * G.n - 8
+    witness = ctx.perm_strs(answer.witness.fault)
+    origin = ", from vertex 0 (vertex-transitive)" if G.transitive else ""
+    detail = {
+        "cyclic_connectivity": answer.value,
+        "expected": expected,
+        "case": answer.case,
+        "witness": witness,
+        "witness_components": [
+            c.vertices for c in answer.witness.analysis.components
+        ],
+        "flows": answer.flows,
+        "nodes": answer.nodes,
+    }
+    if answer.value < expected:
+        detail["unexpected_small_cut"] = witness
+    return _done(
+        ok=answer.value == expected,
+        sampled=False,
+        gating=True,
+        scope=f"exact case split: the least separation of two 4-cycles "
+        f"({answer.flows} flows), then every cyclic side without a 4-cycle "
+        f"below it ({answer.nodes} search nodes){origin}",
+        detail=detail,
+    )
 
 
 def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
@@ -855,9 +892,13 @@ _SCOPES = {
     # <= 0.12 s up to n=7, 1.1-1.3 s at n=8
     "four-cycle-labels": (_UG, {4: 1.0, 5: 1.0, 6: 1.0, 7: 1.0, 8: 2.0}, _FAMILY),
     "block-boundary-degree": ((CYCLE,), {4: 0.2}, _CYCLE_4),
-    # kept above 1.0: perfbench/test_perfbench.py skips this row at budget=1.0
+    # n=4 kept above 1.0: perfbench/test_perfbench.py skips this row at
+    # budget=1.0; the n=5 case split took 0.06-0.12 s
     "cyclic-cut-exact": (
-        (CYCLE,), {4: 2.0}, "exhaustive cut search feasible at n=4 only"
+        _UG,
+        {4: 2.0, 5: 0.5},
+        _FAMILY,
+        "exact cyclic connectivity runs at n=4 and 5 only",
     ),
     "cyclic-cut-upper": (_UG, _FLAT, "construction defined for the unicyclic family"),
     # 1.8-2.3 s at n=5
@@ -867,19 +908,21 @@ _SCOPES = {
 
 #: seconds of the checks that run dearer on a graph without the vertex-0
 #: symmetry, by n (one worker, 2-CPU host, the ``--corrupt`` copies of mb:4,
-#: ug:5:c=4, mb:5, mb:6 and ug:6:c=4); an n without a row keeps the
-#: ``_SCOPES`` price.
+#: ug:5:c=4, mb:5, ug:5:c=5, mb:6 and ug:6:c=4); an n without a row keeps
+#: the ``_SCOPES`` price.
 #: The two flow checks run the Even-family flows: kappa took 0.002, 0.09, 4.8
 #: and 387 s at n=4..7 (n=3 keeps the n=4 price), kappa_1 0.005, 0.6 and 48 s
 #: at n=4..6.  kappa_1 at n=7 is not measured; 4000 s is the n=6 cost times
 #: the 80-fold growth of kappa from n=6 to 7.  Above FLOW_ORDER_LIMIT both
 #: checks stop at once on capacity, so they keep the vertex-transitive
 #: figures.  The four-subset scan covers every 4-set: <= 0.1 s up to n=5,
-#: 26 s on mb:6 and 33-35 s on ug:6:c=4.
+#: 26 s on mb:6 and 33-35 s on ug:6:c=4.  The n=5 cyclic case split runs the
+#: Even-family flows and its side search from every vertex: 0.28-0.34 s.
 _ASYMMETRIC_SECONDS = {
     "connectivity-value": {3: 0.5, 4: 0.5, 5: 0.5, 6: 5.0, 7: 400.0},
     "residue-bound-p2": {4: 0.1, 5: 1.0, 6: 50.0, 7: 4000.0},
     "four-subset-neighborhood": {6: 40.0},
+    "cyclic-cut-exact": {5: 1.5},
 }
 
 

@@ -443,7 +443,7 @@ def test_verify_prices_p2_at_n8_from_measured_costs(capsys, monkeypatch):
         (
             ("--spec", "ug:6:c=4", "--budget", "5"),
             {
-                "cyclic-cut-exact": "exhaustive cut search feasible at n=4 only",
+                "cyclic-cut-exact": "exact cyclic connectivity runs at n=4 and 5 only",
                 "cyclic-cut-falsify": "falsification run targets n=5",
             },
         ),
@@ -546,11 +546,13 @@ def test_verify_budget_30_runs_p1_at_n6(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, budget", [("mb:4", "10"), ("ug:6:c=4", "10"), ("ug:6:c=4", "7")]
+    "spec, budget",
+    [("mb:4", "10"), ("ug:5:c=4", "10"), ("ug:6:c=4", "10"), ("ug:6:c=4", "7")],
 )
 def test_a_budget_above_the_summed_prices_skips_nothing(capsys, spec, budget):
-    # the prices of every check in scope sum to 6.5 s on mb:4 and 4.8 s on
-    # ug:6:c=4, so these budgets run the exhaustive cut checks too
+    # the prices of every check in scope sum to 6.5 s on mb:4, 9.4 s on
+    # ug:5:c=4 and 4.8 s on ug:6:c=4, so these budgets run the exhaustive cut
+    # checks too
     code, out, _ = run(capsys, "verify", "--spec", spec, "--budget", budget)
     assert code == 0
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -558,12 +560,12 @@ def test_a_budget_above_the_summed_prices_skips_nothing(capsys, spec, budget):
     assert not over
     assert checks["cyclic-cut-upper"]["verdict"] == "PROVED-EXHAUSTIVE"
     assert checks["four-cycle-labels"]["verdict"] == "PROVED-EXHAUSTIVE"
-    if spec == "mb:4":
+    if spec in ("mb:4", "ug:5:c=4"):
         assert checks["cyclic-cut-exact"]["verdict"] == "PROVED-EXHAUSTIVE"
 
 
 def test_verify_budget_30_runs_the_headline_check_at_n7(capsys):
-    # above n=4 only cyclic-cut-upper checks kappa_c = 4n-8; a 30 s budget
+    # above n=5 only cyclic-cut-upper checks kappa_c = 4n-8; a 30 s budget
     # must reach it after the cheap checks
     code, out, _ = run(capsys, "verify", "--spec", "mb:7", "--budget", "30")
     assert code == 0
@@ -571,7 +573,7 @@ def test_verify_budget_30_runs_the_headline_check_at_n7(capsys):
     assert checks["cyclic-cut-upper"]["verdict"] == "PROVED-EXHAUSTIVE"
     assert checks["four-cycle-labels"]["verdict"] == "PROVED-EXHAUSTIVE"
     assert [c for c in checks.values() if "remaining budget" in c["scope"]] == []
-    assert checks["cyclic-cut-exact"]["scope"] == "exhaustive cut search feasible at n=4 only"
+    assert checks["cyclic-cut-exact"]["scope"] == "exact cyclic connectivity runs at n=4 and 5 only"
     assert checks["cyclic-cut-falsify"]["scope"] == "falsification run targets n=5"
 
 

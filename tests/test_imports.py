@@ -166,6 +166,21 @@ def test_cut_search_loads_the_scans_but_not_the_checks():
     assert _fresh(_CUT_SEARCH) == [0, True, False]
 
 
+_BUILD_AND_CUT_SEARCH = """
+import contextlib, io, json, sys
+import ugconn, ugconn.cli
+ugconn.build_cayley(ugconn.cli.parse_spec("ug:5:c=4")).dense.masks
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ugconn.cli.main(["cut-search", "--spec", "mb:4", "--max-size", "3"])
+print(json.dumps([code, "ugconn.cyclic" in sys.modules]))
+"""
+
+
+def test_graph_builds_and_cut_search_leave_the_case_split_unloaded():
+    """``cyclic`` loads with the checks: only ``lemmas`` imports it."""
+    assert _fresh(_BUILD_AND_CUT_SEARCH) == [0, False]
+
+
 def _package_imports(source: str) -> set[str]:
     """The ugconn submodules that a module's import statements name."""
     out = set()

@@ -338,7 +338,7 @@ def test_checks_outside_their_scope_skip_with_the_reason(mb3, star4):
         "residue-bound-p2": family,
         "four-cycle-labels": family,
         "block-boundary-degree": cycle4,
-        "cyclic-cut-exact": "exhaustive cut search feasible at n=4 only",
+        "cyclic-cut-exact": family,
         "cyclic-cut-upper": "construction defined for the unicyclic family",
         "cyclic-cut-falsify": "falsification run targets n=5",
     }
@@ -517,7 +517,12 @@ def test_residue_bound_p2_names_the_stranded_vertices(mb4, monkeypatch):
 
 #: the checks that read the neighbor bitmasks on ug:5:c=4: the four-subset
 #: scan, the p1 sweep (order <= 120) and the falsifier
-MASK_CHECKS = ["four-subset-neighborhood", "residue-bound-p1", "cyclic-cut-falsify"]
+MASK_CHECKS = [
+    "four-subset-neighborhood",
+    "residue-bound-p1",
+    "cyclic-cut-exact",
+    "cyclic-cut-falsify",
+]
 
 #: the checks on ug:5:c=4 that build on common neighbors and 4-cycles, which
 #: they read off the neighbor lists
