@@ -94,7 +94,7 @@ def _unit_flow(into, first, second, cutoff):
 
 
 class EdgeSeparation(NamedTuple):
-    """A minimum separation of two units (edges, or single vertices for kappa)."""
+    """A minimum separation of two units: edges, single vertices or 4-cycles."""
 
     value: int | None  # None when no two units can be separated
     edges: tuple[tuple[int, ...], tuple[int, ...]] | None  # a pair attaining it

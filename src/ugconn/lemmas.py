@@ -11,7 +11,9 @@ Reports are deterministic: same graph, seed, and budget give the same
 body regardless of worker count, because all parallel work merges by
 lexicographic rules and budget skipping uses fixed cost estimates rather
 than measured time.  Where each check's claim is stated, and its price
-there, lives in one table, ``_SCOPES``; the checks themselves never skip.
+there, lives in one table, ``_SCOPES``, and where a check runs
+exploratory, and why, in another, ``_EXPLORATORY``; the checks themselves
+never skip and never decide whether they gate.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .flows import (
     vertex_connectivity_detail,
 )
 from .genset import CYCLE, PATH, STAR, UNICYCLIC_TF, GeneratingGraphError, describe
-from .perms import MAX_ARITY, CapacityError, Perm
+from .perms import MAX_ARITY, CapacityError, apply_swap
 
 SCHEMA = 1
 
@@ -115,13 +117,9 @@ class CheckContext:
         return [self.G.perm_str(v) for v in vertices]
 
 
-def _skip(reason: str) -> tuple:
-    return SKIPPED, False, reason, {}
-
-
-def _done(ok: bool, sampled: bool, gating: bool, scope: str, detail: dict) -> tuple:
-    """The outcome (verdict, gating, scope, detail); ``verify_all`` adds id, time."""
-    return (SAMPLED if sampled else PROVED) if ok else FAIL, gating, scope, detail
+def _done(ok: bool, sampled: bool, scope: str, detail: dict) -> tuple:
+    """The outcome (verdict, scope, detail); ``verify_all`` adds id, gating, time."""
+    return (SAMPLED if sampled else PROVED) if ok else FAIL, scope, detail
 
 
 def _via_vertex_0(G: CayleyGraph, through: int) -> str:
@@ -189,19 +187,13 @@ def canonical_four_cycle(G: CayleyGraph) -> tuple[int, int, int, int]:
             if {k1, l1} & {k2, l2}:
                 continue
             p0 = G.perms[0]
-            p1 = _swapped(p0, k1, l1)
-            p2 = _swapped(p1, k2, l2)
-            p3 = _swapped(p0, k2, l2)
+            p1 = apply_swap(p0, k1, l1)
+            p2 = apply_swap(p1, k2, l2)
+            p3 = apply_swap(p0, k2, l2)
             v1, v2, v3 = G.vertex(p1), G.vertex(p2), G.vertex(p3)
             b, d = min(v1, v3), max(v1, v3)
             return (0, b, v2, d)
     raise GeneratingGraphError("no two generators have disjoint supports")
-
-
-def _swapped(p: Perm, k: int, l: int) -> Perm:
-    lst = list(p)
-    lst[k - 1], lst[l - 1] = lst[l - 1], lst[k - 1]
-    return tuple(lst)
 
 
 def _cn_row(neighbors, u: int) -> Counter:
@@ -283,7 +275,6 @@ def check_cn_bound(ctx: CheckContext) -> tuple:
     return _done(
         ok=best <= 2,
         sampled=False,
-        gating=True,
         scope=f"exhaustive over all {pairs} vertex pairs"
         f"{_via_vertex_0(G, G.order - 1)}",
         detail={"max_cn": best, "attained_by": ctx.perm_strs(pair)},
@@ -316,7 +307,6 @@ def check_connectivity_value(ctx: CheckContext) -> tuple:
     return _done(
         ok=res.value == expected,
         sampled=False,
-        gating=True,
         scope=scope,
         detail=detail,
     )
@@ -337,7 +327,6 @@ def check_cross_edge_count(ctx: CheckContext) -> tuple:
     return _done(
         ok=bad is None,
         sampled=False,
-        gating=True,
         scope=f"all {pairs} block pairs, peel position {G.peel.position}",
         detail={"expected_per_pair": expected, "violation": bad},
     )
@@ -346,7 +335,6 @@ def check_cross_edge_count(ctx: CheckContext) -> tuple:
 def check_out_neighbor_disjoint(ctx: CheckContext) -> tuple:
     """Out-neighbor sets of distinct vertices in a block never intersect."""
     G = ctx.G
-    gating = G.gen.cls == CYCLE
     owner: dict[int, int] = {}
     bad = None
     scanned = 0
@@ -365,15 +353,12 @@ def check_out_neighbor_disjoint(ctx: CheckContext) -> tuple:
         if bad:
             break
     scope = f"all {scanned} out-neighbor slots across {G.n} blocks"
-    if not gating:
-        scope += "; exploratory (stated for the cycle generator)"
-    return _done(bad is None, False, gating, scope, {"violation": bad})
+    return _done(bad is None, False, scope, {"violation": bad})
 
 
 def check_out_neighbor_escape(ctx: CheckContext) -> tuple:
     """Every vertex of blocks 1-2 has an out-neighbor beyond block 2."""
     G = ctx.G
-    gating = G.gen.cls == CYCLE
     bad = None
     scanned = 0
     for u in range(G.order):
@@ -389,24 +374,19 @@ def check_out_neighbor_escape(ctx: CheckContext) -> tuple:
             }
             break
     scope = f"all {scanned} vertices of blocks 1 and 2"
-    if not gating:
-        scope += "; exploratory (stated for the cycle generator)"
-    return _done(bad is None, False, gating, scope, {"violation": bad})
+    return _done(bad is None, False, scope, {"violation": bad})
 
 
 def check_adjacent_pair_cn(ctx: CheckContext) -> tuple:
     """For each edge pq, no third vertex shares neighbors with both ends."""
     G = ctx.G
-    gating = G.gen.cls == CYCLE
     hit = find_edge_cn_violation(G)
     detail = {}
     if hit is not None:
         p, q, s = hit
         detail["violation"] = {"edge": ctx.perm_strs((p, q)), "third": G.perm_str(s)}
     scope = f"all {G.size} edges against all other vertices{_via_vertex_0(G, G.degree)}"
-    if not gating:
-        scope += "; exploratory (stated for the cycle generator)"
-    return _done(hit is None, False, gating, scope, detail)
+    return _done(hit is None, False, scope, detail)
 
 
 def check_cn_triple(ctx: CheckContext) -> tuple:
@@ -414,12 +394,11 @@ def check_cn_triple(ctx: CheckContext) -> tuple:
 
     This is the usable form of the forbidden nine-vertex configuration:
     u,v,w with cn(u,v) = cn(v,w) = 2 would force cn(u,w) = 0.  It gates at
-    n=4 only: from n=5 on, the 4-cycles of two commuting generator pairs
-    that share a generator break it (on mb5, 13254 and 21354 each have
-    cn=2 with 12345 and share the neighbor 12354).
+    n=4 only (``_EXPLORATORY``): from n=5 on, the 4-cycles of two commuting
+    generator pairs that share a generator break it (on mb5, 13254 and
+    21354 each have cn=2 with 12345 and share the neighbor 12354).
     """
     G = ctx.G
-    gating = G.gen.cls == CYCLE and G.n == 4
     hit = find_cn_triple_violation(G)
     detail = {}
     if hit is not None:
@@ -427,14 +406,7 @@ def check_cn_triple(ctx: CheckContext) -> tuple:
     scope = "all triples built from the pairwise cn=2 relation"
     if G.transitive:
         scope += ", via those whose middle vertex is 0 (vertex-transitive)"
-    if G.gen.cls != CYCLE:
-        scope += "; exploratory (stated for the cycle generator)"
-    elif not gating:
-        scope += (
-            "; exploratory at n >= 5, where two pairs of disjoint generators "
-            "can share a generator, e.g. {23,45} and {12,45}"
-        )
-    return _done(hit is None, False, gating, scope, detail)
+    return _done(hit is None, False, scope, detail)
 
 
 def check_small_cut_isolation(ctx: CheckContext) -> tuple:
@@ -463,7 +435,6 @@ def check_small_cut_isolation(ctx: CheckContext) -> tuple:
     return _done(
         ok=ok,
         sampled=False,
-        gating=True,
         scope=f"exhaustive over all {total} fault sets of size <= 5"
         f"{_via_vertex_0(G, _sets_through_0(G, 5))}",
         detail={"per_size": rows},
@@ -495,7 +466,6 @@ def check_large_component_bound(ctx: CheckContext) -> tuple:
     return _done(
         ok=ok,
         sampled=False,
-        gating=True,
         scope=f"exhaustive over all {total} fault sets of size <= 7"
         f"{_via_vertex_0(G, _sets_through_0(G, 7))}",
         detail={"per_size": rows},
@@ -506,18 +476,16 @@ def check_four_subset_neighborhood(ctx: CheckContext) -> tuple:
     """Minimum |N(S)| over 4-element S: 4n-8 at n=4,5 and 4n-9 at n=6."""
     G = ctx.G
     n = G.n
-    gating = G.gen.cls == CYCLE
     value, witness, scanned = min_neighborhood_over_4subsets(G)
     expected = 4 * n - 8 if n <= 5 else 4 * n - 9
-    ok = value == expected if gating else value >= 4 * n - 9
+    # where it runs exploratory the sharp value is unstated: test >= 4n-9
+    loose = _exploratory("four-subset-neighborhood", G) is not None
+    ok = value >= 4 * n - 9 if loose else value == expected
     scope = f"exhaustive over all {math.comb(G.order, 4)} four-subsets"
     scope += _via_vertex_0(G, scanned)
-    if not gating:
-        scope += "; exploratory (sharp value stated for the cycle generator)"
     return _done(
         ok,
         sampled=False,
-        gating=gating,
         scope=scope,
         detail={
             "min": value,
@@ -541,8 +509,7 @@ def check_residue_bound_p1(ctx: CheckContext) -> tuple:
         return _done(
             ok=sweep.ok,
             sampled=False,
-            gating=True,
-            scope=f"vertex-cut search over all {covered} fault sets of size "
+                scope=f"vertex-cut search over all {covered} fault sets of size "
             f"<= {max_f}{_via_vertex_0(G, _sets_through_0(G, max_f))}",
             detail=detail,
         )
@@ -564,7 +531,6 @@ def check_residue_bound_p1(ctx: CheckContext) -> tuple:
     return _done(
         ok=res.ok,
         sampled=True,
-        gating=True,
         scope=f"sampled fault sets of size <= {max_f}",
         detail=detail,
     )
@@ -616,7 +582,6 @@ def check_residue_bound_p2(ctx: CheckContext) -> tuple:
     return _done(
         ok=ok,
         sampled=False,
-        gating=True,
         scope=f"all fault sets of size <= {max_f}, via kappa_1 from {sep.flows} "
         f"edge-separation flows ({firsts}) and the largest common-neighbor count",
         detail=detail,
@@ -644,7 +609,6 @@ def check_four_cycle_labels(ctx: CheckContext) -> tuple:
     return _done(
         ok=bad is None,
         sampled=False,
-        gating=True,
         scope=f"all {len(cycles)} four-cycles",
         detail={"four_cycles": len(cycles), "violation": bad},
     )
@@ -678,7 +642,6 @@ def check_block_boundary_degree(ctx: CheckContext) -> tuple:
     return _done(
         ok=bad is None,
         sampled=False,
-        gating=True,
         scope=f"all {scanned} within-block edges of blocks 1..3",
         detail={"edges_by_block": edge_counts, "violation": bad},
     )
@@ -740,7 +703,7 @@ def check_cyclic_cut_exact(ctx: CheckContext) -> tuple:
             c.vertices for c in witness.analysis.components
         ]
         detail["scanned"] = witness.scanned
-    return _done(ok=ok, sampled=False, gating=True, scope=scope, detail=detail)
+    return _done(ok=ok, sampled=False, scope=scope, detail=detail)
 
 
 def _cyclic_cut_by_cases(ctx: CheckContext) -> tuple:
@@ -766,7 +729,6 @@ def _cyclic_cut_by_cases(ctx: CheckContext) -> tuple:
     return _done(
         ok=answer.value == expected,
         sampled=False,
-        gating=True,
         scope=f"exact case split: the least separation of two 4-cycles "
         f"({answer.flows} flows), then every cyclic side without a 4-cycle "
         f"below it ({answer.nodes} search nodes){origin}",
@@ -786,12 +748,11 @@ def check_cyclic_cut_upper(ctx: CheckContext) -> tuple:
             "cycle": ctx.perm_strs(cyc),
             "missing_edges": [ctx.perm_strs(e) for e in missing],
         }
-        return _done(False, False, True, scope, detail)
+        return _done(False, False, scope, detail)
     cyclic = analysis.cyclic_component_count() >= 2
     return _done(
         ok=len(fault) == expected and cyclic,
         sampled=False,
-        gating=True,
         scope=scope,
         detail={
             "size": len(fault),
@@ -820,7 +781,6 @@ def check_cyclic_cut_falsify(ctx: CheckContext) -> tuple:
     return _done(
         ok=witness is None,
         sampled=True,  # a pass is evidence, never proof
-        gating=True,
         scope=f"{trials} seeded randomized trials at target {target}",
         detail=detail,
     )
@@ -924,6 +884,34 @@ _ASYMMETRIC_SECONDS = {
     "four-subset-neighborhood": {6: 40.0},
     "cyclic-cut-exact": {5: 1.5},
 }
+
+
+_CYCLE_ONLY = "(stated for the cycle generator)"
+_TRIPLE_N5 = (
+    "at n >= 5, where two pairs of disjoint generators can share a generator, "
+    "e.g. {23,45} and {12,45}"
+)
+
+#: the checks that run exploratory somewhere ``_SCOPES`` states them, by id:
+#: (the reason off the cycle generator[, the largest n at which the check
+#: gates on the cycle generator, the reason above it]).  A reason is the text
+#: after "; exploratory " in the scope.  Every other check gates wherever it
+#: runs.
+_EXPLORATORY = {
+    "out-neighbor-disjoint": (_CYCLE_ONLY,),
+    "out-neighbor-escape": (_CYCLE_ONLY,),
+    "adjacent-pair-common-neighbor": (_CYCLE_ONLY,),
+    "common-neighbor-triple": (_CYCLE_ONLY, 4, _TRIPLE_N5),
+    "four-subset-neighborhood": ("(sharp value stated for the cycle generator)",),
+}
+
+
+def _exploratory(check_id: str, G: CayleyGraph) -> str | None:
+    """Why the check does not gate on G, or None where it gates."""
+    off_cycle, *above = _EXPLORATORY.get(check_id, (None,))
+    if G.gen.cls != CYCLE:
+        return off_cycle
+    return above[1] if above and G.n > above[0] else None
 
 
 def _scope_and_price(check_id: str, G: CayleyGraph) -> tuple[str | None, float]:
@@ -1040,31 +1028,37 @@ def verify_all(
     ``_SCOPES`` row is SKIPPED with the row's scope and never priced; one
     priced above the budget left, or that raises CapacityError where it
     meets a resource limit (the scope is the error message), is SKIPPED
-    too, and only a check that ran spends its price.  Bad
-    arguments raise ValueError (``select_checks``).  workers sizes the
-    pools of the falsifier and the p1 sampler, the only checks that fork;
-    None means the CPU count (``resolve_workers``).
+    too, and only a check that ran spends its price.  A SKIPPED check
+    never gates; one that ran gates unless ``_EXPLORATORY`` gives a reason,
+    which its scope then ends with.  Bad arguments raise ValueError
+    (``select_checks``).  workers sizes the pools of the falsifier and the
+    p1 sampler, the only checks that fork; None means the CPU count
+    (``resolve_workers``).
     """
     selected = select_checks(checks, seed, budget)
     ctx = CheckContext(G=G, workers=resolve_workers(workers), seed=seed)
     remaining = budget
     records = []
     for cid, fn in selected:
-        unstated, est = _scope_and_price(cid, G)
+        skip, est = _scope_and_price(cid, G)
+        if skip is None and est > remaining:
+            skip = f"estimated ~{est:g}s exceeds the remaining budget"
         millis = 0.0
-        if unstated is not None:
-            outcome = _skip(unstated)
-        elif est > remaining:
-            outcome = _skip(f"estimated ~{est:g}s exceeds the remaining budget")
-        else:
+        if skip is None:
             t0 = time.perf_counter()
             try:
-                outcome = fn(ctx)
+                verdict, scope, detail = fn(ctx)
                 remaining -= est
             except CapacityError as exc:
-                outcome = _skip(str(exc))
+                skip = str(exc)
             millis = (time.perf_counter() - t0) * 1000.0
-        records.append(CheckRecord(cid, *outcome, millis=millis))
+        if skip is not None:
+            records.append(CheckRecord(cid, SKIPPED, False, skip, {}, millis))
+            continue
+        why = _exploratory(cid, G)
+        if why is not None:
+            scope += f"; exploratory {why}"
+        records.append(CheckRecord(cid, verdict, why is None, scope, detail, millis))
     graph = {
         "n": G.n,
         "class": G.gen.cls,

@@ -57,4 +57,26 @@ MUTANTS = (
         why="on a disconnected graph the kernel flags the empty fault, which "
         "removes nothing and is no cut",
     ),
+    Mutant(
+        name="escape-gates-on-the-whole-family",
+        module="lemmas.py",
+        fragment='    "out-neighbor-escape": (_CYCLE_ONLY,),\n',
+        replacement="",
+        killers=(
+            "tests/test_lemmas.py::test_mb_scoped_checks_run_exploratory_on_ug5",
+        ),
+        why="the escape claim is stated for the cycle generator; on ug:5:c=4 a "
+        "vertex of blocks 1-2 has no out-neighbor beyond block 2, so a gating "
+        "check there would fail a report the paper does not contradict",
+    ),
+    Mutant(
+        name="triple-gates-above-n4",
+        module="lemmas.py",
+        fragment='"common-neighbor-triple": (_CYCLE_ONLY, 4, _TRIPLE_N5),',
+        replacement='"common-neighbor-triple": (_CYCLE_ONLY,),',
+        killers=("tests/test_lemmas.py::test_common_neighbor_triple_gates_at_n4_only",),
+        why="from n=5 on two pairs of commuting generators can share a "
+        "generator, so the triple exclusion fails on mb:5; gating there "
+        "would fail the cycle generator's own report",
+    ),
 )

@@ -72,14 +72,13 @@ from ugconn.cli import parse_spec
 from ugconn.lemmas import (
     FAIL,
     RANDOM_TRIALS,
-    _swapped,
     canonical_four_cycle,
     find_cn_triple_violation,
     find_edge_cn_violation,
     max_common_neighbors,
     verify_all,
 )
-from ugconn.perms import CapacityError
+from ugconn.perms import CapacityError, apply_swap
 
 
 def _dense_of_nx(H: nx.Graph) -> DenseGraph:
@@ -1345,7 +1344,7 @@ def _six_cycle_boundary(G: CayleyGraph) -> tuple[int, ...]:
     p, cycle = G.perms[0], []
     for i in range(6):
         cycle.append(G.vertex(p))
-        p = _swapped(p, 1, 3 if i % 2 else 2)
+        p = apply_swap(p, 1, 3 if i % 2 else 2)
     assert G.vertex(p) == 0 and len(set(cycle)) == 6
     return vertex_boundary(G, cycle)
 

@@ -266,12 +266,8 @@ def test_no_module_unwraps_a_cayley_graph():
     assert found == []
 
 
-def test_only_verify_all_skips_a_check():
-    """Where a check's claim is stated lives in ``lemmas._SCOPES`` alone.
-
-    No function listed in ``CHECKS`` calls ``_skip`` or names ``SKIPPED``;
-    ``verify_all`` reads the scope before it prices or runs a check.
-    """
+def _check_functions() -> dict:
+    """{name: function node} of every function that ``lemmas.CHECKS`` lists."""
     tree = ast.parse((ROOT / "src" / "ugconn" / "lemmas.py").read_text())
     (table,) = [
         node.value
@@ -286,12 +282,39 @@ def test_only_verify_all_skips_a_check():
         if isinstance(node, ast.FunctionDef) and node.name in names
     }
     assert len(checks) == len(names) == len(ugconn.CHECK_IDS)
+    return checks
+
+
+def test_only_verify_all_skips_a_check():
+    """Where a check's claim is stated lives in ``lemmas._SCOPES`` alone.
+
+    No function listed in ``CHECKS`` calls ``_skip`` or names ``SKIPPED``;
+    ``verify_all`` reads the scope before it prices or runs a check.
+    """
+    checks = _check_functions()
     found = [
         f"{name}:{node.lineno} names {node.id}"
         for name, fn in checks.items()
         for node in ast.walk(fn)
         if isinstance(node, ast.Name) and node.id in ("_skip", "SKIPPED")
     ]
+    assert found == []
+
+
+def test_only_verify_all_decides_gating():
+    """Whether a check gates lives in ``lemmas._EXPLORATORY`` alone.
+
+    No function listed in ``CHECKS`` names ``gating``, as a variable or a
+    keyword, or holds a string containing "exploratory"; ``verify_all``
+    sets the record's gating and appends the exploratory reason.
+    """
+    found = []
+    for name, fn in _check_functions().items():
+        for node in ast.walk(fn):
+            if getattr(node, "id", getattr(node, "arg", None)) == "gating":
+                found.append(f"{name}:{node.lineno} names gating")
+            elif isinstance(node, ast.Constant) and "exploratory" in str(node.value):
+                found.append(f"{name}:{node.lineno} says exploratory")
     assert found == []
 
 
